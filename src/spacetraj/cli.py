@@ -53,7 +53,7 @@ from .config import (
     emit_config,
     parse_config,
 )
-from .cost import TerminalValue, cost_derivatives, stage_cost
+from .cost import TerminalValue
 from .dynamics import finite_diff_jacobians, jacobians
 from .errors import ConfigError, NotAFixedPointError, SpacetrajError
 from .ilqr import solve_fhocp
@@ -152,12 +152,7 @@ def cmd_solve(cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
         header,
         trajectory_rows(problem.model.dt, states, controls, traj.stage_costs),
     )
-    iter_csv = write_csv(
-        out / "iterations.csv",
-        ITERATIONS_SCHEMA,
-        ITERATION_COLUMNS,
-        [[r["iteration"], r["cost"], r["alpha"], r["lambda"], r["gradient_norm"], r["accepted"]] for r in report.iteration_rows()],
-    )
+    iter_csv = _write_iterations(out, report)
     summary = _summary_base(cfg, "solve", started)
     summary.update(
         {
@@ -357,15 +352,15 @@ def cmd_verify(cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
 
     # analytic vs central-difference Jacobians at random interior points
     rng = np.random.default_rng(cfg.seed)
+    points = [_sample_point(cfg.scenario, rng) for _ in range(100)]
+    ja = jacobians(model, np.array([x for x, _ in points]), np.array([u for _, u in points]))
     worst = 0.0
-    for _ in range(100):
-        x, u = _sample_point(cfg.scenario, rng)
-        ja = jacobians(model, x, u)
+    for t, (x, u) in enumerate(points):
         jf = finite_diff_jacobians(model, x, u)
         worst = max(
             worst,
-            float(np.linalg.norm(ja.A - jf.A) / max(1.0, np.linalg.norm(jf.A))),
-            float(np.linalg.norm(ja.B - jf.B) / max(1.0, np.linalg.norm(jf.B))),
+            float(np.linalg.norm(ja.A[t] - jf.A) / max(1.0, np.linalg.norm(jf.A))),
+            float(np.linalg.norm(ja.B[t] - jf.B) / max(1.0, np.linalg.norm(jf.B))),
         )
     checks.append(
         {"check": "jacobians", "passed": worst < 1e-5, "max_relative_error": worst, "points": 100}

@@ -303,6 +303,18 @@ def weight_matrix(value: Any, dim: int, path: str) -> np.ndarray:
     raise ConfigError(path, "expected a diagonal list or a square matrix")
 
 
+def _check_inertia_diag(value: Any, path: str) -> None:
+    """Principal moments of inertia: three finite, positive numbers."""
+    try:
+        diag = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(path, "expected a list of 3 numbers") from None
+    if diag.shape != (3,):
+        raise ConfigError(path, f"expected 3 entries, got shape {diag.shape}")
+    if not (np.isfinite(diag).all() and (diag > 0.0).all()):
+        raise ConfigError(path, f"entries must be finite and positive, got {diag.tolist()}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}")
@@ -368,6 +380,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if any(x <= 0 for x in lv) or any(b >= a for a, b in zip(lv, lv[1:])):
             raise ConfigError("convergence_levels", "must be positive and strictly decreasing")
 
+    for path, diag in (
+        ("attitude.inertia_diag", cfg.attitude.inertia_diag),
+        ("lander.inertia_diag", cfg.lander.inertia_diag),
+    ):
+        _check_inertia_diag(diag, path)
     if cfg.lander.isp_s <= 0 or cfg.lander.g_ref <= 0 or cfg.lander.initial_mass_kg <= 0:
         raise ConfigError("lander", "isp_s, g_ref, initial_mass_kg must be positive")
     if cfg.rendezvous.alpha <= 0 or cfg.rendezvous.mu <= 0 or cfg.rendezvous.mass_kg <= 0:

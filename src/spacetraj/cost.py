@@ -8,6 +8,8 @@ by -weight, zero at zero altitude, growing exponentially below ground. With a
 penalty configured the total cost can be negative.
 
 All derivatives consumed by the solver backward pass are exact.
+`cost_derivatives` takes an optional leading trajectory axis, so the backward
+pass gets the expansion of every stage from one call.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ class AltitudePenaltySpec:
     def value(self, x: np.ndarray) -> float:
         return altitude_penalty(self.coord_scale * x[self.index], self.weight, self.rate)
 
-    def gradient_at(self, x: np.ndarray) -> float:
-        alt = self.coord_scale * x[self.index]
+    def gradient_at(self, x: np.ndarray):
+        """d penalty / d x[index] at x (n,) or along x (T, n)."""
+        alt = self.coord_scale * x[..., self.index]
         return -self.weight * self.rate * self.coord_scale * np.exp(-self.rate * alt)
 
-    def hessian_at(self, x: np.ndarray) -> float:
-        alt = self.coord_scale * x[self.index]
+    def hessian_at(self, x: np.ndarray):
+        """d^2 penalty / d x[index]^2 at x (n,) or along x (T, n)."""
+        alt = self.coord_scale * x[..., self.index]
         return self.weight * (self.rate * self.coord_scale) ** 2 * np.exp(-self.rate * alt)
 
 
@@ -85,6 +89,9 @@ def stage_cost(x: np.ndarray, u: np.ndarray, spec: QuadraticCostSpec) -> float:
 
 @dataclass(frozen=True)
 class CostDerivatives:
+    """Stage-cost expansion: l_x (..., n), l_xx (..., n, n), l_u (..., m),
+    l_uu (..., m, m), where ``...`` is the leading axis of the inputs."""
+
     l_x: np.ndarray
     l_xx: np.ndarray
     l_u: np.ndarray
@@ -92,14 +99,25 @@ class CostDerivatives:
 
 
 def cost_derivatives(x: np.ndarray, u: np.ndarray, spec: QuadraticCostSpec) -> CostDerivatives:
-    l_x = spec.Q @ x
-    l_xx = spec.Q
+    """Exact stage-cost derivatives at x (n,), u (m,) or along a trajectory
+    x (T, n), u (T, m). Constant Hessians come back as read-only broadcasts."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    lead = x.shape[:-1]
+    n, m = spec.state_dim, spec.control_dim
+    l_x = (spec.Q @ x[..., None])[..., 0]
+    l_xx = np.broadcast_to(spec.Q, lead + (n, n))
     if spec.penalty is not None:
-        l_x = l_x.copy()
-        l_x[spec.penalty.index] += spec.penalty.gradient_at(x)
+        i = spec.penalty.index
+        l_x[..., i] += spec.penalty.gradient_at(x)
         l_xx = l_xx.copy()
-        l_xx[spec.penalty.index, spec.penalty.index] += spec.penalty.hessian_at(x)
-    return CostDerivatives(l_x=l_x, l_xx=l_xx, l_u=spec.R @ u, l_uu=spec.R)
+        l_xx[..., i, i] += spec.penalty.hessian_at(x)
+    return CostDerivatives(
+        l_x=l_x,
+        l_xx=l_xx,
+        l_u=(spec.R @ u[..., None])[..., 0],
+        l_uu=np.broadcast_to(spec.R, lead + (m, m)),
+    )
 
 
 @dataclass(frozen=True)

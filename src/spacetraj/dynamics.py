@@ -5,6 +5,19 @@ optionally, its analytic partials. `DiscreteModel` wraps it with a fixed step
 ``step(x, u) = x + dt * deriv(x, u)`` (explicit Euler, order 1), so the
 discrete Jacobians are ``A = I + dt * d(deriv)/dx`` and ``B = dt * d(deriv)/du``.
 
+Kernel contract:
+
+- ``deriv(x, u)`` evaluates one point, ``x`` (n,) and ``u`` (m,) arrays, and
+  returns the (n,) derivative. It is called once per simulated step, so the
+  scenario models write it in scalar math.
+- ``deriv_jacobians(x, u)`` takes an optional leading trajectory axis:
+  ``x`` (n,) or (T, n) with ``u`` (m,) or (T, m), returning partials of shape
+  (n, n)/(n, m) or (T, n, n)/(T, n, m). A partial that does not depend on the
+  point may come back unbatched; `jacobians` broadcasts it. One call thus
+  linearizes a whole trajectory (the iLQR backward pass makes one per pass).
+- Parameters a kernel needs in every call (such as an inverse inertia) are
+  precomputed when the model's parameters are constructed, never per call.
+
 Everything here is immutable and side-effect free; models are safe to share
 across threads.
 """
@@ -32,8 +45,9 @@ class ContinuousModel:
     """Continuous-time dynamics ``xdot = deriv(x, u)``.
 
     `deriv_jacobians`, when provided, returns the continuous partials
-    ``(d deriv/dx, d deriv/du)`` at a point; otherwise Jacobians fall back to
-    central differences on the discrete map.
+    ``(d deriv/dx, d deriv/du)`` at a point or along a leading trajectory axis
+    (see the module docstring); otherwise Jacobians fall back to central
+    differences on the discrete map.
     """
 
     state_dim: int
@@ -74,7 +88,8 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Discrete-map Jacobians at a point: ``A = d step/dx``, ``B = d step/du``."""
+    """Discrete-map Jacobians ``A = d step/dx``, ``B = d step/du``: (n, n) and
+    (n, m) at a point, (T, n, n) and (T, n, m) along a trajectory."""
 
     A: np.ndarray
     B: np.ndarray
@@ -87,7 +102,7 @@ def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray
     derivative functions raise it directly at their kinematic guards).
     """
     xdot = model.inner.deriv(x, u)
-    if not np.all(np.isfinite(xdot)):
+    if not np.isfinite(xdot).all():
         raise SingularityError("non-finite state derivative", state=x)
     return x + model.dt * xdot
 
@@ -128,13 +143,34 @@ def finite_diff_jacobians(
 
 
 def jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> Linearization:
-    """Discrete Jacobians: analytic when the model provides them, else central differences."""
+    """Discrete Jacobians at x (n,), u (m,) or along a trajectory x (T, n), u (T, m).
+
+    Analytic when the model provides partials, else central differences at
+    each point.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n, m = model.state_dim, model.control_dim
+    lead = x.shape[:-1]
     fn = model.inner.deriv_jacobians
     if fn is None:
-        return finite_diff_jacobians(model, x, u)
-    dfdx, dfdu = fn(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-    n = model.state_dim
-    return Linearization(A=np.eye(n) + model.dt * dfdx, B=model.dt * dfdu)
+        points = [
+            finite_diff_jacobians(model, xt, ut)
+            for xt, ut in zip(x.reshape(-1, n), u.reshape(-1, m))
+        ]
+        return Linearization(
+            A=np.array([p.A for p in points]).reshape(lead + (n, n)),
+            B=np.array([p.B for p in points]).reshape(lead + (n, m)),
+        )
+    dfdx, dfdu = fn(x, u)
+    A = model.dt * dfdx
+    A += np.eye(n)  # in place: a (T, n, n) temporary less
+    B = model.dt * dfdu
+    if A.shape[:-2] != lead:
+        A = np.broadcast_to(A, lead + (n, n))
+    if B.shape[:-2] != lead:
+        B = np.broadcast_to(B, lead + (n, m))
+    return Linearization(A=A, B=B)
 
 
 def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0, name: str = "lti") -> DiscreteModel:

@@ -177,11 +177,16 @@ def backward_pass(
 ) -> GainSchedule:
     """Backward sweep producing the gain schedule at the given damping.
 
-    Raises RegularizationError if the damped Q_uu fails its Cholesky test at
-    any step; the solve loop escalates lambda and retries.
+    The Jacobians and cost expansions of every stage come from one batched
+    call each; the recursion then runs over the precomputed arrays. Raises
+    RegularizationError if the damped Q_uu fails its Cholesky test at any
+    step; the solve loop escalates lambda and retries.
     """
     T = traj.horizon
     n, m = model.state_dim, model.control_dim
+    X, U = traj.states[:-1], traj.controls
+    lin = jacobians(model, X, U)
+    der = cost_derivatives(X, U, spec)
     ks = np.empty((T, m))
     Ks = np.empty((T, m, n))
     V_x = terminal.gradient(traj.states[T])
@@ -191,15 +196,12 @@ def backward_pass(
     change_quad = 0.0
     reg_eye = regularization * np.eye(m)
     for t in range(T - 1, -1, -1):
-        x, u = traj.states[t], traj.controls[t]
-        lin = jacobians(model, x, u)
-        der = cost_derivatives(x, u, spec)
-        A, B = lin.A, lin.B
-        Q_x = der.l_x + A.T @ V_x
-        Q_u = der.l_u + B.T @ V_x
-        Q_xx = der.l_xx + A.T @ V_xx @ A
+        A, B = lin.A[t], lin.B[t]
+        Q_x = der.l_x[t] + A.T @ V_x
+        Q_u = der.l_u[t] + B.T @ V_x
+        Q_xx = der.l_xx[t] + A.T @ V_xx @ A
         Q_ux = B.T @ V_xx @ A
-        Q_uu = _sym(der.l_uu + B.T @ V_xx @ B) + reg_eye
+        Q_uu = _sym(der.l_uu[t] + B.T @ V_xx @ B) + reg_eye
         try:
             np.linalg.cholesky(Q_uu)
         except np.linalg.LinAlgError:
@@ -207,8 +209,9 @@ def backward_pass(
                 f"control Hessian not positive definite at step {t} "
                 f"with damping {regularization:.3e}"
             )
-        k = -np.linalg.solve(Q_uu, Q_u)
-        K = -np.linalg.solve(Q_uu, Q_ux)
+        # one solve for both gains: Q_uu [k | K] = -[Q_u | Q_ux]
+        gains = -np.linalg.solve(Q_uu, np.column_stack((Q_u, Q_ux)))
+        k, K = gains[:, 0], gains[:, 1:]
         ks[t] = k
         Ks[t] = K
         V_x = Q_x + K.T @ Q_uu @ k + K.T @ Q_u + Q_ux.T @ k

@@ -1,7 +1,20 @@
 """Scenario dynamics: spacecraft attitude, orbital rendezvous, powered descent.
 
 All right-hand sides are continuous-time; discretization happens via
-`dynamics.DiscreteModel` (explicit Euler). Unit conventions:
+`dynamics.DiscreteModel` (explicit Euler). Each model follows the kernel
+contract stated in `dynamics`:
+
+- ``*_deriv(x, u, p)`` evaluates one point in scalar math (``math`` functions,
+  explicit cross products) and returns an (n,) array; it runs once per
+  simulated step, where numpy's per-call overhead on 3-vectors would dominate.
+- ``*_deriv_jacobians(x, u, p)`` accept an optional leading trajectory axis
+  (x of shape (n,) or (T, n)) and return the partials for every point from
+  one vectorized evaluation; partials that are constant come back unbatched.
+- The inverse inertia is computed once, from the validated matrix, when
+  `AttitudeParams` or `LanderParams` is constructed. Attitude and lander share
+  the rigid-body helpers (`_rigid_body_rates`, `_rigid_body_partials`).
+
+Unit conventions:
 
 Attitude (6 states, SI):
     x = [psi, theta, phi, w1, w2, w3]   3-2-1 Euler angles (rad), body rates (rad/s)
@@ -49,6 +62,7 @@ Powered descent (13 states, normalized):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -76,46 +90,127 @@ LANDER_CONTROL_SCALE = np.array([LANDER_M_SCALE] * 3 + [LANDER_U_SCALE] * 3)
 LANDER_ALTITUDE_INDEX = 8  # r3 within the lander state vector
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+def _check_theta(theta, state: np.ndarray) -> None:
+    """Raise SingularityError where |cos(theta)| < COS_THETA_MIN.
+
+    `theta` is one pitch angle (a number) with its state, or an array of them
+    with the matching stack of states; the error carries the first offending
+    state.
+    """
+    if not isinstance(theta, np.ndarray):
+        if abs(math.cos(theta)) < COS_THETA_MIN:
+            raise SingularityError(
+                f"attitude kinematics singular at pitch {theta!r} rad", state=state
+            )
+        return
+    bad = np.abs(np.cos(theta)) < COS_THETA_MIN
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        _check_theta(float(theta[first]), state[first])
 
 
-def _euler_rate_matrix(theta: float, phi: float) -> np.ndarray:
-    """Body rates -> 3-2-1 Euler angle rates map; caller guards cos(theta)."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+def _init_inertia(params) -> None:
+    """Validate `params.inertia` (3x3, finite, symmetric positive definite) and
+    precompute its inverse: `inertia_inv` for the batched Jacobians, and both
+    matrices as nested lists for the scalar derivative."""
+    J = np.atleast_2d(np.asarray(params.inertia, dtype=float))
+    if J.shape != (3, 3):
+        raise ValueError(f"inertia must be 3x3, got shape {J.shape}")
+    if not np.isfinite(J).all():
+        raise ValueError("inertia entries must be finite")
+    if not np.allclose(J, J.T):
+        raise ValueError("inertia must be symmetric")
+    if not np.all(np.linalg.eigvalsh(J) > 0.0):
+        raise ValueError("inertia must be positive definite")
+    J_inv = np.linalg.inv(J)
+    object.__setattr__(params, "inertia", J)
+    object.__setattr__(params, "inertia_inv", J_inv)
+    object.__setattr__(params, "_inertia_lists", (J.tolist(), J_inv.tolist()))
+
+
+def _rigid_body_rates(
+    theta: float, phi: float, w1: float, w2: float, w3: float,
+    m1: float, m2: float, m3: float, J: list, J_inv: list,
+) -> Tuple[float, ...]:
+    """3-2-1 angle rates and body angular acceleration ``J^-1 (M - w x J w)``.
+
+    Scalar math on floats; `J` and `J_inv` are 3x3 nested lists. The caller
+    has checked theta against the singularity.
+    """
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    g = sp * w2 + cp * w3
+    (j11, j12, j13), (j21, j22, j23), (j31, j32, j33) = J
+    h1 = j11 * w1 + j12 * w2 + j13 * w3
+    h2 = j21 * w1 + j22 * w2 + j23 * w3
+    h3 = j31 * w1 + j32 * w2 + j33 * w3
+    r1 = m1 - (w2 * h3 - w3 * h2)
+    r2 = m2 - (w3 * h1 - w1 * h3)
+    r3 = m3 - (w1 * h2 - w2 * h1)
+    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = J_inv
     return (
-        np.array(
-            [
-                [0.0, sp, cp],
-                [0.0, ct * cp, -ct * sp],
-                [ct, st * sp, st * cp],
-            ]
-        )
-        / ct
+        g / ct,
+        cp * w2 - sp * w3,
+        w1 + st * g / ct,
+        k11 * r1 + k12 * r2 + k13 * r3,
+        k21 * r1 + k22 * r2 + k23 * r3,
+        k31 * r1 + k32 * r2 + k33 * r3,
     )
 
 
-def _check_theta(theta: float, state: np.ndarray) -> None:
-    if abs(np.cos(theta)) < COS_THETA_MIN:
-        raise SingularityError(
-            f"attitude kinematics singular at pitch {theta!r} rad", state=state
-        )
+def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for (stacks of) 3-row matrices, summed in a fixed order so a
+    batch and each of its points agree bitwise."""
+    return (
+        a[..., :, 0:1] * b[..., 0:1, :]
+        + a[..., :, 1:2] * b[..., 1:2, :]
+        + a[..., :, 2:3] * b[..., 2:3, :]
+    )
 
 
-def _euler_rate_angle_partials(
-    theta: float, phi: float, w: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Columns d(angle rates)/d theta and d(angle rates)/d phi."""
+def _skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices over leading axes: ``_skew(a) @ b == a x b``."""
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -v[..., 2], v[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = v[..., 2], -v[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -v[..., 1], v[..., 0]
+    return S
+
+
+def _rigid_body_partials(
+    x: np.ndarray, J: np.ndarray, J_inv: np.ndarray, dfdx: np.ndarray
+) -> None:
+    """Write d(angle rates, wdot)/d(angles, body rates) into dfdx[..., 0:6, 0:6]
+    for the states x[..., 0:6], over any leading axes."""
+    theta, phi = x[..., 1], x[..., 2]
+    _check_theta(theta, x)
+    w = x[..., 3:6]
+    w2, w3 = w[..., 1], w[..., 2]
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    g = sp * w[1] + cp * w[2]
-    h = cp * w[1] - sp * w[2]
-    d_theta = np.array([g * st / ct**2, 0.0, g / ct**2])
-    d_phi = np.array([h / ct, -g, (st / ct) * h])
-    return d_theta, d_phi
+    g = sp * w2 + cp * w3
+    h = cp * w2 - sp * w3
+    dfdx[..., 0, 1] = g * st / ct**2
+    dfdx[..., 2, 1] = g / ct**2
+    dfdx[..., 0, 2] = h / ct
+    dfdx[..., 1, 2] = -g
+    dfdx[..., 2, 2] = (st / ct) * h
+    dfdx[..., 0, 4] = sp / ct
+    dfdx[..., 0, 5] = cp / ct
+    dfdx[..., 1, 4] = cp
+    dfdx[..., 1, 5] = -sp
+    dfdx[..., 2, 3] = 1.0
+    dfdx[..., 2, 4] = st * sp / ct
+    dfdx[..., 2, 5] = st * cp / ct
+    # d(w x Jw)/dw = [w]x J - [Jw]x
+    Jw = _matmul3(J, w[..., :, None])[..., 0]
+    dfdx[..., 3:6, 3:6] = -_matmul3(J_inv, _matmul3(_skew(w), J) - _skew(Jw))
+
+
+def _norm_grad(u: np.ndarray) -> np.ndarray:
+    """d|u|/du over leading axes; the kink at u = 0 takes the zero subgradient."""
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    return np.divide(u, norm, out=np.zeros_like(u), where=norm > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,48 +219,39 @@ def _euler_rate_angle_partials(
 
 @dataclass(frozen=True)
 class AttitudeParams:
-    """Rigid-body inertia; must be symmetric positive definite (kg*m^2)."""
+    """Rigid-body inertia; must be symmetric positive definite (kg*m^2).
+
+    Its inverse is computed once here, from the checked matrix.
+    """
 
     inertia: np.ndarray = field(
         default_factory=lambda: np.diag([4500.0, 2000.0, 7500.0])
     )
+    inertia_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _inertia_lists: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        J = np.atleast_2d(np.asarray(self.inertia, dtype=float))
-        assert J.shape == (3, 3)
-        assert np.allclose(J, J.T), "inertia must be symmetric"
-        assert np.all(np.linalg.eigvalsh(J) > 0.0), "inertia must be positive definite"
-        object.__setattr__(self, "inertia", J)
+        _init_inertia(self)
 
 
 def attitude_deriv(x: np.ndarray, torque: np.ndarray, p: AttitudeParams) -> np.ndarray:
-    theta, phi = x[1], x[2]
+    _, theta, phi, w1, w2, w3 = x.tolist()
     _check_theta(theta, x)
-    w = x[3:6]
-    J = p.inertia
-    angle_rates = _euler_rate_matrix(theta, phi) @ w
-    wdot = np.linalg.solve(J, -np.cross(w, J @ w) + torque)
-    return np.concatenate([angle_rates, wdot])
+    m1, m2, m3 = torque.tolist()
+    return np.array(
+        _rigid_body_rates(theta, phi, w1, w2, w3, m1, m2, m3, *p._inertia_lists)
+    )
 
 
 def attitude_deriv_jacobians(
     x: np.ndarray, torque: np.ndarray, p: AttitudeParams
 ) -> Tuple[np.ndarray, np.ndarray]:
-    theta, phi = x[1], x[2]
-    _check_theta(theta, x)
-    w = x[3:6]
-    J = p.inertia
-    Jinv = np.linalg.inv(J)
-
-    dfdx = np.zeros((6, 6))
-    d_theta, d_phi = _euler_rate_angle_partials(theta, phi, w)
-    dfdx[0:3, 1] = d_theta
-    dfdx[0:3, 2] = d_phi
-    dfdx[0:3, 3:6] = _euler_rate_matrix(theta, phi)
-    dfdx[3:6, 3:6] = -Jinv @ (_skew(w) @ J - _skew(J @ w))
-
+    """Continuous partials at x (6,) or along a trajectory x (T, 6); the
+    control partial is constant and returned unbatched."""
+    dfdx = np.zeros(x.shape[:-1] + (6, 6))
+    _rigid_body_partials(x, p.inertia, p.inertia_inv, dfdx)
     dfdu = np.zeros((6, 3))
-    dfdu[3:6, :] = Jinv
+    dfdu[3:6, :] = p.inertia_inv
     return dfdx, dfdu
 
 
@@ -194,38 +280,43 @@ class RendezvousParams:
     min_radius_km: float = 1000.0  # domain guard on |r_t| and |r_c|
 
     def __post_init__(self):
-        assert self.mu > 0.0 and self.alpha > 0.0 and self.min_radius_km > 0.0
+        if not (self.mu > 0.0 and self.alpha > 0.0 and self.min_radius_km > 0.0):
+            raise ValueError("mu, alpha and min_radius_km must be positive")
 
 
 REND_ERROR_INDICES = np.arange(6)  # (e_r, e_v) block regulated by the LQR phase
 
 
 def _inv_cube_grad(r: np.ndarray, mu: float) -> np.ndarray:
-    """d(mu * r / |r|^3)/dr."""
-    R = np.linalg.norm(r)
-    return mu * (np.eye(3) / R**3 - 3.0 * np.outer(r, r) / R**5)
+    """d(mu * r / |r|^3)/dr over leading axes of r."""
+    R = np.linalg.norm(r, axis=-1)[..., None, None]
+    return mu * (np.eye(3) / R**3 - 3.0 * (r[..., :, None] * r[..., None, :]) / R**5)
 
 
 def rendezvous_deriv(x: np.ndarray, u: np.ndarray, p: RendezvousParams) -> np.ndarray:
-    e_r, e_v, m = x[0:3], x[3:6], x[6]
-    r_t, v_t = x[7:10], x[10:13]
+    e1, e2, e3, v1, v2, v3, m, t1, t2, t3, s1, s2, s3 = x.tolist()
     if m <= 0.0:
         raise DynamicsDomainError(f"non-positive chaser mass {m}")
-    r_c = r_t - e_r
-    R_t = np.linalg.norm(r_t)
-    R_c = np.linalg.norm(r_c)
+    c1, c2, c3 = t1 - e1, t2 - e2, t3 - e3  # chaser position r_c = r_t - e_r
+    R_t = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
+    R_c = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
     if R_t <= p.min_radius_km or R_c <= p.min_radius_km:
         raise DynamicsDomainError(
             f"orbit radius below {p.min_radius_km} km (target {R_t:.1f}, chaser {R_c:.1f})"
         )
-    e_v_dot = -p.mu * r_t / R_t**3 + p.mu * r_c / R_c**3 - u / m
-    return np.concatenate(
+    u1, u2, u3 = u.tolist()
+    mu = p.mu
+    kt, kc = R_t**3, R_c**3
+    g1, g2, g3 = -mu * t1 / kt, -mu * t2 / kt, -mu * t3 / kt
+    return np.array(
         [
-            e_v,
-            e_v_dot,
-            [-p.alpha * np.linalg.norm(u)],
-            v_t,
-            -p.mu * r_t / R_t**3,
+            v1, v2, v3,
+            g1 + mu * c1 / kc - u1 / m,
+            g2 + mu * c2 / kc - u2 / m,
+            g3 + mu * c3 / kc - u3 / m,
+            -p.alpha * math.sqrt(u1 * u1 + u2 * u2 + u3 * u3),
+            s1, s2, s3,
+            g1, g2, g3,
         ]
     )
 
@@ -233,26 +324,24 @@ def rendezvous_deriv(x: np.ndarray, u: np.ndarray, p: RendezvousParams) -> np.nd
 def rendezvous_deriv_jacobians(
     x: np.ndarray, u: np.ndarray, p: RendezvousParams
 ) -> Tuple[np.ndarray, np.ndarray]:
-    e_r, m = x[0:3], x[6]
-    r_t = x[7:10]
-    r_c = r_t - e_r
+    """Continuous partials at x (13,) or along a trajectory x (T, 13)."""
+    e_r, m = x[..., 0:3], x[..., 6]
+    r_t = x[..., 7:10]
     G_t = _inv_cube_grad(r_t, p.mu)
-    G_c = _inv_cube_grad(r_c, p.mu)
+    G_c = _inv_cube_grad(r_t - e_r, p.mu)
+    eye = np.eye(3)
 
-    dfdx = np.zeros((13, 13))
-    dfdx[0:3, 3:6] = np.eye(3)
-    dfdx[3:6, 0:3] = -G_c
-    dfdx[3:6, 6] = u / m**2
-    dfdx[3:6, 7:10] = G_c - G_t
-    dfdx[7:10, 10:13] = np.eye(3)
-    dfdx[10:13, 7:10] = -G_t
+    dfdx = np.zeros(x.shape[:-1] + (13, 13))
+    dfdx[..., 0:3, 3:6] = eye
+    dfdx[..., 3:6, 0:3] = -G_c
+    dfdx[..., 3:6, 6] = u / m[..., None] ** 2
+    dfdx[..., 3:6, 7:10] = G_c - G_t
+    dfdx[..., 7:10, 10:13] = eye
+    dfdx[..., 10:13, 7:10] = -G_t
 
-    dfdu = np.zeros((13, 3))
-    dfdu[3:6, :] = -np.eye(3) / m
-    norm_u = np.linalg.norm(u)
-    if norm_u > 0.0:
-        # kink at u = 0; the zero subgradient is used there
-        dfdu[6, :] = -p.alpha * u / norm_u
+    dfdu = np.zeros(x.shape[:-1] + (13, 3))
+    dfdu[..., 3:6, :] = -eye / m[..., None, None]
+    dfdu[..., 6, :] = -p.alpha * _norm_grad(u)
     return dfdx, dfdu
 
 
@@ -279,7 +368,6 @@ def rendezvous_error_model(
     p = p or RendezvousParams()
     r_t = np.array(r_t_frozen, dtype=float)
     R_t = np.linalg.norm(r_t)
-    G_t = _inv_cube_grad(r_t, p.mu)
 
     def deriv(x, u):
         e_r, e_v = x[0:3], x[3:6]
@@ -290,14 +378,13 @@ def rendezvous_error_model(
         e_v_dot = -p.mu * r_t / R_t**3 + p.mu * r_c / R_c**3 - u / mass
         return np.concatenate([e_v, e_v_dot])
 
+    dfdu = np.zeros((6, 3))
+    dfdu[3:6, :] = -np.eye(3) / mass
+
     def deriv_jac(x, u):
-        e_r = x[0:3]
-        G_c = _inv_cube_grad(r_t - e_r, p.mu)
-        dfdx = np.zeros((6, 6))
-        dfdx[0:3, 3:6] = np.eye(3)
-        dfdx[3:6, 0:3] = -G_c
-        dfdu = np.zeros((6, 3))
-        dfdu[3:6, :] = -np.eye(3) / mass
+        dfdx = np.zeros(x.shape[:-1] + (6, 6))
+        dfdx[..., 0:3, 3:6] = np.eye(3)
+        dfdx[..., 3:6, 0:3] = -_inv_cube_grad(r_t - x[..., 0:3], p.mu)
         return dfdx, dfdu
 
     return DiscreteModel(
@@ -311,69 +398,72 @@ def rendezvous_error_model(
 
 @dataclass(frozen=True)
 class LanderParams:
+    """Lander inertia (SPD, kg*m^2; its inverse is computed once here),
+    engine Isp, reference gravity and initial mass."""
+
     inertia: np.ndarray = field(
         default_factory=lambda: np.diag([4500.0, 2000.0, 7500.0])
     )
     isp: float = 225.0  # s
     g_ref: float = MARS_GRAVITY  # m/s^2
     initial_mass: float = 1000.0  # kg
+    inertia_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _inertia_lists: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        J = np.atleast_2d(np.asarray(self.inertia, dtype=float))
-        assert J.shape == (3, 3) and np.allclose(J, J.T)
-        assert np.all(np.linalg.eigvalsh(J) > 0.0)
-        object.__setattr__(self, "inertia", J)
-        assert self.isp > 0.0 and self.g_ref > 0.0 and self.initial_mass > 0.0
+        _init_inertia(self)
+        if not (self.isp > 0.0 and self.g_ref > 0.0 and self.initial_mass > 0.0):
+            raise ValueError("isp, g_ref and initial_mass must be positive")
+
+
+# d(r)/dt per normalized velocity, d(v)/dt per normalized thrust / mass
+_LANDER_R_RATE = LANDER_V_SCALE / LANDER_R_SCALE
+_LANDER_V_RATE = LANDER_U_SCALE / LANDER_V_SCALE
 
 
 def lander_deriv(x: np.ndarray, control: np.ndarray, p: LanderParams) -> np.ndarray:
     """Normalized-variable right-hand side; `control` is [torque(3), thrust(3)]."""
-    theta, phi = x[1], x[2]
+    _, theta, phi, w1, w2, w3, _, _, _, v1, v2, v3, m = x.tolist()
     _check_theta(theta, x)
-    w = x[3:6]
-    v_bar = x[9:12]
-    m = x[12]
     if m <= 0.0:
         raise DynamicsDomainError(f"non-positive lander mass {m}")
-    J = p.inertia
-    torque = LANDER_M_SCALE * control[0:3]
-    u_bar = control[3:6]
-
-    angle_rates = _euler_rate_matrix(theta, phi) @ w
-    wdot = np.linalg.solve(J, -np.cross(w, J @ w) + torque)
-    r_dot = (LANDER_V_SCALE / LANDER_R_SCALE) * v_bar
-    v_dot = (LANDER_U_SCALE / LANDER_V_SCALE) * u_bar / m
-    v_dot = v_dot + np.array([0.0, 0.0, -p.g_ref / LANDER_V_SCALE])
-    m_dot = -LANDER_U_SCALE * np.linalg.norm(u_bar) / (p.isp * p.g_ref)
-    return np.concatenate([angle_rates, wdot, r_dot, v_dot, [m_dot]])
+    m1, m2, m3, f1, f2, f3 = control.tolist()
+    rates = _rigid_body_rates(
+        theta, phi, w1, w2, w3,
+        LANDER_M_SCALE * m1, LANDER_M_SCALE * m2, LANDER_M_SCALE * m3,
+        *p._inertia_lists,
+    )
+    return np.array(
+        [
+            *rates,
+            _LANDER_R_RATE * v1,
+            _LANDER_R_RATE * v2,
+            _LANDER_R_RATE * v3,
+            _LANDER_V_RATE * f1 / m,
+            _LANDER_V_RATE * f2 / m,
+            _LANDER_V_RATE * f3 / m - p.g_ref / LANDER_V_SCALE,
+            -LANDER_U_SCALE * math.sqrt(f1 * f1 + f2 * f2 + f3 * f3) / (p.isp * p.g_ref),
+        ]
+    )
 
 
 def lander_deriv_jacobians(
     x: np.ndarray, control: np.ndarray, p: LanderParams
 ) -> Tuple[np.ndarray, np.ndarray]:
-    theta, phi = x[1], x[2]
-    _check_theta(theta, x)
-    w = x[3:6]
-    m = x[12]
-    J = p.inertia
-    Jinv = np.linalg.inv(J)
-    u_bar = control[3:6]
+    """Continuous partials at x (13,) or along a trajectory x (T, 13)."""
+    m = x[..., 12]
+    u_bar = control[..., 3:6]
+    lead = x.shape[:-1]
 
-    dfdx = np.zeros((13, 13))
-    d_theta, d_phi = _euler_rate_angle_partials(theta, phi, w)
-    dfdx[0:3, 1] = d_theta
-    dfdx[0:3, 2] = d_phi
-    dfdx[0:3, 3:6] = _euler_rate_matrix(theta, phi)
-    dfdx[3:6, 3:6] = -Jinv @ (_skew(w) @ J - _skew(J @ w))
-    dfdx[6:9, 9:12] = (LANDER_V_SCALE / LANDER_R_SCALE) * np.eye(3)
-    dfdx[9:12, 12] = -(LANDER_U_SCALE / LANDER_V_SCALE) * u_bar / m**2
+    dfdx = np.zeros(lead + (13, 13))
+    _rigid_body_partials(x, p.inertia, p.inertia_inv, dfdx)
+    dfdx[..., 6:9, 9:12] = _LANDER_R_RATE * np.eye(3)
+    dfdx[..., 9:12, 12] = -_LANDER_V_RATE * u_bar / m[..., None] ** 2
 
-    dfdu = np.zeros((13, 6))
-    dfdu[3:6, 0:3] = LANDER_M_SCALE * Jinv
-    dfdu[9:12, 3:6] = (LANDER_U_SCALE / LANDER_V_SCALE) * np.eye(3) / m
-    norm_u = np.linalg.norm(u_bar)
-    if norm_u > 0.0:
-        dfdu[12, 3:6] = -LANDER_U_SCALE * u_bar / (norm_u * p.isp * p.g_ref)
+    dfdu = np.zeros(lead + (13, 6))
+    dfdu[..., 3:6, 0:3] = LANDER_M_SCALE * p.inertia_inv
+    dfdu[..., 9:12, 3:6] = _LANDER_V_RATE * np.eye(3) / m[..., None, None]
+    dfdu[..., 12, 3:6] = -LANDER_U_SCALE / (p.isp * p.g_ref) * _norm_grad(u_bar)
     return dfdx, dfdu
 
 

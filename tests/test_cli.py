@@ -185,6 +185,32 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     assert out["field"] == "dt"
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("attitude.inertia_diag", "[1,-1,1]"),
+        ("attitude.inertia_diag", "[1,NaN,1]"),
+        ("attitude.inertia_diag", "[1,1]"),
+        ("attitude.inertia_diag", "heavy"),
+        ("lander.inertia_diag", "[0,1,1]"),
+        ("lander.inertia_diag", "[1,1,Infinity]"),
+    ],
+)
+def test_bad_inertia_is_a_config_error(tmp_path, capsys, field, value):
+    scenario = "attitude" if field.startswith("attitude") else "soft-landing"
+    code, out = run_cli(
+        capsys,
+        "solve",
+        "--set", f"scenario={scenario}",
+        "--set", f"{field}={value}",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert out["status"] == "error" and out["error"] == "config"
+    assert out["field"] == field
+    assert not (tmp_path / "o").exists()
+
+
 def test_summary_echoes_config(tmp_path, capsys):
     code, _ = run_cli(
         capsys, "solve", "--set", "scenario=custom-linear", "--out", str(tmp_path / "o")

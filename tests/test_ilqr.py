@@ -52,6 +52,27 @@ def test_backward_pass_gains_match_riccati_recursion():
         assert np.allclose(gains.feedback[t], -np.asarray(K_oracle[t]), rtol=1e-10)
 
 
+def test_backward_pass_linearizes_the_trajectory_in_one_call(monkeypatch):
+    import spacetraj.ilqr as ilqr
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            states = next(a for a in args if isinstance(a, np.ndarray))
+            calls.append((fn.__name__, states.shape))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ilqr, "jacobians", counting(ilqr.jacobians))
+    monkeypatch.setattr(ilqr, "cost_derivatives", counting(ilqr.cost_derivatives))
+    model, _, _, _, _, spec, terminal = di_problem()
+    traj = rollout(model, np.array([1.0, -0.5]), np.zeros((30, 1)), spec, terminal)
+    backward_pass(traj, model, spec, terminal, regularization=0.0)
+    assert sorted(calls) == [("cost_derivatives", (30, 2)), ("jacobians", (30, 2))]
+
+
 def test_forward_pass_single_step_reaches_lqr_optimum():
     model, A, B, Q, R, spec, terminal = di_problem(T=40)
     x0 = np.array([2.0, 1.0])

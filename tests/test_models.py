@@ -84,8 +84,31 @@ def test_attitude_pitch_guard():
 
 
 def test_attitude_params_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttitudeParams(inertia=np.diag([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("make_params", [AttitudeParams, LanderParams])
+@pytest.mark.parametrize(
+    "inertia",
+    [
+        np.diag([1.0, -1.0, 1.0]),
+        np.diag([1.0, np.nan, 1.0]),
+        np.diag([1.0, 1.0, np.inf]),
+        np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.eye(2),
+    ],
+    ids=["indefinite", "nan", "inf", "asymmetric", "2x2"],
+)
+def test_bad_inertia_raises_value_error(make_params, inertia):
+    with pytest.raises(ValueError):
+        make_params(inertia=inertia)
+
+
+def test_inverse_inertia_is_precomputed():
+    J = np.array([[4500.0, 100.0, 0.0], [100.0, 2000.0, -50.0], [0.0, -50.0, 7500.0]])
+    for p in (AttitudeParams(inertia=J), LanderParams(inertia=J)):
+        np.testing.assert_allclose(p.inertia_inv @ J, np.eye(3), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
