@@ -28,6 +28,11 @@ SCENARIOS = ("attitude", "rendezvous", "soft-landing", "custom-linear")
 STATE_DIMS = {"attitude": 6, "rendezvous": 6, "soft-landing": 12, "custom-linear": 1}
 CONTROL_DIMS = {"attitude": 3, "rendezvous": 3, "soft-landing": 6, "custom-linear": 1}
 
+# Largest horizon / dt accepted (each step is a stored state and control).
+MAX_STEPS = 10**6
+# Most line-search trials per iLQR iteration (solver.alpha_count).
+MAX_LINE_SEARCH_STEPS = 100
+
 
 @dataclass
 class SolverConfig:
@@ -44,9 +49,9 @@ class SolverConfig:
 
     def to_settings(self) -> SolverSettings:
         return SolverSettings(
-            max_iterations=self.max_iterations,
+            max_iterations=int(self.max_iterations),
             tolerance=self.tolerance,
-            alphas=tuple(self.alpha_factor**i for i in range(self.alpha_count)),
+            alphas=tuple(self.alpha_factor**i for i in range(int(self.alpha_count))),
             reg_init=self.reg_init,
             reg_growth=self.reg_growth,
             reg_shrink=self.reg_shrink,
@@ -71,7 +76,7 @@ class TerminalSetConfig:
         return TerminalSetSpec(
             level=self.level,
             tolerance=self.tolerance if self.tolerance is not None else default_tolerance,
-            regulation_cap=cap,
+            regulation_cap=int(cap),
             state_tol=self.state_tol,
             cost_cap=self.cost_cap,
         )
@@ -315,13 +320,49 @@ def _check_inertia_diag(value: Any, path: str) -> None:
         raise ConfigError(path, f"entries must be finite and positive, got {diag.tolist()}")
 
 
+def _real(value: Any, path: str) -> float:
+    """A finite real number; booleans and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(path, f"must be finite, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    return out
+
+
+def _positive(value: Any, path: str) -> None:
+    if _real(value, path) <= 0.0:
+        raise ConfigError(path, f"must be positive, got {value!r}")
+
+
+def _in_unit_interval(value: Any, path: str) -> None:
+    if not 0.0 < _real(value, path) < 1.0:
+        raise ConfigError(path, f"must lie in (0, 1), got {value!r}")
+
+
+def _integer(value: Any, path: str, minimum: int, maximum: Optional[int] = None) -> None:
+    """An integral number (2 or 2.0, not 2.5) within [minimum, maximum]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f"at least {minimum}" if maximum is None else f"between {minimum} and {maximum}"
+        raise ConfigError(path, f"must be {bound}, got {value!r}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}")
-    if cfg.dt <= 0:
-        raise ConfigError("dt", f"must be positive, got {cfg.dt}")
-    if cfg.horizon <= 0 or cfg.horizon < cfg.dt:
+    _positive(cfg.dt, "dt")
+    _positive(cfg.horizon, "horizon")
+    if cfg.horizon < cfg.dt:
         raise ConfigError("horizon", f"must be at least dt, got {cfg.horizon}")
+    if cfg.horizon / cfg.dt > MAX_STEPS:
+        raise ConfigError("horizon", f"more than {MAX_STEPS} steps of dt={cfg.dt}")
     n = STATE_DIMS[cfg.scenario]
     m = CONTROL_DIMS[cfg.scenario]
 
@@ -348,22 +389,30 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("r", "must be symmetric positive definite")
 
     s = cfg.solver
-    if s.max_iterations < 1:
-        raise ConfigError("solver.max_iterations", "must be at least 1")
-    if s.tolerance <= 0:
-        raise ConfigError("solver.tolerance", "must be positive")
-    if not (0 < s.alpha_factor < 1):
-        raise ConfigError("solver.alpha_factor", "must lie in (0, 1)")
-    if not (0 < s.reg_min <= s.reg_init <= s.reg_max):
+    _integer(s.max_iterations, "solver.max_iterations", 1)
+    _positive(s.tolerance, "solver.tolerance")
+    _in_unit_interval(s.alpha_factor, "solver.alpha_factor")
+    _integer(s.alpha_count, "solver.alpha_count", 1, MAX_LINE_SEARCH_STEPS)
+    if s.alpha_factor ** (s.alpha_count - 1) <= 0.0:
+        raise ConfigError("solver.alpha_count", "the smallest line-search step underflows to zero")
+    for name in ("reg_min", "reg_init", "reg_max"):
+        _positive(getattr(s, name), f"solver.{name}")
+    if not (s.reg_min <= s.reg_init <= s.reg_max):
         raise ConfigError("solver.reg_init", "need 0 < reg_min <= reg_init <= reg_max")
+    if _real(s.reg_growth, "solver.reg_growth") <= 1.0:
+        raise ConfigError("solver.reg_growth", f"must be greater than 1, got {s.reg_growth!r}")
+    _in_unit_interval(s.reg_shrink, "solver.reg_shrink")
+    _positive(s.cost_cap, "solver.cost_cap")
 
     t = cfg.terminal_set
-    if t.level is not None and t.level <= 0:
-        raise ConfigError("terminal_set.level", "must be positive when given")
-    if t.tolerance is not None and t.tolerance <= 0:
-        raise ConfigError("terminal_set.tolerance", "must be positive")
-    if t.regulation_cap is not None and t.regulation_cap < 1:
-        raise ConfigError("terminal_set.regulation_cap", "must be at least 1")
+    if t.level is not None:
+        _positive(t.level, "terminal_set.level")
+    if t.tolerance is not None:
+        _positive(t.tolerance, "terminal_set.tolerance")
+    if t.regulation_cap is not None:
+        _integer(t.regulation_cap, "terminal_set.regulation_cap", 1)
+    _positive(t.state_tol, "terminal_set.state_tol")
+    _positive(t.cost_cap, "terminal_set.cost_cap")
 
     if cfg.sweep.grid is not None:
         grid = list(cfg.sweep.grid)
@@ -372,11 +421,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sweep.grid", "must be strictly ascending")
         for T in grid:
+            _real(T, "sweep.grid")
             if T <= 0 or abs(T / cfg.dt - round(T / cfg.dt)) > 1e-6:
                 raise ConfigError("sweep.grid", f"{T} is not a positive multiple of dt={cfg.dt}")
 
     if cfg.convergence_levels is not None:
         lv = list(cfg.convergence_levels)
+        for x in lv:
+            _real(x, "convergence_levels")
         if any(x <= 0 for x in lv) or any(b >= a for a, b in zip(lv, lv[1:])):
             raise ConfigError("convergence_levels", "must be positive and strictly decreasing")
 

@@ -20,10 +20,29 @@ and shrinks after accepted steps. On linear-quadratic problems one accepted
 iteration reaches the exact finite-horizon LQR optimum.
 
 Solves are deterministic: identical inputs produce bitwise-identical logs.
+
+Hot-loop contract. The per-step loops (`rollout`, `forward_pass` and the
+backward sweep) work on vectors of 1 to 13 entries, where the cost of a numpy
+call is its dispatch, not its arithmetic. They therefore use ``ndarray.dot``
+rather than ``@`` (half the call overhead, the same BLAS routine) and scalar
+`math` functions for scalar tests, while keeping the association order of
+every product and sum, so their results are bitwise those of the plain
+``@`` formulas (the reference copies in ``tests/test_bitexact.py``). Stuck
+solves make this matter: whether a marginal solve converges can flip on a
+last-bit change. Two details keep it exact: the feedback gain is read back
+from the contiguous gain array before it is transposed (a strided view takes
+a different product kernel), and the feedforward gain stays the column of the
+solve's result it has always been.
+
+The positive-definiteness test of the damped Q_uu is deferred: the sweep
+records every Q_uu and one batched Cholesky factorization tests them all after
+it. On failure the steps are re-tested one by one from the last, so the error
+names the step a per-step test would have named.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -83,11 +102,21 @@ class SolverSettings:
     cost_cap: float = 1e30  # rollout divergence threshold
 
     def __post_init__(self):
-        assert self.max_iterations >= 1 and self.tolerance > 0.0
-        assert all(a > 0.0 for a in self.alphas) and self.alphas[0] == 1.0
-        assert all(b < a for a, b in zip(self.alphas, self.alphas[1:]))
-        assert 0.0 < self.reg_min <= self.reg_init <= self.reg_max
-        assert self.reg_growth > 1.0 and 0.0 < self.reg_shrink < 1.0
+        # comparisons are written so that NaN fails them
+        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if not (self.alphas and self.alphas[0] == 1.0 and all(a > 0.0 for a in self.alphas)):
+            raise ValueError("alphas must be positive and start at 1.0")
+        if not all(b < a for a, b in zip(self.alphas, self.alphas[1:])):
+            raise ValueError("alphas must be strictly decreasing")
+        if not 0.0 < self.reg_min <= self.reg_init <= self.reg_max < math.inf:
+            raise ValueError("need 0 < reg_min <= reg_init <= reg_max < inf")
+        if not (1.0 < self.reg_growth < math.inf and 0.0 < self.reg_shrink < 1.0):
+            raise ValueError("need 1 < reg_growth < inf and 0 < reg_shrink < 1")
+        if not 0.0 < self.cost_cap <= math.inf:
+            raise ValueError(f"cost_cap must be positive, got {self.cost_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -144,18 +173,23 @@ def rollout(
     states = np.empty((T + 1, model.state_dim))
     states[0] = np.asarray(x0, dtype=float)
     stage_costs = np.empty(T)
+    step, cost = model.step, stage_cost
+    x = states[0]
     running = 0.0
     for t in range(T):
-        stage_costs[t] = stage_cost(states[t], controls[t], spec)
-        running += stage_costs[t]
-        if not np.isfinite(running) or abs(running) > cost_cap:
+        u = controls[t]
+        c = cost(x, u, spec)
+        stage_costs[t] = c
+        running += c
+        if not math.isfinite(running) or abs(running) > cost_cap:
             return None
         try:
-            states[t + 1] = model.step(states[t], controls[t])
+            x = step(x, u)
         except (SingularityError, DynamicsDomainError):
             return None
-        if not np.all(np.isfinite(states[t + 1])):
+        if not np.isfinite(x).all():
             return None
+        states[t + 1] = x
     return Trajectory(
         states=states,
         controls=controls,
@@ -164,8 +198,15 @@ def rollout(
     )
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+def _first_indefinite_step(Q_uus: np.ndarray, last: int) -> Optional[int]:
+    """Latest step in [last, T) whose Q_uu fails the Cholesky test, walking
+    back from T - 1 as the sweep did; None when every one passes."""
+    for t in range(len(Q_uus) - 1, last - 1, -1):
+        try:
+            np.linalg.cholesky(Q_uus[t])
+        except np.linalg.LinAlgError:
+            return t
+    return None
 
 
 def backward_pass(
@@ -180,7 +221,8 @@ def backward_pass(
     The Jacobians and cost expansions of every stage come from one batched
     call each; the recursion then runs over the precomputed arrays. Raises
     RegularizationError if the damped Q_uu fails its Cholesky test at any
-    step; the solve loop escalates lambda and retries.
+    step (the latest such step is named); the solve loop escalates lambda and
+    retries. The test runs once, batched, after the sweep.
     """
     T = traj.horizon
     n, m = model.state_dim, model.control_dim
@@ -189,36 +231,63 @@ def backward_pass(
     der = cost_derivatives(X, U, spec)
     ks = np.empty((T, m))
     Ks = np.empty((T, m, n))
+    Q_uus = np.empty((T, m, m))
+    rhs = np.empty((m, n + 1))  # [Q_u | Q_ux]
     V_x = terminal.gradient(traj.states[T])
     V_xx = terminal.hessian()
     grad_norm = 0.0
     change_lin = 0.0
     change_quad = 0.0
     reg_eye = regularization * np.eye(m)
-    for t in range(T - 1, -1, -1):
-        A, B = lin.A[t], lin.B[t]
-        Q_x = der.l_x[t] + A.T @ V_x
-        Q_u = der.l_u[t] + B.T @ V_x
-        Q_xx = der.l_xx[t] + A.T @ V_xx @ A
-        Q_ux = B.T @ V_xx @ A
-        Q_uu = _sym(der.l_uu[t] + B.T @ V_xx @ B) + reg_eye
+    As, Bs = lin.A, lin.B
+    l_x, l_u, l_xx, l_uu = der.l_x, der.l_u, der.l_xx, der.l_uu
+    solve = np.linalg.solve
+    # Past an indefinite Q_uu the sweep runs on meaningless values until the
+    # deferred test below rejects it; overflow there is expected.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            np.linalg.cholesky(Q_uu)
+            for t in range(T - 1, -1, -1):
+                A, B = As[t], Bs[t]
+                At, Bt = A.T, B.T
+                Q_x = l_x[t] + At.dot(V_x)
+                Q_u = l_u[t] + Bt.dot(V_x)
+                Q_xx = l_xx[t] + At.dot(V_xx).dot(A)
+                BtV = Bt.dot(V_xx)  # a repeated product is the same product
+                Q_ux = BtV.dot(A)
+                M = l_uu[t] + BtV.dot(B)
+                Q_uu = 0.5 * (M + M.T) + reg_eye
+                Q_uus[t] = Q_uu
+                # one solve for both gains: Q_uu [k | K] = -[Q_u | Q_ux]
+                rhs[:, 0] = Q_u
+                rhs[:, 1:] = Q_ux
+                gains = -solve(Q_uu, rhs)
+                k = gains[:, 0]
+                ks[t] = k
+                Ks[t] = gains[:, 1:]
+                K = Ks[t]
+                Kt, Q_xu = K.T, Q_ux.T
+                KtQ_uu = Kt.dot(Q_uu)
+                V_x = Q_x + KtQ_uu.dot(k) + Kt.dot(Q_u) + Q_xu.dot(k)
+                M = Q_xx + KtQ_uu.dot(K) + Kt.dot(Q_ux) + Q_xu.dot(K)
+                V_xx = 0.5 * (M + M.T)
+                grad_norm = max(grad_norm, math.sqrt(Q_u.dot(Q_u)))
+                change_lin += float(k.dot(Q_u))
+                change_quad += float(k.dot(Q_uu).dot(k))
         except np.linalg.LinAlgError:
-            raise RegularizationError(
-                f"control Hessian not positive definite at step {t} "
-                f"with damping {regularization:.3e}"
-            )
-        # one solve for both gains: Q_uu [k | K] = -[Q_u | Q_ux]
-        gains = -np.linalg.solve(Q_uu, np.column_stack((Q_u, Q_ux)))
-        k, K = gains[:, 0], gains[:, 1:]
-        ks[t] = k
-        Ks[t] = K
-        V_x = Q_x + K.T @ Q_uu @ k + K.T @ Q_u + Q_ux.T @ k
-        V_xx = _sym(Q_xx + K.T @ Q_uu @ K + K.T @ Q_ux + Q_ux.T @ K)
-        grad_norm = max(grad_norm, float(np.linalg.norm(Q_u)))
-        change_lin += float(k @ Q_u)
-        change_quad += float(k @ Q_uu @ k)
+            bad = _first_indefinite_step(Q_uus, t)
+            if bad is None:
+                raise
+        else:
+            try:
+                np.linalg.cholesky(Q_uus)
+                bad = None
+            except np.linalg.LinAlgError:
+                bad = _first_indefinite_step(Q_uus, 0)
+    if bad is not None:
+        raise RegularizationError(
+            f"control Hessian not positive definite at step {bad} "
+            f"with damping {regularization:.3e}"
+        )
     return GainSchedule(
         feedforward=ks,
         feedback=Ks,
@@ -247,23 +316,28 @@ def forward_pass(
     controls = np.empty_like(traj.controls)
     stage_costs = np.empty(T)
     states[0] = traj.states[0]
+    # u_t = (u_nom + alpha k)_t + K_t (x_t - x_nom_t); the bracket is
+    # elementwise, so it is formed for all steps at once
+    shifted = traj.controls + alpha * gains.feedforward
+    X_nom, feedback = traj.states, gains.feedback
+    step, cost = model.step, stage_cost
+    x = states[0]
     running = 0.0
     for t in range(T):
-        controls[t] = (
-            traj.controls[t]
-            + alpha * gains.feedforward[t]
-            + gains.feedback[t] @ (states[t] - traj.states[t])
-        )
-        stage_costs[t] = stage_cost(states[t], controls[t], spec)
-        running += stage_costs[t]
-        if not np.isfinite(running) or abs(running) > cost_cap:
+        u = shifted[t] + feedback[t].dot(x - X_nom[t])
+        controls[t] = u
+        c = cost(x, u, spec)
+        stage_costs[t] = c
+        running += c
+        if not math.isfinite(running) or abs(running) > cost_cap:
             return None
         try:
-            states[t + 1] = model.step(states[t], controls[t])
+            x = step(x, u)
         except (SingularityError, DynamicsDomainError):
             return None
-        if not np.all(np.isfinite(states[t + 1])):
+        if not np.isfinite(x).all():
             return None
+        states[t + 1] = x
     return Trajectory(
         states=states,
         controls=controls,
@@ -289,12 +363,17 @@ def solve_fhocp(
     the predicted improvement) drops below the tolerance.
     """
     settings = settings or SolverSettings()
-    assert steps >= 1, "horizon must be at least one step"
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"horizon must be at least one step, got {steps!r}")
     if initial_controls is None:
         initial_controls = np.zeros((steps, model.control_dim))
     else:
         initial_controls = np.asarray(initial_controls, dtype=float)
-        assert initial_controls.shape == (steps, model.control_dim)
+        if initial_controls.shape != (steps, model.control_dim):
+            raise ValueError(
+                f"initial controls have shape {initial_controls.shape}, "
+                f"expected {(steps, model.control_dim)}"
+            )
 
     traj = rollout(model, x0, initial_controls, spec, terminal, settings.cost_cap)
     if traj is None:

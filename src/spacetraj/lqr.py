@@ -1,8 +1,12 @@
 """Stationary LQR design and the terminal-set machinery built on it.
 
-`solve_dare` finds the fixed point of the backward Riccati recursion by value
-iteration (dependency-free; fine for the state dimensions here, n <= 13). The
-returned value matrix P satisfies
+`solve_dare` finds the stabilizing solution of the discrete algebraic Riccati
+equation by the structure-preserving doubling algorithm (Chu, Fan, Lin & Wang,
+Int. J. Control 2004): each doubling squares the horizon of the backward
+Riccati recursion, so it converges quadratically, in tens of doublings even
+when the closed loop sits near the stability boundary (where value iteration
+needs tens of thousands of steps). `LqrSolution.iterations` counts doublings.
+The returned value matrix P satisfies
 
     P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA
 
@@ -13,11 +17,15 @@ A `RegulationDesign` embeds the design into a (possibly larger) simulation
 state: the regulated coordinates z = x[indices] feed the feedback u = -K z and
 the quadratic predicted cost z' P z. `regulation_rollout` applies that law to
 the full nonlinear model; `in_terminal_set` compares predicted and rolled-out
-cost to decide terminal-set membership.
+cost to decide terminal-set membership. The rollout is a per-step loop on
+short vectors, so it uses ``ndarray.dot`` and `math` scalar tests instead of
+``@`` and numpy reductions: the same arithmetic in the same order, bitwise
+the same result, at half the call overhead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,35 +87,52 @@ def solve_dare(
     Q: np.ndarray,
     R: np.ndarray,
     tol: float = 1e-12,
-    max_iterations: int = 10**6,
+    max_iterations: int = 64,
 ) -> LqrSolution:
-    """Value iteration from P = Q with relative-change stopping.
+    """Structure-preserving doubling with relative-change stopping.
 
-    Raises StabilizabilityError on non-convergence (the usual symptom of an
+    From A_0 = A, G_0 = B R^-1 B', H_0 = Q, each doubling with
+    W = I + G H updates
+
+        H <- H + A' H W^-1 A,   G <- G + A W^-1 G A',   A <- A W^-1 A
+
+    and H_k is the Riccati iterate after 2^k steps, so H -> P and
+    `max_iterations` doublings cover 2^max_iterations steps. Raises
+    StabilizabilityError on non-convergence (the usual symptom of an
     unstabilizable pair) or an unstable resulting closed loop.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = Q.copy()
+    eye = np.eye(A.shape[0])
+    A_k = A
+    G = B @ np.linalg.solve(R, B.T)
+    G = 0.5 * (G + G.T)
+    H = Q
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected below
         for iterations in range(1, max_iterations + 1):
-            BtP = B.T @ P
-            K = np.linalg.solve(R + BtP @ B, BtP @ A)
-            P_next = Q + A.T @ P @ (A - B @ K)
-            P_next = 0.5 * (P_next + P_next.T)
-            if not np.all(np.isfinite(P_next)):
-                raise StabilizabilityError("Riccati value iteration diverged")
-            change = np.linalg.norm(P_next - P) / max(np.linalg.norm(P_next), 1e-300)
-            P = P_next
+            try:
+                WA, WG = np.hsplit(np.linalg.solve(eye + G @ H, np.hstack((A_k, G))), 2)
+            except np.linalg.LinAlgError:
+                raise StabilizabilityError("Riccati doubling hit a singular matrix") from None
+            H_next = H + A_k.T @ H @ WA
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + A_k @ WG @ A_k.T
+            G = 0.5 * (G + G.T)
+            A_k = A_k @ WA
+            if not np.isfinite(H_next).all():
+                raise StabilizabilityError("Riccati doubling diverged")
+            change = np.linalg.norm(H_next - H) / max(np.linalg.norm(H_next), 1e-300)
+            H = H_next
             if change < tol:
                 break
         else:
             raise StabilizabilityError(
-                f"Riccati value iteration did not converge in {max_iterations} iterations"
+                f"Riccati doubling did not converge in {max_iterations} doublings"
             )
+    P = H
     K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     rho = float(np.max(np.abs(np.linalg.eigvals(A - B @ K))))
     if rho >= 1.0:
@@ -138,7 +163,10 @@ class RegulationDesign:
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
         object.__setattr__(self, "indices", idx)
-        assert idx.ndim == 1 and len(idx) == self.solution.P.shape[0]
+        if idx.ndim != 1 or len(idx) != self.solution.P.shape[0]:
+            raise ValueError(
+                f"indices must select {self.solution.P.shape[0]} coordinates, got shape {idx.shape}"
+            )
 
     @property
     def P_full(self) -> np.ndarray:
@@ -173,8 +201,17 @@ class TerminalSetSpec:
     floor: float = 1e-9
 
     def __post_init__(self):
-        assert self.tolerance > 0.0 and self.regulation_cap > 0
-        assert self.level is None or self.level > 0.0
+        # comparisons are written so that NaN fails them
+        if not (self.level is None or 0.0 < self.level < math.inf):
+            raise ValueError(f"level must be positive and finite when given, got {self.level!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if not (isinstance(self.regulation_cap, (int, np.integer)) and self.regulation_cap >= 1):
+            raise ValueError(f"regulation_cap must be an integer >= 1, got {self.regulation_cap!r}")
+        for name in ("state_tol", "cost_cap", "floor"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,23 +246,26 @@ def regulation_rollout(
     converged = False
     diverged = False
     message = ""
+    indices, gain = design.indices, -design.solution.K  # u = (-K) z, as `feedback`
+    step, stage, state_tol, cost_cap = model.step, stage_cost, stop.state_tol, stop.cost_cap
     for _ in range(stop.regulation_cap):
-        if np.linalg.norm(design.regulated(x)) < stop.state_tol:
+        z = x[indices]
+        if math.sqrt(z.dot(z)) < state_tol:
             converged = True
             break
-        u = design.feedback(x)
-        cost += stage_cost(x, u, spec)
-        if not np.isfinite(cost) or cost > stop.cost_cap:
+        u = gain.dot(z)
+        cost += stage(x, u, spec)
+        if not math.isfinite(cost) or cost > cost_cap:
             diverged = True
             message = f"regulation cost exceeded cap ({cost:.3e})"
             break
         try:
-            x = model.step(x, u)
+            x = step(x, u)
         except (SingularityError, DynamicsDomainError) as exc:
             diverged = True
             message = f"regulation rollout left the dynamics domain: {exc}"
             break
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             diverged = True
             message = "regulation rollout produced non-finite state"
             break

@@ -16,6 +16,7 @@ measure one-step Bellman residuals of the combined value.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -294,13 +295,18 @@ def two_phase_simulate(
     converged = False
     message = ""
 
+    # per-step loops on short vectors: ndarray.dot and math scalar tests
+    # compute what @ and numpy reductions would, bit for bit, with less
+    # call overhead (see the ilqr module docstring)
+    step, stage, spec = model.step, stage_cost, problem.cost
+    U_nom, X_nom, feedback = nominal.controls, nominal.states, gains.feedback
     for t in range(nominal.horizon):
-        u = nominal.controls[t] + gains.feedback[t] @ (x - nominal.states[t])
+        u = U_nom[t] + feedback[t].dot(x - X_nom[t])
         controls.append(u)
-        costs.append(stage_cost(x, u, problem.cost))
+        costs.append(stage(x, u, spec))
         phases.append(1)
         try:
-            x = model.step(x, u)
+            x = step(x, u)
         except (SingularityError, DynamicsDomainError) as exc:
             return ClosedLoopTrajectory(
                 states=np.array(states),
@@ -318,24 +324,26 @@ def two_phase_simulate(
     switch_index = nominal.horizon
     switch_time = switch_index * model.dt
     running = float(np.sum(costs))
+    indices, gain = design.indices, -design.solution.K  # u = (-K) z, as `feedback`
     for _ in range(stop.regulation_cap):
-        if np.linalg.norm(design.regulated(x)) < stop.state_tol:
+        z = x[indices]
+        if math.sqrt(z.dot(z)) < stop.state_tol:
             converged = True
             break
-        u = design.feedback(x)
+        u = gain.dot(z)
         controls.append(u)
-        c = stage_cost(x, u, problem.cost)
+        c = stage(x, u, spec)
         costs.append(c)
         running += c
         phases.append(2)
         try:
-            x = model.step(x, u)
+            x = step(x, u)
         except (SingularityError, DynamicsDomainError) as exc:
             diverged = True
             message = f"regulation left the dynamics domain: {exc}"
             break
         states.append(x)
-        if not np.all(np.isfinite(x)) or running > stop.cost_cap:
+        if not np.isfinite(x).all() or running > stop.cost_cap:
             diverged = True
             message = "regulation diverged"
             break

@@ -211,6 +211,32 @@ def test_bad_inertia_is_a_config_error(tmp_path, capsys, field, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dt", "NaN"),
+        ("horizon", "Infinity"),
+        ("solver.tolerance", "NaN"),
+        ("terminal_set.level", "NaN"),
+        ("solver.max_iterations", "2.5"),
+        ("solver.reg_growth", "0.5"),
+        ("solver.alpha_count", "0"),
+    ],
+)
+def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
+    code, out = run_cli(
+        capsys,
+        "solve",
+        "--set", "scenario=attitude",
+        "--set", f"{field}={value}",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert out["status"] == "error" and out["error"] == "config"
+    assert out["field"] == field
+    assert not (tmp_path / "o").exists()
+
+
 def test_summary_echoes_config(tmp_path, capsys):
     code, _ = run_cli(
         capsys, "solve", "--set", "scenario=custom-linear", "--out", str(tmp_path / "o")

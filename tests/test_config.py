@@ -140,3 +140,40 @@ def test_invalid_json_reports_path(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("dt", float("inf")),
+        ("dt", "fast"),
+        ("horizon", 1e300),
+        ("solver.cost_cap", float("inf")),
+        ("solver.reg_shrink", 1.0),
+        ("solver.alpha_factor", float("nan")),
+        ("solver.alpha_count", 101),
+        ("solver.max_iterations", True),
+        ("terminal_set.regulation_cap", 1.5),
+        ("terminal_set.state_tol", 0.0),
+        ("terminal_set.cost_cap", float("nan")),
+    ],
+)
+def test_bad_numeric_field_names_its_path(key, value):
+    data = {"scenario": "attitude"}
+    node = data
+    *parents, leaf = key.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(data)
+    assert info.value.field == key
+
+
+def test_integral_float_counts_are_accepted():
+    cfg = parse_config_dict(
+        {"scenario": "attitude", "solver": {"max_iterations": 3.0, "alpha_count": 4.0}}
+    )
+    settings = cfg.solver.to_settings()
+    assert settings.max_iterations == 3 and isinstance(settings.max_iterations, int)
+    assert len(settings.alphas) == 4

@@ -203,5 +203,5 @@ def test_divergent_initial_guess_raises():
 
 
 def test_alpha_schedule_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SolverSettings(alphas=(0.5, 1.0))  # must start at 1 and decrease

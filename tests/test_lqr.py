@@ -199,3 +199,36 @@ def test_regulation_design_embedding():
     P_full = design.P_full
     assert P_full.shape == (4, 4) and P_full[2, 2] == pytest.approx(GOLDEN)
     assert P_full.sum() == pytest.approx(P_full[2, 2])
+
+
+def _attitude_pair():
+    p = attitude_problem()
+    lin = linearize_at_goal(p.model, np.zeros(6), np.zeros(3))
+    return lin.A, lin.B, p.cost.Q / 2.0, p.cost.R / 2.0
+
+
+def test_doubling_converges_near_the_stability_boundary():
+    # R scaled by 1e6 puts the closed loop at spectral radius 0.9998, where
+    # value iteration needed 43,715 steps
+    A, B, Q, R = _attitude_pair()
+    sol = solve_dare(A, B, Q, 1e6 * R)
+    assert sol.iterations <= 64
+    assert sol.residual < 1e-12
+    assert 0.999 < sol.spectral_radius < 1.0
+    # scipy carries ~1e-8 relative noise on entries that are structurally
+    # zero here (its own residual is 4.8e-11), so compare norm-wise
+    P_ref = solve_discrete_are(A, B, Q, 1e6 * R)
+    assert np.linalg.norm(sol.P - P_ref) <= 1e-6 * np.linalg.norm(P_ref)
+
+
+def test_default_attitude_design_takes_few_doublings():
+    sol = attitude_problem().design_for(22.0).solution
+    assert sol.iterations <= 20
+    A, B, Q, R = _attitude_pair()
+    assert np.allclose(sol.P, solve_discrete_are(A, B, Q, R), rtol=1e-8, atol=1e-8 * np.abs(sol.P).max())
+
+
+def test_doubling_cap_is_a_stabilizability_error():
+    A, B, Q, R = _attitude_pair()
+    with pytest.raises(StabilizabilityError, match="did not converge in 3 doublings"):
+        solve_dare(A, B, Q, R, max_iterations=3)
