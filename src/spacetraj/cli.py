@@ -64,6 +64,7 @@ from .two_phase import (
     bellman_check,
     convergence_study,
     lyapunov_decreasing,
+    membership_switches,
     solve_two_phase,
     sweep_transfer_time,
     two_phase_simulate,
@@ -202,6 +203,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
         {
             "grid": [pt.transfer_time for pt in points],
             "first_hitting_time": in_set[0] if in_set else None,
+            "membership_switches": membership_switches(points),
             "failures": failures,
         }
     )
@@ -292,6 +294,7 @@ def cmd_simulate(cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
             "regulation_converged": closed.converged,
             "diverged": closed.diverged,
             "iterations": len(solution.report.iterations),
+            "membership_switches": membership_switches(solution.sweep),
             "final_state_error": [float(v) for v in solution.design.regulated(closed.states[-1])],
             "tail_cost_decreasing_outside_set": lyapunov_decreasing(
                 closed, solution.design, solution.level

@@ -24,6 +24,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -98,13 +99,16 @@ class Linearization:
 def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One explicit Euler step ``x + dt * deriv(x, u)``.
 
-    Raises SingularityError if the derivative is non-finite (the scenario
-    derivative functions raise it directly at their kinematic guards).
+    Raises SingularityError if the new state is non-finite, which covers a
+    non-finite derivative as well as an overflowing step (the scenario
+    derivative functions raise it directly at their kinematic guards). This
+    is the only finiteness test of a simulated step; the loops that call it
+    do not repeat it.
     """
-    xdot = model.inner.deriv(x, u)
-    if not np.isfinite(xdot).all():
-        raise SingularityError("non-finite state derivative", state=x)
-    return x + model.dt * xdot
+    x_next = x + model.dt * model.inner.deriv(x, u)
+    if not all(map(math.isfinite, x_next.tolist())):
+        raise SingularityError("non-finite state after an Euler step", state=x)
+    return x_next
 
 
 def _fd_steps(v: np.ndarray, h: Optional[float]) -> np.ndarray:

@@ -35,9 +35,13 @@ a different product kernel), and the feedforward gain stays the column of the
 solve's result it has always been.
 
 The positive-definiteness test of the damped Q_uu is deferred: the sweep
-records every Q_uu and one batched Cholesky factorization tests them all after
-it. On failure the steps are re-tested one by one from the last, so the error
+records every Q_uu and one batched finiteness test and one batched Cholesky
+factorization test them all after it (Cholesky alone accepts a NaN matrix).
+On failure the steps are re-tested one by one from the last, so the error
 names the step a per-step test would have named.
+
+The rollouts leave the finiteness of each new state to `euler_step`, which
+raises on it; they test only the running cost.
 """
 
 from __future__ import annotations
@@ -184,10 +188,8 @@ def rollout(
         if not math.isfinite(running) or abs(running) > cost_cap:
             return None
         try:
-            x = step(x, u)
+            x = step(x, u)  # raises on a non-finite state
         except (SingularityError, DynamicsDomainError):
-            return None
-        if not np.isfinite(x).all():
             return None
         states[t + 1] = x
     return Trajectory(
@@ -199,9 +201,12 @@ def rollout(
 
 
 def _first_indefinite_step(Q_uus: np.ndarray, last: int) -> Optional[int]:
-    """Latest step in [last, T) whose Q_uu fails the Cholesky test, walking
-    back from T - 1 as the sweep did; None when every one passes."""
+    """Latest step in [last, T) whose Q_uu is non-finite or fails the
+    Cholesky test, walking back from T - 1 as the sweep did; None when every
+    one passes."""
     for t in range(len(Q_uus) - 1, last - 1, -1):
+        if not np.isfinite(Q_uus[t]).all():
+            return t
         try:
             np.linalg.cholesky(Q_uus[t])
         except np.linalg.LinAlgError:
@@ -220,9 +225,10 @@ def backward_pass(
 
     The Jacobians and cost expansions of every stage come from one batched
     call each; the recursion then runs over the precomputed arrays. Raises
-    RegularizationError if the damped Q_uu fails its Cholesky test at any
-    step (the latest such step is named); the solve loop escalates lambda and
-    retries. The test runs once, batched, after the sweep.
+    RegularizationError if the damped Q_uu is non-finite or fails its
+    Cholesky test at any step (the latest such step is named); the solve loop
+    escalates lambda and retries. The test runs once, batched, after the
+    sweep.
     """
     T = traj.horizon
     n, m = model.state_dim, model.control_dim
@@ -278,11 +284,13 @@ def backward_pass(
             if bad is None:
                 raise
         else:
-            try:
-                np.linalg.cholesky(Q_uus)
-                bad = None
-            except np.linalg.LinAlgError:
-                bad = _first_indefinite_step(Q_uus, 0)
+            passed = bool(np.isfinite(Q_uus).all())  # Cholesky lets NaN through
+            if passed:
+                try:
+                    np.linalg.cholesky(Q_uus)
+                except np.linalg.LinAlgError:
+                    passed = False
+            bad = None if passed else _first_indefinite_step(Q_uus, 0)
     if bad is not None:
         raise RegularizationError(
             f"control Hessian not positive definite at step {bad} "
@@ -332,10 +340,8 @@ def forward_pass(
         if not math.isfinite(running) or abs(running) > cost_cap:
             return None
         try:
-            x = step(x, u)
+            x = step(x, u)  # raises on a non-finite state
         except (SingularityError, DynamicsDomainError):
-            return None
-        if not np.isfinite(x).all():
             return None
         states[t + 1] = x
     return Trajectory(

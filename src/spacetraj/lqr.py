@@ -16,17 +16,44 @@ closed loop A - BK.
 A `RegulationDesign` embeds the design into a (possibly larger) simulation
 state: the regulated coordinates z = x[indices] feed the feedback u = -K z and
 the quadratic predicted cost z' P z. `regulation_rollout` applies that law to
-the full nonlinear model; `in_terminal_set` compares predicted and rolled-out
-cost to decide terminal-set membership. The rollout is a per-step loop on
-short vectors, so it uses ``ndarray.dot`` and `math` scalar tests instead of
-``@`` and numpy reductions: the same arithmetic in the same order, bitwise
-the same result, at half the call overhead.
+the full nonlinear model; `in_terminal_set` compares predicted and actual
+cost to decide terminal-set membership.
+
+The actual cost is tail-closed: the cost rolled up to the stop plus the
+quadratic value z_s' P z_s left at the stopping state z_s, the terminal-cost
+argument of quasi-infinite-horizon control (Chen & Allgower, Automatica
+1998). The membership rollout therefore stops as soon as
+
+    z_s' P z_s <= TAIL_FRACTION * tolerance * max(predicted, floor)
+
+(or at ||z|| < state_tol, the cap, or divergence, whichever comes first).
+Error bound: the tail stands in for the cost the loop would still spend
+from z_s. If that cost lies between 0 and twice the tail, stopping moves
+the actual cost by at most the tail, so the relative error that membership
+tests moves by at most TAIL_FRACTION * tolerance (1e-6 at the default
+tolerance, a ten-thousandth of the band). If the loop from z_s meets its
+own quadratic prediction to a relative error e, the move is at most
+e * TAIL_FRACTION * tolerance relative: near the origin, where the loop
+matches its linearization, e is tiny (the attitude sweep moves by 1e-13),
+while a design with structural prediction error keeps it (rendezvous, whose
+design freezes the moving target, has e of about 2 % and moves by 1e-7).
+On a linear model rolled cost plus tail equals the prediction at every
+stop, up to rounding. The quadratic form is evaluated only once
+||z||^2 <= bound / lambda_min(P) (lambda_min is computed once per design),
+since z'Pz cannot reach the bound before that.
+
+The rollout is a per-step loop on short vectors, so it uses ``ndarray.dot``
+and `math` scalar tests instead of ``@`` and numpy reductions: the same
+arithmetic in the same order, bitwise the same result, at half the call
+overhead. The finiteness of each new state is tested once, in
+`dynamics.euler_step`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,6 +68,10 @@ from .errors import (
 )
 
 FIXED_POINT_RTOL = 1e-9
+
+# A membership rollout stops once the tail z'Pz is at most this fraction of
+# the tolerance band tolerance * max(predicted, floor).
+TAIL_FRACTION = 1e-4
 
 
 def linearize_at_goal(
@@ -180,6 +211,11 @@ class RegulationDesign:
     def feedback(self, x: np.ndarray) -> np.ndarray:
         return -self.solution.K @ self.regulated(x)
 
+    @cached_property
+    def p_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of P, computed once per design."""
+        return float(np.linalg.eigvalsh(self.solution.P)[0])
+
     def predicted_cost(self, x: np.ndarray) -> float:
         z = self.regulated(x)
         return float(z @ self.solution.P @ z)
@@ -216,9 +252,19 @@ class TerminalSetSpec:
 
 @dataclass(frozen=True)
 class RegulationRollout:
+    """Nonlinear closed loop under u = -K z from one state.
+
+    `stage_costs` holds the cost of each applied control, `cost` their
+    running sum (on a cost-cap divergence it also holds the step that tripped
+    the cap, which is not applied), and `tail` the quadratic value z'Pz at the
+    state the rollout stopped at (0 when it diverged).
+    """
+
     states: np.ndarray
     controls: np.ndarray
+    stage_costs: np.ndarray
     cost: float
+    tail: float
     converged: bool
     diverged: bool
     message: str = ""
@@ -234,47 +280,60 @@ def regulation_rollout(
     design: RegulationDesign,
     spec: QuadraticCostSpec,
     stop: TerminalSetSpec,
+    tail_bound: float = 0.0,
 ) -> RegulationRollout:
     """Simulate the nonlinear model under u = -K z until the regulated state
-    norm drops below `state_tol` or the step cap is reached. Divergence
-    (cost cap, non-finite state, singular kinematics) is reported in the
-    result, not raised."""
+    norm drops below `state_tol`, or, when `tail_bound` is positive, the
+    tail z'Pz drops to `tail_bound` or below, or the step cap is reached.
+    Divergence (cost cap, non-finite state, singular kinematics) is reported
+    in the result, not raised."""
     x = np.array(x0, dtype=float)
     states = [x]
     controls = []
+    costs = []
     cost = 0.0
     converged = False
     diverged = False
     message = ""
     indices, gain = design.indices, -design.solution.K  # u = (-K) z, as `feedback`
+    P = design.solution.P
     step, stage, state_tol, cost_cap = model.step, stage_cost, stop.state_tol, stop.cost_cap
+    # z'Pz >= lambda_min(P) |z|^2, so z'Pz can reach the bound only once
+    # |z|^2 <= bound / lambda_min(P); the quadratic form waits until then
+    near = -1.0
+    if tail_bound > 0.0:
+        p_min = design.p_min_eigenvalue
+        near = tail_bound / p_min if p_min > 0.0 else math.inf
     for _ in range(stop.regulation_cap):
         z = x[indices]
-        if math.sqrt(z.dot(z)) < state_tol:
+        zz = z.dot(z)
+        if math.sqrt(zz) < state_tol or (zz <= near and z.dot(P).dot(z) <= tail_bound):
             converged = True
             break
         u = gain.dot(z)
-        cost += stage(x, u, spec)
+        c = stage(x, u, spec)
+        cost += c
         if not math.isfinite(cost) or cost > cost_cap:
             diverged = True
             message = f"regulation cost exceeded cap ({cost:.3e})"
             break
         try:
-            x = step(x, u)
+            x = step(x, u)  # raises on a non-finite state
         except (SingularityError, DynamicsDomainError) as exc:
             diverged = True
             message = f"regulation rollout left the dynamics domain: {exc}"
             break
-        if not np.isfinite(x).all():
-            diverged = True
-            message = "regulation rollout produced non-finite state"
-            break
         controls.append(u)
+        costs.append(c)
         states.append(x)
+    z = x[indices]
+    tail = 0.0 if diverged else float(z.dot(P).dot(z))
     return RegulationRollout(
         states=np.array(states),
         controls=np.array(controls).reshape(len(controls), model.control_dim),
+        stage_costs=np.array(costs),
         cost=float(cost),
+        tail=tail,
         converged=converged,
         diverged=diverged,
         message=message,
@@ -285,7 +344,7 @@ def regulation_rollout(
 class MembershipResult:
     member: bool
     predicted_cost: float
-    actual_cost: float
+    actual_cost: float  # rollout.cost + rollout.tail
     within_tolerance: bool
     within_level: bool
     rollout: RegulationRollout
@@ -301,15 +360,17 @@ def in_terminal_set(
     spec: QuadraticCostSpec,
     stop: TerminalSetSpec,
 ) -> MembershipResult:
-    """True iff the rolled-out regulation cost matches the quadratic
-    prediction within the relative tolerance and, when a level is set, the
-    prediction lies below it. A divergent rollout is never a member."""
+    """True iff the tail-closed regulation cost (rolled cost plus the z'Pz
+    left where the rollout stopped) matches the quadratic prediction within
+    the relative tolerance and, when a level is set, the prediction lies
+    below it. The rollout stops once the tail is at most TAIL_FRACTION of
+    the tolerance band (see the module docstring). A divergent rollout is
+    never a member."""
     predicted = design.predicted_cost(x)
-    rollout = regulation_rollout(model, x, design, spec, stop)
-    actual = rollout.cost
-    within_tol = (not rollout.diverged) and abs(actual - predicted) <= stop.tolerance * max(
-        predicted, stop.floor
-    )
+    band = stop.tolerance * max(predicted, stop.floor)
+    rollout = regulation_rollout(model, x, design, spec, stop, TAIL_FRACTION * band)
+    actual = rollout.cost + rollout.tail
+    within_tol = (not rollout.diverged) and abs(actual - predicted) <= band
     within_level = stop.level is None or predicted <= stop.level
     return MembershipResult(
         member=bool(within_tol and within_level),

@@ -141,9 +141,9 @@ def _evaluate_point(
     return SweepPoint(
         transfer_time=transfer_time,
         ilqr_cost=report.trajectory.phase_cost,
-        regulation_cost=membership.rollout.cost,
+        regulation_cost=membership.actual_cost,
         terminal_value=membership.predicted_cost,
-        total_cost=report.trajectory.phase_cost + membership.rollout.cost,
+        total_cost=report.trajectory.phase_cost + membership.actual_cost,
         in_set=membership.member,
         final_state_error=design.regulated(x_T),
         report=report,
@@ -190,6 +190,20 @@ def sweep_transfer_time(
         futures = [pool.submit(_evaluate_point, problem, T, stop) for T in grid]
         points = [f.result() for f in futures]
     return sorted(points, key=lambda p: p.transfer_time)
+
+
+def membership_switches(points: Sequence[SweepPoint]) -> List[float]:
+    """Grid times after the first member at which membership differs from
+    the point before; empty when membership along the grid is monotone."""
+    flags = [pt.in_set for pt in points]
+    if True not in flags:
+        return []
+    first = flags.index(True)
+    return [
+        points[i].transfer_time
+        for i in range(first + 1, len(points))
+        if flags[i] != flags[i - 1]
+    ]
 
 
 @dataclass(frozen=True)
@@ -278,54 +292,82 @@ def two_phase_simulate(
 
     Phase 1 tracks the nominal with u = u*_t + K_t (x_t - x*_t); from the
     transfer time onward u = -K z until the regulated state converges or the
-    cap runs out. Starting exactly at the nominal initial state reproduces
-    the nominal leg.
+    cap runs out.
+
+    Without `x0` the run starts at the nominal initial state, where the
+    feedback term is zero at every step, so phase 1 is the nominal leg
+    itself and is taken from it. Phase 2 then starts from the selected
+    point's membership rollout, which applied the same law from the same
+    switch state, and runs on from where it stopped. The reused prefix is
+    held to this loop's own cost-cap rule (phase-1 plus regulation cost,
+    tested after each step), so the result is what simulating both phases
+    step by step gives. `solution` must come from `solve_two_phase` on
+    `problem`.
     """
     model = problem.model
     nominal = solution.report.trajectory
-    gains = solution.report.gains
     design = solution.design
     stop = problem.terminal_set
-    x = np.array(problem.x0 if x0 is None else x0, dtype=float)
-    states = [x]
-    controls: List[np.ndarray] = []
-    costs: List[float] = []
-    phases: List[int] = []
-    diverged = False
-    converged = False
-    message = ""
-
-    # per-step loops on short vectors: ndarray.dot and math scalar tests
-    # compute what @ and numpy reductions would, bit for bit, with less
-    # call overhead (see the ilqr module docstring)
     step, stage, spec = model.step, stage_cost, problem.cost
-    U_nom, X_nom, feedback = nominal.controls, nominal.states, gains.feedback
-    for t in range(nominal.horizon):
-        u = U_nom[t] + feedback[t].dot(x - X_nom[t])
-        controls.append(u)
-        costs.append(stage(x, u, spec))
-        phases.append(1)
-        try:
-            x = step(x, u)
-        except (SingularityError, DynamicsDomainError) as exc:
-            return ClosedLoopTrajectory(
-                states=np.array(states),
-                controls=np.array(controls),
-                stage_costs=np.array(costs),
-                phases=np.array(phases),
-                switch_index=-1,
-                switch_time=float("nan"),
-                converged=False,
-                diverged=True,
-                message=f"phase-1 rollout left the dynamics domain: {exc}",
-            )
-        states.append(x)
+
+    if x0 is None:
+        states = list(nominal.states)
+        controls = list(nominal.controls)
+        costs = nominal.stage_costs.tolist()
+    else:
+        x = np.array(x0, dtype=float)
+        states = [x]
+        controls = []
+        costs = []
+        # per-step loops on short vectors: ndarray.dot and math scalar tests
+        # compute what @ and numpy reductions would, bit for bit, with less
+        # call overhead (see the ilqr module docstring)
+        U_nom, X_nom, feedback = nominal.controls, nominal.states, solution.report.gains.feedback
+        for t in range(nominal.horizon):
+            u = U_nom[t] + feedback[t].dot(x - X_nom[t])
+            controls.append(u)
+            costs.append(stage(x, u, spec))
+            try:
+                x = step(x, u)  # raises on a non-finite state
+            except (SingularityError, DynamicsDomainError) as exc:
+                return ClosedLoopTrajectory(
+                    states=np.array(states),
+                    controls=np.array(controls),
+                    stage_costs=np.array(costs),
+                    phases=np.ones(len(costs), dtype=int),
+                    switch_index=-1,
+                    switch_time=float("nan"),
+                    converged=False,
+                    diverged=True,
+                    message=f"phase-1 rollout left the dynamics domain: {exc}",
+                )
+            states.append(x)
 
     switch_index = nominal.horizon
     switch_time = switch_index * model.dt
     running = float(np.sum(costs))
+    diverged = False
+    converged = False
+    message = ""
+    budget = stop.regulation_cap
+    if x0 is None:  # resume the membership rollout
+        prefix = solution.membership.rollout
+        used = min(prefix.steps, budget)
+        for j, c in enumerate(prefix.stage_costs[:used].tolist()):
+            running += c
+            if running > stop.cost_cap:
+                diverged = True
+                message = "regulation diverged"
+                used = j + 1
+                break
+        controls.extend(prefix.controls[:used])
+        costs.extend(prefix.stage_costs[:used].tolist())
+        states.extend(prefix.states[1 : used + 1])
+        budget -= used
+    x = states[-1]
+
     indices, gain = design.indices, -design.solution.K  # u = (-K) z, as `feedback`
-    for _ in range(stop.regulation_cap):
+    for _ in range(0 if diverged else budget):
         z = x[indices]
         if math.sqrt(z.dot(z)) < stop.state_tol:
             converged = True
@@ -335,24 +377,25 @@ def two_phase_simulate(
         c = stage(x, u, spec)
         costs.append(c)
         running += c
-        phases.append(2)
         try:
-            x = step(x, u)
+            x = step(x, u)  # raises on a non-finite state
         except (SingularityError, DynamicsDomainError) as exc:
             diverged = True
             message = f"regulation left the dynamics domain: {exc}"
             break
         states.append(x)
-        if not np.isfinite(x).all() or running > stop.cost_cap:
+        if running > stop.cost_cap:
             diverged = True
             message = "regulation diverged"
             break
 
+    phases = np.full(len(costs), 2)
+    phases[:switch_index] = 1
     return ClosedLoopTrajectory(
         states=np.array(states),
         controls=np.array(controls),
         stage_costs=np.array(costs),
-        phases=np.array(phases),
+        phases=phases,
         switch_index=switch_index,
         switch_time=switch_time,
         converged=converged,

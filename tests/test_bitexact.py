@@ -2,12 +2,15 @@
 
 `rollout`, `backward_pass`, `forward_pass`, `regulation_rollout`,
 `stage_cost` and `two_phase_simulate` are written with ``ndarray.dot``,
-scalar `math` tests and a deferred positive-definiteness test. The plain
-``@`` formulas they replaced are kept below as the reference; every result
-must equal the reference's bit for bit (``np.array_equal``, ``==``), since a
-last-bit change can flip whether a marginal solve converges.
+scalar `math` tests and a deferred positive-definiteness test, and
+`two_phase_simulate` takes its phase 1 from the nominal leg and resumes its
+phase 2 from the membership rollout. The plain step-by-step ``@`` formulas
+are kept below as the reference; every result must equal the reference's
+bit for bit (``np.array_equal``, ``==``), since a last-bit change can flip
+whether a marginal solve converges.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacetraj.ilqr as ilqr
-from spacetraj.config import build_landing_problem, parse_config_dict
+from spacetraj.config import (
+    build_landing_problem,
+    build_two_phase_problem,
+    default_sweep_grid,
+    parse_config_dict,
+)
 from spacetraj.cost import (
     AltitudePenaltySpec,
     QuadraticCostSpec,
@@ -162,9 +170,11 @@ def ref_forward_pass(traj, gains, alpha, model, spec, terminal, cost_cap=1e30):
 
 
 def ref_regulation_rollout(model, x0, design, spec, stop):
+    """Rolls to state_tol (no tail stop); the tail is z'Pz where it stops."""
     x = np.array(x0, dtype=float)
     states = [x]
     controls = []
+    costs = []
     cost = 0.0
     converged = diverged = False
     message = ""
@@ -173,7 +183,8 @@ def ref_regulation_rollout(model, x0, design, spec, stop):
             converged = True
             break
         u = -design.solution.K @ x[design.indices]
-        cost += ref_stage_cost(x, u, spec)
+        c = ref_stage_cost(x, u, spec)
+        cost += c
         if not np.isfinite(cost) or cost > stop.cost_cap:
             diverged = True
             message = f"regulation cost exceeded cap ({cost:.3e})"
@@ -189,11 +200,15 @@ def ref_regulation_rollout(model, x0, design, spec, stop):
             message = "regulation rollout produced non-finite state"
             break
         controls.append(u)
+        costs.append(c)
         states.append(x)
+    z = x[design.indices]
     return RegulationRollout(
         states=np.array(states),
         controls=np.array(controls).reshape(len(controls), model.control_dim),
+        stage_costs=np.array(costs),
         cost=float(cost),
+        tail=0.0 if diverged else float(z @ design.solution.P @ z),
         converged=converged,
         diverged=diverged,
         message=message,
@@ -201,28 +216,49 @@ def ref_regulation_rollout(model, x0, design, spec, stop):
 
 
 def ref_two_phase_simulate(problem, solution):
+    """Both phases simulated step by step from the nominal initial state."""
     model, spec = problem.model, problem.cost
     nominal, gains = solution.report.trajectory, solution.report.gains
     design, stop = solution.design, problem.terminal_set
     x = np.array(problem.x0, dtype=float)
-    states, controls, costs = [x], [], []
+    states, controls, costs, phases = [x], [], [], []
     for t in range(nominal.horizon):
         u = nominal.controls[t] + gains.feedback[t] @ (x - nominal.states[t])
         controls.append(u)
         costs.append(ref_stage_cost(x, u, spec))
+        phases.append(1)
         x = model.step(x, u)
         states.append(x)
-    converged = False
+    running = float(np.sum(costs))
+    converged = diverged = False
+    message = ""
     for _ in range(stop.regulation_cap):
         if np.linalg.norm(x[design.indices]) < stop.state_tol:
             converged = True
             break
         u = -design.solution.K @ x[design.indices]
         controls.append(u)
-        costs.append(ref_stage_cost(x, u, spec))
+        c = ref_stage_cost(x, u, spec)
+        costs.append(c)
+        running += c
+        phases.append(2)
         x = model.step(x, u)
         states.append(x)
-    return np.array(states), np.array(controls), np.array(costs), converged
+        if running > stop.cost_cap:
+            diverged = True
+            message = "regulation diverged"
+            break
+    return ClosedLoopTrajectory(
+        states=np.array(states),
+        controls=np.array(controls),
+        stage_costs=np.array(costs),
+        phases=np.array(phases),
+        switch_index=nominal.horizon,
+        switch_time=nominal.horizon * model.dt,
+        converged=converged,
+        diverged=diverged,
+        message=message,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +301,29 @@ def check_ilqr_loops(model, spec, terminal, x0, controls, alphas=(1.0, 0.7**3)):
     return cand
 
 
+def assert_same_closed_loop(got, want):
+    assert isinstance(got, ClosedLoopTrajectory)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.controls, want.controls)
+    assert np.array_equal(got.stage_costs, want.stage_costs)
+    assert np.array_equal(got.phases, want.phases)
+    assert got.phases.dtype == want.phases.dtype
+    assert (got.switch_index, got.switch_time) == (want.switch_index, want.switch_time)
+    assert (got.converged, got.diverged, got.message) == (
+        want.converged,
+        want.diverged,
+        want.message,
+    )
+
+
 def check_regulation(model, x, design, spec, stop):
     got = regulation_rollout(model, x, design, spec, stop)
     want = ref_regulation_rollout(model, x, design, spec, stop)
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.controls, want.controls)
+    assert np.array_equal(got.stage_costs, want.stage_costs)
     assert got.cost == want.cost
+    assert got.tail == want.tail
     assert (got.converged, got.diverged, got.message) == (
         want.converged,
         want.diverged,
@@ -316,12 +369,44 @@ def test_two_phase_simulate_is_bit_exact():
     p = attitude_problem()
     solution = solve_two_phase(p, grid=[22.0])
     closed = two_phase_simulate(p, solution)
-    states, controls, costs, converged = ref_two_phase_simulate(p, solution)
-    assert isinstance(closed, ClosedLoopTrajectory)
-    assert np.array_equal(closed.states, states)
-    assert np.array_equal(closed.controls, controls)
-    assert np.array_equal(closed.stage_costs, costs)
-    assert closed.converged == converged and not closed.diverged
+    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution))
+    assert closed.converged and not closed.diverged
+
+
+@pytest.mark.parametrize("scenario", ["attitude", "rendezvous"])
+def test_resumed_closed_loop_is_bit_exact_on_the_default_problem(scenario):
+    cfg = parse_config_dict({"scenario": scenario})
+    p = build_two_phase_problem(cfg)
+    solution = solve_two_phase(p, grid=default_sweep_grid(cfg))
+    prefix = solution.membership.rollout
+    closed = two_phase_simulate(p, solution)
+    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution))
+    assert closed.converged and not closed.diverged
+    # the membership rollout stopped on its tail, well short of state_tol
+    regulated = closed.phases == 2
+    assert 0 < prefix.steps < regulated.sum()
+    assert np.array_equal(closed.controls[regulated][: prefix.steps], prefix.controls)
+
+
+def test_cost_cap_trips_on_the_reused_prefix():
+    base = attitude_problem()
+    solution = solve_two_phase(base, grid=[22.0])
+    phase1 = solution.report.trajectory.phase_cost
+    prefix = solution.membership.rollout
+    # the cap admits the membership rollout (regulation cost alone) but not
+    # phase 1 plus the first half of it
+    cap = phase1 + 0.5 * prefix.cost
+    p = dataclasses.replace(
+        base, terminal_set=dataclasses.replace(base.terminal_set, cost_cap=cap)
+    )
+    solution = solve_two_phase(p, grid=[22.0])
+    assert solution.membership.rollout.steps == prefix.steps
+    closed = two_phase_simulate(p, solution)
+    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution))
+    assert closed.diverged and not closed.converged
+    tripped = int(np.sum(closed.phases == 2))
+    assert 0 < tripped < prefix.steps
+    assert closed.message == "regulation diverged"
 
 
 def test_divergent_rollout_matches_reference():
@@ -451,17 +536,18 @@ def test_deferred_test_names_the_reference_step(monkeypatch, bad):
     assert f"step {max(step for step, _ in bad)} " in str(got.value)
 
 
-def test_nan_expansion_passes_through_like_the_reference(monkeypatch):
-    # Cholesky does not reject a NaN matrix; both versions return NaN gains
+def test_nan_expansion_is_rejected_at_its_step(monkeypatch):
+    # Cholesky does not reject a NaN matrix; the batched finiteness test does
     _indefinite_at(monkeypatch, [(9, np.nan)])
     model, spec, terminal, x0, controls = _linear_problem()
     traj = rollout(model, x0, controls, spec, terminal)
-    want = ref_backward_pass(traj, model, spec, terminal, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = backward_pass(traj, model, spec, terminal, 0.0)
-    assert np.array_equal(got.feedforward, want.feedforward, equal_nan=True)
-    assert np.array_equal(got.feedback, want.feedback, equal_nan=True)
+        with pytest.raises(RegularizationError, match="at step 9 with damping"):
+            backward_pass(traj, model, spec, terminal, 0.0)
+        # no damping makes it finite: the solve escalates lambda to reg_max
+        with pytest.raises(RegularizationError, match="step 9 with damping 1.000e\\+08"):
+            solve_fhocp(model, spec, terminal, x0, 20, SolverSettings(reg_max=1e8))
 
 
 def test_solve_escalates_damping_until_the_step_is_fixed(monkeypatch):

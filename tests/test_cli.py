@@ -116,6 +116,46 @@ def test_sweep_csv_columns_and_ordering(tmp_path, capsys):
         assert float(row[1]) + float(row[2]) == pytest.approx(float(row[4]), rel=1e-12)
 
 
+def test_sweep_summary_lists_membership_switches(tmp_path, capsys):
+    # attitude is a member at 22.0 s, not at 25.8 s, and again at 41.3 s
+    code, _ = run_cli(
+        capsys,
+        "sweep",
+        "--set", "scenario=attitude",
+        "--set", "sweep.grid=[22.0,25.8,41.3]",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "o" / "sweep.csv")
+    assert [r[5] for r in rows] == ["1", "0", "1"]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["first_hitting_time"] == 22.0
+    assert summary["membership_switches"] == [25.8, 41.3]
+
+
+@pytest.mark.parametrize("scenario,budget", [("attitude", 12000), ("rendezvous", 2600)])
+def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, budget):
+    """A deterministic work count: every simulated step of the default
+    simulate goes through `dynamics.euler_step`."""
+    import spacetraj.dynamics as dynamics
+
+    calls = 0
+    original = dynamics.euler_step
+
+    def counting(model, x, u):
+        nonlocal calls
+        calls += 1
+        return original(model, x, u)
+
+    monkeypatch.setattr(dynamics, "euler_step", counting)
+    code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["regulation_converged"] and not summary["diverged"]
+    assert summary["membership_switches"] == []
+    assert 0 < calls <= budget
+
+
 def test_sweep_rejected_for_soft_landing(tmp_path, capsys):
     code, out = run_cli(
         capsys, "sweep", "--set", "scenario=soft-landing", "--out", str(tmp_path / "o")

@@ -369,3 +369,12 @@ def test_non_finite_derivative_raises_in_euler_step():
     x = np.array([0.0, 0.0, 0.0, np.nan, 0.0, 0.0])
     with pytest.raises(SingularityError):
         attitude_model().step(x, np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_euler_step_raises():
+    # the derivative (A - I) x / dt = 1e308 is finite; the new state is not
+    model = lti_model([[2.0]], [[1.0]])
+    with pytest.raises(SingularityError, match="non-finite state") as exc:
+        model.step(np.array([1e308]), np.zeros(1))
+    np.testing.assert_array_equal(exc.value.state, [1e308])

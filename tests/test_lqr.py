@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
 from spacetraj.cost import QuadraticCostSpec
 from spacetraj.dynamics import double_integrator, lti_model
 from spacetraj.errors import NotAFixedPointError, StabilizabilityError
 from spacetraj.lqr import (
+    TAIL_FRACTION,
     RegulationDesign,
     TerminalSetSpec,
     dare_residual,
@@ -121,6 +124,72 @@ def test_regulation_rollout_matches_quadratic_value():
     out = regulation_rollout(bp.model, np.array([1.0]), design, bp.cost, bp.terminal_set)
     assert out.converged
     assert out.cost == pytest.approx(GOLDEN, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.5]),
+    st.integers(1, 400),
+)
+def test_linear_rolled_cost_plus_tail_is_the_prediction(n, m, seed, fraction, cap):
+    """On a linear model the tail closes the rolled cost exactly, wherever
+    the rollout stops: at state_tol, on the tail bound, or at the cap."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(0.0, 0.6, (n, n))
+    B = rng.normal(0.0, 1.0, (n, m))
+    Lq = rng.normal(size=(n, n))
+    Lr = rng.normal(size=(m, m))
+    spec = QuadraticCostSpec(Q=Lq @ Lq.T + 0.1 * np.eye(n), R=Lr @ Lr.T + 0.1 * np.eye(m))
+    try:
+        sol = solve_dare(A, B, spec.Q / 2.0, spec.R / 2.0)  # stage cost is x'Qx/2 + u'Ru/2
+    except StabilizabilityError:
+        return
+    design = RegulationDesign(sol, np.arange(n), n)
+    x0 = rng.normal(0.0, 2.0, n)
+    predicted = design.predicted_cost(x0)
+    out = regulation_rollout(
+        lti_model(A, B), x0, design, spec, TerminalSetSpec(regulation_cap=cap), fraction * predicted
+    )
+    assert not out.diverged
+    assert out.cost == pytest.approx(float(np.sum(out.stage_costs)), rel=1e-12)
+    assert abs(out.cost + out.tail - predicted) <= 1e-9 * predicted
+    # and so would any earlier stop
+    rolled = np.concatenate([[0.0], np.cumsum(out.stage_costs)])
+    tails = np.einsum("ti,ij,tj->t", out.states, sol.P, out.states)
+    assert np.all(np.abs(rolled + tails - predicted) <= 1e-9 * predicted)
+    z = out.states[-1]
+    assert out.tail == pytest.approx(float(z @ sol.P @ z), rel=1e-12)
+    if out.converged and np.linalg.norm(z) >= 1e-6:
+        assert out.tail <= fraction * predicted  # stopped on the tail bound
+
+
+def test_tail_stop_waits_for_the_norm_pretest():
+    bp = linear_benchmark()
+    design = bp.design_for(1.0)
+    assert design.p_min_eigenvalue == pytest.approx(GOLDEN, rel=1e-12)
+    bound = 1e-6
+    out = regulation_rollout(bp.model, np.array([1.0]), design, bp.cost, bp.terminal_set, bound)
+    full = regulation_rollout(bp.model, np.array([1.0]), design, bp.cost, bp.terminal_set)
+    assert out.converged and 0 < out.steps < full.steps
+    assert out.tail <= bound < design.predicted_cost(out.states[-2])
+    # the prefix is the full rollout's, bit for bit
+    assert np.array_equal(out.states, full.states[: out.steps + 1])
+    assert np.array_equal(out.stage_costs, full.stage_costs[: out.steps])
+    assert out.cost + out.tail == pytest.approx(GOLDEN, rel=1e-12)
+
+
+def test_membership_is_tail_closed():
+    bp = linear_benchmark()
+    design = bp.design_for(1.0)
+    res = in_terminal_set(bp.model, np.array([1.0]), design, bp.cost, bp.terminal_set)
+    band = bp.terminal_set.tolerance * GOLDEN
+    assert res.member
+    assert res.actual_cost == res.rollout.cost + res.rollout.tail
+    assert 0.0 < res.rollout.tail <= TAIL_FRACTION * band
+    assert abs(res.actual_cost - res.predicted_cost) <= 1e-12 * GOLDEN
 
 
 def test_membership_origin():

@@ -2,16 +2,21 @@
 level convergence, and Bellman/Lyapunov diagnostics."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spacetraj.config import build_two_phase_problem, default_sweep_grid, parse_config_dict
+from spacetraj.dynamics import ContinuousModel, DiscreteModel
 from spacetraj.errors import HittingTimeNotFoundError
+from spacetraj.lqr import regulation_rollout
 from spacetraj.scenarios import benchmark_grid, linear_benchmark
 from spacetraj.two_phase import (
     bellman_check,
     convergence_study,
     lyapunov_decreasing,
+    membership_switches,
     solve_two_phase,
     sweep_transfer_time,
     two_phase_simulate,
@@ -157,3 +162,68 @@ def test_grid_must_be_ascending():
     bp = linear_benchmark()
     with pytest.raises(AssertionError):
         sweep_transfer_time(bp, [2.0, 1.0])
+
+
+@pytest.fixture(scope="module")
+def attitude_sweep():
+    cfg = parse_config_dict({"scenario": "attitude"})
+    problem = build_two_phase_problem(cfg)
+    return problem, sweep_transfer_time(problem, default_sweep_grid(cfg))
+
+
+def test_attitude_tail_closes_the_late_grid_points(attitude_sweep):
+    # rolled to ||z|| < 1e-6 without the tail these read 1.8 % and 2.0 % off
+    _, points = attitude_sweep
+    late = {round(pt.transfer_time, 6): pt for pt in points}
+    for T in (170.8, 200.0):
+        pt = late[T]
+        assert pt.in_set
+        assert abs(pt.regulation_cost - pt.terminal_value) <= 1e-8 * pt.terminal_value
+
+
+def test_attitude_sweep_costs_match_rolling_to_state_tol(attitude_sweep):
+    problem, points = attitude_sweep
+    for pt in points:
+        full = regulation_rollout(
+            problem.model,
+            pt.report.trajectory.states[-1],
+            problem.design_for(pt.transfer_time),
+            problem.cost,
+            problem.terminal_set,
+        )
+        closed = full.cost + full.tail
+        assert pt.membership.rollout.steps <= full.steps
+        assert abs(pt.regulation_cost - closed) <= 1e-9 * closed
+        assert pt.total_cost == pt.ilqr_cost + pt.regulation_cost
+
+
+def test_attitude_membership_is_not_monotone(attitude_sweep):
+    _, points = attitude_sweep
+    first = next(pt.transfer_time for pt in points if pt.in_set)
+    assert first == 22.0
+    assert membership_switches(points) == pytest.approx([25.8, 41.3])
+
+
+def test_membership_switches():
+    def points(flags):
+        return [SimpleNamespace(transfer_time=float(i), in_set=f) for i, f in enumerate(flags)]
+
+    assert membership_switches(points([])) == []
+    assert membership_switches(points([False, False])) == []
+    assert membership_switches(points([False, True, True])) == []
+    assert membership_switches(points([False, True, False, False, True, False])) == [2.0, 4.0, 5.0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_phase_one_stops_at_an_overflowing_state():
+    # a finite derivative whose Euler step overflows: the new state is
+    # tested, so phase 1 ends diverged instead of running on through inf
+    bp = linear_benchmark()
+    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    runaway = DiscreteModel(
+        ContinuousModel(1, 1, lambda x, u: np.array([1e308]), name="runaway"), dt=1.0
+    )
+    closed = two_phase_simulate(dataclasses.replace(bp, model=runaway), sol, x0=np.array([1e308]))
+    assert closed.diverged and not closed.converged
+    assert closed.message.startswith("phase-1 rollout left the dynamics domain")
+    assert len(closed.states) == 1 and np.isfinite(closed.states).all()
