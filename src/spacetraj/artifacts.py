@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 TRAJECTORY_SCHEMA = "trajectory-v1"
 SWEEP_SCHEMA = "sweep-v1"
 ITERATIONS_SCHEMA = "iterations-v1"
@@ -62,7 +64,7 @@ def _fmt(value: Any) -> str:
     if isinstance(value, (int,)):
         return str(value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 reprs np.float64 as "np.float64(...)"
     try:
         return repr(float(value))  # numpy scalars
     except (TypeError, ValueError):
@@ -76,10 +78,17 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# `repr` formats these types (not bool) exactly as `_fmt` does
+_REPR_TYPES = frozenset((float, int))
+
+
 def write_csv(path: Path, schema: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
     lines = [f"# schema: {schema}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        if _REPR_TYPES.issuperset(map(type, row)):
+            lines.append(",".join(map(repr, row)))
+        else:
+            lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
@@ -116,19 +125,16 @@ def trajectory_rows(
 ) -> List[List[Any]]:
     """Rows for the trajectory CSV: one per state sample; the final row
     (no control applied) carries zero control/stage-cost entries and the
-    last phase label so every cell stays finite."""
+    last phase label so every cell stays finite. Cells are Python floats
+    and ints, which `write_csv` formats with `repr` directly."""
+    dt = float(dt)
+    controls = np.asarray(controls, dtype=float)
     n_controls = len(controls)
-    rows = []
-    for t, x in enumerate(states):
-        row: List[Any] = [t * dt]
-        row.extend(float(v) for v in x)
-        if t < n_controls:
-            row.extend(float(v) for v in controls[t])
-            row.append(float(stage_costs[t]))
-            row.append(int(phases[t]) if phases is not None else 1)
-        else:
-            row.extend(0.0 for _ in range(len(controls[0]) if n_controls else 0))
-            row.append(0.0)
-            row.append(int(phases[-1]) if phases is not None and len(phases) else 1)
-        rows.append(row)
-    return rows
+    phases = [1] * n_controls if phases is None else [int(p) for p in phases]
+    costs = np.asarray(stage_costs, dtype=float).tolist()
+    tails = [[*u, c, p] for u, c, p in zip(controls.tolist(), costs, phases)]
+    filler = [0.0] * (controls.shape[1] if n_controls else 0) + [0.0, phases[-1] if phases else 1]
+    return [
+        [t * dt, *x, *(tails[t] if t < n_controls else filler)]
+        for t, x in enumerate(np.asarray(states, dtype=float).tolist())
+    ]

@@ -1,7 +1,7 @@
 """Command-line scenario runner.
 
     spacetraj <command> [--config cfg.json] [--set key=value ...]
-                        [--out dir] [--workers N] [--seed N]
+                        [--out dir] [--seed N]
 
 Commands:
     solve        optimize the nonlinear leg at the configured horizon
@@ -184,8 +184,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
     out = _out(cfg)
     problem = build_two_phase_problem(cfg)
     grid = default_sweep_grid(cfg)
-    workers = cfg.workers if cfg.workers is not None else os.cpu_count()
-    points = sweep_transfer_time(problem, grid, warm_start=cfg.sweep.warm_start, workers=workers)
+    points = sweep_transfer_time(problem, grid, warm_start=cfg.sweep.warm_start)
 
     rows = []
     failures = []
@@ -489,7 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             help="override a config entry (dotted keys; JSON-parsed values)",
         )
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     _setup_logging()
@@ -498,8 +496,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = parse_config(args.config, args.overrides)
         if args.out is not None:
             cfg.output_dir = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
         if args.seed is not None:
             cfg.seed = args.seed
         artifacts, code = run(args.command, cfg)

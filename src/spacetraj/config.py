@@ -160,7 +160,6 @@ class ScenarioConfig:
     lander: LanderConfig = field(default_factory=LanderConfig)
     convergence_levels: Optional[List[float]] = None
     output_dir: str = "out"
-    workers: Optional[int] = None
     seed: int = 0
 
 
@@ -444,9 +443,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for name, orbit in (("chaser", cfg.rendezvous.chaser), ("target", cfg.rendezvous.target)):
         if orbit.a_km <= 0 or not (0 <= orbit.e < 1):
             raise ConfigError(f"rendezvous.{name}", "need a_km > 0 and 0 <= e < 1")
-
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError("workers", "must be at least 1")
 
 
 def default_sweep_grid(cfg: ScenarioConfig) -> List[float]:

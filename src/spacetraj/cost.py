@@ -62,14 +62,17 @@ class QuadraticCostSpec:
     def __post_init__(self):
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        assert np.allclose(Q, Q.T), "Q must be symmetric"
-        assert np.allclose(R, R.T), "R must be symmetric"
-        assert np.all(np.linalg.eigvalsh(Q) >= -1e-12 * max(1.0, np.abs(Q).max())), "Q must be PSD"
-        assert np.all(np.linalg.eigvalsh(R) > 0.0), "R must be PD"
+        for name, M in (("Q", Q), ("R", R)):
+            if not np.allclose(M, M.T):
+                raise ValueError(f"{name} must be symmetric")
+        if not np.all(np.linalg.eigvalsh(Q) >= -1e-12 * max(1.0, np.abs(Q).max())):
+            raise ValueError("Q must be positive semidefinite")
+        if not np.all(np.linalg.eigvalsh(R) > 0.0):
+            raise ValueError("R must be positive definite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
-        if self.penalty is not None:
-            assert 0 <= self.penalty.index < Q.shape[0]
+        if self.penalty is not None and not 0 <= self.penalty.index < Q.shape[0]:
+            raise ValueError(f"penalty index {self.penalty.index} is outside {Q.shape[0]} states")
 
     @property
     def state_dim(self) -> int:
@@ -137,14 +140,15 @@ class TerminalValue:
 
     def __post_init__(self):
         P = np.atleast_2d(np.asarray(self.P, dtype=float))
-        assert np.allclose(P, P.T), "terminal matrix must be symmetric"
-        assert np.all(
-            np.linalg.eigvalsh(P) >= -1e-9 * max(1.0, np.abs(P).max())
-        ), "terminal matrix must be PSD"
+        if not np.allclose(P, P.T):
+            raise ValueError("terminal matrix must be symmetric")
+        if not np.all(np.linalg.eigvalsh(P) >= -1e-9 * max(1.0, np.abs(P).max())):
+            raise ValueError("terminal matrix must be positive semidefinite")
         object.__setattr__(self, "P", P)
         if self.reference is not None:
             ref = np.asarray(self.reference, dtype=float)
-            assert ref.shape == (P.shape[0],)
+            if ref.shape != (P.shape[0],):
+                raise ValueError(f"terminal reference has shape {ref.shape}, expected {(P.shape[0],)}")
             object.__setattr__(self, "reference", ref)
 
     def _offset(self, x: np.ndarray) -> np.ndarray:

@@ -58,7 +58,8 @@ class ContinuousModel:
     name: str = ""
 
     def __post_init__(self):
-        assert self.state_dim > 0 and self.control_dim > 0
+        if not (self.state_dim > 0 and self.control_dim > 0):
+            raise ValueError(f"dimensions must be positive, got {self.state_dim}, {self.control_dim}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class DiscreteModel:
     dt: float
 
     def __post_init__(self):
-        assert self.dt > 0.0
+        if not 0.0 < self.dt < math.inf:  # NaN fails it
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def state_dim(self) -> int:
@@ -113,7 +115,8 @@ def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray
 
 def _fd_steps(v: np.ndarray, h: Optional[float]) -> np.ndarray:
     if h is not None:
-        assert h > 0.0
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
         return np.full(v.shape, h)
     return np.maximum(FD_STEP, FD_STEP * np.abs(v))
 
@@ -187,7 +190,8 @@ def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0, name: str = "lti") 
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
-    assert A.shape == (n, n)
+    if A.shape != (n, n):
+        raise ValueError(f"A has shape {A.shape}, expected {(n, n)} to match B {B.shape}")
     Ac = (A - np.eye(n)) / dt
     Bc = B / dt
 

@@ -6,39 +6,55 @@ a backward sweep of the state-control value function partials
 
     Q_x  = l_x  + A' V_x          Q_u  = l_u + B' V_x
     Q_xx = l_xx + A' V_xx A       Q_ux = B' V_xx A
-    Q_uu = l_uu + B' V_xx B
+    Q_uu = l_uu + lambda I + B' V_xx B
 
     k = -Q_uu^-1 Q_u              K = -Q_uu^-1 Q_ux
 
-and rolls the nonlinear dynamics forward under
+    V_x  = Q_x  + K'Q_uu k + K'Q_u  + Q_xu k
+    V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_xu K
 
-    u <- u_nom + alpha * k + K (x - x_nom)
+and rolls the nonlinear dynamics forward under u <- u_nom + alpha * k +
+K (x - x_nom) with a backtracking line search on alpha. The damping lambda
+shrinks after accepted steps and, as in Tassa, Erez & Todorov (IROS 2012),
+grows by compounding factors: the k-th rejected line search in a row
+multiplies it by reg_growth**k. On linear-quadratic problems one accepted
+iteration reaches the exact finite-horizon LQR optimum. Solves are
+deterministic: identical inputs produce bitwise-identical logs.
 
-with a backtracking line search on alpha. Q_uu is kept positive definite by
-Levenberg-style damping (+ lambda I); lambda grows when no step is accepted
-and shrinks after accepted steps. On linear-quadratic problems one accepted
-iteration reaches the exact finite-horizon LQR optimum.
+The sweep runs over z = [u; x; 1]. With the stage expansion packed into
+L_t = [[l_uu + lambda I, 0, l_u], [0, l_xx, l_x], [l_u', l_x', 0]], the
+dynamics into F_t = [[B A 0], [0 0 1]] and V = [[V_xx, V_x], [V_x', c]],
+each step is one product, one solve and one update:
 
-Solves are deterministic: identical inputs produce bitwise-identical logs.
+    H = L_t + F_t' V F_t        (H_uu = Q_uu, H_u,[x 1] = [Q_ux | Q_u])
+    [K | k] = -H_uu^-1 H_u,[x 1]
+    V <- S' H S,   S = [[K, k], [I, 0], [0, 1]]
 
-Hot-loop contract. The per-step loops (`rollout`, `forward_pass` and the
-backward sweep) work on vectors of 1 to 13 entries, where the cost of a numpy
-call is its dispatch, not its arithmetic. They therefore use ``ndarray.dot``
-rather than ``@`` (half the call overhead, the same BLAS routine) and scalar
-`math` functions for scalar tests, while keeping the association order of
-every product and sum, so their results are bitwise those of the plain
-``@`` formulas (the reference copies in ``tests/test_bitexact.py``). Stuck
-solves make this matter: whether a marginal solve converges can flip on a
-last-bit change. Two details keep it exact: the feedback gain is read back
-from the contiguous gain array before it is transposed (a strided view takes
-a different product kernel), and the feedforward gain stays the column of the
-solve's result it has always been.
+This is exact: the damped Q_uu that gives the gains also enters V, so both
+are the Riccati recursion with stage weight R + lambda I, and S' H S is the
+four-term update above as one product. Unlike the equal two-term form
+H_[x1],[x1] - H_[x1],u H_uu^-1 H_u,[x1], its error is second-order in the
+gains' error (on the soft-landing trajectory the two-term form's worst
+error against long double measured 5.2x the per-step reference's, this
+form's 1.6x). Only V_xx is symmetrized. The gradient norm and the
+predicted change are formed after the sweep from the stored H_u and H_uu,
+and one batched finiteness and Cholesky test checks every damped Q_uu
+(Cholesky alone accepts NaN); on failure the steps are re-tested from the
+last, so the error names the step a per-step test would have named.
 
-The positive-definiteness test of the damped Q_uu is deferred: the sweep
-records every Q_uu and one batched finiteness test and one batched Cholesky
-factorization test them all after it (Cholesky alone accepts a NaN matrix).
-On failure the steps are re-tested one by one from the last, so the error
-names the step a per-step test would have named.
+Hot-loop contract. The per-step loops work on arrays of 1 to 20 entries a
+side, where a numpy call costs its dispatch, so they use ``ndarray.dot``
+(half the overhead of ``@``, the same BLAS routine) and scalar `math`
+tests. `rollout` and `forward_pass` keep the association order of every
+product and sum and stay bitwise the ``@`` formulas kept in
+``tests/test_bitexact.py`` (a marginal solve can flip on a last bit). The
+sweep is held to stated bounds instead: relative to each quantity's largest
+entry it agrees with the per-step reference to 1e-12 on the scenario
+trajectories (measured <= 3e-14), and its worst error against long double
+is at most twice the reference's plus 1e-14. It calls the gufunc behind
+`np.linalg.solve` inside its one `np.errstate`, as the wrapper's own error
+state costs several 3x3 solves; a singular Q_uu then gives NaN gains, which
+the deferred test rejects.
 
 The rollouts leave the finiteness of each new state to `euler_step`, which
 raises on it; they test only the running cost.
@@ -47,10 +63,11 @@ raises on it; they test only the running cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, stage_cost
 from .dynamics import DiscreteModel, jacobians
@@ -200,18 +217,24 @@ def rollout(
     )
 
 
-def _first_indefinite_step(Q_uus: np.ndarray, last: int) -> Optional[int]:
-    """Latest step in [last, T) whose Q_uu is non-finite or fails the
-    Cholesky test, walking back from T - 1 as the sweep did; None when every
-    one passes."""
-    for t in range(len(Q_uus) - 1, last - 1, -1):
+def _first_indefinite_step(Q_uus: np.ndarray) -> int:
+    """Latest step whose Q_uu is non-finite or fails the Cholesky test, as a
+    per-step test walking back from T - 1 would name it; -1 when every one
+    passes. One batched test decides; the walk runs only on failure."""
+    if np.isfinite(Q_uus).all():  # Cholesky lets NaN through
+        try:
+            np.linalg.cholesky(Q_uus)
+            return -1
+        except np.linalg.LinAlgError:
+            pass
+    for t in range(len(Q_uus) - 1, -1, -1):
         if not np.isfinite(Q_uus[t]).all():
             return t
         try:
             np.linalg.cholesky(Q_uus[t])
         except np.linalg.LinAlgError:
             return t
-    return None
+    return -1
 
 
 def backward_pass(
@@ -223,85 +246,62 @@ def backward_pass(
 ) -> GainSchedule:
     """Backward sweep producing the gain schedule at the given damping.
 
-    The Jacobians and cost expansions of every stage come from one batched
-    call each; the recursion then runs over the precomputed arrays. Raises
-    RegularizationError if the damped Q_uu is non-finite or fails its
-    Cholesky test at any step (the latest such step is named); the solve loop
-    escalates lambda and retries. The test runs once, batched, after the
-    sweep.
+    A Riccati sweep over z = [u; x; 1] (see the module docstring) on one
+    batched Jacobian and one cost-expansion call, packed into F_t and L_t.
+    Raises RegularizationError if the damped Q_uu is non-finite or fails its
+    Cholesky test at any step (the latest such step is named); the solve
+    loop escalates lambda and retries.
     """
     T = traj.horizon
     n, m = model.state_dim, model.control_dim
     X, U = traj.states[:-1], traj.controls
+    u_, x_, one = slice(0, m), slice(m, m + n), m + n
     lin = jacobians(model, X, U)
+    F = np.zeros((T, n + 1, m + n + 1))  # [[B A 0], [0 0 1]]
+    F[:, :n, u_] = lin.B
+    F[:, :n, x_] = lin.A
+    F[:, n, one] = 1.0
+    del lin
     der = cost_derivatives(X, U, spec)
-    ks = np.empty((T, m))
-    Ks = np.empty((T, m, n))
-    Q_uus = np.empty((T, m, m))
-    rhs = np.empty((m, n + 1))  # [Q_u | Q_ux]
-    V_x = terminal.gradient(traj.states[T])
-    V_xx = terminal.hessian()
-    grad_norm = 0.0
-    change_lin = 0.0
-    change_quad = 0.0
-    reg_eye = regularization * np.eye(m)
-    As, Bs = lin.A, lin.B
-    l_x, l_u, l_xx, l_uu = der.l_x, der.l_u, der.l_xx, der.l_uu
-    solve = np.linalg.solve
-    # Past an indefinite Q_uu the sweep runs on meaningless values until the
-    # deferred test below rejects it; overflow there is expected.
+    H = np.zeros((T, m + n + 1, m + n + 1))  # L_t, turned into H_t by the sweep
+    H[:, u_, u_] = der.l_uu
+    H[:, range(m), range(m)] += regularization
+    H[:, x_, x_] = der.l_xx
+    H[:, u_, one] = H[:, one, u_] = der.l_u
+    H[:, x_, one] = H[:, one, x_] = der.l_x
+    del der
+    G = np.empty((T, m, n + 1))  # -[K | k]
+    S = np.zeros((m + n + 1, n + 1))  # -S_t of the module docstring
+    S[range(m, m + n + 1), range(n + 1)] = -1.0
+    V = np.zeros((n + 1, n + 1))
+    V[:n, :n] = terminal.hessian()
+    V[:n, n] = V[n, :n] = terminal.gradient(traj.states[T])
+    solve = _umath_linalg.solve
+    # Past an indefinite or singular Q_uu the sweep runs on meaningless values
+    # (overflow, NaN gains) until the deferred test below rejects it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            for t in range(T - 1, -1, -1):
-                A, B = As[t], Bs[t]
-                At, Bt = A.T, B.T
-                Q_x = l_x[t] + At.dot(V_x)
-                Q_u = l_u[t] + Bt.dot(V_x)
-                Q_xx = l_xx[t] + At.dot(V_xx).dot(A)
-                BtV = Bt.dot(V_xx)  # a repeated product is the same product
-                Q_ux = BtV.dot(A)
-                M = l_uu[t] + BtV.dot(B)
-                Q_uu = 0.5 * (M + M.T) + reg_eye
-                Q_uus[t] = Q_uu
-                # one solve for both gains: Q_uu [k | K] = -[Q_u | Q_ux]
-                rhs[:, 0] = Q_u
-                rhs[:, 1:] = Q_ux
-                gains = -solve(Q_uu, rhs)
-                k = gains[:, 0]
-                ks[t] = k
-                Ks[t] = gains[:, 1:]
-                K = Ks[t]
-                Kt, Q_xu = K.T, Q_ux.T
-                KtQ_uu = Kt.dot(Q_uu)
-                V_x = Q_x + KtQ_uu.dot(k) + Kt.dot(Q_u) + Q_xu.dot(k)
-                M = Q_xx + KtQ_uu.dot(K) + Kt.dot(Q_ux) + Q_xu.dot(K)
-                V_xx = 0.5 * (M + M.T)
-                grad_norm = max(grad_norm, math.sqrt(Q_u.dot(Q_u)))
-                change_lin += float(k.dot(Q_u))
-                change_quad += float(k.dot(Q_uu).dot(k))
-        except np.linalg.LinAlgError:
-            bad = _first_indefinite_step(Q_uus, t)
-            if bad is None:
-                raise
-        else:
-            passed = bool(np.isfinite(Q_uus).all())  # Cholesky lets NaN through
-            if passed:
-                try:
-                    np.linalg.cholesky(Q_uus)
-                except np.linalg.LinAlgError:
-                    passed = False
-            bad = None if passed else _first_indefinite_step(Q_uus, 0)
-    if bad is not None:
+        for t in range(T - 1, -1, -1):
+            F_t, H_t = F[t], H[t]
+            H_t += F_t.T.dot(V).dot(F_t)
+            G[t] = solve(H_t[u_, u_], H_t[u_, m:], out=S[u_])
+            V = S.T.dot(H_t).dot(S)
+            V_xx = V[:n, :n]
+            V_xx[...] = 0.5 * (V_xx + V_xx.T)
+        Q_uus = H[:, u_, u_]
+        bad = _first_indefinite_step(Q_uus)
+    if bad >= 0:
         raise RegularizationError(
             f"control Hessian not positive definite at step {bad} "
             f"with damping {regularization:.3e}"
         )
+    ks = -G[:, :, n]
+    Q_u = H[:, u_, one]
     return GainSchedule(
         feedforward=ks,
-        feedback=Ks,
-        gradient_norm=grad_norm,
-        change_linear=change_lin,
-        change_quadratic=change_quad,
+        feedback=-G[:, :, :n],
+        gradient_norm=math.sqrt(np.einsum("ti,ti->t", Q_u, Q_u).max()),
+        change_linear=float(np.einsum("ti,ti->", ks, Q_u)),
+        change_quadratic=float(np.einsum("ti,tij,tj->", ks, Q_uus, ks)),
     )
 
 
@@ -386,6 +386,7 @@ def solve_fhocp(
         raise ValueError("initial control sequence produces a divergent rollout")
 
     lam = settings.reg_init
+    failures = 0  # consecutive rejected line searches
     log: List[IterationRecord] = []
     gains = None
     converged = False
@@ -426,9 +427,11 @@ def solve_fhocp(
             if lam >= settings.reg_max:
                 status = "line_search_failed"
                 break
-            lam = min(lam * settings.reg_growth, settings.reg_max)
+            failures += 1
+            lam = min(lam * settings.reg_growth**failures, settings.reg_max)
             continue
 
+        failures = 0
         rel_change = abs(traj.total_cost - candidate.total_cost) / scale
         traj = candidate
         lam = max(lam * settings.reg_shrink, settings.reg_min)

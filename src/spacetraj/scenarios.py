@@ -21,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,11 +99,9 @@ def _diag(values: Sequence[float]) -> np.ndarray:
 def _weight(value, dim: int) -> np.ndarray:
     """Accept a diagonal (length-dim) or full (dim x dim) weight array."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
-        assert arr.shape == (dim,), f"expected {dim} diagonal weights, got {arr.shape}"
-        return np.diag(arr)
-    assert arr.shape == (dim, dim), f"expected {dim}x{dim} weight matrix, got {arr.shape}"
-    return arr
+    if arr.shape != ((dim,) if arr.ndim == 1 else (dim, dim)):
+        raise ValueError(f"expected {dim} diagonal weights or a {dim}x{dim} matrix, got {arr.shape}")
+    return np.diag(arr) if arr.ndim == 1 else arr
 
 
 def default_regulation_cap(horizon: float, dt: float) -> int:
@@ -350,11 +348,13 @@ class LandingResult:
         return float(np.sum(self.stage_costs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingResult:
     """Run the optimized policy with feedback and stop at zero altitude.
 
     The crossing instant and state are linearly interpolated between the last
-    non-negative-altitude step and the first below-ground one.
+    non-negative-altitude step and the first below-ground one. An overflowing
+    state ends the run through `euler_step`, without numpy warnings.
     """
     from .cost import stage_cost  # local import to avoid cycle noise
 

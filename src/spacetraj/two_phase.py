@@ -17,7 +17,6 @@ measure one-step Bellman residuals of the combined value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -163,33 +162,23 @@ def sweep_transfer_time(
     problem: TwoPhaseProblem,
     grid: Sequence[float],
     warm_start: bool = True,
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
-    """Evaluate every transfer time on the (ascending) grid.
+    """Evaluate every transfer time on the (ascending) grid, in order.
 
-    With warm starting each solve reuses the previous horizon's controls, so
-    the sweep is sequential; without it the points are independent and fan
-    out across a thread pool. Per-point solver failures are recorded on the
-    point, not raised.
+    With warm starting each solve reuses the previous horizon's controls;
+    without it each starts from the problem's own guess. Per-point solver
+    failures are recorded on the point, not raised.
     """
     grid = list(grid)
-    assert grid and all(b > a for a, b in zip(grid, grid[1:])), "grid must be ascending"
-    stop = problem.terminal_set
-    if warm_start:
-        points = []
-        previous = None
-        for T in grid:
-            point = _evaluate_point(problem, T, stop, previous)
-            points.append(point)
-            if not point.failed:
-                previous = point.report.trajectory.controls
-        return points
-    if workers is None or workers <= 1:
-        return [_evaluate_point(problem, T, stop) for T in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_evaluate_point, problem, T, stop) for T in grid]
-        points = [f.result() for f in futures]
-    return sorted(points, key=lambda p: p.transfer_time)
+    if not (grid and all(b > a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(f"the transfer-time grid must be non-empty and ascending, got {grid}")
+    points = []
+    previous = None
+    for T in grid:
+        points.append(_evaluate_point(problem, T, problem.terminal_set, previous))
+        if warm_start and not points[-1].failed:
+            previous = points[-1].report.trajectory.controls
+    return points
 
 
 def membership_switches(points: Sequence[SweepPoint]) -> List[float]:
@@ -232,8 +221,8 @@ def solve_two_phase(
     test and the reported level becomes the terminal value actually observed
     at the selected transfer state.
     """
-    assert grid is not None and len(grid) > 0, "a transfer-time grid is required"
-    assert level is None or level > 0.0
+    if grid is None or len(grid) == 0 or not (level is None or level > 0.0):
+        raise ValueError(f"need a transfer-time grid and a positive level, got {grid}, {level}")
     stop = replace(problem.terminal_set, level=level)
     evaluated: List[SweepPoint] = []
     previous = None
@@ -283,6 +272,7 @@ class ClosedLoopTrajectory:
         return np.cumsum(self.stage_costs[::-1])[::-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_phase_simulate(
     problem: TwoPhaseProblem,
     solution: TwoPhaseSolution,
@@ -302,7 +292,8 @@ def two_phase_simulate(
     held to this loop's own cost-cap rule (phase-1 plus regulation cost,
     tested after each step), so the result is what simulating both phases
     step by step gives. `solution` must come from `solve_two_phase` on
-    `problem`.
+    `problem`. An overflowing state ends the run as diverged through
+    `euler_step`, without numpy warnings.
     """
     model = problem.model
     nominal = solution.report.trajectory

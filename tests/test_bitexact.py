@@ -1,13 +1,21 @@
-"""Bit-exactness of the hot loops.
+"""Exactness of the hot loops.
 
-`rollout`, `backward_pass`, `forward_pass`, `regulation_rollout`,
-`stage_cost` and `two_phase_simulate` are written with ``ndarray.dot``,
-scalar `math` tests and a deferred positive-definiteness test, and
-`two_phase_simulate` takes its phase 1 from the nominal leg and resumes its
-phase 2 from the membership rollout. The plain step-by-step ``@`` formulas
-are kept below as the reference; every result must equal the reference's
-bit for bit (``np.array_equal``, ``==``), since a last-bit change can flip
-whether a marginal solve converges.
+`rollout`, `forward_pass`, `regulation_rollout`, `stage_cost` and
+`two_phase_simulate` are written with ``ndarray.dot`` and scalar `math`
+tests, and `two_phase_simulate` takes its phase 1 from the nominal leg and
+resumes its phase 2 from the membership rollout. The plain step-by-step
+``@`` formulas are kept below as the reference; every one of these results
+must equal the reference's bit for bit (``np.array_equal``, ``==``), since a
+last-bit change can flip whether a marginal solve converges.
+
+`backward_pass` is the one exception: it runs the same Riccati recursion as
+an augmented sweep over z = [u; x; 1] with fewer, larger products, so it is
+held to stated float bounds instead. Against the reference's per-step
+formulas its gains and predicted-change terms agree to `SWEEP_RTOL` relative
+to each quantity's largest entry, and against the same recursion evaluated
+in long double (`oracle_backward_pass`) its error is at most twice the
+reference's plus `ORACLE_FLOOR` times that largest entry. Both forward
+passes are fed the same gains, so everything downstream stays bitwise.
 """
 
 import dataclasses
@@ -63,6 +71,16 @@ from spacetraj.two_phase import (
 
 DAMPINGS = (1e-6, 1e-2)
 LOOP_SETTINGS = settings(max_examples=25, deadline=None)
+# Agreement of the augmented sweep with the per-step reference, relative to
+# each quantity's largest entry: measured at most 2.6e-14 on the scenario
+# trajectories below (3e-15 at attitude T = 2,200) and 5.4e-11 over 6,000
+# draws of `lti_problems` at both dampings, whose unstable draws amplify
+# rounding over their 25 steps in either evaluation order.
+SWEEP_RTOL = 1e-12
+GENERATED_SWEEP_RTOL = 1e-9
+# Allowance, relative to the largest entry, of the error against the
+# long-double oracle: a few ulps where the reference happens to be exact.
+ORACLE_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +158,59 @@ def ref_backward_pass(traj, model, spec, terminal, regularization):
         grad_norm = max(grad_norm, float(np.linalg.norm(Q_u)))
         change_lin += float(k @ Q_u)
         change_quad += float(k @ Q_uu @ k)
+    return GainSchedule(ks, Ks, grad_norm, change_lin, change_quad)
+
+
+def _solve_longdouble(M, R):
+    """Gaussian elimination with partial pivoting, in the dtype of M and R."""
+    M, R = M.copy(), R.copy()
+    m = len(M)
+    for j in range(m):
+        p = j + int(np.argmax(np.abs(M[j:, j])))
+        M[[j, p]], R[[j, p]] = M[[p, j]], R[[p, j]]
+        f = M[j + 1 :, j] / M[j, j]
+        M[j + 1 :] -= np.outer(f, M[j])
+        R[j + 1 :] -= np.outer(f, R[j])
+    X = np.empty_like(R)
+    for j in range(m - 1, -1, -1):
+        X[j] = (R[j] - M[j, j + 1 :] @ X[j + 1 :]) / M[j, j]
+    return X
+
+
+def oracle_backward_pass(traj, model, spec, terminal, regularization):
+    """The reference recursion in long double, from the same double-precision
+    expansion; returns a GainSchedule of long-double arrays and scalars."""
+    ld = np.longdouble
+    T = traj.horizon
+    n, m = model.state_dim, model.control_dim
+    X, U = traj.states[:-1], traj.controls
+    lin = ilqr.jacobians(model, X, U)
+    der = ilqr.cost_derivatives(X, U, spec)
+    As, Bs = lin.A.astype(ld), lin.B.astype(ld)
+    l_x, l_u = der.l_x.astype(ld), der.l_u.astype(ld)
+    l_xx, l_uu = der.l_xx.astype(ld), der.l_uu.astype(ld)
+    ks = np.empty((T, m), dtype=ld)
+    Ks = np.empty((T, m, n), dtype=ld)
+    V_x = terminal.gradient(traj.states[T]).astype(ld)
+    V_xx = terminal.hessian().astype(ld)
+    grad_norm = change_lin = change_quad = ld(0)
+    reg_eye = ld(regularization) * np.eye(m, dtype=ld)
+    for t in range(T - 1, -1, -1):
+        A, B = As[t], Bs[t]
+        Q_x = l_x[t] + A.T @ V_x
+        Q_u = l_u[t] + B.T @ V_x
+        Q_xx = l_xx[t] + A.T @ V_xx @ A
+        Q_ux = B.T @ V_xx @ A
+        Q_uu = _sym(l_uu[t] + B.T @ V_xx @ B) + reg_eye
+        gains = -_solve_longdouble(Q_uu, np.column_stack((Q_u, Q_ux)))
+        k, K = gains[:, 0], gains[:, 1:]
+        ks[t] = k
+        Ks[t] = K
+        V_x = Q_x + K.T @ Q_uu @ k + K.T @ Q_u + Q_ux.T @ k
+        V_xx = _sym(Q_xx + K.T @ Q_uu @ K + K.T @ Q_ux + Q_ux.T @ K)
+        grad_norm = max(grad_norm, np.sqrt(Q_u @ Q_u))
+        change_lin += k @ Q_u
+        change_quad += k @ Q_uu @ k
     return GainSchedule(ks, Ks, grad_norm, change_lin, change_quad)
 
 
@@ -276,23 +347,55 @@ def assert_same_trajectory(got, want):
     assert got.terminal_cost == want.terminal_cost
 
 
-def assert_same_gains(got, want):
-    assert np.array_equal(got.feedforward, want.feedforward)
-    assert np.array_equal(got.feedback, want.feedback)
-    assert got.gradient_norm == want.gradient_norm
-    assert got.change_linear == want.change_linear
-    assert got.change_quadratic == want.change_quadratic
+GAIN_FIELDS = ("feedforward", "feedback", "gradient_norm", "change_linear", "change_quadratic")
 
 
-def check_ilqr_loops(model, spec, terminal, x0, controls, alphas=(1.0, 0.7**3)):
+def gain_errors(got, want):
+    """Largest absolute difference of each gain quantity, relative to the
+    largest entry of `want`'s (1 where that is zero)."""
+    out = {}
+    for name in GAIN_FIELDS:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        scale = float(np.max(np.abs(b))) or 1.0
+        out[name] = float(np.max(np.abs(a.astype(b.dtype) - b))) / scale
+    return out
+
+
+def assert_gains_within_bounds(got, want, oracle, rtol):
+    """`got` (the augmented sweep) against the per-step reference `want` and
+    the long-double `oracle` of the same recursion.
+
+    The oracle test compares the worst error over the five quantities: on
+    ill-conditioned draws the error of a single quantity moves by more than
+    a factor of two with the evaluation order alone (7 of 6,000
+    draw-damping pairs, mostly the gradient norm of an unstable draw), while
+    the worst one stayed within 1.81x of the reference's plus the floor on
+    12,000."""
+    assert got.feedforward.shape == want.feedforward.shape
+    assert got.feedback.shape == want.feedback.shape
+    agreement = gain_errors(got, want)
+    assert max(agreement.values()) <= rtol, agreement
+    new, ref = gain_errors(got, oracle), gain_errors(want, oracle)
+    assert max(new.values()) <= 2.0 * max(ref.values()) + ORACLE_FLOOR, (new, ref)
+
+
+def check_ilqr_loops(
+    model, spec, terminal, x0, controls, alphas=(1.0, 0.7**3), rtol=SWEEP_RTOL
+):
     """rollout, then backward and forward passes at each damping, all
-    against the reference; returns the last forward candidate."""
+    against the reference (the forward passes bitwise, from the same gains);
+    returns the last forward candidate."""
     traj = rollout(model, x0, controls, spec, terminal)
     assert_same_trajectory(traj, ref_rollout(model, x0, controls, spec, terminal))
     cand = None
     for damping in DAMPINGS:
         gains = backward_pass(traj, model, spec, terminal, damping)
-        assert_same_gains(gains, ref_backward_pass(traj, model, spec, terminal, damping))
+        assert_gains_within_bounds(
+            gains,
+            ref_backward_pass(traj, model, spec, terminal, damping),
+            oracle_backward_pass(traj, model, spec, terminal, damping),
+            rtol,
+        )
         for alpha in alphas:
             cand = forward_pass(traj, gains, alpha, model, spec, terminal)
             assert_same_trajectory(
@@ -451,7 +554,7 @@ def lti_problems(draw):
 @given(lti_problems())
 def test_lti_loops_are_bit_exact(problem):
     model, spec, terminal, x0, controls = problem
-    check_ilqr_loops(model, spec, terminal, x0, controls)
+    check_ilqr_loops(model, spec, terminal, x0, controls, rtol=GENERATED_SWEEP_RTOL)
 
 
 @LOOP_SETTINGS

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spacetraj.artifacts import _fmt, trajectory_rows, write_csv
 from spacetraj.cli import main
 
 
@@ -156,6 +157,34 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     assert 0 < calls <= budget
 
 
+def test_simulate_solver_budget(tmp_path, capsys, monkeypatch):
+    """A deterministic work count of the finite-horizon leg: solves,
+    backward passes and backward-sweep steps of the default attitude
+    simulate."""
+    import spacetraj.ilqr as ilqr
+    import spacetraj.two_phase as two_phase
+
+    solves = passes = steps = 0
+    solve, backward = two_phase.solve_fhocp, ilqr.backward_pass
+
+    def counting_solve(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    def counting_backward(traj, *args):
+        nonlocal passes, steps
+        passes += 1
+        steps += traj.horizon
+        return backward(traj, *args)
+
+    monkeypatch.setattr(two_phase, "solve_fhocp", counting_solve)
+    monkeypatch.setattr(ilqr, "backward_pass", counting_backward)
+    code, _ = run_cli(capsys, "simulate", "--set", "scenario=attitude", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert (solves, passes, steps) == (6, 33, 4844)
+
+
 def test_sweep_rejected_for_soft_landing(tmp_path, capsys):
     code, out = run_cli(
         capsys, "sweep", "--set", "scenario=soft-landing", "--out", str(tmp_path / "o")
@@ -286,3 +315,62 @@ def test_summary_echoes_config(tmp_path, capsys):
     assert summary["config"]["scenario"] == "custom-linear"
     assert summary["schema"] == "summary-v1"
     assert summary["wall_clock_s"] > 0.0
+
+
+def ref_trajectory_lines(dt, states, controls, stage_costs, phases=None):
+    """The per-cell writer: rows built one numpy scalar at a time, every
+    cell formatted by `_fmt`."""
+    n_controls = len(controls)
+    lines = []
+    for t, x in enumerate(states):
+        row = [t * dt] + [float(v) for v in x]
+        if t < n_controls:
+            row += [float(v) for v in controls[t]]
+            row += [float(stage_costs[t]), int(phases[t]) if phases is not None else 1]
+        else:
+            row += [0.0] * (len(controls[0]) if n_controls else 0)
+            row += [0.0, int(phases[-1]) if phases is not None and len(phases) else 1]
+        lines.append(",".join(_fmt(v) for v in row))
+    return lines
+
+
+SPECIAL_CELLS = np.array(
+    [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-300, -1e300, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("with_phases", [False, True])
+def test_trajectory_writer_matches_the_per_cell_writer(tmp_path, seed, with_phases):
+    rng = np.random.default_rng(seed)
+    T, n, m = int(rng.integers(0, 40)), int(rng.integers(1, 14)), int(rng.integers(1, 7))
+
+    def cells(*shape):
+        out = rng.normal(0.0, 10.0 ** rng.integers(-300, 300), shape)
+        mask = rng.random(shape) < 0.3
+        out[mask] = rng.choice(SPECIAL_CELLS, int(mask.sum()))
+        return out
+
+    states, controls, costs = cells(T + 1, n), cells(T, m), cells(T)
+    phases = rng.integers(1, 3, T) if with_phases else None
+    dt = np.float64(0.1) if seed % 2 else 0.2
+    path = write_csv(
+        tmp_path / "t.csv", "trajectory-v1", ["h"], trajectory_rows(dt, states, controls, costs, phases)
+    )
+    want = "# schema: trajectory-v1\nh\n" + "".join(
+        line + "\n" for line in ref_trajectory_lines(dt, states, controls, costs, phases)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_csv_keeps_formatting_mixed_rows(tmp_path):
+    path = write_csv(
+        tmp_path / "s.csv", "sweep-v1", ["a", "b", "c", "d", "e"],
+        [
+            [1.0, True, np.float64(2.5), 3, "x"],
+            [0.5, False, 7, np.int64(4), -0.0],
+            [1.5, True, 2],  # a bool among plain floats and ints
+        ],
+    )
+    assert path.read_text().splitlines()[2:] == ["1.0,1,2.5,3,x", "0.5,0,7,4.0,-0.0", "1.5,1,2"]

@@ -157,7 +157,26 @@ def test_terminal_reference_offsets_minimum():
 
 
 def test_spec_validation():
-    with pytest.raises(AssertionError):
-        QuadraticCostSpec(Q=np.eye(2), R=np.zeros((1, 1)))  # R not PD
-    with pytest.raises(AssertionError):
-        QuadraticCostSpec(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(1))  # Q not symmetric
+    with pytest.raises(ValueError, match="R must be positive definite"):
+        QuadraticCostSpec(Q=np.eye(2), R=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="Q must be symmetric"):
+        QuadraticCostSpec(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(1))
+    with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+        QuadraticCostSpec(Q=-np.eye(2), R=np.eye(1))
+    with pytest.raises(ValueError, match="R must be symmetric"):
+        QuadraticCostSpec(Q=np.eye(2), R=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="penalty index 2"):
+        QuadraticCostSpec(Q=np.eye(2), R=np.eye(1), penalty=AltitudePenaltySpec(1.0, 1.0, 2))
+
+
+@pytest.mark.parametrize(
+    "P,reference,message",
+    [
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), None, "symmetric"),
+        (-np.eye(2), None, "positive semidefinite"),
+        (np.eye(2), np.zeros(3), "reference has shape"),
+    ],
+)
+def test_terminal_value_validation(P, reference, message):
+    with pytest.raises(ValueError, match=message):
+        TerminalValue(P=P, reference=reference)

@@ -221,3 +221,21 @@ def test_double_integrator_step():
     m = double_integrator(dt=0.1)
     x = m.step(np.array([1.0, 2.0]), np.array([3.0]))
     assert np.allclose(x, [1.2, 2.3])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ContinuousModel(0, 1, lambda x, u: x), "dimensions must be positive"),
+        (lambda: DiscreteModel(double_integrator().inner, 0.0), "dt must be positive"),
+        (lambda: DiscreteModel(double_integrator().inner, float("nan")), "dt must be positive"),
+        (lambda: lti_model(np.eye(3), np.ones((2, 1))), "A has shape"),
+        (
+            lambda: finite_diff_jacobians(double_integrator(), np.zeros(2), np.zeros(1), h=0.0),
+            "finite-difference step",
+        ),
+    ],
+)
+def test_model_validation_raises_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

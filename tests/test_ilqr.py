@@ -5,6 +5,7 @@ import pytest
 
 from spacetraj.cost import QuadraticCostSpec, TerminalValue
 from spacetraj.dynamics import double_integrator, lti_model
+from spacetraj.errors import RegularizationError
 from spacetraj.ilqr import (
     SolverSettings,
     backward_pass,
@@ -205,3 +206,75 @@ def test_divergent_initial_guess_raises():
 def test_alpha_schedule_validation():
     with pytest.raises(ValueError):
         SolverSettings(alphas=(0.5, 1.0))  # must start at 1 and decrease
+
+
+def test_consecutive_line_search_failures_escalate_damping_geometrically(monkeypatch):
+    """The k-th rejected line search in a row multiplies lambda by
+    reg_growth**k; an accepted step shrinks it and restarts the count."""
+    import spacetraj.ilqr as ilqr
+
+    model, _, _, _, _, spec, terminal = di_problem()
+    dampings = []
+    original_backward, original_forward = ilqr.backward_pass, ilqr.forward_pass
+
+    def recording(traj, model, spec, terminal, regularization):
+        dampings.append(regularization)
+        return original_backward(traj, model, spec, terminal, regularization)
+
+    trials = 0
+
+    def rejecting(*args, **kwargs):
+        nonlocal trials
+        trials += 1
+        return None if trials in (1, 2, 3, 5, 6) else original_forward(*args, **kwargs)
+
+    monkeypatch.setattr(ilqr, "backward_pass", recording)
+    monkeypatch.setattr(ilqr, "forward_pass", rejecting)
+    # one trial per line search, so trial i is the line search of iteration i
+    settings = SolverSettings(alphas=(1.0,), reg_init=1e-6, reg_growth=10.0, reg_shrink=0.1)
+    report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50, settings)
+    # rejected x3 (x10, x100, x1000), accepted (x0.1), rejected x2 (x10, x100), accepted
+    assert dampings[:8] == pytest.approx([1e-6, 1e-5, 1e-3, 1.0, 0.1, 1.0, 100.0, 10.0])
+    assert [rec.accepted for rec in report.iterations[:7]] == [
+        False, False, False, True, False, False, True
+    ]
+    assert report.converged
+
+
+def test_escalation_stops_at_reg_max(monkeypatch):
+    import spacetraj.ilqr as ilqr
+
+    model, _, _, _, _, spec, terminal = di_problem()
+    monkeypatch.setattr(ilqr, "forward_pass", lambda *args, **kwargs: None)
+    settings = SolverSettings(alphas=(1.0,), reg_init=1e-6, reg_max=1e2)
+    report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50, settings)
+    # 1e-6 -> 1e-5 -> 1e-3 -> 1 -> capped at 1e2, where the next failure stops
+    assert [rec.regularization for rec in report.iterations] == pytest.approx(
+        [1e-6, 1e-5, 1e-3, 1.0, 1e2]
+    )
+    assert report.status == "line_search_failed" and not report.converged
+
+
+def test_singular_control_hessian_is_rejected_at_its_step(monkeypatch):
+    """The sweep's solve returns NaN for a singular Q_uu instead of raising;
+    the deferred Cholesky test names the step."""
+    import spacetraj.ilqr as ilqr
+
+    original = ilqr.cost_derivatives
+
+    def singular_at_step_4(x, u, spec):
+        der = original(x, u, spec)
+        l_uu = np.array(der.l_uu)
+        l_uu[4] = 0.0
+        return type(der)(der.l_x, der.l_xx, der.l_u, l_uu)
+
+    monkeypatch.setattr(ilqr, "cost_derivatives", singular_at_step_4)
+    # B'V_xx B vanishes for B = 0, so Q_uu at step 4 is exactly zero
+    model = lti_model(np.eye(2), np.zeros((2, 1)))
+    spec = QuadraticCostSpec(Q=np.eye(2), R=np.eye(1))
+    terminal = TerminalValue(np.eye(2))
+    traj = rollout(model, np.array([1.0, 2.0]), np.zeros((10, 1)), spec, terminal)
+    with pytest.raises(RegularizationError, match="at step 4 with damping 0.000e\\+00"):
+        backward_pass(traj, model, spec, terminal, 0.0)
+    gains = backward_pass(traj, model, spec, terminal, 1e-3)
+    assert np.isfinite(gains.feedforward).all() and np.isfinite(gains.feedback).all()

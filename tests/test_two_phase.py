@@ -11,7 +11,7 @@ from spacetraj.config import build_two_phase_problem, default_sweep_grid, parse_
 from spacetraj.dynamics import ContinuousModel, DiscreteModel
 from spacetraj.errors import HittingTimeNotFoundError
 from spacetraj.lqr import regulation_rollout
-from spacetraj.scenarios import benchmark_grid, linear_benchmark
+from spacetraj.scenarios import attitude_problem, benchmark_grid, linear_benchmark
 from spacetraj.two_phase import (
     bellman_check,
     convergence_study,
@@ -140,12 +140,13 @@ def test_hitting_time_not_found_carries_sweep():
     assert len(exc.value.sweep) == 2
 
 
-def test_cold_sweep_matches_parallel_sweep():
+def test_cold_sweep_is_deterministic():
     bp = linear_benchmark()
     grid = [1.0, 2.0, 4.0, 8.0]
-    seq = sweep_transfer_time(bp, grid, warm_start=False, workers=1)
-    par = sweep_transfer_time(bp, grid, warm_start=False, workers=4)
-    for a, b in zip(seq, par):
+    first = sweep_transfer_time(bp, grid, warm_start=False)
+    again = sweep_transfer_time(bp, grid, warm_start=False)
+    assert [pt.transfer_time for pt in first] == grid
+    for a, b in zip(first, again):
         assert a.transfer_time == b.transfer_time
         assert a.total_cost == b.total_cost
         assert a.in_set == b.in_set
@@ -160,8 +161,19 @@ def test_sweep_records_solver_failures_without_raising():
 
 def test_grid_must_be_ascending():
     bp = linear_benchmark()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="ascending"):
         sweep_transfer_time(bp, [2.0, 1.0])
+    with pytest.raises(ValueError, match="ascending"):
+        sweep_transfer_time(bp, [])
+
+
+@pytest.mark.parametrize(
+    "level,grid,message",
+    [(0.0, [1.0], "positive level"), (float("nan"), [1.0], "positive level"), (None, [], "grid")],
+)
+def test_solve_two_phase_validation(level, grid, message):
+    with pytest.raises(ValueError, match=message):
+        solve_two_phase(linear_benchmark(), level=level, grid=grid)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +226,7 @@ def test_membership_switches():
     assert membership_switches(points([False, True, False, False, True, False])) == [2.0, 4.0, 5.0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_phase_one_stops_at_an_overflowing_state():
     # a finite derivative whose Euler step overflows: the new state is
     # tested, so phase 1 ends diverged instead of running on through inf
@@ -227,3 +239,22 @@ def test_phase_one_stops_at_an_overflowing_state():
     assert closed.diverged and not closed.converged
     assert closed.message.startswith("phase-1 rollout left the dynamics domain")
     assert len(closed.states) == 1 and np.isfinite(closed.states).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_initial_state_diverges_without_warnings():
+    # the feedback product and the stage cost overflow before `euler_step`
+    # rejects the state; the run reports a divergence, with nothing on stderr
+    p = attitude_problem()
+    sol = solve_two_phase(p, grid=[22.0])
+    x0 = np.array(p.x0, dtype=float)
+    x0[0] = 1e308
+    closed = two_phase_simulate(p, sol, x0=x0)
+    assert closed.diverged and not closed.converged
+    assert closed.message.startswith("phase-1 rollout left the dynamics domain")
+
+
+@pytest.mark.parametrize("q,r", [([1.0] * 5, [1.0] * 3), ([1.0] * 6, np.eye(2))])
+def test_weight_shape_is_validated(q, r):
+    with pytest.raises(ValueError, match="expected"):
+        attitude_problem(q=q, r=r)
