@@ -9,7 +9,8 @@ penalty configured the total cost can be negative.
 
 All derivatives consumed by the solver backward pass are exact.
 `cost_derivatives` takes an optional leading trajectory axis, so the backward
-pass gets the expansion of every stage from one call.
+pass gets the expansion of every stage from one call. `stage_costs` likewise
+prices a whole finished rollout at once; the step loops never call a cost.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class AltitudePenaltySpec:
     index: int
     coord_scale: float = 1.0
 
-    def value(self, x: np.ndarray) -> float:
-        return altitude_penalty(self.coord_scale * x[self.index], self.weight, self.rate)
+    def value(self, x: np.ndarray):
+        """Penalty at x (n,) or along x (T, n)."""
+        return altitude_penalty(self.coord_scale * x[..., self.index], self.weight, self.rate)
 
     def gradient_at(self, x: np.ndarray):
         """d penalty / d x[index] at x (n,) or along x (T, n)."""
@@ -83,13 +85,33 @@ class QuadraticCostSpec:
         return self.R.shape[0]
 
 
-def stage_cost(x: np.ndarray, u: np.ndarray, spec: QuadraticCostSpec) -> float:
-    # called once per simulated step: ndarray.dot is the cheaper spelling of
-    # (x @ Q) @ x and gives the same bits
-    c = 0.5 * (float(x.dot(spec.Q).dot(x)) + float(u.dot(spec.R).dot(u)))
-    if spec.penalty is not None:
-        c += spec.penalty.value(x)
+def _quadratic_rows(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v' M v for every row v of V: elementwise products summed in a fixed
+    order over the row's own entries."""
+    VM = V[:, 0:1] * M[0]
+    for i in range(1, len(M)):
+        VM += V[:, i : i + 1] * M[i]
+    return np.add.accumulate(VM * V, axis=1)[:, -1]
+
+
+def stage_costs(X: np.ndarray, U: np.ndarray, spec: QuadraticCostSpec) -> np.ndarray:
+    """Stage cost of every row pair (x_t, u_t) of X (T, n) and U (T, m).
+
+    Every operation is elementwise across rows, so a row's cost has the same
+    bits alone or at any offset of any batch, and a stored cost equals a
+    recomputed one. An overflowing row gives an infinite cost, not a warning.
+    """
+    X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 0.5 * (_quadratic_rows(X, spec.Q) + _quadratic_rows(U, spec.R))
+        if spec.penalty is not None:
+            c += spec.penalty.value(X)
     return c
+
+
+def stage_cost(x: np.ndarray, u: np.ndarray, spec: QuadraticCostSpec) -> float:
+    """One-row form of `stage_costs`."""
+    return float(stage_costs(np.reshape(x, (1, -1)), np.reshape(u, (1, -1)), spec)[0])
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ discrete Jacobians are ``A = I + dt * d(deriv)/dx`` and ``B = dt * d(deriv)/du``
 Kernel contract:
 
 - ``deriv(x, u)`` evaluates one point, ``x`` (n,) and ``u`` (m,) arrays, and
-  returns the (n,) derivative. It is called once per simulated step, so the
-  scenario models write it in scalar math.
+  returns the (n,) derivative (finite differences and `verify` use it).
+- ``rates(x, u)``, optional, is the same right-hand side on lists of floats,
+  returning n floats. `euler_step`, run once per simulated step, then forms
+  ``x + dt * f`` in floats, the bits the array expression gives.
 - ``deriv_jacobians(x, u)`` takes an optional leading trajectory axis:
   ``x`` (n,) or (T, n) with ``u`` (m,) or (T, m), returning partials of shape
   (n, n)/(n, m) or (T, n, n)/(T, n, m). A partial that does not depend on the
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .errors import SingularityError
 FD_STEP = 1e-6
 
 DerivFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+RatesFn = Callable[[list, list], Sequence[float]]
 DerivJacFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
@@ -48,7 +51,8 @@ class ContinuousModel:
     `deriv_jacobians`, when provided, returns the continuous partials
     ``(d deriv/dx, d deriv/du)`` at a point or along a leading trajectory axis
     (see the module docstring); otherwise Jacobians fall back to central
-    differences on the discrete map.
+    differences on the discrete map. `rates`, when provided, is `deriv` on
+    lists of floats, for the Euler step.
     """
 
     state_dim: int
@@ -56,6 +60,7 @@ class ContinuousModel:
     deriv: DerivFn
     deriv_jacobians: Optional[DerivJacFn] = None
     name: str = ""
+    rates: Optional[RatesFn] = None
 
     def __post_init__(self):
         if not (self.state_dim > 0 and self.control_dim > 0):
@@ -99,7 +104,8 @@ class Linearization:
 
 
 def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One explicit Euler step ``x + dt * deriv(x, u)``.
+    """One explicit Euler step ``x + dt * deriv(x, u)``, formed in Python
+    floats (from `rates` when the model has it).
 
     Raises SingularityError if the new state is non-finite, which covers a
     non-finite derivative as well as an overflowing step (the scenario
@@ -107,10 +113,15 @@ def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray
     is the only finiteness test of a simulated step; the loops that call it
     do not repeat it.
     """
-    x_next = x + model.dt * model.inner.deriv(x, u)
-    if not all(map(math.isfinite, x_next.tolist())):
+    dt, xs, rates = model.dt, x.tolist(), model.inner.rates
+    try:
+        f = model.inner.deriv(x, u).tolist() if rates is None else rates(xs, u.tolist())
+        x_next = [a + dt * b for a, b in zip(xs, f)]
+    except OverflowError:  # a float power in the kernel overflowed
+        x_next = [math.inf]
+    if not all(map(math.isfinite, x_next)):
         raise SingularityError("non-finite state after an Euler step", state=x)
-    return x_next
+    return np.array(x_next)
 
 
 def _fd_steps(v: np.ndarray, h: Optional[float]) -> np.ndarray:

@@ -44,20 +44,26 @@ last, so the error names the step a per-step test would have named.
 
 Hot-loop contract. The per-step loops work on arrays of 1 to 20 entries a
 side, where a numpy call costs its dispatch, so they use ``ndarray.dot``
-(half the overhead of ``@``, the same BLAS routine) and scalar `math`
-tests. `rollout` and `forward_pass` keep the association order of every
-product and sum and stay bitwise the ``@`` formulas kept in
-``tests/test_bitexact.py`` (a marginal solve can flip on a last bit). The
-sweep is held to stated bounds instead: relative to each quantity's largest
-entry it agrees with the per-step reference to 1e-12 on the scenario
-trajectories (measured <= 3e-14), and its worst error against long double
-is at most twice the reference's plus 1e-14. It calls the gufunc behind
+(half the overhead of ``@``, the same BLAS routine), and each step is one
+`euler_step` on the model kernel's floats. `rollout` and `forward_pass`
+keep the association order of every product and give bitwise the states
+and controls of the ``@`` formulas kept in ``tests/test_bitexact.py`` (a
+marginal solve can flip on a last bit). They price the finished rollout
+with one `stage_costs` call, whose costs agree with the per-step formula to
+1e-13 relative to each row's |quadratic part| + |penalty| (measured <= 31
+ulps), and apply the cost cap to the running sum in step order
+(`np.cumsum`, as a running total adds), so they return None exactly where
+a test after each step would have stopped. The sweep is held to stated
+bounds instead: relative to each quantity's largest entry it agrees with
+the per-step reference to 1e-12 on the scenario trajectories (measured
+<= 3e-14), and its worst error against long double is at most twice the
+reference's plus 1e-14. It calls the gufunc behind
 `np.linalg.solve` inside its one `np.errstate`, as the wrapper's own error
 state costs several 3x3 solves; a singular Q_uu then gives NaN gains, which
 the deferred test rejects.
 
 The rollouts leave the finiteness of each new state to `euler_step`, which
-raises on it; they test only the running cost.
+raises on it; they test only the running cost, once the loop is done.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, stage_cost
+from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, stage_costs
 from .dynamics import DiscreteModel, jacobians
 from .errors import DynamicsDomainError, RegularizationError, SingularityError
 
@@ -193,27 +199,36 @@ def rollout(
     T = len(controls)
     states = np.empty((T + 1, model.state_dim))
     states[0] = np.asarray(x0, dtype=float)
-    stage_costs = np.empty(T)
-    step, cost = model.step, stage_cost
+    step = model.step
     x = states[0]
-    running = 0.0
-    for t in range(T):
-        u = controls[t]
-        c = cost(x, u, spec)
-        stage_costs[t] = c
-        running += c
-        if not math.isfinite(running) or abs(running) > cost_cap:
-            return None
-        try:
-            x = step(x, u)  # raises on a non-finite state
-        except (SingularityError, DynamicsDomainError):
-            return None
-        states[t + 1] = x
+    try:
+        for t in range(T):
+            x = states[t + 1] = step(x, controls[t])  # raises on a non-finite state
+    except (SingularityError, DynamicsDomainError):
+        return None
+    return _priced(states, controls, spec, terminal, cost_cap)
+
+
+def _priced(
+    states: np.ndarray,
+    controls: np.ndarray,
+    spec: QuadraticCostSpec,
+    terminal: TerminalValue,
+    cost_cap: float,
+) -> Optional[Trajectory]:
+    """The finished rollout with its stage costs, or None when a running sum
+    of them, taken in step order, is non-finite or above the cap in
+    magnitude (where a step-by-step test would have stopped the rollout)."""
+    costs = stage_costs(states[:-1], controls, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumsum(costs)
+    if not (np.isfinite(running) & (np.abs(running) <= cost_cap)).all():
+        return None
     return Trajectory(
         states=states,
         controls=controls,
-        stage_costs=stage_costs,
-        terminal_cost=terminal.value(states[T]),
+        stage_costs=costs,
+        terminal_cost=terminal.value(states[-1]),
     )
 
 
@@ -319,37 +334,22 @@ def forward_pass(
     Returns the candidate trajectory, or None when it diverges (a rejected
     line-search candidate, not an error).
     """
-    T = traj.horizon
     states = np.empty_like(traj.states)
     controls = np.empty_like(traj.controls)
-    stage_costs = np.empty(T)
     states[0] = traj.states[0]
     # u_t = (u_nom + alpha k)_t + K_t (x_t - x_nom_t); the bracket is
     # elementwise, so it is formed for all steps at once
     shifted = traj.controls + alpha * gains.feedforward
     X_nom, feedback = traj.states, gains.feedback
-    step, cost = model.step, stage_cost
+    step = model.step
     x = states[0]
-    running = 0.0
-    for t in range(T):
-        u = shifted[t] + feedback[t].dot(x - X_nom[t])
-        controls[t] = u
-        c = cost(x, u, spec)
-        stage_costs[t] = c
-        running += c
-        if not math.isfinite(running) or abs(running) > cost_cap:
-            return None
-        try:
-            x = step(x, u)  # raises on a non-finite state
-        except (SingularityError, DynamicsDomainError):
-            return None
-        states[t + 1] = x
-    return Trajectory(
-        states=states,
-        controls=controls,
-        stage_costs=stage_costs,
-        terminal_cost=terminal.value(states[T]),
-    )
+    try:
+        for t in range(traj.horizon):
+            u = controls[t] = shifted[t] + feedback[t].dot(x - X_nom[t])
+            x = states[t + 1] = step(x, u)  # raises on a non-finite state
+    except (SingularityError, DynamicsDomainError):
+        return None
+    return _priced(states, controls, spec, terminal, cost_cap)
 
 
 def solve_fhocp(

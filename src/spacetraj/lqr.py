@@ -44,21 +44,25 @@ since z'Pz cannot reach the bound before that.
 
 The rollout is a per-step loop on short vectors, so it uses ``ndarray.dot``
 and `math` scalar tests instead of ``@`` and numpy reductions: the same
-arithmetic in the same order, bitwise the same result, at half the call
-overhead. The finiteness of each new state is tested once, in
-`dynamics.euler_step`.
+arithmetic in the same order, bitwise the same states and controls, at half
+the call overhead; z is a view when the regulated block is contiguous. The
+finiteness of each new state is tested once, in `dynamics.euler_step`. One
+`stage_costs` call prices the finished loop, which is then cut where the
+running cost first passed the cap, as a test after each step would have
+stopped it (a divergent run steps on to its cap or its first non-finite
+state first).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, stage_cost
+from .cost import QuadraticCostSpec, stage_costs
 from .dynamics import DiscreteModel, Linearization, jacobians
 from .errors import (
     DynamicsDomainError,
@@ -190,6 +194,8 @@ class RegulationDesign:
     solution: LqrSolution
     indices: np.ndarray
     state_dim: int
+    # `indices` as a basic slice when they are a contiguous range (z a view)
+    take: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
@@ -198,6 +204,9 @@ class RegulationDesign:
             raise ValueError(
                 f"indices must select {self.solution.P.shape[0]} coordinates, got shape {idx.shape}"
             )
+        start, stop = int(idx[0]), int(idx[0]) + len(idx)
+        contiguous = start >= 0 and np.array_equal(idx, np.arange(start, stop))
+        object.__setattr__(self, "take", slice(start, stop) if contiguous else idx)
 
     @property
     def P_full(self) -> np.ndarray:
@@ -206,7 +215,7 @@ class RegulationDesign:
         return P
 
     def regulated(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[self.indices]
+        return np.asarray(x)[self.take]
 
     def feedback(self, x: np.ndarray) -> np.ndarray:
         return -self.solution.K @ self.regulated(x)
@@ -290,14 +299,11 @@ def regulation_rollout(
     x = np.array(x0, dtype=float)
     states = [x]
     controls = []
-    costs = []
-    cost = 0.0
     converged = False
-    diverged = False
     message = ""
-    indices, gain = design.indices, -design.solution.K  # u = (-K) z, as `feedback`
+    take, gain = design.take, -design.solution.K  # u = (-K) z, as `feedback`
     P = design.solution.P
-    step, stage, state_tol, cost_cap = model.step, stage_cost, stop.state_tol, stop.cost_cap
+    step, state_tol = model.step, stop.state_tol
     # z'Pz >= lambda_min(P) |z|^2, so z'Pz can reach the bound only once
     # |z|^2 <= bound / lambda_min(P); the quadratic form waits until then
     near = -1.0
@@ -305,37 +311,44 @@ def regulation_rollout(
         p_min = design.p_min_eigenvalue
         near = tail_bound / p_min if p_min > 0.0 else math.inf
     for _ in range(stop.regulation_cap):
-        z = x[indices]
+        z = x[take]
         zz = z.dot(z)
         if math.sqrt(zz) < state_tol or (zz <= near and z.dot(P).dot(z) <= tail_bound):
             converged = True
             break
         u = gain.dot(z)
-        c = stage(x, u, spec)
-        cost += c
-        if not math.isfinite(cost) or cost > cost_cap:
-            diverged = True
-            message = f"regulation cost exceeded cap ({cost:.3e})"
-            break
+        controls.append(u)
         try:
             x = step(x, u)  # raises on a non-finite state
         except (SingularityError, DynamicsDomainError) as exc:
-            diverged = True
             message = f"regulation rollout left the dynamics domain: {exc}"
             break
-        controls.append(u)
-        costs.append(c)
         states.append(x)
-    z = x[indices]
-    tail = 0.0 if diverged else float(z.dot(P).dot(z))
+    # Price the steps and cut at the first running sum over the cap: the
+    # tripping control is priced but not applied, as a failed step's is.
+    X = np.array(states)
+    U = np.array(controls).reshape(len(controls), model.control_dim)
+    costs = stage_costs(X[: len(U)], U, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumsum(costs)
+    over = np.flatnonzero(~(np.isfinite(running) & (running <= stop.cost_cap)))
+    k = len(U) - 1  # the running sum that `cost` reports
+    if len(over):
+        k = over[0]
+        X, U, costs, converged = X[: k + 1], U[:k], costs[:k], False
+        message = f"regulation cost exceeded cap ({running[k]:.3e})"
+    elif message:
+        U, costs = U[:-1], costs[:-1]
+    cost = float(running[k]) if k >= 0 else 0.0
+    z = X[-1][take]
     return RegulationRollout(
-        states=np.array(states),
-        controls=np.array(controls).reshape(len(controls), model.control_dim),
-        stage_costs=np.array(costs),
-        cost=float(cost),
-        tail=tail,
+        states=X,
+        controls=U,
+        stage_costs=costs,
+        cost=cost,
+        tail=0.0 if message else float(z.dot(P).dot(z)),
         converged=converged,
-        diverged=diverged,
+        diverged=bool(message),
         message=message,
     )
 

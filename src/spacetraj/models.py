@@ -4,9 +4,11 @@ All right-hand sides are continuous-time; discretization happens via
 `dynamics.DiscreteModel` (explicit Euler). Each model follows the kernel
 contract stated in `dynamics`:
 
-- ``*_deriv(x, u, p)`` evaluates one point in scalar math (``math`` functions,
-  explicit cross products) and returns an (n,) array; it runs once per
-  simulated step, where numpy's per-call overhead on 3-vectors would dominate.
+- ``*_rates(x, u, p)`` evaluates one point in scalar math (``math`` functions,
+  explicit cross products) on lists of floats and returns a tuple of floats;
+  the Euler step runs it once per simulated step, where numpy's per-call
+  overhead on 3-vectors would dominate. ``*_deriv(x, u, p)`` is its array
+  form, for finite differences and checks.
 - ``*_deriv_jacobians(x, u, p)`` accept an optional leading trajectory axis
   (x of shape (n,) or (T, n)) and return the partials for every point from
   one vectorized evaluation; partials that are constant come back unbatched.
@@ -234,13 +236,15 @@ class AttitudeParams:
         _init_inertia(self)
 
 
-def attitude_deriv(x: np.ndarray, torque: np.ndarray, p: AttitudeParams) -> np.ndarray:
-    _, theta, phi, w1, w2, w3 = x.tolist()
+def attitude_rates(x: list, torque: list, p: AttitudeParams) -> Tuple[float, ...]:
+    _, theta, phi, w1, w2, w3 = x
     _check_theta(theta, x)
-    m1, m2, m3 = torque.tolist()
-    return np.array(
-        _rigid_body_rates(theta, phi, w1, w2, w3, m1, m2, m3, *p._inertia_lists)
-    )
+    m1, m2, m3 = torque
+    return _rigid_body_rates(theta, phi, w1, w2, w3, m1, m2, m3, *p._inertia_lists)
+
+
+def attitude_deriv(x: np.ndarray, torque: np.ndarray, p: AttitudeParams) -> np.ndarray:
+    return np.array(attitude_rates(x.tolist(), torque.tolist(), p))
 
 
 def attitude_deriv_jacobians(
@@ -264,6 +268,7 @@ def attitude_model(p: AttitudeParams | None = None, dt: float = 0.1) -> Discrete
             deriv=lambda x, u: attitude_deriv(x, u, p),
             deriv_jacobians=lambda x, u: attitude_deriv_jacobians(x, u, p),
             name="attitude",
+            rates=lambda x, u: attitude_rates(x, u, p),
         ),
         dt=dt,
     )
@@ -293,8 +298,8 @@ def _inv_cube_grad(r: np.ndarray, mu: float) -> np.ndarray:
     return mu * (np.eye(3) / R**3 - 3.0 * (r[..., :, None] * r[..., None, :]) / R**5)
 
 
-def rendezvous_deriv(x: np.ndarray, u: np.ndarray, p: RendezvousParams) -> np.ndarray:
-    e1, e2, e3, v1, v2, v3, m, t1, t2, t3, s1, s2, s3 = x.tolist()
+def rendezvous_rates(x: list, u: list, p: RendezvousParams) -> Tuple[float, ...]:
+    e1, e2, e3, v1, v2, v3, m, t1, t2, t3, s1, s2, s3 = x
     if m <= 0.0:
         raise DynamicsDomainError(f"non-positive chaser mass {m}")
     c1, c2, c3 = t1 - e1, t2 - e2, t3 - e3  # chaser position r_c = r_t - e_r
@@ -304,21 +309,23 @@ def rendezvous_deriv(x: np.ndarray, u: np.ndarray, p: RendezvousParams) -> np.nd
         raise DynamicsDomainError(
             f"orbit radius below {p.min_radius_km} km (target {R_t:.1f}, chaser {R_c:.1f})"
         )
-    u1, u2, u3 = u.tolist()
+    u1, u2, u3 = u
     mu = p.mu
     kt, kc = R_t**3, R_c**3
     g1, g2, g3 = -mu * t1 / kt, -mu * t2 / kt, -mu * t3 / kt
-    return np.array(
-        [
-            v1, v2, v3,
-            g1 + mu * c1 / kc - u1 / m,
-            g2 + mu * c2 / kc - u2 / m,
-            g3 + mu * c3 / kc - u3 / m,
-            -p.alpha * math.sqrt(u1 * u1 + u2 * u2 + u3 * u3),
-            s1, s2, s3,
-            g1, g2, g3,
-        ]
+    return (
+        v1, v2, v3,
+        g1 + mu * c1 / kc - u1 / m,
+        g2 + mu * c2 / kc - u2 / m,
+        g3 + mu * c3 / kc - u3 / m,
+        -p.alpha * math.sqrt(u1 * u1 + u2 * u2 + u3 * u3),
+        s1, s2, s3,
+        g1, g2, g3,
     )
+
+
+def rendezvous_deriv(x: np.ndarray, u: np.ndarray, p: RendezvousParams) -> np.ndarray:
+    return np.array(rendezvous_rates(x.tolist(), u.tolist(), p))
 
 
 def rendezvous_deriv_jacobians(
@@ -354,6 +361,7 @@ def rendezvous_model(p: RendezvousParams | None = None, dt: float = 2.0) -> Disc
             deriv=lambda x, u: rendezvous_deriv(x, u, p),
             deriv_jacobians=lambda x, u: rendezvous_deriv_jacobians(x, u, p),
             name="rendezvous",
+            rates=lambda x, u: rendezvous_rates(x, u, p),
         ),
         dt=dt,
     )
@@ -421,30 +429,31 @@ _LANDER_R_RATE = LANDER_V_SCALE / LANDER_R_SCALE
 _LANDER_V_RATE = LANDER_U_SCALE / LANDER_V_SCALE
 
 
-def lander_deriv(x: np.ndarray, control: np.ndarray, p: LanderParams) -> np.ndarray:
+def lander_rates(x: list, control: list, p: LanderParams) -> Tuple[float, ...]:
     """Normalized-variable right-hand side; `control` is [torque(3), thrust(3)]."""
-    _, theta, phi, w1, w2, w3, _, _, _, v1, v2, v3, m = x.tolist()
+    _, theta, phi, w1, w2, w3, _, _, _, v1, v2, v3, m = x
     _check_theta(theta, x)
     if m <= 0.0:
         raise DynamicsDomainError(f"non-positive lander mass {m}")
-    m1, m2, m3, f1, f2, f3 = control.tolist()
-    rates = _rigid_body_rates(
-        theta, phi, w1, w2, w3,
-        LANDER_M_SCALE * m1, LANDER_M_SCALE * m2, LANDER_M_SCALE * m3,
-        *p._inertia_lists,
+    m1, m2, m3, f1, f2, f3 = control
+    return (
+        *_rigid_body_rates(
+            theta, phi, w1, w2, w3,
+            LANDER_M_SCALE * m1, LANDER_M_SCALE * m2, LANDER_M_SCALE * m3,
+            *p._inertia_lists,
+        ),
+        _LANDER_R_RATE * v1,
+        _LANDER_R_RATE * v2,
+        _LANDER_R_RATE * v3,
+        _LANDER_V_RATE * f1 / m,
+        _LANDER_V_RATE * f2 / m,
+        _LANDER_V_RATE * f3 / m - p.g_ref / LANDER_V_SCALE,
+        -LANDER_U_SCALE * math.sqrt(f1 * f1 + f2 * f2 + f3 * f3) / (p.isp * p.g_ref),
     )
-    return np.array(
-        [
-            *rates,
-            _LANDER_R_RATE * v1,
-            _LANDER_R_RATE * v2,
-            _LANDER_R_RATE * v3,
-            _LANDER_V_RATE * f1 / m,
-            _LANDER_V_RATE * f2 / m,
-            _LANDER_V_RATE * f3 / m - p.g_ref / LANDER_V_SCALE,
-            -LANDER_U_SCALE * math.sqrt(f1 * f1 + f2 * f2 + f3 * f3) / (p.isp * p.g_ref),
-        ]
-    )
+
+
+def lander_deriv(x: np.ndarray, control: np.ndarray, p: LanderParams) -> np.ndarray:
+    return np.array(lander_rates(x.tolist(), control.tolist(), p))
 
 
 def lander_deriv_jacobians(
@@ -476,6 +485,7 @@ def lander_model(p: LanderParams | None = None, dt: float = 0.2) -> DiscreteMode
             deriv=lambda x, u: lander_deriv(x, u, p),
             deriv_jacobians=lambda x, u: lander_deriv_jacobians(x, u, p),
             name="lander",
+            rates=lambda x, u: lander_rates(x, u, p),
         ),
         dt=dt,
     )

@@ -356,7 +356,7 @@ def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingRes
     non-negative-altitude step and the first below-ground one. An overflowing
     state ends the run through `euler_step`, without numpy warnings.
     """
-    from .cost import stage_cost  # local import to avoid cycle noise
+    from .cost import stage_costs  # local import to avoid cycle noise
 
     model = problem.model
     nominal = report.trajectory
@@ -364,7 +364,6 @@ def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingRes
     x = nominal.states[0].copy()
     states = [x]
     controls: List[np.ndarray] = []
-    costs: List[float] = []
     touched = False
     t_td = float("nan")
     v_td = float("nan")
@@ -374,7 +373,6 @@ def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingRes
     for t in range(nominal.horizon):
         u = nominal.controls[t] + gains.feedback[t] @ (x - nominal.states[t])
         controls.append(u)
-        costs.append(stage_cost(x, u, problem.cost))
         try:
             x_next = model.step(x, u)
         except (SingularityError, DynamicsDomainError) as exc:
@@ -394,10 +392,11 @@ def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingRes
             break
         x = x_next
 
+    X, U = np.array(states), np.array(controls)
     return LandingResult(
-        states=np.array(states),
-        controls=np.array(controls),
-        stage_costs=np.array(costs),
+        states=X,
+        controls=U,
+        stage_costs=stage_costs(X[: len(U)], U, problem.cost),
         touched_down=touched,
         touchdown_time=t_td,
         touchdown_speed=v_td,

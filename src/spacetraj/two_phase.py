@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, TerminalValue, stage_cost
+from .cost import QuadraticCostSpec, TerminalValue, stage_costs
 from .dynamics import DiscreteModel
 from .errors import (
     DynamicsDomainError,
@@ -288,44 +288,48 @@ def two_phase_simulate(
     feedback term is zero at every step, so phase 1 is the nominal leg
     itself and is taken from it. Phase 2 then starts from the selected
     point's membership rollout, which applied the same law from the same
-    switch state, and runs on from where it stopped. The reused prefix is
-    held to this loop's own cost-cap rule (phase-1 plus regulation cost,
-    tested after each step), so the result is what simulating both phases
-    step by step gives. `solution` must come from `solve_two_phase` on
-    `problem`. An overflowing state ends the run as diverged through
-    `euler_step`, without numpy warnings.
+    switch state, and runs on from where it stopped. One `stage_costs`
+    call prices the finished run, which is cut where phase-1 plus
+    regulation cost first passed the cap, so the result is what simulating
+    both phases step by step gives. `solution` must come from
+    `solve_two_phase` on `problem`. An overflowing state ends the run as
+    diverged through `euler_step`, without numpy warnings.
     """
     model = problem.model
     nominal = solution.report.trajectory
     design = solution.design
     stop = problem.terminal_set
-    step, stage, spec = model.step, stage_cost, problem.cost
+    step = model.step
+    switch_index = nominal.horizon
+    budget = stop.regulation_cap
+    message = ""
 
-    if x0 is None:
-        states = list(nominal.states)
-        controls = list(nominal.controls)
-        costs = nominal.stage_costs.tolist()
+    if x0 is None:  # the nominal leg, then the membership rollout resumed
+        prefix = solution.membership.rollout
+        used = min(prefix.steps, budget)
+        states = [*nominal.states, *prefix.states[1 : used + 1]]
+        controls = [*nominal.controls, *prefix.controls[:used]]
+        budget -= used
     else:
         x = np.array(x0, dtype=float)
         states = [x]
         controls = []
-        costs = []
         # per-step loops on short vectors: ndarray.dot and math scalar tests
         # compute what @ and numpy reductions would, bit for bit, with less
         # call overhead (see the ilqr module docstring)
         U_nom, X_nom, feedback = nominal.controls, nominal.states, solution.report.gains.feedback
-        for t in range(nominal.horizon):
+        for t in range(switch_index):
             u = U_nom[t] + feedback[t].dot(x - X_nom[t])
             controls.append(u)
-            costs.append(stage(x, u, spec))
             try:
                 x = step(x, u)  # raises on a non-finite state
             except (SingularityError, DynamicsDomainError) as exc:
+                X, U = np.array(states), np.array(controls)
                 return ClosedLoopTrajectory(
-                    states=np.array(states),
-                    controls=np.array(controls),
-                    stage_costs=np.array(costs),
-                    phases=np.ones(len(costs), dtype=int),
+                    states=X,
+                    controls=U,
+                    stage_costs=stage_costs(X, U, problem.cost),
+                    phases=np.ones(len(U), dtype=int),
                     switch_index=-1,
                     switch_time=float("nan"),
                     converged=False,
@@ -334,63 +338,46 @@ def two_phase_simulate(
                 )
             states.append(x)
 
-    switch_index = nominal.horizon
-    switch_time = switch_index * model.dt
-    running = float(np.sum(costs))
-    diverged = False
-    converged = False
-    message = ""
-    budget = stop.regulation_cap
-    if x0 is None:  # resume the membership rollout
-        prefix = solution.membership.rollout
-        used = min(prefix.steps, budget)
-        for j, c in enumerate(prefix.stage_costs[:used].tolist()):
-            running += c
-            if running > stop.cost_cap:
-                diverged = True
-                message = "regulation diverged"
-                used = j + 1
-                break
-        controls.extend(prefix.controls[:used])
-        costs.extend(prefix.stage_costs[:used].tolist())
-        states.extend(prefix.states[1 : used + 1])
-        budget -= used
     x = states[-1]
-
-    indices, gain = design.indices, -design.solution.K  # u = (-K) z, as `feedback`
-    for _ in range(0 if diverged else budget):
-        z = x[indices]
+    converged = False
+    take, gain = design.take, -design.solution.K  # u = (-K) z, as `feedback`
+    for _ in range(budget):
+        z = x[take]
         if math.sqrt(z.dot(z)) < stop.state_tol:
             converged = True
             break
         u = gain.dot(z)
         controls.append(u)
-        c = stage(x, u, spec)
-        costs.append(c)
-        running += c
         try:
             x = step(x, u)  # raises on a non-finite state
         except (SingularityError, DynamicsDomainError) as exc:
-            diverged = True
             message = f"regulation left the dynamics domain: {exc}"
             break
         states.append(x)
-        if running > stop.cost_cap:
-            diverged = True
-            message = "regulation diverged"
-            break
 
+    # Row by row these are the costs the nominal leg and the membership
+    # rollout stored. The cap is tested after each applied step (a step that
+    # failed ended the run first).
+    X, U = np.array(states), np.array(controls)
+    costs = stage_costs(X[: len(U)], U, problem.cost)
+    tested = costs[switch_index : len(X) - 1]
+    running = np.cumsum(np.concatenate(([np.sum(costs[:switch_index])], tested)))
+    over = np.flatnonzero(running[1:] > stop.cost_cap)
+    if len(over):
+        end = switch_index + over[0] + 1
+        X, U, costs = X[: end + 1], U[:end], costs[:end]
+        converged, message = False, "regulation diverged"
     phases = np.full(len(costs), 2)
     phases[:switch_index] = 1
     return ClosedLoopTrajectory(
-        states=np.array(states),
-        controls=np.array(controls),
-        stage_costs=np.array(costs),
+        states=X,
+        controls=U,
+        stage_costs=costs,
         phases=phases,
         switch_index=switch_index,
-        switch_time=switch_time,
+        switch_time=switch_index * model.dt,
         converged=converged,
-        diverged=diverged,
+        diverged=bool(message),
         message=message,
     )
 
@@ -508,11 +495,8 @@ def lyapunov_decreasing(
     closed: ClosedLoopTrajectory, design: RegulationDesign, level: float
 ) -> bool:
     """True iff the tail cost-to-go strictly decreases at every step whose
-    state lies outside the terminal sublevel set."""
+    state lies outside the terminal sublevel set. z'Pz is evaluated only at
+    the steps where the tail does not decrease."""
     tails = closed.tail_costs()
-    for t in range(len(tails) - 1):
-        if design.predicted_cost(closed.states[t]) <= level:
-            continue
-        if not tails[t] > tails[t + 1]:
-            return False
-    return True
+    rising = np.flatnonzero(~(tails[:-1] > tails[1:]))
+    return all(design.predicted_cost(closed.states[t]) <= level for t in rising)

@@ -1,12 +1,23 @@
 """Exactness of the hot loops.
 
-`rollout`, `forward_pass`, `regulation_rollout`, `stage_cost` and
-`two_phase_simulate` are written with ``ndarray.dot`` and scalar `math`
-tests, and `two_phase_simulate` takes its phase 1 from the nominal leg and
-resumes its phase 2 from the membership rollout. The plain step-by-step
-``@`` formulas are kept below as the reference; every one of these results
-must equal the reference's bit for bit (``np.array_equal``, ``==``), since a
-last-bit change can flip whether a marginal solve converges.
+`rollout`, `forward_pass`, `regulation_rollout` and `two_phase_simulate` are
+written with ``ndarray.dot`` and scalar `math` tests, step the model through
+`euler_step` on the kernel's floats, and price their steps once, after the
+loop, with the batched `stage_costs`; `two_phase_simulate` takes its phase 1
+from the nominal leg and resumes its phase 2 from the membership rollout.
+The plain step-by-step ``@`` formulas are kept below as the reference. The
+states, controls, phases, flags and messages of every result must equal the
+reference's bit for bit (``np.array_equal``, ``==``), since a last-bit
+change can flip whether a marginal solve converges.
+
+Stage costs are the exception on the forward side: `stage_costs` sums each
+row's quadratic forms in its own fixed order, which is not the order of
+``x @ Q @ x``. Each cost agrees with the reference's to `STAGE_RTOL`
+relative to the row's |quadratic part| + |penalty| (measured at most 31
+ulps, 6.9e-15, over 200,000 generated rows), and a running sum of them to
+`STAGE_RTOL` relative to the sum of those scales plus the number of terms
+times the sum itself. A row's cost has the same bits alone or at any offset
+of any batch, which `test_stage_costs_match_the_row_reference` checks.
 
 `backward_pass` is the one exception: it runs the same Riccati recursion as
 an augmented sweep over z = [u; x; 1] with fewer, larger products, so it is
@@ -38,8 +49,9 @@ from spacetraj.cost import (
     QuadraticCostSpec,
     TerminalValue,
     stage_cost,
+    stage_costs,
 )
-from spacetraj.dynamics import jacobians, lti_model
+from spacetraj.dynamics import ContinuousModel, DiscreteModel, jacobians, lti_model
 from spacetraj.errors import (
     DynamicsDomainError,
     RegularizationError,
@@ -56,6 +68,7 @@ from spacetraj.ilqr import (
     solve_fhocp,
 )
 from spacetraj.lqr import (
+    LqrSolution,
     RegulationDesign,
     RegulationRollout,
     TerminalSetSpec,
@@ -81,6 +94,9 @@ GENERATED_SWEEP_RTOL = 1e-9
 # Allowance, relative to the largest entry, of the error against the
 # long-double oracle: a few ulps where the reference happens to be exact.
 ORACLE_FLOOR = 1e-14
+# Agreement of `stage_costs` with `ref_stage_cost`, relative to each row's
+# |quadratic part| + |penalty| (see the module docstring).
+STAGE_RTOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +108,26 @@ def ref_stage_cost(x, u, spec):
     if spec.penalty is not None:
         c += spec.penalty.value(x)
     return c
+
+
+def stage_scales(X, U, spec):
+    """|quadratic part| + |penalty| of each row, the scale of `STAGE_RTOL`."""
+    scales = [abs(0.5 * (float(x @ spec.Q @ x) + float(u @ spec.R @ u))) for x, u in zip(X, U)]
+    if spec.penalty is not None:
+        scales = [s + abs(spec.penalty.value(x)) for s, x in zip(scales, X)]
+    return np.array(scales)
+
+
+def assert_costs_close(got, want, X, U, spec):
+    """Per-row stage costs within `STAGE_RTOL` of the reference's."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= STAGE_RTOL * stage_scales(X, U, spec))
+
+
+def assert_sum_close(got, want, X, U, spec):
+    """A running sum of stage costs within the bound on its terms."""
+    scale = np.sum(stage_scales(X, U, spec)) + len(X) * abs(want)
+    assert abs(got - want) <= STAGE_RTOL * scale, (got, want)
 
 
 def ref_rollout(model, x0, controls, spec, terminal, cost_cap=1e30):
@@ -336,14 +372,14 @@ def ref_two_phase_simulate(problem, solution):
 # comparison helpers
 # ---------------------------------------------------------------------------
 
-def assert_same_trajectory(got, want):
+def assert_same_trajectory(got, want, spec):
     if want is None:
         assert got is None
         return
     assert got is not None
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.controls, want.controls)
-    assert np.array_equal(got.stage_costs, want.stage_costs)
+    assert_costs_close(got.stage_costs, want.stage_costs, want.states[:-1], want.controls, spec)
     assert got.terminal_cost == want.terminal_cost
 
 
@@ -386,7 +422,7 @@ def check_ilqr_loops(
     against the reference (the forward passes bitwise, from the same gains);
     returns the last forward candidate."""
     traj = rollout(model, x0, controls, spec, terminal)
-    assert_same_trajectory(traj, ref_rollout(model, x0, controls, spec, terminal))
+    assert_same_trajectory(traj, ref_rollout(model, x0, controls, spec, terminal), spec)
     cand = None
     for damping in DAMPINGS:
         gains = backward_pass(traj, model, spec, terminal, damping)
@@ -399,16 +435,17 @@ def check_ilqr_loops(
         for alpha in alphas:
             cand = forward_pass(traj, gains, alpha, model, spec, terminal)
             assert_same_trajectory(
-                cand, ref_forward_pass(traj, gains, alpha, model, spec, terminal)
+                cand, ref_forward_pass(traj, gains, alpha, model, spec, terminal), spec
             )
     return cand
 
 
-def assert_same_closed_loop(got, want):
+def assert_same_closed_loop(got, want, spec):
     assert isinstance(got, ClosedLoopTrajectory)
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.controls, want.controls)
-    assert np.array_equal(got.stage_costs, want.stage_costs)
+    X = want.states[: len(want.controls)]
+    assert_costs_close(got.stage_costs, want.stage_costs, X, want.controls, spec)
     assert np.array_equal(got.phases, want.phases)
     assert got.phases.dtype == want.phases.dtype
     assert (got.switch_index, got.switch_time) == (want.switch_index, want.switch_time)
@@ -424,8 +461,11 @@ def check_regulation(model, x, design, spec, stop):
     want = ref_regulation_rollout(model, x, design, spec, stop)
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.controls, want.controls)
-    assert np.array_equal(got.stage_costs, want.stage_costs)
-    assert got.cost == want.cost
+    X, U = want.states[: len(want.controls)], want.controls
+    assert_costs_close(got.stage_costs, want.stage_costs, X, U, spec)
+    if want.diverged:  # `cost` also holds the cost of the control not applied
+        X, U = want.states, np.vstack([U, design.feedback(want.states[-1])])
+    assert_sum_close(got.cost, want.cost, X, U, spec)
     assert got.tail == want.tail
     assert (got.converged, got.diverged, got.message) == (
         want.converged,
@@ -442,6 +482,7 @@ def check_regulation(model, x, design, spec, stop):
 def test_attitude_loops_are_bit_exact():
     p = attitude_problem()
     design = p.design_for(22.0)
+    assert design.take == slice(0, 6)  # z is a view; the reference copies
     terminal = TerminalValue(design.P_full)
     steps = p.steps_for(22.0)
     cand = check_ilqr_loops(p.model, p.cost, terminal, p.x0, p.guess_for(steps))
@@ -455,6 +496,7 @@ def test_attitude_loops_are_bit_exact():
 def test_rendezvous_loops_are_bit_exact():
     p = rendezvous_problem()
     design = p.design_for(300.0)
+    assert design.take == slice(0, 6)
     terminal = TerminalValue(design.P_full)
     steps = p.steps_for(300.0)
     cand = check_ilqr_loops(p.model, p.cost, terminal, p.x0, p.guess_for(steps))
@@ -472,7 +514,7 @@ def test_two_phase_simulate_is_bit_exact():
     p = attitude_problem()
     solution = solve_two_phase(p, grid=[22.0])
     closed = two_phase_simulate(p, solution)
-    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution))
+    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
     assert closed.converged and not closed.diverged
 
 
@@ -483,7 +525,7 @@ def test_resumed_closed_loop_is_bit_exact_on_the_default_problem(scenario):
     solution = solve_two_phase(p, grid=default_sweep_grid(cfg))
     prefix = solution.membership.rollout
     closed = two_phase_simulate(p, solution)
-    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution))
+    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
     assert closed.converged and not closed.diverged
     # the membership rollout stopped on its tail, well short of state_tol
     regulated = closed.phases == 2
@@ -505,7 +547,7 @@ def test_cost_cap_trips_on_the_reused_prefix():
     solution = solve_two_phase(p, grid=[22.0])
     assert solution.membership.rollout.steps == prefix.steps
     closed = two_phase_simulate(p, solution)
-    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution))
+    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
     assert closed.diverged and not closed.converged
     tripped = int(np.sum(closed.phases == 2))
     assert 0 < tripped < prefix.steps
@@ -521,10 +563,41 @@ def test_divergent_rollout_matches_reference():
         assert_same_trajectory(
             rollout(p.model, p.x0, huge, p.cost, terminal, cap),
             ref_rollout(p.model, p.x0, huge, p.cost, terminal, cap),
+            p.cost,
         )
     stop = TerminalSetSpec(regulation_cap=200, cost_cap=1.0)
     out = check_regulation(p.model, p.x0, design, p.cost, stop)
     assert out.diverged
+
+
+def test_non_finite_running_cost_rejects_the_rollout_at_any_cap():
+    # x+ = 2x stays finite while its cost overflows
+    model = lti_model([[2.0]], [[1.0]])
+    spec = QuadraticCostSpec(Q=np.eye(1), R=np.eye(1))
+    x0, controls = np.array([1e200]), np.zeros((3, 1))
+    for cap in (1e30, np.inf):
+        with np.errstate(over="ignore"):
+            assert ref_rollout(model, x0, controls, spec, TerminalValue(np.eye(1)), cap) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rollout(model, x0, controls, spec, TerminalValue(np.eye(1)), cap) is None
+
+
+def test_regulation_leaving_the_domain_matches_reference():
+    def deriv(x, u):
+        if abs(x[0]) > 10.0:
+            raise DynamicsDomainError(f"state {x[0]} out of range")
+        return np.array([x[0] + u[0]])
+
+    model = DiscreteModel(ContinuousModel(1, 1, deriv), dt=1.0)
+    spec = QuadraticCostSpec(Q=np.eye(1), R=np.eye(1))
+    # u = -0.5 x: x grows by 1.5 a step and leaves the domain at step 6
+    solution = LqrSolution(np.eye(1), np.array([[0.5]]), 1.5, 0.0, 0)
+    design = RegulationDesign(solution, np.arange(1), 1)
+    for cap, message in ((1e12, "left the dynamics domain"), (30.0, "exceeded cap")):
+        stop = TerminalSetSpec(regulation_cap=50, cost_cap=cap)
+        out = check_regulation(model, np.array([1.0]), design, spec, stop)
+        assert out.diverged and message in out.message
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +650,23 @@ def test_lti_regulation_is_bit_exact(problem):
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
-def test_stage_cost_is_bit_exact(n, m, seed, with_penalty):
+def test_stage_costs_match_the_row_reference(n, m, seed, with_penalty):
     rng = np.random.default_rng(seed)
     Lq = rng.normal(size=(n, n))
     Lr = rng.normal(size=(m, m))
     penalty = AltitudePenaltySpec(100.0, 1.0, int(rng.integers(n))) if with_penalty else None
     spec = QuadraticCostSpec(Q=Lq @ Lq.T, R=Lr @ Lr.T + np.eye(m), penalty=penalty)
-    for _ in range(10):
-        x = rng.normal(0.0, 3.0, n)
-        u = rng.normal(0.0, 3.0, m)
-        assert stage_cost(x, u, spec) == ref_stage_cost(x, u, spec)
+    X = rng.normal(0.0, 3.0, (12, n))
+    U = rng.normal(0.0, 3.0, (12, m))
+    costs = stage_costs(X, U, spec)
+    want = np.array([ref_stage_cost(x, u, spec) for x, u in zip(X, U)])
+    assert_costs_close(costs, want, X, U, spec)
+    # a row gives the same bits alone, at any offset, and through stage_cost
+    for t in range(12):
+        assert stage_costs(X[t:], U[t:], spec)[0] == costs[t]
+        assert stage_costs(X[t : t + 1], U[t : t + 1], spec)[0] == costs[t]
+        assert stage_cost(X[t], U[t], spec) == costs[t]
+    assert np.array_equal(stage_costs(X[::-1], U[::-1], spec), costs[::-1])
 
 
 # ---------------------------------------------------------------------------

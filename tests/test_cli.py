@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,24 +138,46 @@ def test_sweep_summary_lists_membership_switches(tmp_path, capsys):
 @pytest.mark.parametrize("scenario,budget", [("attitude", 12000), ("rendezvous", 2600)])
 def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, budget):
     """A deterministic work count: every simulated step of the default
-    simulate goes through `dynamics.euler_step`."""
+    simulate goes through `dynamics.euler_step`, and the steps are priced
+    by at most one `stage_costs` call per finished loop, never by a
+    `stage_cost` call per step."""
+    import spacetraj.cli as cli
+    import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
+    import spacetraj.ilqr as ilqr
+    import spacetraj.lqr as lqr
+    import spacetraj.two_phase as two_phase
 
-    calls = 0
-    original = dynamics.euler_step
+    calls = Counter()
 
-    def counting(model, x, u):
-        nonlocal calls
-        calls += 1
-        return original(model, x, u)
+    def count(module, name, key):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(dynamics, "euler_step", counting)
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(dynamics, "euler_step", "steps")
+    count(cost, "stage_cost", "stage_cost")
+    for module in (cost, ilqr, lqr, two_phase):
+        count(module, "stage_costs", "stage_costs")
+    for module, loop in (
+        (ilqr, "rollout"),
+        (ilqr, "forward_pass"),
+        (lqr, "regulation_rollout"),
+        (cli, "two_phase_simulate"),
+    ):
+        count(module, loop, "loops")
     code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["regulation_converged"] and not summary["diverged"]
     assert summary["membership_switches"] == []
-    assert 0 < calls <= budget
+    assert 0 < calls["steps"] <= budget
+    assert calls["stage_cost"] == 0
+    assert 0 < calls["stage_costs"] <= calls["loops"] < 100
 
 
 def test_simulate_solver_budget(tmp_path, capsys, monkeypatch):

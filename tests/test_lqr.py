@@ -301,3 +301,22 @@ def test_doubling_cap_is_a_stabilizability_error():
     A, B, Q, R = _attitude_pair()
     with pytest.raises(StabilizabilityError, match="did not converge in 3 doublings"):
         solve_dare(A, B, Q, R, max_iterations=3)
+
+
+@pytest.mark.parametrize(
+    "indices,take",
+    [([0, 1, 2], slice(0, 3)), ([2, 3], slice(2, 4)), ([0, 2], None), ([1, 0], None)],
+)
+def test_contiguous_regulated_block_is_a_view(indices, take):
+    k = len(indices)
+    solution = solve_dare(np.eye(k), np.eye(k), np.eye(k), np.eye(k))
+    design = RegulationDesign(solution, np.array(indices), 4)
+    x = np.array([1.0, -2.0, 3.0, -4.0])
+    z = design.regulated(x)
+    assert np.array_equal(z, x[indices])
+    assert np.shares_memory(z, x) == (take is not None)
+    if take is not None:
+        assert design.take == take
+    P_full = np.zeros((4, 4))
+    P_full[np.ix_(indices, indices)] = solution.P
+    assert np.array_equal(design.P_full, P_full)

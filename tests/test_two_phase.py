@@ -133,6 +133,44 @@ def test_lyapunov_tail_decrease_outside_set():
     assert lyapunov_decreasing(closed, sol.design, sol.level)
 
 
+def per_step_lyapunov(closed, design, level):
+    """The definition of `lyapunov_decreasing`, one step at a time."""
+    tails = closed.tail_costs()
+    for t in range(len(tails) - 1):
+        if design.predicted_cost(closed.states[t]) <= level:
+            continue
+        if not tails[t] > tails[t + 1]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "x_at_rise,expected",
+    [(2.0, False), (0.5, True), (1.0, True)],  # outside, inside, on the level
+)
+def test_lyapunov_tail_rise_counts_only_outside_the_set(x_at_rise, expected):
+    design = linear_benchmark().design_for(1.0)
+    level = design.predicted_cost(np.array([1.0]))
+    # tails 6, 3, 1, 1: the tail fails to decrease only at step 2
+    states = np.array([[3.0], [2.5], [x_at_rise], [0.2], [0.1]])
+    closed = SimpleNamespace(
+        states=states,
+        tail_costs=lambda: np.cumsum(np.array([3.0, 2.0, 0.0, 1.0])[::-1])[::-1],
+    )
+    assert lyapunov_decreasing(closed, design, level) is expected
+    assert per_step_lyapunov(closed, design, level) is expected
+
+
+def test_lyapunov_check_matches_the_per_step_definition():
+    bp = linear_benchmark()
+    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    closed = two_phase_simulate(bp, sol)
+    for level in (0.0, 1e-12, 1e-6, sol.level, 1.0):
+        assert lyapunov_decreasing(closed, sol.design, level) == per_step_lyapunov(
+            closed, sol.design, level
+        )
+
+
 def test_hitting_time_not_found_carries_sweep():
     bp = linear_benchmark()
     with pytest.raises(HittingTimeNotFoundError) as exc:
