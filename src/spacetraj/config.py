@@ -293,32 +293,6 @@ def emit_config(cfg: ScenarioConfig) -> Dict[str, Any]:
     return asdict(cfg)
 
 
-def weight_matrix(value: Any, dim: int, path: str) -> np.ndarray:
-    """Diagonal list or full matrix -> validated ndarray."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise ConfigError(path, f"expected {dim} diagonal entries, got {arr.shape[0]}")
-        return np.diag(arr)
-    if arr.ndim == 2:
-        if arr.shape != (dim, dim):
-            raise ConfigError(path, f"expected a {dim}x{dim} matrix, got {arr.shape}")
-        return arr
-    raise ConfigError(path, "expected a diagonal list or a square matrix")
-
-
-def _check_inertia_diag(value: Any, path: str) -> None:
-    """Principal moments of inertia: three finite, positive numbers."""
-    try:
-        diag = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(path, "expected a list of 3 numbers") from None
-    if diag.shape != (3,):
-        raise ConfigError(path, f"expected 3 entries, got shape {diag.shape}")
-    if not (np.isfinite(diag).all() and (diag > 0.0).all()):
-        raise ConfigError(path, f"entries must be finite and positive, got {diag.tolist()}")
-
-
 def _real(value: Any, path: str) -> float:
     """A finite real number; booleans and strings are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -366,24 +340,17 @@ def validate_config(cfg: ScenarioConfig) -> None:
     m = CONTROL_DIMS[cfg.scenario]
 
     if cfg.scenario != "rendezvous":
-        init = np.asarray(cfg.initial_state, dtype=float)
         dim = 6 if cfg.scenario in ("attitude", "soft-landing") else n
-        if init.shape != (dim,):
-            raise ConfigError("initial_state", f"expected {dim} entries, got {init.shape}")
-        if not np.all(np.isfinite(init)):
-            raise ConfigError("initial_state", "entries must be finite")
+        init = sc.float_array(cfg.initial_state, "initial_state", (dim,))
         if cfg.scenario in ("attitude", "soft-landing") and abs(abs(init[1]) - 90.0) < 1e-6:
             raise ConfigError("initial_state", "pitch angle sits on the 90 deg singularity")
-    goal = np.asarray(cfg.goal_state, dtype=float)
-    if goal.shape != (n,):
-        raise ConfigError("goal_state", f"expected {n} entries, got {goal.shape}")
-    if np.any(goal != 0.0):
+    if np.any(sc.float_array(cfg.goal_state, "goal_state", (n,)) != 0.0):
         raise ConfigError("goal_state", "only the origin goal is supported")
 
-    Q = weight_matrix(cfg.q, n, "q")
+    Q = sc.weight_matrix(cfg.q, n, "q")
     if not np.allclose(Q, Q.T) or np.any(np.linalg.eigvalsh(Q) < -1e-12):
         raise ConfigError("q", "must be symmetric positive semidefinite")
-    R = weight_matrix(cfg.r, m, "r")
+    R = sc.weight_matrix(cfg.r, m, "r")
     if not np.allclose(R, R.T) or np.any(np.linalg.eigvalsh(R) <= 0.0):
         raise ConfigError("r", "must be symmetric positive definite")
 
@@ -414,28 +381,28 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _positive(t.cost_cap, "terminal_set.cost_cap")
 
     if cfg.sweep.grid is not None:
-        grid = list(cfg.sweep.grid)
-        if not grid:
-            raise ConfigError("sweep.grid", "must not be empty")
+        grid = sc.float_array(cfg.sweep.grid, "sweep.grid")
+        if grid.ndim != 1 or not len(grid):
+            raise ConfigError("sweep.grid", "must be a non-empty list of transfer times")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sweep.grid", "must be strictly ascending")
         for T in grid:
-            _real(T, "sweep.grid")
             if T <= 0 or abs(T / cfg.dt - round(T / cfg.dt)) > 1e-6:
                 raise ConfigError("sweep.grid", f"{T} is not a positive multiple of dt={cfg.dt}")
 
     if cfg.convergence_levels is not None:
-        lv = list(cfg.convergence_levels)
-        for x in lv:
-            _real(x, "convergence_levels")
-        if any(x <= 0 for x in lv) or any(b >= a for a, b in zip(lv, lv[1:])):
-            raise ConfigError("convergence_levels", "must be positive and strictly decreasing")
+        lv = sc.float_array(cfg.convergence_levels, "convergence_levels")
+        if lv.ndim != 1 or any(x <= 0 for x in lv) or any(b >= a for a, b in zip(lv, lv[1:])):
+            raise ConfigError("convergence_levels", "must be strictly decreasing positive numbers")
 
     for path, diag in (
         ("attitude.inertia_diag", cfg.attitude.inertia_diag),
         ("lander.inertia_diag", cfg.lander.inertia_diag),
     ):
-        _check_inertia_diag(diag, path)
+        if not (sc.float_array(diag, path, (3,)) > 0.0).all():
+            raise ConfigError(path, f"entries must be positive, got {diag!r}")
+    sc.float_array(cfg.lander.initial_position_m, "lander.initial_position_m", (3,))
+    sc.float_array(cfg.lander.initial_velocity_mps, "lander.initial_velocity_mps", (3,))
     if cfg.lander.isp_s <= 0 or cfg.lander.g_ref <= 0 or cfg.lander.initial_mass_kg <= 0:
         raise ConfigError("lander", "isp_s, g_ref, initial_mass_kg must be positive")
     if cfg.rendezvous.alpha <= 0 or cfg.rendezvous.mu <= 0 or cfg.rendezvous.mass_kg <= 0:
@@ -467,8 +434,8 @@ def build_two_phase_problem(cfg: ScenarioConfig):
             initial_state_deg=cfg.initial_state,
             inertia_diag=cfg.attitude.inertia_diag,
             dt=cfg.dt,
-            q=weight_matrix(cfg.q, 6, "q"),
-            r=weight_matrix(cfg.r, 3, "r"),
+            q=cfg.q,
+            r=cfg.r,
             settings=settings,
             terminal_set=terminal_set,
         )
@@ -480,8 +447,8 @@ def build_two_phase_problem(cfg: ScenarioConfig):
             mass=cfg.rendezvous.mass_kg,
             params=params,
             dt=cfg.dt,
-            q=weight_matrix(cfg.q, 6, "q"),
-            r=weight_matrix(cfg.r, 3, "r"),
+            q=cfg.q,
+            r=cfg.r,
             settings=settings,
             terminal_set=terminal_set,
         )
@@ -511,8 +478,8 @@ def build_landing_problem(cfg: ScenarioConfig):
         params=params,
         dt=cfg.dt,
         horizon=cfg.horizon,
-        q=weight_matrix(cfg.q, 12, "q"),
-        r=weight_matrix(cfg.r, 6, "r"),
+        q=cfg.q,
+        r=cfg.r,
         terminal_weight=L.terminal_weight,
         terminal_sink_rate=L.terminal_sink_rate_mps,
         penalty_weight=L.penalty_weight,

@@ -17,6 +17,8 @@ Kernel contract:
   (n, n)/(n, m) or (T, n, n)/(T, n, m). A partial that does not depend on the
   point may come back unbatched; `jacobians` broadcasts it. One call thus
   linearizes a whole trajectory (the iLQR backward pass makes one per pass).
+- `simulate` is the one closed loop: every simulated step of the program
+  (rollouts, line-search candidates, regulation, landing) is taken there.
 - Parameters a kernel needs in every call (such as an inverse inertia) are
   precomputed when the model's parameters are constructed, never per call.
 
@@ -32,7 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import DynamicsDomainError, SingularityError
 
 # Per-coordinate central-difference step: max(FD_STEP, FD_STEP * |coordinate|).
 # Balances truncation against roundoff for coordinates ranging from radians to
@@ -42,6 +44,8 @@ FD_STEP = 1e-6
 DerivFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RatesFn = Callable[[list, list], Sequence[float]]
 DerivJacFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+# control(t, x_t) -> u_t, or None to stop before stepping
+ControlLaw = Callable[[int, np.ndarray], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,8 @@ def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray
     Raises SingularityError if the new state is non-finite, which covers a
     non-finite derivative as well as an overflowing step (the scenario
     derivative functions raise it directly at their kinematic guards). This
-    is the only finiteness test of a simulated step; the loops that call it
-    do not repeat it.
+    is the only finiteness test of a simulated step; `simulate` does not
+    repeat it.
     """
     dt, xs, rates = model.dt, x.tolist(), model.inner.rates
     try:
@@ -122,6 +126,47 @@ def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray
     if not all(map(math.isfinite, x_next)):
         raise SingularityError("non-finite state after an Euler step", state=x)
     return np.array(x_next)
+
+
+def simulate(
+    model: DiscreteModel, x0: np.ndarray, control: ControlLaw, steps: int
+) -> Tuple[np.ndarray, np.ndarray, str]:
+    """Run ``x_{t+1} = step(x_t, control(t, x_t))`` for at most `steps` steps,
+    stopping before a step when `control` returns None.
+
+    Returns the states x_0..x_k, the k controls applied and a message that
+    is empty unless the next step left the dynamics domain (SingularityError
+    or DynamicsDomainError, caught here and nowhere else); that step's
+    control is then appended, so a caller can price it. Without a message,
+    k < steps says the law stopped the loop.
+
+    Hot-loop contract. The vectors hold 1 to 20 entries, where a numpy call
+    costs its dispatch, so the laws use ``ndarray.dot`` (half the overhead
+    of ``@``, the same BLAS routine) and `math` scalar tests in the
+    association order of the ``@`` formulas kept in ``tests/test_bitexact.py``,
+    whose states and controls they give bit for bit (a marginal solve can
+    flip on a last bit). Each step is one `euler_step` on the kernel's
+    floats: one array per step and the only finiteness test of a state.
+    Callers price the finished loop with one `stage_costs` call (within
+    1e-13 of the per-step formula relative to each row's |quadratic part| +
+    |penalty|, measured <= 31 ulps) and cut it where the running sum in step
+    order first passed their cap, where a test after each step would have
+    stopped it.
+    """
+    x = np.array(x0, dtype=float)
+    states, controls = [x], []
+    message = ""
+    try:
+        for t in range(steps):
+            u = control(t, x)
+            if u is None:
+                break
+            controls.append(u)
+            x = euler_step(model, x, u)
+            states.append(x)
+    except (SingularityError, DynamicsDomainError) as exc:
+        message = str(exc)
+    return np.array(states), np.array(controls).reshape(len(controls), model.control_dim), message
 
 
 def _fd_steps(v: np.ndarray, h: Optional[float]) -> np.ndarray:

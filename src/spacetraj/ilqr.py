@@ -42,18 +42,11 @@ and one batched finiteness and Cholesky test checks every damped Q_uu
 (Cholesky alone accepts NaN); on failure the steps are re-tested from the
 last, so the error names the step a per-step test would have named.
 
-Hot-loop contract. The per-step loops work on arrays of 1 to 20 entries a
-side, where a numpy call costs its dispatch, so they use ``ndarray.dot``
-(half the overhead of ``@``, the same BLAS routine), and each step is one
-`euler_step` on the model kernel's floats. `rollout` and `forward_pass`
-keep the association order of every product and give bitwise the states
-and controls of the ``@`` formulas kept in ``tests/test_bitexact.py`` (a
-marginal solve can flip on a last bit). They price the finished rollout
-with one `stage_costs` call, whose costs agree with the per-step formula to
-1e-13 relative to each row's |quadratic part| + |penalty| (measured <= 31
-ulps), and apply the cost cap to the running sum in step order
-(`np.cumsum`, as a running total adds), so they return None exactly where
-a test after each step would have stopped. The sweep is held to stated
+The rollouts are `dynamics.simulate` under the open-loop law ``U[t]`` and
+the affine `tracking_law`, priced after the loop as its hot-loop contract
+states: their states and controls are bitwise the ``@`` formulas kept in
+``tests/test_bitexact.py``, and they return None exactly where a test after
+each step would have stopped. The sweep is held to stated
 bounds instead: relative to each quantity's largest entry it agrees with
 the per-step reference to 1e-12 on the scenario trajectories (measured
 <= 3e-14), and its worst error against long double is at most twice the
@@ -61,9 +54,6 @@ reference's plus 1e-14. It calls the gufunc behind
 `np.linalg.solve` inside its one `np.errstate`, as the wrapper's own error
 state costs several 3x3 solves; a singular Q_uu then gives NaN gains, which
 the deferred test rejects.
-
-The rollouts leave the finiteness of each new state to `euler_step`, which
-raises on it; they test only the running cost, once the loop is done.
 """
 
 from __future__ import annotations
@@ -76,8 +66,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, stage_costs
-from .dynamics import DiscreteModel, jacobians
-from .errors import DynamicsDomainError, RegularizationError, SingularityError
+from .dynamics import ControlLaw, DiscreteModel, jacobians, simulate
+from .errors import RegularizationError
 
 
 @dataclass(frozen=True)
@@ -196,29 +186,28 @@ def rollout(
     cap, or the dynamics leave their domain).
     """
     controls = np.asarray(controls, dtype=float)
-    T = len(controls)
-    states = np.empty((T + 1, model.state_dim))
-    states[0] = np.asarray(x0, dtype=float)
-    step = model.step
-    x = states[0]
-    try:
-        for t in range(T):
-            x = states[t + 1] = step(x, controls[t])  # raises on a non-finite state
-    except (SingularityError, DynamicsDomainError):
-        return None
-    return _priced(states, controls, spec, terminal, cost_cap)
+    simulation = simulate(model, x0, lambda t, x: controls[t], len(controls))
+    return _priced(simulation, spec, terminal, cost_cap)
+
+
+def tracking_law(controls: np.ndarray, feedback: np.ndarray, states: np.ndarray) -> ControlLaw:
+    """The affine law ``u_t = controls[t] + feedback[t] (x_t - states[t])``
+    that tracks a nominal (`controls` may carry a shifted feedforward)."""
+    return lambda t, x: controls[t] + feedback[t].dot(x - states[t])
 
 
 def _priced(
-    states: np.ndarray,
-    controls: np.ndarray,
+    simulation: Tuple[np.ndarray, np.ndarray, str],
     spec: QuadraticCostSpec,
     terminal: TerminalValue,
     cost_cap: float,
 ) -> Optional[Trajectory]:
-    """The finished rollout with its stage costs, or None when a running sum
-    of them, taken in step order, is non-finite or above the cap in
-    magnitude (where a step-by-step test would have stopped the rollout)."""
+    """The finished rollout with its stage costs, or None when a step left
+    the dynamics domain or a running sum of the costs in step order is
+    non-finite or above the cap in magnitude (where a per-step test stops)."""
+    states, controls, message = simulation
+    if message:
+        return None
     costs = stage_costs(states[:-1], controls, spec)
     with np.errstate(over="ignore", invalid="ignore"):
         running = np.cumsum(costs)
@@ -334,22 +323,11 @@ def forward_pass(
     Returns the candidate trajectory, or None when it diverges (a rejected
     line-search candidate, not an error).
     """
-    states = np.empty_like(traj.states)
-    controls = np.empty_like(traj.controls)
-    states[0] = traj.states[0]
     # u_t = (u_nom + alpha k)_t + K_t (x_t - x_nom_t); the bracket is
     # elementwise, so it is formed for all steps at once
     shifted = traj.controls + alpha * gains.feedforward
-    X_nom, feedback = traj.states, gains.feedback
-    step = model.step
-    x = states[0]
-    try:
-        for t in range(traj.horizon):
-            u = controls[t] = shifted[t] + feedback[t].dot(x - X_nom[t])
-            x = states[t + 1] = step(x, u)  # raises on a non-finite state
-    except (SingularityError, DynamicsDomainError):
-        return None
-    return _priced(states, controls, spec, terminal, cost_cap)
+    law = tracking_law(shifted, gains.feedback, traj.states)
+    return _priced(simulate(model, traj.states[0], law, traj.horizon), spec, terminal, cost_cap)
 
 
 def solve_fhocp(

@@ -42,15 +42,10 @@ stop, up to rounding. The quadratic form is evaluated only once
 ||z||^2 <= bound / lambda_min(P) (lambda_min is computed once per design),
 since z'Pz cannot reach the bound before that.
 
-The rollout is a per-step loop on short vectors, so it uses ``ndarray.dot``
-and `math` scalar tests instead of ``@`` and numpy reductions: the same
-arithmetic in the same order, bitwise the same states and controls, at half
-the call overhead; z is a view when the regulated block is contiguous. The
-finiteness of each new state is tested once, in `dynamics.euler_step`. One
+The rollout is `dynamics.simulate` under `regulation_law` (see its hot-loop
+contract); z is a view when the regulated block is contiguous. One
 `stage_costs` call prices the finished loop, which is then cut where the
-running cost first passed the cap, as a test after each step would have
-stopped it (a divergent run steps on to its cap or its first non-finite
-state first).
+running cost first passed the cap.
 """
 
 from __future__ import annotations
@@ -63,13 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .cost import QuadraticCostSpec, stage_costs
-from .dynamics import DiscreteModel, Linearization, jacobians
-from .errors import (
-    DynamicsDomainError,
-    NotAFixedPointError,
-    SingularityError,
-    StabilizabilityError,
-)
+from .dynamics import ControlLaw, DiscreteModel, Linearization, jacobians, simulate
+from .errors import NotAFixedPointError, StabilizabilityError
 
 FIXED_POINT_RTOL = 1e-9
 
@@ -283,6 +273,28 @@ class RegulationRollout:
         return len(self.controls)
 
 
+def regulation_law(design: RegulationDesign, state_tol: float, tail_bound: float = 0.0) -> ControlLaw:
+    """u = -K z, stopping once ||z|| < `state_tol` or, when `tail_bound` is
+    positive, once the tail z'Pz is at most `tail_bound`."""
+    take, gain = design.take, -design.solution.K  # u = (-K) z, as `feedback`
+    P = design.solution.P
+    # z'Pz >= lambda_min(P) |z|^2, so z'Pz can reach the bound only once
+    # |z|^2 <= bound / lambda_min(P); the quadratic form waits until then
+    near = -1.0
+    if tail_bound > 0.0:
+        p_min = design.p_min_eigenvalue
+        near = tail_bound / p_min if p_min > 0.0 else math.inf
+
+    def law(t: int, x: np.ndarray) -> Optional[np.ndarray]:
+        z = x[take]
+        zz = z.dot(z)
+        if math.sqrt(zz) < state_tol or (zz <= near and z.dot(P).dot(z) <= tail_bound):
+            return None
+        return gain.dot(z)
+
+    return law
+
+
 def regulation_rollout(
     model: DiscreteModel,
     x0: np.ndarray,
@@ -296,38 +308,12 @@ def regulation_rollout(
     tail z'Pz drops to `tail_bound` or below, or the step cap is reached.
     Divergence (cost cap, non-finite state, singular kinematics) is reported
     in the result, not raised."""
-    x = np.array(x0, dtype=float)
-    states = [x]
-    controls = []
-    converged = False
-    message = ""
-    take, gain = design.take, -design.solution.K  # u = (-K) z, as `feedback`
-    P = design.solution.P
-    step, state_tol = model.step, stop.state_tol
-    # z'Pz >= lambda_min(P) |z|^2, so z'Pz can reach the bound only once
-    # |z|^2 <= bound / lambda_min(P); the quadratic form waits until then
-    near = -1.0
-    if tail_bound > 0.0:
-        p_min = design.p_min_eigenvalue
-        near = tail_bound / p_min if p_min > 0.0 else math.inf
-    for _ in range(stop.regulation_cap):
-        z = x[take]
-        zz = z.dot(z)
-        if math.sqrt(zz) < state_tol or (zz <= near and z.dot(P).dot(z) <= tail_bound):
-            converged = True
-            break
-        u = gain.dot(z)
-        controls.append(u)
-        try:
-            x = step(x, u)  # raises on a non-finite state
-        except (SingularityError, DynamicsDomainError) as exc:
-            message = f"regulation rollout left the dynamics domain: {exc}"
-            break
-        states.append(x)
+    law = regulation_law(design, stop.state_tol, tail_bound)
+    X, U, message = simulate(model, x0, law, stop.regulation_cap)
+    converged = not message and len(U) < stop.regulation_cap
+    message = message and f"regulation rollout left the dynamics domain: {message}"
     # Price the steps and cut at the first running sum over the cap: the
     # tripping control is priced but not applied, as a failed step's is.
-    X = np.array(states)
-    U = np.array(controls).reshape(len(controls), model.control_dim)
     costs = stage_costs(X[: len(U)], U, spec)
     with np.errstate(over="ignore", invalid="ignore"):
         running = np.cumsum(costs)
@@ -340,7 +326,8 @@ def regulation_rollout(
     elif message:
         U, costs = U[:-1], costs[:-1]
     cost = float(running[k]) if k >= 0 else 0.0
-    z = X[-1][take]
+    z = X[-1][design.take]
+    P = design.solution.P
     return RegulationRollout(
         states=X,
         controls=U,

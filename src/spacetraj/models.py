@@ -192,8 +192,9 @@ def _rigid_body_partials(
     sp, cp = np.sin(phi), np.cos(phi)
     g = sp * w2 + cp * w3
     h = cp * w2 - sp * w3
-    dfdx[..., 0, 1] = g * st / ct**2
-    dfdx[..., 2, 1] = g / ct**2
+    # ct * ct: a 0-d ct**2 can differ by an ulp from the batched square
+    dfdx[..., 0, 1] = g * st / (ct * ct)
+    dfdx[..., 2, 1] = g / (ct * ct)
     dfdx[..., 0, 2] = h / ct
     dfdx[..., 1, 2] = -g
     dfdx[..., 2, 2] = (st / ct) * h

@@ -26,10 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue
-from .dynamics import DiscreteModel, lti_model
-from .errors import DynamicsDomainError, SingularityError
-from .ilqr import SolveReport, SolverSettings, solve_fhocp
+from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, stage_costs
+from .dynamics import DiscreteModel, lti_model, simulate
+from .errors import ConfigError
+from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
 from .lqr import RegulationDesign, TerminalSetSpec, linearize_at_goal, solve_dare
 from .models import (
     LANDER_ALTITUDE_INDEX,
@@ -96,11 +96,29 @@ def _diag(values: Sequence[float]) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=float))
 
 
-def _weight(value, dim: int) -> np.ndarray:
-    """Accept a diagonal (length-dim) or full (dim x dim) weight array."""
-    arr = np.asarray(value, dtype=float)
+def float_array(value, field: str, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+    """`value` as an array of finite floats, of `shape` when given; otherwise
+    ConfigError naming `field`. Strings, all-boolean arrays and ragged
+    nesting are rejected."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError
+    except ValueError:  # also raised for ragged nesting
+        raise ConfigError(field, f"expected numbers, got {value!r}") from None
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(field, f"expected shape {shape}, got {arr.shape}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ConfigError(field, f"entries must be finite, got {value!r}")
+    return arr
+
+
+def weight_matrix(value, dim: int, field: str) -> np.ndarray:
+    """A diagonal (length-dim) or full (dim x dim) weight array as a matrix."""
+    arr = float_array(value, field)
     if arr.shape != ((dim,) if arr.ndim == 1 else (dim, dim)):
-        raise ValueError(f"expected {dim} diagonal weights or a {dim}x{dim} matrix, got {arr.shape}")
+        raise ConfigError(field, f"expected {dim} weights or a {dim}x{dim} matrix, got {arr.shape}")
     return np.diag(arr) if arr.ndim == 1 else arr
 
 
@@ -131,8 +149,8 @@ def attitude_problem(
     params = AttitudeParams(inertia=_diag(inertia_diag))
     model = attitude_model(params, dt)
     S = np.diag(np.full(6, 1.0 / DEG))  # rad -> deg per coordinate
-    Q = S @ _weight(q, 6) @ S
-    R = _weight(r, 3)
+    Q = S @ weight_matrix(q, 6, "q") @ S
+    R = weight_matrix(r, 3, "r")
     cost = QuadraticCostSpec(Q=Q, R=R)
     x0 = np.asarray(initial_state_deg, dtype=float) * DEG
     settings = settings or SolverSettings()
@@ -172,14 +190,15 @@ def rendezvous_initial_state(
 
 def _propagate_target(
     r: np.ndarray, v: np.ndarray, steps: int, dt: float, mu: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Euler propagation of the autonomous target orbit (control-independent)."""
-    r = r.copy()
-    v = v.copy()
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Euler propagation of the autonomous target orbit (control-independent):
+    its (r, v) after each of `steps` steps from (r, v)."""
+    orbit = []
     for _ in range(steps):
         acc = -mu * r / np.linalg.norm(r) ** 3
         r, v = r + dt * v, v + dt * acc
-    return r, v
+        orbit.append((r, v))
+    return orbit
 
 
 def rendezvous_problem(
@@ -201,10 +220,10 @@ def rendezvous_problem(
     """
     params = params or RendezvousParams()
     model = rendezvous_model(params, dt)
-    Q6 = _weight(q, 6)
+    Q6 = weight_matrix(q, 6, "q")
     Q_full = np.zeros((13, 13))
     Q_full[:6, :6] = Q6
-    R = _weight(r, 3)
+    R = weight_matrix(r, 3, "r")
     cost = QuadraticCostSpec(Q=Q_full, R=R)
     x0 = rendezvous_initial_state(chaser, target, mass, params.mu)
     settings = settings or SolverSettings()
@@ -215,14 +234,17 @@ def rendezvous_problem(
         tolerance=5e-2, regulation_cap=default_regulation_cap(RENDEZVOUS_HORIZON, dt)
     )
 
-    r_t0, v_t0 = x0[7:10].copy(), x0[10:13].copy()
+    # the target's (r, v) at every step propagated so far: each design
+    # continues the orbit from its last epoch instead of from t = 0
+    orbit = [(x0[7:10].copy(), x0[10:13].copy())]
     cache: Dict[int, RegulationDesign] = {}
 
     def design_for(transfer_time: float) -> RegulationDesign:
         steps = int(round(transfer_time / dt))
         if steps not in cache:
-            r_T, _ = _propagate_target(r_t0, v_t0, steps, dt, params.mu)
-            err_model = rendezvous_error_model(r_T, mass, params, dt)
+            if steps >= len(orbit):
+                orbit.extend(_propagate_target(*orbit[-1], steps + 1 - len(orbit), dt, params.mu))
+            err_model = rendezvous_error_model(orbit[steps][0], mass, params, dt)
             lin = linearize_at_goal(err_model, np.zeros(6), np.zeros(3))
             solution = solve_dare(lin.A, lin.B, Q6 / 2.0, R / 2.0)
             cache[steps] = RegulationDesign(
@@ -297,8 +319,8 @@ def soft_landing_problem(
     params = params or LanderParams()
     model = lander_model(params, dt)
     Q = np.zeros((13, 13))
-    Q[:12, :12] = _weight(q, 12)  # mass unweighted
-    R = _weight(r, 6)
+    Q[:12, :12] = weight_matrix(q, 12, "q")  # mass unweighted
+    R = weight_matrix(r, 6, "r")
     penalty = AltitudePenaltySpec(
         weight=penalty_weight,
         rate=penalty_rate,
@@ -356,48 +378,34 @@ def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingRes
     non-negative-altitude step and the first below-ground one. An overflowing
     state ends the run through `euler_step`, without numpy warnings.
     """
-    from .cost import stage_costs  # local import to avoid cycle noise
+    model, nominal = problem.model, report.trajectory
+    track = tracking_law(nominal.controls, report.gains.feedback, nominal.states)
+    alt_prev = math.nan
 
-    model = problem.model
-    nominal = report.trajectory
-    gains = report.gains
-    x = nominal.states[0].copy()
-    states = [x]
-    controls: List[np.ndarray] = []
-    touched = False
-    t_td = float("nan")
-    v_td = float("nan")
-    state_td = np.full(13, np.nan)
-    message = ""
-
-    for t in range(nominal.horizon):
-        u = nominal.controls[t] + gains.feedback[t] @ (x - nominal.states[t])
-        controls.append(u)
-        try:
-            x_next = model.step(x, u)
-        except (SingularityError, DynamicsDomainError) as exc:
-            message = f"landing rollout left the dynamics domain: {exc}"
-            break
+    def law(t: int, x: np.ndarray) -> Optional[np.ndarray]:
+        nonlocal alt_prev
+        if alt_prev >= 0.0 > x[LANDER_ALTITUDE_INDEX]:  # the last step touched down
+            return None
         alt_prev = x[LANDER_ALTITUDE_INDEX]
-        alt_next = x_next[LANDER_ALTITUDE_INDEX]
-        states.append(x_next)
-        if alt_prev >= 0.0 > alt_next:
-            touched = True
-            frac = alt_prev / (alt_prev - alt_next)
-            t_td = (t + frac) * model.dt
-            state_interp = x + frac * (x_next - x)
-            state_td = state_interp * LANDER_STATE_SCALE
-            v_td = state_interp[11] * LANDER_V_SCALE
-            x = x_next
-            break
-        x = x_next
+        return track(t, x)
 
-    X, U = np.array(states), np.array(controls)
+    X, U, message = simulate(model, nominal.states[0], law, nominal.horizon)
+    message = message and f"landing rollout left the dynamics domain: {message}"
+    touched = len(X) > 1 and X[-2, LANDER_ALTITUDE_INDEX] >= 0.0 > X[-1, LANDER_ALTITUDE_INDEX]
+    t_td = v_td = float("nan")
+    state_td = np.full(13, np.nan)
+    if touched:
+        x, x_next = X[-2], X[-1]
+        frac = x[LANDER_ALTITUDE_INDEX] / (x[LANDER_ALTITUDE_INDEX] - x_next[LANDER_ALTITUDE_INDEX])
+        t_td = (len(X) - 2 + frac) * model.dt
+        state_interp = x + frac * (x_next - x)
+        state_td = state_interp * LANDER_STATE_SCALE
+        v_td = state_interp[11] * LANDER_V_SCALE
     return LandingResult(
         states=X,
         controls=U,
         stage_costs=stage_costs(X[: len(U)], U, problem.cost),
-        touched_down=touched,
+        touched_down=bool(touched),
         touchdown_time=t_td,
         touchdown_speed=v_td,
         touchdown_state_si=state_td,

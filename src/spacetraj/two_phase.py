@@ -16,27 +16,21 @@ measure one-step Bellman residuals of the combined value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cost import QuadraticCostSpec, TerminalValue, stage_costs
-from .dynamics import DiscreteModel
-from .errors import (
-    DynamicsDomainError,
-    HittingTimeNotFoundError,
-    RegularizationError,
-    SingularityError,
-    StabilizabilityError,
-)
-from .ilqr import SolveReport, SolverSettings, solve_fhocp
+from .dynamics import DiscreteModel, simulate
+from .errors import HittingTimeNotFoundError, RegularizationError, StabilizabilityError
+from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
 from .lqr import (
     MembershipResult,
     RegulationDesign,
     TerminalSetSpec,
     in_terminal_set,
+    regulation_law,
 )
 
 
@@ -108,10 +102,9 @@ def _evaluate_point(
         steps = problem.steps_for(transfer_time)
         if previous_controls is None:
             initial_controls = problem.guess_for(steps)
-        else:
-            initial_controls = _extend_controls(
-                previous_controls, steps, problem.model.control_dim
-            )
+        else:  # warm start: the previous controls, zero-padded
+            initial_controls = np.zeros((steps, problem.model.control_dim))
+            initial_controls[: len(previous_controls)] = previous_controls[:steps]
         design = problem.design_for(transfer_time)
         terminal = TerminalValue(design.P_full)
         report = solve_fhocp(
@@ -150,12 +143,23 @@ def _evaluate_point(
     )
 
 
-def _extend_controls(controls: np.ndarray, steps: int, control_dim: int) -> np.ndarray:
-    """Warm start for the next horizon: previous controls, zero-padded."""
-    out = np.zeros((steps, control_dim))
-    keep = min(len(controls), steps)
-    out[:keep] = controls[:keep]
-    return out
+def _walk(
+    problem: TwoPhaseProblem,
+    grid: Sequence[float],
+    stop: TerminalSetSpec,
+    warm_start: bool,
+) -> Iterator[SweepPoint]:
+    """Evaluate the (ascending) grid in order, lazily: the one walk behind
+    the sweep, the first hitting time and the convergence study."""
+    grid = list(grid)
+    if not (grid and all(b > a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(f"the transfer-time grid must be non-empty and ascending, got {grid}")
+    previous = None
+    for T in grid:
+        point = _evaluate_point(problem, T, stop, previous)
+        yield point
+        if warm_start and not point.failed:
+            previous = point.report.trajectory.controls
 
 
 def sweep_transfer_time(
@@ -169,16 +173,7 @@ def sweep_transfer_time(
     without it each starts from the problem's own guess. Per-point solver
     failures are recorded on the point, not raised.
     """
-    grid = list(grid)
-    if not (grid and all(b > a for a, b in zip(grid, grid[1:]))):
-        raise ValueError(f"the transfer-time grid must be non-empty and ascending, got {grid}")
-    points = []
-    previous = None
-    for T in grid:
-        points.append(_evaluate_point(problem, T, problem.terminal_set, previous))
-        if warm_start and not points[-1].failed:
-            previous = points[-1].report.trajectory.controls
-    return points
+    return list(_walk(problem, grid, problem.terminal_set, warm_start))
 
 
 def membership_switches(points: Sequence[SweepPoint]) -> List[float]:
@@ -221,25 +216,20 @@ def solve_two_phase(
     test and the reported level becomes the terminal value actually observed
     at the selected transfer state.
     """
-    if grid is None or len(grid) == 0 or not (level is None or level > 0.0):
+    if grid is None or not (level is None or level > 0.0):
         raise ValueError(f"need a transfer-time grid and a positive level, got {grid}, {level}")
     stop = replace(problem.terminal_set, level=level)
     evaluated: List[SweepPoint] = []
-    previous = None
-    for T in grid:
-        point = _evaluate_point(problem, T, stop, previous if warm_start else None)
+    for point in _walk(problem, grid, stop, warm_start):
         evaluated.append(point)
-        if not point.failed:
-            previous = point.report.trajectory.controls
         if point.in_set:
             effective_level = level if level is not None else point.terminal_value
-            objective = point.ilqr_cost + max(point.terminal_value, effective_level)
             return TwoPhaseSolution(
-                transfer_time=T,
+                transfer_time=point.transfer_time,
                 level=effective_level,
-                objective=objective,
+                objective=point.ilqr_cost + max(point.terminal_value, effective_level),
                 report=point.report,
-                design=problem.design_for(T),
+                design=problem.design_for(point.transfer_time),
                 membership=point.membership,
                 sweep=tuple(evaluated),
             )
@@ -288,77 +278,44 @@ def two_phase_simulate(
     feedback term is zero at every step, so phase 1 is the nominal leg
     itself and is taken from it. Phase 2 then starts from the selected
     point's membership rollout, which applied the same law from the same
-    switch state, and runs on from where it stopped. One `stage_costs`
-    call prices the finished run, which is cut where phase-1 plus
-    regulation cost first passed the cap, so the result is what simulating
-    both phases step by step gives. `solution` must come from
-    `solve_two_phase` on `problem`. An overflowing state ends the run as
-    diverged through `euler_step`, without numpy warnings.
+    switch state, and runs on from where it stopped. The loops are
+    `dynamics.simulate` (see its hot-loop contract); one `stage_costs` call
+    prices the finished run, which is cut where phase-1 plus regulation
+    cost first passed the cap, so the result is what simulating both phases
+    step by step gives. `solution` must come from `solve_two_phase` on
+    `problem`. An overflowing state ends the run as diverged, without numpy
+    warnings.
     """
     model = problem.model
     nominal = solution.report.trajectory
-    design = solution.design
     stop = problem.terminal_set
-    step = model.step
     switch_index = nominal.horizon
-    budget = stop.regulation_cap
-    message = ""
+    regulate = regulation_law(solution.design, stop.state_tol)
 
     if x0 is None:  # the nominal leg, then the membership rollout resumed
         prefix = solution.membership.rollout
-        used = min(prefix.steps, budget)
-        states = [*nominal.states, *prefix.states[1 : used + 1]]
-        controls = [*nominal.controls, *prefix.controls[:used]]
-        budget -= used
-    else:
-        x = np.array(x0, dtype=float)
-        states = [x]
-        controls = []
-        # per-step loops on short vectors: ndarray.dot and math scalar tests
-        # compute what @ and numpy reductions would, bit for bit, with less
-        # call overhead (see the ilqr module docstring)
-        U_nom, X_nom, feedback = nominal.controls, nominal.states, solution.report.gains.feedback
-        for t in range(switch_index):
-            u = U_nom[t] + feedback[t].dot(x - X_nom[t])
-            controls.append(u)
-            try:
-                x = step(x, u)  # raises on a non-finite state
-            except (SingularityError, DynamicsDomainError) as exc:
-                X, U = np.array(states), np.array(controls)
-                return ClosedLoopTrajectory(
-                    states=X,
-                    controls=U,
-                    stage_costs=stage_costs(X, U, problem.cost),
-                    phases=np.ones(len(U), dtype=int),
-                    switch_index=-1,
-                    switch_time=float("nan"),
-                    converged=False,
-                    diverged=True,
-                    message=f"phase-1 rollout left the dynamics domain: {exc}",
-                )
-            states.append(x)
+        used = min(prefix.steps, stop.regulation_cap)
+        X1 = np.concatenate((nominal.states, prefix.states[1 : used + 1]))
+        U1 = np.concatenate((nominal.controls, prefix.controls[:used]))
+        law, budget = regulate, stop.regulation_cap - used
+    else:  # one loop: tracking up to the switch, regulation from it
+        track = tracking_law(nominal.controls, solution.report.gains.feedback, nominal.states)
+        X1, U1 = np.array([x0], dtype=float), np.empty((0, model.control_dim))
+        budget = switch_index + stop.regulation_cap
 
-    x = states[-1]
-    converged = False
-    take, gain = design.take, -design.solution.K  # u = (-K) z, as `feedback`
-    for _ in range(budget):
-        z = x[take]
-        if math.sqrt(z.dot(z)) < stop.state_tol:
-            converged = True
-            break
-        u = gain.dot(z)
-        controls.append(u)
-        try:
-            x = step(x, u)  # raises on a non-finite state
-        except (SingularityError, DynamicsDomainError) as exc:
-            message = f"regulation left the dynamics domain: {exc}"
-            break
-        states.append(x)
+        def law(t: int, x: np.ndarray) -> Optional[np.ndarray]:
+            return track(t, x) if t < switch_index else regulate(t, x)
 
+    X2, U2, message = simulate(model, X1[-1], law, budget)
+    X, U = np.concatenate((X1, X2[1:])), np.concatenate((U1, U2))
+    converged = not message and len(U2) < budget
+    switched = not message or len(U) > switch_index  # else phase 1 left the domain
+    if message:
+        phase = "regulation" if switched else "phase-1 rollout"
+        message = f"{phase} left the dynamics domain: {message}"
     # Row by row these are the costs the nominal leg and the membership
     # rollout stored. The cap is tested after each applied step (a step that
     # failed ended the run first).
-    X, U = np.array(states), np.array(controls)
     costs = stage_costs(X[: len(U)], U, problem.cost)
     tested = costs[switch_index : len(X) - 1]
     running = np.cumsum(np.concatenate(([np.sum(costs[:switch_index])], tested)))
@@ -374,8 +331,8 @@ def two_phase_simulate(
         controls=U,
         stage_costs=costs,
         phases=phases,
-        switch_index=switch_index,
-        switch_time=switch_index * model.dt,
+        switch_index=switch_index if switched else -1,
+        switch_time=switch_index * model.dt if switched else float("nan"),
         converged=converged,
         diverged=bool(message),
         message=message,
@@ -397,21 +354,36 @@ def convergence_study(
 ) -> List[ConvergenceRow]:
     """Objective-vs-level table on a problem whose true infinite-horizon cost
     is the quadratic x0' P x0 (linear dynamics). The gap shrinks to zero as
-    the level does."""
-    design = problem.design_for(grid[0])
-    ideal = design.predicted_cost(problem.x0)
-    rows = []
-    for level in levels:
-        solution = solve_two_phase(problem, level=level, grid=grid)
-        rows.append(
-            ConvergenceRow(
-                level=float(level),
-                objective=solution.objective,
-                ideal=ideal,
-                gap=solution.objective - ideal,
-            )
-        )
-    return rows
+    the level does.
+
+    One level-free walk serves every level: the solves, the membership
+    rollouts and the warm-start chain do not depend on the level, so each
+    level's objective is the one `solve_two_phase` gives at it. A level is
+    hit at the first point within tolerance whose terminal value is at
+    most the level; the walk stops once every level is hit.
+    """
+    levels = [float(level) for level in levels]
+    if not all(level > 0.0 for level in levels):
+        raise ValueError(f"need positive levels, got {levels}")
+    ideal = problem.design_for(grid[0]).predicted_cost(problem.x0)
+    objectives: List[Optional[float]] = [None] * len(levels)
+    evaluated: List[SweepPoint] = []
+    for point in _walk(problem, grid, replace(problem.terminal_set, level=None), True):
+        evaluated.append(point)
+        if point.in_set:  # within tolerance, as the level is None
+            for i, level in enumerate(levels):
+                if objectives[i] is None and point.terminal_value <= level:
+                    objectives[i] = point.ilqr_cost + max(point.terminal_value, level)
+        if None not in objectives:
+            return [
+                ConvergenceRow(level=level, objective=obj, ideal=ideal, gap=obj - ideal)
+                for level, obj in zip(levels, objectives)
+            ]
+    raise HittingTimeNotFoundError(
+        f"no transfer time on the grid {list(grid)} reached the terminal set "
+        f"at level {levels[objectives.index(None)]}",
+        sweep=evaluated,
+    )
 
 
 @dataclass(frozen=True)

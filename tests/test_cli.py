@@ -208,6 +208,49 @@ def test_simulate_solver_budget(tmp_path, capsys, monkeypatch):
     assert (solves, passes, steps) == (6, 33, 4844)
 
 
+@pytest.mark.parametrize("scenario", ["attitude", "soft-landing"])
+def test_every_simulated_step_is_taken_in_simulate(tmp_path, capsys, monkeypatch, scenario):
+    """One closed-loop primitive: during the default simulate, each
+    `euler_step` call happens inside `dynamics.simulate`, or inside the
+    Jacobian and equilibrium checks that step single points."""
+    import sys
+
+    import spacetraj.dynamics as dynamics
+    import spacetraj.lqr as lqr
+
+    depth = Counter()
+
+    def wrap_everywhere(fn, key):
+        def wrapper(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("spacetraj"):
+                for name, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, name, wrapper)
+
+    wrap_everywhere(dynamics.simulate, "simulate")
+    wrap_everywhere(dynamics.finite_diff_jacobians, "point")
+    wrap_everywhere(lqr.linearize_at_goal, "point")
+    steps = Counter()
+    step = dynamics.euler_step
+
+    def counting(*args, **kwargs):
+        steps["simulate" if depth["simulate"] else "point" if depth["point"] else "outside"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "euler_step", counting)
+    code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert steps["outside"] == 0
+    assert steps["simulate"] > 1000
+
+
 def test_sweep_rejected_for_soft_landing(tmp_path, capsys):
     code, out = run_cli(
         capsys, "sweep", "--set", "scenario=soft-landing", "--out", str(tmp_path / "o")
@@ -326,6 +369,36 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
     assert code == 2
     assert out["status"] == "error" and out["error"] == "config"
     assert out["field"] == field
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("q", '"abc"'),
+        ("q", "[[1,2],[3]]"),
+        ("r", '[1,"x",1]'),
+        ("initial_state", '"abc"'),
+        ("goal_state", '["a"]'),
+        ("sweep.grid", "5"),
+        ("convergence_levels", "5"),
+        ("lander.initial_position_m", '"x"'),
+        ("lander.initial_velocity_mps", "[1,2]"),
+    ],
+)
+def test_malformed_array_is_a_config_error(tmp_path, capsys, field, value):
+    scenario = "soft-landing" if field.startswith("lander") else "attitude"
+    code = main(
+        ["solve", "--set", f"scenario={scenario}", "--set", f"{field}={value}", "--out", str(tmp_path / "o")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["status"] == "error" and out["error"] == "config"
+    assert out["field"] == field
+    assert "Traceback" not in captured.err
     assert not (tmp_path / "o").exists()
 
 

@@ -290,6 +290,20 @@ def test_batched_jacobians_match_reference_and_points(name):
     check()
 
 
+@pytest.mark.parametrize("make", [attitude_model, lander_model])
+def test_point_jacobian_is_its_batched_row_where_a_power_would_differ(make):
+    # at this pitch the 0-d cos(theta)**2 is one ulp above cos(theta)**2
+    # squared in an array, which the d/dtheta entries divide by
+    model = make()
+    x = np.zeros(model.state_dim)
+    x[1], x[5] = -0.26926689503459156, -1.7697003599285637
+    if model.state_dim == 13:
+        x[12] = 1.0
+    u = np.zeros(model.control_dim)
+    point, batch = jacobians(model, x, u), jacobians(model, x[None], u[None])
+    assert np.array_equal(batch.A[0], point.A) and np.array_equal(batch.B[0], point.B)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_batched_jacobians_match_finite_differences(name):
     make, states, controls = CASES[name]

@@ -71,6 +71,63 @@ def test_convergence_study_gap_shrinks_to_zero():
     assert all(a >= b - 1e-8 for a, b in zip(objectives, objectives[1:]))
 
 
+def test_convergence_study_walks_the_grid_once(monkeypatch):
+    """One level-free walk gives every level the objective of its own
+    first-hitting-time solve, bit for bit, with 4 solves instead of one
+    walk per level (13)."""
+    import spacetraj.two_phase as two_phase
+
+    bp = linear_benchmark()
+    levels = [GOLDEN * f for f in (0.5, 0.25, 0.1, 0.03, 0.01, 0.001)]
+    grid = benchmark_grid(40)
+    want = [solve_two_phase(bp, level=level, grid=grid).objective for level in levels]
+    solves = 0
+    solve = two_phase.solve_fhocp
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(two_phase, "solve_fhocp", counting)
+    rows = convergence_study(bp, levels, grid)
+    assert solves == 4
+    assert [r.level for r in rows] == levels
+    assert [r.objective for r in rows] == want
+
+
+def test_convergence_study_raises_when_a_level_is_never_reached():
+    bp = linear_benchmark()
+    with pytest.raises(HittingTimeNotFoundError) as info:
+        convergence_study(bp, [0.5 * GOLDEN, 1e-30], benchmark_grid(5))
+    assert len(info.value.sweep) == 5
+
+
+def test_rendezvous_designs_continue_the_target_orbit(monkeypatch):
+    """Designs built along a shuffled grid equal, bit for bit, designs whose
+    target orbit is propagated from t = 0, and the orbit is propagated only
+    once, up to the largest grid step."""
+    import spacetraj.scenarios as scenarios
+
+    grid = default_sweep_grid(parse_config_dict({"scenario": "rendezvous"}))
+    shuffled = [grid[i] for i in np.random.default_rng(8).permutation(len(grid))]
+    fresh = {T: scenarios.rendezvous_problem().design_for(T) for T in grid}
+    propagated = 0
+    propagate = scenarios._propagate_target
+
+    def counting(r, v, steps, dt, mu):
+        nonlocal propagated
+        propagated += steps
+        return propagate(r, v, steps, dt, mu)
+
+    monkeypatch.setattr(scenarios, "_propagate_target", counting)
+    problem = scenarios.rendezvous_problem()
+    for T in shuffled:
+        got, want = problem.design_for(T).solution, fresh[T].solution
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.K, want.K)
+    assert propagated == round(max(grid) / scenarios.RENDEZVOUS_DT)
+
+
 def test_bellman_residuals_linear_instance():
     bp = linear_benchmark()
     sol = solve_two_phase(bp, level=0.002, grid=benchmark_grid(20))
