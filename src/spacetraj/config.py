@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -220,13 +220,13 @@ def _coerce(value: Any, template: Any, path: str) -> Any:
             current = getattr(out, key)
             setattr(out, key, _coerce(sub, current, f"{path}.{key}" if path else key))
         return out
+    if isinstance(template, bool) and not isinstance(value, bool):
+        raise ConfigError(path, "expected a boolean")
     if isinstance(value, bool):
         if not isinstance(template, (bool, type(None))):
             raise ConfigError(path, "unexpected boolean")
         return value
     if isinstance(value, (int, float)):
-        if isinstance(template, bool):
-            raise ConfigError(path, "expected a boolean")
         return value if isinstance(value, int) and isinstance(template, int) else float(value) if isinstance(template, float) else value
     return value
 
@@ -336,6 +336,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("horizon", f"must be at least dt, got {cfg.horizon}")
     if cfg.horizon / cfg.dt > MAX_STEPS:
         raise ConfigError("horizon", f"more than {MAX_STEPS} steps of dt={cfg.dt}")
+    if cfg.scenario == "custom-linear" and cfg.dt != 1.0:
+        raise ConfigError("dt", f"the custom-linear benchmark steps once per second, got {cfg.dt}")
+    # a two-phase solve runs exactly horizon / dt steps; the lander rounds
+    if cfg.scenario != "soft-landing" and abs(cfg.horizon / cfg.dt - round(cfg.horizon / cfg.dt)) > 1e-6:
+        raise ConfigError("horizon", f"must be a multiple of dt={cfg.dt}, got {cfg.horizon}")
+    _integer(cfg.seed, "seed", 0)
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError("output_dir", f"expected a path, got {cfg.output_dir!r}")
     n = STATE_DIMS[cfg.scenario]
     m = CONTROL_DIMS[cfg.scenario]
 
@@ -403,13 +411,21 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(path, f"entries must be positive, got {diag!r}")
     sc.float_array(cfg.lander.initial_position_m, "lander.initial_position_m", (3,))
     sc.float_array(cfg.lander.initial_velocity_mps, "lander.initial_velocity_mps", (3,))
-    if cfg.lander.isp_s <= 0 or cfg.lander.g_ref <= 0 or cfg.lander.initial_mass_kg <= 0:
-        raise ConfigError("lander", "isp_s, g_ref, initial_mass_kg must be positive")
-    if cfg.rendezvous.alpha <= 0 or cfg.rendezvous.mu <= 0 or cfg.rendezvous.mass_kg <= 0:
-        raise ConfigError("rendezvous", "mu, alpha, mass_kg must be positive")
-    for name, orbit in (("chaser", cfg.rendezvous.chaser), ("target", cfg.rendezvous.target)):
-        if orbit.a_km <= 0 or not (0 <= orbit.e < 1):
-            raise ConfigError(f"rendezvous.{name}", "need a_km > 0 and 0 <= e < 1")
+    for name in ("isp_s", "g_ref", "initial_mass_kg"):
+        _positive(getattr(cfg.lander, name), f"lander.{name}")
+    for name in ("penalty_weight", "penalty_rate", "penalty_coord_scale", "terminal_sink_rate_mps", "touchdown_speed_limit_mps"):
+        _real(getattr(cfg.lander, name), f"lander.{name}")
+    if _real(cfg.lander.terminal_weight, "lander.terminal_weight") < 0.0:
+        raise ConfigError("lander.terminal_weight", f"must not be negative, got {cfg.lander.terminal_weight!r}")
+    for name in ("mu", "alpha", "mass_kg"):
+        _positive(getattr(cfg.rendezvous, name), f"rendezvous.{name}")
+    for name in ("chaser", "target"):
+        orbit = getattr(cfg.rendezvous, name)
+        _positive(orbit.a_km, f"rendezvous.{name}.a_km")
+        if not 0.0 <= _real(orbit.e, f"rendezvous.{name}.e") < 1.0:
+            raise ConfigError(f"rendezvous.{name}.e", f"must lie in [0, 1), got {orbit.e!r}")
+        for angle in ("i_deg", "raan_deg", "argp_deg", "nu_deg"):
+            _real(getattr(orbit, angle), f"rendezvous.{name}.{angle}")
 
 
 def default_sweep_grid(cfg: ScenarioConfig) -> List[float]:
@@ -424,13 +440,21 @@ def default_sweep_grid(cfg: ScenarioConfig) -> List[float]:
     return [float(T) for T in snapped]
 
 
+def build_problem(cfg: ScenarioConfig):
+    """Scenario config -> the problem object every CLI command runs."""
+    if cfg.scenario == "soft-landing":
+        return build_landing_problem(cfg)
+    return build_two_phase_problem(cfg)
+
+
 def build_two_phase_problem(cfg: ScenarioConfig):
-    """Scenario config -> solvable problem object (two-phase scenarios only)."""
+    """Scenario config -> solvable problem object (two-phase scenarios only),
+    carrying the configured horizon, sweep grid and warm-start flag."""
     settings = cfg.solver.to_settings()
     tol = DEFAULT_MEMBERSHIP_TOLERANCE[cfg.scenario]
     terminal_set = cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, tol)
     if cfg.scenario == "attitude":
-        return sc.attitude_problem(
+        problem = sc.attitude_problem(
             initial_state_deg=cfg.initial_state,
             inertia_diag=cfg.attitude.inertia_diag,
             dt=cfg.dt,
@@ -439,9 +463,9 @@ def build_two_phase_problem(cfg: ScenarioConfig):
             settings=settings,
             terminal_set=terminal_set,
         )
-    if cfg.scenario == "rendezvous":
+    elif cfg.scenario == "rendezvous":
         params = sc.RendezvousParams(mu=cfg.rendezvous.mu, alpha=cfg.rendezvous.alpha)
-        return sc.rendezvous_problem(
+        problem = sc.rendezvous_problem(
             chaser=cfg.rendezvous.chaser.to_elements(),
             target=cfg.rendezvous.target.to_elements(),
             mass=cfg.rendezvous.mass_kg,
@@ -452,12 +476,18 @@ def build_two_phase_problem(cfg: ScenarioConfig):
             settings=settings,
             terminal_set=terminal_set,
         )
-    if cfg.scenario == "custom-linear":
-        import dataclasses
-
-        bp = sc.linear_benchmark(x0=float(cfg.initial_state[0]), settings=settings)
-        return dataclasses.replace(bp, terminal_set=terminal_set)
-    raise ConfigError("scenario", f"{cfg.scenario} has no two-phase formulation")
+    elif cfg.scenario == "custom-linear":
+        problem = sc.linear_benchmark(
+            x0=float(cfg.initial_state[0]), settings=settings, terminal_set=terminal_set
+        )
+    else:
+        raise ConfigError("scenario", f"{cfg.scenario} has no two-phase formulation")
+    return replace(
+        problem,
+        horizon=cfg.horizon,
+        grid=tuple(default_sweep_grid(cfg)),
+        warm_start=cfg.sweep.warm_start,
+    )
 
 
 def build_landing_problem(cfg: ScenarioConfig):

@@ -11,12 +11,13 @@ All derivatives consumed by the solver backward pass are exact.
 `cost_derivatives` takes an optional leading trajectory axis, so the backward
 pass gets the expansion of every stage from one call. `stage_costs` likewise
 prices a whole finished rollout at once; the step loops never call a cost.
+`first_over_cap` is the one cost-cap test applied to a priced rollout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class AltitudePenaltySpec:
     def hessian_at(self, x: np.ndarray):
         """d^2 penalty / d x[index]^2 at x (n,) or along x (T, n)."""
         alt = self.coord_scale * x[..., self.index]
-        return self.weight * (self.rate * self.coord_scale) ** 2 * np.exp(-self.rate * alt)
+        k = self.rate * self.coord_scale  # k * k overflows to inf where k ** 2 raises
+        return self.weight * (k * k) * np.exp(-self.rate * alt)
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,19 @@ def stage_costs(X: np.ndarray, U: np.ndarray, spec: QuadraticCostSpec) -> np.nda
         if spec.penalty is not None:
             c += spec.penalty.value(X)
     return c
+
+
+def first_over_cap(
+    costs: np.ndarray, cap: float, start: float = 0.0
+) -> Tuple[np.ndarray, Optional[int]]:
+    """The running sums start + c_0 + ... + c_t in step order, and the first
+    step whose sum is non-finite or above `cap` (None when no step's is).
+    A per-step test would have stopped the loop at that step; each caller
+    decides what of it to keep."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumsum(np.concatenate(([start], costs)))[1:]
+        over = np.flatnonzero(~(np.isfinite(running) & (running <= cap)))
+    return running, int(over[0]) if len(over) else None
 
 
 def stage_cost(x: np.ndarray, u: np.ndarray, spec: QuadraticCostSpec) -> float:

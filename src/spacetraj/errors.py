@@ -30,6 +30,11 @@ class NotAFixedPointError(SpacetrajError, ValueError):
         self.state = np.array(state, dtype=float)
 
 
+class DivergenceError(SpacetrajError, ValueError):
+    """A rollout diverged before any optimization: its running cost tripped
+    the cap or a step left the dynamics domain."""
+
+
 class StabilizabilityError(SpacetrajError, RuntimeError):
     """Riccati value iteration failed to converge (system likely not stabilizable)."""
 

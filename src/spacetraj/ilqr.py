@@ -65,9 +65,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, stage_costs
+from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, first_over_cap, stage_costs
 from .dynamics import ControlLaw, DiscreteModel, jacobians, simulate
-from .errors import RegularizationError
+from .errors import DivergenceError, RegularizationError
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,13 @@ def _priced(
     cost_cap: float,
 ) -> Optional[Trajectory]:
     """The finished rollout with its stage costs, or None when a step left
-    the dynamics domain or a running sum of the costs in step order is
-    non-finite or above the cap in magnitude (where a per-step test stops)."""
+    the dynamics domain or a running sum of the costs tripped the cap."""
     states, controls, message = simulation
     if message:
         return None
     costs = stage_costs(states[:-1], controls, spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        running = np.cumsum(costs)
-    if not (np.isfinite(running) & (np.abs(running) <= cost_cap)).all():
+    # a candidate that trips the cap at any step is rejected whole
+    if first_over_cap(costs, cost_cap)[1] is not None:
         return None
     return Trajectory(
         states=states,
@@ -361,7 +359,7 @@ def solve_fhocp(
 
     traj = rollout(model, x0, initial_controls, spec, terminal, settings.cost_cap)
     if traj is None:
-        raise ValueError("initial control sequence produces a divergent rollout")
+        raise DivergenceError("initial control sequence produces a divergent rollout")
 
     lam = settings.reg_init
     failures = 0  # consecutive rejected line searches

@@ -44,8 +44,8 @@ since z'Pz cannot reach the bound before that.
 
 The rollout is `dynamics.simulate` under `regulation_law` (see its hot-loop
 contract); z is a view when the regulated block is contiguous. One
-`stage_costs` call prices the finished loop, which is then cut where the
-running cost first passed the cap.
+`stage_costs` call prices the finished loop, which is then cut at the step
+`cost.first_over_cap` names.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, stage_costs
+from .cost import QuadraticCostSpec, first_over_cap, stage_costs
 from .dynamics import ControlLaw, DiscreteModel, Linearization, jacobians, simulate
 from .errors import NotAFixedPointError, StabilizabilityError
 
@@ -312,15 +312,12 @@ def regulation_rollout(
     X, U, message = simulate(model, x0, law, stop.regulation_cap)
     converged = not message and len(U) < stop.regulation_cap
     message = message and f"regulation rollout left the dynamics domain: {message}"
-    # Price the steps and cut at the first running sum over the cap: the
-    # tripping control is priced but not applied, as a failed step's is.
     costs = stage_costs(X[: len(U)], U, spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        running = np.cumsum(costs)
-    over = np.flatnonzero(~(np.isfinite(running) & (running <= stop.cost_cap)))
+    running, over = first_over_cap(costs, stop.cost_cap)
     k = len(U) - 1  # the running sum that `cost` reports
-    if len(over):
-        k = over[0]
+    if over is not None:
+        # the tripping control is priced but not applied, as a failed step's is
+        k = over
         X, U, costs, converged = X[: k + 1], U[:k], costs[:k], False
         message = f"regulation cost exceeded cap ({running[k]:.3e})"
     elif message:

@@ -22,17 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, stage_costs
 from .dynamics import DiscreteModel, lti_model, simulate
-from .errors import ConfigError
+from .errors import ConfigError, NotAFixedPointError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
 from .lqr import RegulationDesign, TerminalSetSpec, linearize_at_goal, solve_dare
 from .models import (
     LANDER_ALTITUDE_INDEX,
+    LANDER_CONTROL_SCALE,
     LANDER_R_SCALE,
     LANDER_STATE_SCALE,
     LANDER_V_SCALE,
@@ -47,7 +48,7 @@ from .models import (
     rendezvous_error_model,
     rendezvous_model,
 )
-from .two_phase import TwoPhaseProblem
+from .two_phase import RunResult, TwoPhaseProblem
 
 DEG = math.pi / 180.0
 
@@ -130,6 +131,11 @@ def default_regulation_cap(horizon: float, dt: float) -> int:
 # Attitude
 # ---------------------------------------------------------------------------
 
+def _attitude_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.2, 0.2, 3)])
+    return x, rng.normal(0, 5, 3)
+
+
 def attitude_problem(
     initial_state_deg: Sequence[float] = ATTITUDE_INITIAL_DEG,
     goal_state_deg: Sequence[float] = (0.0,) * 6,
@@ -169,7 +175,7 @@ def attitude_problem(
         design_for=lambda T: design,
         settings=settings,
         terminal_set=terminal_set,
-        label="attitude",
+        sampler=_attitude_sample,
     )
 
 
@@ -186,6 +192,19 @@ def rendezvous_initial_state(
     r_c, v_c = kepler_to_cartesian(chaser, mu)
     r_t, v_t = kepler_to_cartesian(target, mu)
     return np.concatenate([r_t - r_c, v_t - v_c, [mass], r_t, v_t])
+
+
+def _rendezvous_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    x = np.concatenate(
+        [
+            rng.normal(0, 100, 3),
+            rng.normal(0, 1, 3),
+            [1000.0 + rng.normal(0, 100)],
+            7000.0 + rng.normal(0, 300, 3),
+            rng.normal(0, 4, 3),
+        ]
+    )
+    return x, rng.normal(0, 0.5, 3) + 0.1
 
 
 def _propagate_target(
@@ -259,7 +278,7 @@ def rendezvous_problem(
         design_for=design_for,
         settings=settings,
         terminal_set=terminal_set,
-        label="rendezvous",
+        sampler=_rendezvous_sample,
     )
 
 
@@ -270,7 +289,11 @@ def rendezvous_problem(
 @dataclass(frozen=True)
 class LandingProblem:
     """Penalized finite-horizon descent; no stationary phase (hover thrust is
-    a nonzero equilibrium input, so the origin is not a fixed point)."""
+    a nonzero equilibrium input, so the origin is not a fixed point).
+
+    It answers the problem interface of `two_phase` with its states and
+    controls in SI units: `solve` is the descent solve, `simulate` the
+    descent to touchdown, and `sweep` is rejected."""
 
     model: DiscreteModel
     cost: QuadraticCostSpec
@@ -280,15 +303,86 @@ class LandingProblem:
     settings: SolverSettings
     params: LanderParams
     touchdown_speed_limit: float = TOUCHDOWN_SPEED_LIMIT
-    label: str = "soft-landing"
-
-    @property
-    def dt(self) -> float:
-        return self.model.dt
 
     def hover_controls(self) -> np.ndarray:
         u = lander_hover_control(float(self.x0[12]), self.params)
         return np.tile(u, (self.steps, 1))
+
+    def solve(self) -> RunResult:
+        report = solve_landing(self)
+        traj = report.trajectory
+        return RunResult.solved(
+            report,
+            self.model.dt,
+            traj.states * LANDER_STATE_SCALE,
+            traj.controls * LANDER_CONTROL_SCALE,
+            traj.states[-1][:12] * LANDER_STATE_SCALE[:12],
+        )
+
+    def sweep(self):
+        """Rejected: without a stationary design there is no grid to sweep."""
+        raise ConfigError(
+            "scenario",
+            "the soft-landing scenario is single-phase (no stationary design exists); sweep does not apply",
+        )
+
+    def simulate(self) -> RunResult:
+        report = solve_landing(self)
+        result = simulate_landing(self, report)
+        touched = result.touched_down
+        within = bool(abs(result.touchdown_speed) <= self.touchdown_speed_limit) if touched else None
+        final = result.touchdown_state_si if touched else result.states[-1] * LANDER_STATE_SCALE
+        summary = {
+            "solver_converged": report.converged,
+            "solver_status": report.status,
+            "total_cost": result.total_cost,
+            "touched_down": touched,
+            "touchdown_time_s": result.touchdown_time,
+            "touchdown_speed_mps": result.touchdown_speed,
+            "touchdown_speed_within_limit": within,
+            "final_state_error": [float(v) for v in final[:12]],
+        }
+        return RunResult(
+            report,
+            self.model.dt,
+            result.states * LANDER_STATE_SCALE,
+            result.controls * LANDER_CONTROL_SCALE,
+            result.stage_costs,
+            summary,
+        )
+
+    def sample(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """A point (x, u) for the Jacobian check."""
+        x = np.concatenate(
+            [
+                rng.uniform(-0.5, 0.5, 3),
+                rng.uniform(-0.2, 0.2, 3),
+                rng.normal(0, 0.05, 3),
+                rng.normal(0, 0.05, 3),
+                [rng.uniform(500, 1200)],
+            ]
+        )
+        return x, rng.normal(0.1, 0.2, 6)
+
+    def design_check(self) -> Dict[str, Any]:
+        """No stationary design: hover at the initial mass must fail the
+        fixed-point test."""
+        x_eq = np.zeros(13)
+        x_eq[12] = self.params.initial_mass
+        try:
+            linearize_at_goal(self.model, x_eq, lander_hover_control(x_eq[12], self.params))
+        except NotAFixedPointError as exc:
+            return {
+                "check": "riccati",
+                "passed": True,
+                "detail": "no stationary design: hover is not a fixed point (single-phase scenario)",
+                "residual": exc.residual,
+            }
+        return {
+            "check": "riccati",
+            "passed": False,
+            "detail": "hover point unexpectedly qualified as an equilibrium",
+        }
 
 
 def soft_landing_problem(
@@ -433,6 +527,7 @@ def solve_landing(problem: LandingProblem) -> SolveReport:
 def linear_benchmark(
     x0: float = 1.0,
     settings: Optional[SolverSettings] = None,
+    terminal_set: Optional[TerminalSetSpec] = None,
 ) -> TwoPhaseProblem:
     """Scalar system x+ = x + u with stage cost x^2 + u^2.
 
@@ -450,8 +545,7 @@ def linear_benchmark(
         x0=np.array([float(x0)]),
         design_for=lambda T: design,
         settings=settings or SolverSettings(),
-        terminal_set=TerminalSetSpec(regulation_cap=1000),
-        label="custom-linear",
+        terminal_set=terminal_set or TerminalSetSpec(regulation_cap=1000),
     )
 
 

@@ -12,16 +12,23 @@ converges to the true infinite-horizon cost as the level shrinks to zero,
 which `convergence_study` measures on a linear benchmark where the true cost
 is known in closed form. `bellman_check` re-solves from successor states to
 measure one-step Bellman residuals of the combined value.
+
+A problem object is what every CLI command runs: `TwoPhaseProblem` here and
+`scenarios.LandingProblem` answer `solve()` and `simulate()` with one
+`RunResult`, `sweep()` with the grid's points, `sample(rng)` with a
+Jacobian-check point and `design_check()` with the `riccati` check of
+`verify`, so how a scenario is solved, simulated, scaled and checked lives
+behind the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, TerminalValue, stage_costs
+from .cost import QuadraticCostSpec, TerminalValue, first_over_cap, stage_costs
 from .dynamics import DiscreteModel, simulate
 from .errors import HittingTimeNotFoundError, RegularizationError, StabilizabilityError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
@@ -35,13 +42,47 @@ from .lqr import (
 
 
 @dataclass(frozen=True)
+class RunResult:
+    """A `solve` or `simulate` run: the solve report, the states and controls
+    in output units, the stage cost of each control, the phase of each
+    control (None: all phase 1) and the command's scenario-specific summary
+    fields."""
+
+    report: SolveReport
+    dt: float
+    states: np.ndarray
+    controls: np.ndarray
+    stage_costs: np.ndarray
+    summary: Dict[str, Any]
+    phases: Optional[np.ndarray] = None
+
+    @classmethod
+    def solved(
+        cls, report: SolveReport, dt: float, states: np.ndarray, controls: np.ndarray, final_state_error
+    ) -> "RunResult":
+        """The `solve` result of a finite-horizon report."""
+        traj = report.trajectory
+        summary = {
+            "total_cost": traj.total_cost,
+            "stage_cost_sum": traj.phase_cost,
+            "terminal_cost": traj.terminal_cost,
+            "converged": report.converged,
+            "status": report.status,
+            "final_state_error": [float(v) for v in final_state_error],
+        }
+        return cls(report, dt, states, controls, traj.stage_costs, summary)
+
+
+@dataclass(frozen=True)
 class TwoPhaseProblem:
     """A regulation goal at the origin plus everything needed to solve for it.
 
     `design_for(T)` returns the stationary regulation design used when the
     switch happens at transfer time T; it is constant for time-invariant
     goals and re-evaluated per T when the design point moves (rendezvous
-    freezes the target state at the switch epoch).
+    freezes the target state at the switch epoch). `horizon`, `grid` and
+    `warm_start` are what `solve`, `simulate`, `sweep` and `design_check`
+    run at (`config.build_problem` sets them from the config).
     """
 
     model: DiscreteModel
@@ -50,8 +91,10 @@ class TwoPhaseProblem:
     design_for: Callable[[float], RegulationDesign]
     settings: SolverSettings = field(default_factory=SolverSettings)
     terminal_set: TerminalSetSpec = field(default_factory=TerminalSetSpec)
-    initial_controls: Optional[Callable[[int], np.ndarray]] = None
-    label: str = ""
+    sampler: Optional[Callable[[np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None
+    horizon: Optional[float] = None
+    grid: Tuple[float, ...] = ()
+    warm_start: bool = True
 
     def steps_for(self, transfer_time: float) -> int:
         steps = transfer_time / self.model.dt
@@ -63,9 +106,71 @@ class TwoPhaseProblem:
         return int(rounded)
 
     def guess_for(self, steps: int) -> np.ndarray:
-        if self.initial_controls is None:
-            return np.zeros((steps, self.model.control_dim))
-        return np.asarray(self.initial_controls(steps), dtype=float)
+        return np.zeros((steps, self.model.control_dim))
+
+    def solve(self) -> RunResult:
+        """The nonlinear leg at `horizon`, its terminal value the design's."""
+        steps = self.steps_for(self.horizon)
+        design = self.design_for(self.horizon)
+        report = solve_fhocp(
+            self.model,
+            self.cost,
+            TerminalValue(design.P_full),
+            self.x0,
+            steps,
+            self.settings,
+            self.guess_for(steps),
+        )
+        traj = report.trajectory
+        return RunResult.solved(
+            report, self.model.dt, traj.states, traj.controls, design.regulated(traj.states[-1])
+        )
+
+    def sweep(self) -> List["SweepPoint"]:
+        return sweep_transfer_time(self, self.grid, self.warm_start)
+
+    def simulate(self) -> RunResult:
+        """The first hitting time on `grid`, then the closed loop through it."""
+        solution = solve_two_phase(self, self.terminal_set.level, self.grid, self.warm_start)
+        closed = two_phase_simulate(self, solution)
+        costs, phases = closed.stage_costs, closed.phases
+        summary = {
+            "transfer_time": solution.transfer_time,
+            "level": solution.level,
+            "objective": solution.objective,
+            "phase1_cost": float(np.sum(costs[phases == 1])),
+            "phase2_cost": float(np.sum(costs[phases == 2])),
+            "total_cost": closed.total_cost,
+            "switch_time_s": closed.switch_time,
+            "regulation_converged": closed.converged,
+            "diverged": closed.diverged,
+            "membership_switches": membership_switches(solution.sweep),
+            "final_state_error": [float(v) for v in solution.design.regulated(closed.states[-1])],
+            "tail_cost_decreasing_outside_set": lyapunov_decreasing(
+                closed, solution.design, solution.level
+            ),
+        }
+        return RunResult(
+            solution.report, self.model.dt, closed.states, closed.controls, costs, summary, phases
+        )
+
+    def sample(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """A point (x, u) for the Jacobian check: the scenario's `sampler`,
+        else standard normal entries."""
+        if self.sampler is not None:
+            return self.sampler(rng)
+        x = rng.normal(0, 1.0, self.model.state_dim)
+        return x, rng.normal(0, 1.0, self.model.control_dim)
+
+    def design_check(self) -> Dict[str, Any]:
+        """The stationary Riccati residual of the design at the last grid time."""
+        sol = self.design_for(self.grid[-1]).solution
+        return {
+            "check": "riccati",
+            "passed": bool(sol.residual < 1e-9 and sol.spectral_radius < 1.0),
+            "residual": sol.residual,
+            "spectral_radius": sol.spectral_radius,
+        }
 
 
 @dataclass(frozen=True)
@@ -314,14 +419,14 @@ def two_phase_simulate(
         phase = "regulation" if switched else "phase-1 rollout"
         message = f"{phase} left the dynamics domain: {message}"
     # Row by row these are the costs the nominal leg and the membership
-    # rollout stored. The cap is tested after each applied step (a step that
-    # failed ended the run first).
+    # rollout stored. The cap is tested on the regulation steps, on top of
+    # the phase-1 cost (a step that failed ended the run first).
     costs = stage_costs(X[: len(U)], U, problem.cost)
     tested = costs[switch_index : len(X) - 1]
-    running = np.cumsum(np.concatenate(([np.sum(costs[:switch_index])], tested)))
-    over = np.flatnonzero(running[1:] > stop.cost_cap)
-    if len(over):
-        end = switch_index + over[0] + 1
+    over = first_over_cap(tested, stop.cost_cap, np.sum(costs[:switch_index]))[1]
+    if over is not None:
+        # the closed loop tests after each applied step: the tripping step stays
+        end = switch_index + over + 1
         X, U, costs = X[: end + 1], U[:end], costs[:end]
         converged, message = False, "regulation diverged"
     phases = np.full(len(costs), 2)

@@ -1,11 +1,16 @@
 """End-to-end CLI runs: artifacts, schemas, determinism, error reporting."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacetraj.artifacts import _fmt, trajectory_rows, write_csv
 from spacetraj.cli import main
@@ -141,7 +146,6 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     simulate goes through `dynamics.euler_step`, and the steps are priced
     by at most one `stage_costs` call per finished loop, never by a
     `stage_cost` call per step."""
-    import spacetraj.cli as cli
     import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
     import spacetraj.ilqr as ilqr
@@ -167,7 +171,7 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
         (ilqr, "rollout"),
         (ilqr, "forward_pass"),
         (lqr, "regulation_rollout"),
-        (cli, "two_phase_simulate"),
+        (two_phase, "two_phase_simulate"),
     ):
         count(module, loop, "loops")
     code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
@@ -388,6 +392,12 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
 )
 def test_malformed_array_is_a_config_error(tmp_path, capsys, field, value):
     scenario = "soft-landing" if field.startswith("lander") else "attitude"
+    assert_config_error(tmp_path, capsys, scenario, field, value)
+
+
+def assert_config_error(tmp_path, capsys, scenario, field, value):
+    """`solve` exits 2 with one JSON line naming `field`, no traceback and
+    no output directory."""
     code = main(
         ["solve", "--set", f"scenario={scenario}", "--set", f"{field}={value}", "--out", str(tmp_path / "o")]
     )
@@ -400,6 +410,144 @@ def test_malformed_array_is_a_config_error(tmp_path, capsys, field, value):
     assert out["field"] == field
     assert "Traceback" not in captured.err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,field,value",
+    [
+        ("soft-landing", "lander.isp_s", '"x"'),
+        ("soft-landing", "lander.g_ref", "[1]"),
+        ("soft-landing", "lander.initial_mass_kg", "0"),
+        ("soft-landing", "lander.penalty_weight", '"x"'),
+        ("soft-landing", "lander.penalty_rate", "NaN"),
+        ("soft-landing", "lander.terminal_weight", '"x"'),
+        ("soft-landing", "lander.terminal_weight", "-1"),
+        ("soft-landing", "lander.touchdown_speed_limit_mps", "null"),
+        ("rendezvous", "rendezvous.mu", '"x"'),
+        ("rendezvous", "rendezvous.alpha", "-1"),
+        ("rendezvous", "rendezvous.chaser.a_km", '"x"'),
+        ("rendezvous", "rendezvous.chaser.e", "1.0"),
+        ("rendezvous", "rendezvous.target.i_deg", '"x"'),
+        ("rendezvous", "rendezvous.target.nu_deg", "Infinity"),
+        ("rendezvous", "horizon", "3"),
+        ("attitude", "seed", "-1"),
+        ("attitude", "seed", "0.5"),
+        ("attitude", "sweep.warm_start", '"yes"'),
+        ("attitude", "output_dir", "5"),
+    ],
+)
+def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, value):
+    assert_config_error(tmp_path, capsys, scenario, field, value)
+
+
+@pytest.mark.parametrize(
+    "command,overrides,error",
+    [
+        # the initial rollout already passes the cost cap
+        ("solve", ["scenario=attitude", "horizon=3", "solver.cost_cap=7"], "DivergenceError"),
+        ("simulate", ["scenario=soft-landing", "horizon=3", "lander.isp_s=0.5"], "DivergenceError"),
+        # a penalty Hessian that overflows to inf
+        ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_rate=1e300"], "RegularizationError"),
+    ],
+)
+def test_runtime_failure_is_machine_readable(tmp_path, capsys, command, overrides, error):
+    argv = [command]
+    for item in overrides:
+        argv += ["--set", item]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 3 and json.loads(captured.out)["error"] == error
+    assert "Traceback" not in captured.err
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    code, out = run_cli(capsys, "verify", "--set", "scenario=custom-linear", "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert code == 2 and out["field"] == "seed"
+
+
+@pytest.mark.parametrize(
+    "command,scenario",
+    [
+        ("solve", "rendezvous"),
+        ("solve", "soft-landing"),
+        ("simulate", "custom-linear"),
+        ("verify", "rendezvous"),
+        ("verify", "custom-linear"),
+        ("sweep", "rendezvous"),
+        ("sweep", "custom-linear"),
+    ],
+)
+def test_command_runs_on_the_scenario(tmp_path, capsys, command, scenario):
+    """The command x scenario pairs no other test runs, on default configs."""
+    files = {
+        "solve": ["summary.json", "trajectory.csv", "iterations.csv"],
+        "simulate": ["summary.json", "trajectory.csv", "iterations.csv"],
+        "verify": ["summary.json"],
+        "sweep": ["summary.json", "sweep.csv"],
+    }[command]
+    code, out = run_cli(capsys, command, "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
+    assert code == 0 and out["status"] == "ok"
+    assert out["artifacts"] == [str(tmp_path / "o" / name) for name in files]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert (summary["command"], summary["scenario"]) == (command, scenario)
+    if command == "verify":
+        assert summary["passed"] is True
+    if command == "sweep":
+        assert summary["failures"] == [] and summary["first_hitting_time"] is not None
+
+
+# Small horizons keep each fuzzed run short; `dt` and `horizon` are drawn
+# from values that keep the step count small or are rejected.
+FUZZ_BASE = {
+    "attitude": ["horizon=3", "sweep.grid=[1,2,3]"],
+    "rendezvous": ["horizon=40", "sweep.grid=[20,40]"],
+    "soft-landing": ["horizon=3"],
+    "custom-linear": ["horizon=5"],
+}
+FUZZ_KEYS = [
+    "initial_state", "goal_state", "q", "r", "seed", "convergence_levels", "output_dir",
+    "solver", "solver.max_iterations", "solver.tolerance", "solver.alpha_factor", "solver.alpha_count",
+    "solver.reg_init", "solver.reg_growth", "solver.reg_shrink", "solver.reg_min", "solver.reg_max",
+    "solver.cost_cap", "terminal_set.level", "terminal_set.tolerance", "terminal_set.regulation_cap",
+    "terminal_set.state_tol", "terminal_set.cost_cap", "sweep.grid", "sweep.warm_start",
+    "attitude.inertia_diag", "rendezvous.mu", "rendezvous.alpha", "rendezvous.mass_kg", "rendezvous.chaser",
+    *[f"rendezvous.{o}.{f}" for o in ("chaser", "target") for f in ("a_km", "e", "i_deg", "raan_deg", "argp_deg", "nu_deg")],
+    "lander", "lander.isp_s", "lander.g_ref", "lander.initial_mass_kg", "lander.inertia_diag",
+    "lander.penalty_weight", "lander.penalty_rate", "lander.penalty_coord_scale", "lander.terminal_weight",
+    "lander.terminal_sink_rate_mps", "lander.touchdown_speed_limit_mps", "lander.initial_position_m",
+    "lander.initial_velocity_mps", "warp_drive", "solver.warp_drive",
+]
+FUZZ_NUMBERS = ["-1", "0", "0.5", "1", "2", "3", "-2.5", "7", "1e6", "1e-300", "1e300", "-1e300"]
+FUZZ_OTHERS = [
+    "NaN", "Infinity", "-Infinity", '"x"', "abc", "null", "true", "[]", "[1,2]", "[1,2,3]",
+    "[1,2,3,4,5,6]", "[[1]]", "[NaN,1,1]", '{"a":1}',
+]
+fuzz_override = st.one_of(
+    st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_NUMBERS + FUZZ_OTHERS)),
+    st.tuples(st.sampled_from(["dt", "horizon"]), st.sampled_from(["0.5", "2", "3", "-1", "0"] + FUZZ_OTHERS)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["solve", "simulate", "verify", "sweep"]),
+    st.sampled_from(sorted(FUZZ_BASE)),
+    st.lists(fuzz_override, min_size=1, max_size=3),
+)
+def test_fuzzed_overrides_end_in_a_documented_exit(command, scenario, overrides):
+    """Every override set ends in exit 0, 1, 2 or 3 with exactly one JSON
+    line on stdout and no traceback."""
+    argv = [command, "--set", f"scenario={scenario}"]
+    for item in FUZZ_BASE[scenario] + [f"{key}={value}" for key, value in overrides]:
+        argv += ["--set", item]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", tmp])
+    assert code in (0, 1, 2, 3)
+    lines = out.getvalue().strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["status"] in ("ok", "error")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_summary_echoes_config(tmp_path, capsys):

@@ -2,17 +2,29 @@
 level convergence, and Bellman/Lyapunov diagnostics."""
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spacetraj.config import build_two_phase_problem, default_sweep_grid, parse_config_dict
-from spacetraj.dynamics import ContinuousModel, DiscreteModel
+from spacetraj.cost import QuadraticCostSpec, TerminalValue, stage_costs
+from spacetraj.dynamics import ContinuousModel, DiscreteModel, lti_model, simulate
 from spacetraj.errors import HittingTimeNotFoundError
-from spacetraj.lqr import regulation_rollout
+from spacetraj.ilqr import GainSchedule, SolveReport, rollout
+from spacetraj.lqr import (
+    LqrSolution,
+    RegulationDesign,
+    TerminalSetSpec,
+    in_terminal_set,
+    regulation_law,
+    regulation_rollout,
+)
 from spacetraj.scenarios import attitude_problem, benchmark_grid, linear_benchmark
 from spacetraj.two_phase import (
+    TwoPhaseProblem,
+    TwoPhaseSolution,
     bellman_check,
     convergence_study,
     lyapunov_decreasing,
@@ -353,3 +365,53 @@ def test_overflowing_initial_state_diverges_without_warnings():
 def test_weight_shape_is_validated(q, r):
     with pytest.raises(ValueError, match="expected"):
         attitude_problem(q=q, r=r)
+
+
+@pytest.mark.parametrize("cap", [1000.0, np.finfo(float).max])
+@pytest.mark.parametrize("caller", ["ilqr.rollout", "lqr.regulation_rollout", "two_phase_simulate"])
+def test_every_cost_cap_trips_at_the_same_step(caller, cap):
+    """One diverging input for the three priced loops: x+ = 2x + u under
+    u = -x/2 from x = 1, stage cost x^2 + u^2. The state grows by 1.5 a step
+    and stays finite while its cost overflows, so at the largest float cap
+    only the non-finite running sum trips. Each caller stops at the first step
+    whose running sum, in step order, is non-finite or above the cap, and
+    keeps what its own cut keeps."""
+    model = lti_model([[2.0]], [[1.0]])
+    spec = QuadraticCostSpec(Q=[[2.0]], R=[[2.0]])
+    design = RegulationDesign(LqrSolution(np.eye(1), np.array([[0.5]]), 1.5, 0.0, 0), np.arange(1), 1)
+    # the cost overflows near step 880, the state near step 1750
+    stop = TerminalSetSpec(regulation_cap=1200, cost_cap=cap)
+    x0 = np.array([1.0])
+    with np.errstate(over="ignore"):
+        X, U, message = simulate(model, x0, regulation_law(design, stop.state_tol), stop.regulation_cap)
+    assert not message
+    costs = stage_costs(X[:-1], U, spec)
+    running, trip = 0.0, None
+    for t, c in enumerate(costs):
+        running += float(c)
+        if not math.isfinite(running) or running > cap:
+            trip = t
+            break
+    assert trip is not None and 1 <= trip < len(U) - 1
+
+    if caller == "ilqr.rollout":  # a candidate that trips anywhere is rejected
+        terminal = TerminalValue(np.eye(1))
+        assert rollout(model, x0, U[:trip], spec, terminal, cap) is not None
+        assert rollout(model, x0, U[: trip + 1], spec, terminal, cap) is None
+    elif caller == "lqr.regulation_rollout":  # the tripping control is priced, not applied
+        with np.errstate(over="ignore"):
+            out = regulation_rollout(model, x0, design, spec, stop)
+        assert out.diverged and "exceeded cap" in out.message
+        assert out.steps == trip and out.cost == running
+    else:  # the closed loop keeps the tripping step
+        problem = TwoPhaseProblem(model, spec, x0, lambda T: design, terminal_set=stop)
+        nominal = rollout(model, x0, U[:1], spec, TerminalValue(np.eye(1)))
+        gains = GainSchedule(np.zeros((1, 1)), np.zeros((1, 1, 1)), 0.0, 0.0, 0.0)
+        report = SolveReport(nominal, gains, (), True, "converged")
+        with np.errstate(over="ignore"):
+            membership = in_terminal_set(model, nominal.states[-1], design, spec, stop)
+        solution = TwoPhaseSolution(1.0, 1.0, 0.0, report, design, membership, ())
+        closed = two_phase_simulate(problem, solution)
+        assert closed.diverged and closed.message == "regulation diverged"
+        assert len(closed.controls) == trip + 1
+        assert np.array_equal(closed.controls, U[: trip + 1])
