@@ -16,6 +16,7 @@ prices a whole finished rollout at once; the step loops never call a cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -23,8 +24,10 @@ import numpy as np
 
 
 def altitude_penalty(altitude: float, weight: float, rate: float) -> float:
-    """Soft ground constraint: weight * exp(-rate * altitude) - weight."""
-    return weight * np.exp(-rate * altitude) - weight
+    """Soft ground constraint: weight * exp(-rate * altitude) - weight,
+    inf (without a warning) where it overflows."""
+    with np.errstate(over="ignore"):
+        return weight * np.exp(-rate * altitude) - weight
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,21 @@ class AltitudePenaltySpec:
 
     def gradient_at(self, x: np.ndarray):
         """d penalty / d x[index] at x (n,) or along x (T, n)."""
-        alt = self.coord_scale * x[..., self.index]
-        return -self.weight * self.rate * self.coord_scale * np.exp(-self.rate * alt)
+        return self._times_exp(-self.weight * self.rate * self.coord_scale, x)
 
     def hessian_at(self, x: np.ndarray):
         """d^2 penalty / d x[index]^2 at x (n,) or along x (T, n)."""
-        alt = self.coord_scale * x[..., self.index]
         k = self.rate * self.coord_scale  # k * k overflows to inf where k ** 2 raises
-        return self.weight * (k * k) * np.exp(-self.rate * alt)
+        return self._times_exp(self.weight * (k * k), x)
+
+    def _times_exp(self, coef: float, x: np.ndarray):
+        """coef * exp(-rate * altitude). A coefficient that overflowed to
+        +-inf gives +-inf at every point, not inf * 0 = NaN where the
+        exponential underflows; an overflowing term is inf without a
+        warning."""
+        with np.errstate(over="ignore"):
+            e = np.exp(-self.rate * (self.coord_scale * x[..., self.index]))
+            return np.full_like(e, coef) if math.isinf(coef) else coef * e
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,26 @@ stop, up to rounding. The quadratic form is evaluated only once
 ||z||^2 <= bound / lambda_min(P) (lambda_min is computed once per design),
 since z'Pz cannot reach the bound before that.
 
+A non-member needs only its verdict, so the membership rollout also stops
+at the first state z_k whose bracket [rolled_k, rolled_k + 2 z_k'Pz_k]
+lies wholly outside the band [predicted - band, predicted + band], and
+reports rolled_k + z_k'Pz_k there, marked `decided`:
+
+- rolled_k > predicted + band is exact: stage costs and z'Pz are
+  non-negative, so no later stop can bring the cost back into the band.
+- rolled_k + 2 z_k'Pz_k < predicted - band rests on the same bracket as the
+  tail stop (the cost still to come lies in [0, 2 z_k'Pz_k]).
+
+On that bracket, |reported - full roll| <= z_k'Pz_k at the stop. Members
+and undecided points roll exactly as without the test.
+
 The rollout is `dynamics.simulate` under `regulation_law` (see its hot-loop
-contract); z is a view when the regulated block is contiguous. One
-`stage_costs` call prices the finished loop, which is then cut at the step
-`cost.first_over_cap` names.
+contract), run in chunks of CHUNK_STEPS steps; z is a view when the
+regulated block is contiguous. One `stage_costs` call prices each chunk
+(rows price alike in any batch, and the running sum carries over in step
+order), the bracket is tested over the chunk's states at once, and the
+rollout is cut at the step `cost.first_over_cap` names, as one loop priced
+once would be.
 """
 
 from __future__ import annotations
@@ -53,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +82,11 @@ FIXED_POINT_RTOL = 1e-9
 # A membership rollout stops once the tail z'Pz is at most this fraction of
 # the tolerance band tolerance * max(predicted, floor).
 TAIL_FRACTION = 1e-4
+
+# Steps per `simulate` call of a regulation rollout; each chunk is priced by
+# one `stage_costs` call before the verdict is tested on its states. Longer
+# chunks price less often, shorter ones overshoot a decided stop by less.
+CHUNK_STEPS = 64
 
 
 def linearize_at_goal(
@@ -256,7 +277,9 @@ class RegulationRollout:
     `stage_costs` holds the cost of each applied control, `cost` their
     running sum (on a cost-cap divergence it also holds the step that tripped
     the cap, which is not applied), and `tail` the quadratic value z'Pz at the
-    state the rollout stopped at (0 when it diverged).
+    state the rollout stopped at (0 when it diverged). `decided` says the
+    rollout stopped because its tail-closed cost was settled outside the
+    membership band, neither converged nor diverged.
     """
 
     states: np.ndarray
@@ -267,6 +290,7 @@ class RegulationRollout:
     converged: bool
     diverged: bool
     message: str = ""
+    decided: bool = False
 
     @property
     def steps(self) -> int:
@@ -295,6 +319,7 @@ def regulation_law(design: RegulationDesign, state_tol: float, tail_bound: float
     return law
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends the rollout as diverged
 def regulation_rollout(
     model: DiscreteModel,
     x0: np.ndarray,
@@ -302,18 +327,58 @@ def regulation_rollout(
     spec: QuadraticCostSpec,
     stop: TerminalSetSpec,
     tail_bound: float = 0.0,
+    band: Optional[Tuple[float, float]] = None,
 ) -> RegulationRollout:
     """Simulate the nonlinear model under u = -K z until the regulated state
     norm drops below `state_tol`, or, when `tail_bound` is positive, the
     tail z'Pz drops to `tail_bound` or below, or the step cap is reached.
-    Divergence (cost cap, non-finite state, singular kinematics) is reported
-    in the result, not raised."""
+    With a `band` (low, high), the rollout also stops, `decided`, at the
+    first state whose bracket [rolled, rolled + 2 z'Pz] lies wholly outside
+    it (see the module docstring). Divergence (cost cap, non-finite state,
+    singular kinematics) is reported in the result, not raised, and without
+    numpy warnings."""
     law = regulation_law(design, stop.state_tol, tail_bound)
-    X, U, message = simulate(model, x0, law, stop.regulation_cap)
+    take, P = design.take, design.solution.P
+    x = np.array(x0, dtype=float)
+    X, U, costs = [x[None]], [], []
+    rolled, applied, decided, message = 0.0, 0, None, ""
+    while applied < stop.regulation_cap and decided is None:
+        steps = min(CHUNK_STEPS, stop.regulation_cap - applied)
+        Xc, Uc, message = simulate(model, x, law, steps)
+        costs_c = stage_costs(Xc[: len(Uc)], Uc, spec)
+        running, over = first_over_cap(costs_c, stop.cost_cap, rolled)
+        if band is not None:
+            # state j of the chunk has rolled running[j - 1]; the states
+            # past a cap trip are not tested, the trip decides them
+            last = len(Xc) - 1 if over is None else over
+            Z = Xc[1 : last + 1, take]
+            rolled_at, tails = running[:last], np.einsum("ij,jk,ik->i", Z, P, Z)
+            outside = (rolled_at > band[1]) | (rolled_at + 2.0 * tails < band[0])
+            if outside.any():
+                decided = applied + int(np.argmax(outside)) + 1
+        X.append(Xc[1:])
+        U.append(Uc)
+        costs.append(costs_c)
+        applied += len(Uc)
+        if message or over is not None or len(Uc) < steps:
+            break
+        x, rolled = Xc[-1], float(running[-1])
+    X, U, costs = np.concatenate(X), np.concatenate(U), np.concatenate(costs)
+    running, over = first_over_cap(costs, stop.cost_cap)
+    if decided is not None:
+        z = X[decided][take]
+        return RegulationRollout(
+            states=X[: decided + 1],
+            controls=U[:decided],
+            stage_costs=costs[:decided],
+            cost=float(running[decided - 1]),
+            tail=float(z.dot(P).dot(z)),
+            converged=False,
+            diverged=False,
+            decided=True,
+        )
     converged = not message and len(U) < stop.regulation_cap
     message = message and f"regulation rollout left the dynamics domain: {message}"
-    costs = stage_costs(X[: len(U)], U, spec)
-    running, over = first_over_cap(costs, stop.cost_cap)
     k = len(U) - 1  # the running sum that `cost` reports
     if over is not None:
         # the tripping control is priced but not applied, as a failed step's is
@@ -323,8 +388,7 @@ def regulation_rollout(
     elif message:
         U, costs = U[:-1], costs[:-1]
     cost = float(running[k]) if k >= 0 else 0.0
-    z = X[-1][design.take]
-    P = design.solution.P
+    z = X[-1][take]
     return RegulationRollout(
         states=X,
         controls=U,
@@ -361,13 +425,16 @@ def in_terminal_set(
     left where the rollout stopped) matches the quadratic prediction within
     the relative tolerance and, when a level is set, the prediction lies
     below it. The rollout stops once the tail is at most TAIL_FRACTION of
-    the tolerance band (see the module docstring). A divergent rollout is
-    never a member."""
+    the tolerance band, or once the verdict is decided outside the band (see
+    the module docstring). A divergent or decided rollout is never a
+    member."""
     predicted = design.predicted_cost(x)
     band = stop.tolerance * max(predicted, stop.floor)
-    rollout = regulation_rollout(model, x, design, spec, stop, TAIL_FRACTION * band)
+    rollout = regulation_rollout(
+        model, x, design, spec, stop, TAIL_FRACTION * band, (predicted - band, predicted + band)
+    )
     actual = rollout.cost + rollout.tail
-    within_tol = (not rollout.diverged) and abs(actual - predicted) <= band
+    within_tol = not (rollout.diverged or rollout.decided) and abs(actual - predicted) <= band
     within_level = stop.level is None or predicted <= stop.level
     return MembershipResult(
         member=bool(within_tol and within_level),

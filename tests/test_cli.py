@@ -140,12 +140,12 @@ def test_sweep_summary_lists_membership_switches(tmp_path, capsys):
     assert summary["membership_switches"] == [25.8, 41.3]
 
 
-@pytest.mark.parametrize("scenario,budget", [("attitude", 12000), ("rendezvous", 2600)])
+@pytest.mark.parametrize("scenario,budget", [("attitude", 8000), ("rendezvous", 2600)])
 def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, budget):
     """A deterministic work count: every simulated step of the default
     simulate goes through `dynamics.euler_step`, and the steps are priced
-    by at most one `stage_costs` call per finished loop, never by a
-    `stage_cost` call per step."""
+    by at most one `stage_costs` call per finished loop or per chunk of a
+    regulation rollout, never by a `stage_cost` call per step."""
     import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
     import spacetraj.ilqr as ilqr
@@ -170,7 +170,7 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     for module, loop in (
         (ilqr, "rollout"),
         (ilqr, "forward_pass"),
-        (lqr, "regulation_rollout"),
+        (lqr, "simulate"),  # one call per chunk of a regulation rollout
         (two_phase, "two_phase_simulate"),
     ):
         count(module, loop, "loops")
@@ -446,10 +446,11 @@ def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, v
         # the initial rollout already passes the cost cap
         ("solve", ["scenario=attitude", "horizon=3", "solver.cost_cap=7"], "DivergenceError"),
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.isp_s=0.5"], "DivergenceError"),
-        # a penalty Hessian that overflows to inf
+        # a penalty Hessian whose coefficient overflows to inf
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_rate=1e300"], "RegularizationError"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # the failure is reported, not preceded by numpy warnings
 def test_runtime_failure_is_machine_readable(tmp_path, capsys, command, overrides, error):
     argv = [command]
     for item in overrides:

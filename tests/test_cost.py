@@ -96,6 +96,19 @@ def test_penalty_monotone_and_bounded():
     assert np.all(vals >= -100.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_penalty_with_an_overflowing_rate_is_never_nan():
+    # rate^2 * weight overflows: the Hessian is inf everywhere (not inf * 0
+    # where exp(-rate * altitude) underflows); the terms that still fit stay
+    # exact, and what overflows is inf, all without numpy warnings
+    pen = AltitudePenaltySpec(weight=100.0, rate=1e300, index=0)
+    x = np.array([[1e3], [0.0], [-1.0]])
+    assert np.array_equal(pen.hessian_at(x), [np.inf] * 3)
+    assert np.array_equal(pen.gradient_at(x), [-0.0, -1e302, -np.inf])
+    assert np.array_equal(pen.value(x), [-100.0, 0.0, np.inf])
+    assert pen.hessian_at(x[0]) == np.inf
+
+
 def test_derivatives_zero_at_origin():
     spec = QuadraticCostSpec(Q=np.eye(3), R=np.eye(2))
     der = cost_derivatives(np.zeros(3), np.zeros(2), spec)

@@ -1,21 +1,26 @@
 """Stationary Riccati solution, regulation rollouts, terminal-set membership."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from spacetraj.cost import QuadraticCostSpec
-from spacetraj.dynamics import double_integrator, lti_model
-from spacetraj.errors import NotAFixedPointError, StabilizabilityError
+from spacetraj.cost import QuadraticCostSpec, first_over_cap, stage_costs
+from spacetraj.dynamics import ContinuousModel, DiscreteModel, double_integrator, lti_model, simulate
+from spacetraj.errors import DynamicsDomainError, NotAFixedPointError, StabilizabilityError
 from spacetraj.lqr import (
+    CHUNK_STEPS,
     TAIL_FRACTION,
+    LqrSolution,
     RegulationDesign,
     TerminalSetSpec,
     dare_residual,
     in_terminal_set,
     linearize_at_goal,
+    regulation_law,
     regulation_rollout,
     solve_dare,
 )
@@ -230,6 +235,81 @@ def test_membership_false_for_far_attitude_state():
     design = p.design_for(80.0)
     res = in_terminal_set(p.model, p.x0, design, p.cost, p.terminal_set)
     assert not res.member
+
+
+@pytest.mark.parametrize("a", [1.3, 0.5])
+def test_membership_stops_once_the_verdict_is_decided(a):
+    """The scalar benchmark's design (made for x+ = x + u) run on x+ = a x + u:
+    the loop costs more (a = 1.3) or less (a = 0.5) than its prediction, so
+    the rollout stops at the first state whose bracket [rolled, rolled +
+    2 z'Pz] leaves the band, well before the tail bound, with the verdict of
+    rolling on to state_tol."""
+    bp = linear_benchmark()
+    design, stop, x = bp.design_for(1.0), bp.terminal_set, np.array([1.0])
+    model = lti_model([[a]], [[1.0]])
+    res = in_terminal_set(model, x, design, bp.cost, stop)
+    full = regulation_rollout(model, x, design, bp.cost, stop)
+    band = stop.tolerance * GOLDEN
+    out = res.rollout
+    assert out.decided and not (out.converged or out.diverged)
+    assert 0 < out.steps < full.steps and out.tail > TAIL_FRACTION * band
+    assert np.array_equal(out.states, full.states[: out.steps + 1])
+    assert np.array_equal(out.stage_costs, full.stage_costs[: out.steps])
+    # the full roll's verdict, and its cost within the tail of the reported one
+    closed = full.cost + full.tail
+    assert abs(closed - GOLDEN) > band and not (res.member or res.within_tolerance)
+    assert abs(res.actual_cost - closed) <= out.tail
+    if a > 1.0:  # decided from above, which needs no bracket
+        assert out.cost > GOLDEN + band and full.converged
+    else:
+        assert out.cost + 2.0 * out.tail < GOLDEN - band
+
+
+def _leaves_domain_above(bound):
+    """x+ = 2x + u (dt = 1), whose step is undefined once |x| > bound."""
+
+    def deriv(x, u):
+        if abs(x[0]) > bound:
+            raise DynamicsDomainError(f"|x| above {bound}")
+        return x + u
+
+    return DiscreteModel(ContinuousModel(1, 1, deriv, name="bounded"), dt=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "model,gain,cap,steps,outcome",
+    [
+        (lti_model([[1.0]], [[1.0]]), 0.01, 2000, 1375, "converged"),
+        (lti_model([[1.0]], [[1.0]]), 0.01, 150, 150, "step cap"),
+        (lti_model([[2.0]], [[1.0]]), 0.5, 1200, 875, "cost cap"),
+        (_leaves_domain_above(1e50), 0.5, 1200, 284, "domain"),
+    ],
+)
+def test_chunked_rollout_keeps_the_rows_of_one_loop(model, gain, cap, steps, outcome):
+    """The rollout runs `simulate` in chunks of CHUNK_STEPS, each priced by
+    its own `stage_costs` call; every kept row is bitwise that of one loop
+    priced once, wherever the stop falls. The cost-cap case is x+ = 2x + u
+    under u = -x/2 with the cap at the largest float: the overflow of the
+    cost (and of the law's z'z) ends it as diverged, without numpy warnings."""
+    spec = QuadraticCostSpec(Q=[[2.0]], R=[[2.0]])
+    design = RegulationDesign(LqrSolution(np.eye(1), np.array([[gain]]), 0.0, 0.0, 0), np.arange(1), 1)
+    stop = TerminalSetSpec(regulation_cap=cap, cost_cap=sys.float_info.max)
+    x0 = np.array([1.0])
+    out = regulation_rollout(model, x0, design, spec, stop)
+    with np.errstate(over="ignore"):
+        X, U, message = simulate(model, x0, regulation_law(design, stop.state_tol), cap)
+        running, over = first_over_cap(stage_costs(X[: len(U)], U, spec), stop.cost_cap)
+    assert out.steps == steps > CHUNK_STEPS
+    assert np.array_equal(out.states, X[: steps + 1])
+    assert np.array_equal(out.controls, U[:steps])
+    assert np.array_equal(out.stage_costs, stage_costs(X[:steps], U[:steps], spec))
+    # a diverged rollout's cost also holds the control it could not apply
+    assert out.cost == running[steps if out.diverged else steps - 1]
+    assert out.converged == (outcome == "converged")
+    assert out.diverged == (outcome in ("cost cap", "domain")) and not out.decided
+    assert (over == steps) if outcome == "cost cap" else over is None
+    assert bool(message) == (outcome == "domain")
 
 
 def test_linearize_at_goal_attitude():

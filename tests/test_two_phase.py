@@ -283,11 +283,27 @@ def test_solve_two_phase_validation(level, grid, message):
         solve_two_phase(linear_benchmark(), level=level, grid=grid)
 
 
-@pytest.fixture(scope="module")
-def attitude_sweep():
-    cfg = parse_config_dict({"scenario": "attitude"})
+def default_sweep(scenario):
+    cfg = parse_config_dict({"scenario": scenario})
     problem = build_two_phase_problem(cfg)
     return problem, sweep_transfer_time(problem, default_sweep_grid(cfg))
+
+
+@pytest.fixture(scope="module")
+def attitude_sweep():
+    return default_sweep("attitude")
+
+
+def roll_to_state_tol(problem, pt, stop):
+    """The point's terminal state rolled to state_tol with no early stop, and
+    the membership verdict of its tail-closed cost."""
+    x = pt.report.trajectory.states[-1]
+    design = problem.design_for(pt.transfer_time)
+    full = regulation_rollout(problem.model, x, design, problem.cost, stop)
+    predicted = design.predicted_cost(x)
+    band = stop.tolerance * max(predicted, stop.floor)
+    within_tol = not full.diverged and abs(full.cost + full.tail - predicted) <= band
+    return full, within_tol and (stop.level is None or predicted <= stop.level)
 
 
 def test_attitude_tail_closes_the_late_grid_points(attitude_sweep):
@@ -301,19 +317,45 @@ def test_attitude_tail_closes_the_late_grid_points(attitude_sweep):
 
 
 def test_attitude_sweep_costs_match_rolling_to_state_tol(attitude_sweep):
+    # a member's cost is the full roll's; a non-member stopped once its
+    # verdict was decided, and the full roll's cost lies in its bracket
     problem, points = attitude_sweep
+    decided = 0
     for pt in points:
-        full = regulation_rollout(
-            problem.model,
-            pt.report.trajectory.states[-1],
-            problem.design_for(pt.transfer_time),
-            problem.cost,
-            problem.terminal_set,
-        )
+        full, member = roll_to_state_tol(problem, pt, problem.terminal_set)
         closed = full.cost + full.tail
-        assert pt.membership.rollout.steps <= full.steps
-        assert abs(pt.regulation_cost - closed) <= 1e-9 * closed
+        rollout = pt.membership.rollout
+        assert rollout.steps <= full.steps
+        assert pt.in_set == member
+        if pt.in_set:
+            assert abs(pt.regulation_cost - closed) <= 1e-9 * closed
+        else:
+            assert rollout.cost <= closed <= rollout.cost + 2.0 * rollout.tail
+            decided += rollout.decided
         assert pt.total_cost == pt.ilqr_cost + pt.regulation_cost
+    assert decided == 8
+
+
+def test_rendezvous_sweep_verdicts_match_rolling_to_state_tol():
+    # the attitude sweep's verdicts are checked with its costs above
+    problem, points = default_sweep("rendezvous")
+    for pt in points:
+        assert pt.in_set == roll_to_state_tol(problem, pt, problem.terminal_set)[1]
+
+
+def test_linear_benchmark_verdicts_match_rolling_to_state_tol():
+    # the walks behind `convergence` (level-free) and `verify` (level 0.002)
+    bp = linear_benchmark()
+    walks = [
+        (sweep_transfer_time(bp, benchmark_grid(40)), bp.terminal_set),
+        (
+            solve_two_phase(bp, level=0.002, grid=benchmark_grid(20)).sweep,
+            dataclasses.replace(bp.terminal_set, level=0.002),
+        ),
+    ]
+    for points, stop in walks:
+        for pt in points:
+            assert pt.in_set == roll_to_state_tol(bp, pt, stop)[1]
 
 
 def test_attitude_membership_is_not_monotone(attitude_sweep):
