@@ -9,7 +9,6 @@ Mars soft landing) and a CLI that runs, sweeps, and verifies them.
 
 from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, altitude_penalty, stage_cost
 from .dynamics import (
-    ContinuousModel,
     DiscreteModel,
     Linearization,
     double_integrator,
@@ -39,6 +38,7 @@ from .lqr import (
     linearize_at_goal,
     regulation_rollout,
     solve_dare,
+    stationary_design,
 )
 from .two_phase import (
     BellmanResidual,

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ilqr import SolverSettings
+from .ilqr import LINE_SEARCH_FACTOR, LINE_SEARCH_STEPS, SolverSettings
 from .lqr import TerminalSetSpec
 from . import scenarios as sc
 
@@ -34,18 +34,19 @@ MAX_STEPS = 10**6
 MAX_LINE_SEARCH_STEPS = 100
 
 
+# Every default below is the default of the object the field configures.
 @dataclass
 class SolverConfig:
-    max_iterations: int = 500
-    tolerance: float = 1e-8
-    alpha_factor: float = 0.7
-    alpha_count: int = 16
-    reg_init: float = 1e-6
-    reg_growth: float = 10.0
-    reg_shrink: float = 0.1
-    reg_min: float = 1e-8
-    reg_max: float = 1e8
-    cost_cap: float = 1e30
+    max_iterations: int = SolverSettings.max_iterations
+    tolerance: float = SolverSettings.tolerance
+    alpha_factor: float = LINE_SEARCH_FACTOR
+    alpha_count: int = LINE_SEARCH_STEPS
+    reg_init: float = SolverSettings.reg_init
+    reg_growth: float = SolverSettings.reg_growth
+    reg_shrink: float = SolverSettings.reg_shrink
+    reg_min: float = SolverSettings.reg_min
+    reg_max: float = SolverSettings.reg_max
+    cost_cap: float = SolverSettings.cost_cap
 
     def to_settings(self) -> SolverSettings:
         return SolverSettings(
@@ -66,8 +67,8 @@ class TerminalSetConfig:
     level: Optional[float] = None
     tolerance: Optional[float] = None  # scenario default when omitted
     regulation_cap: Optional[int] = None  # 10 * horizon / dt when omitted
-    state_tol: float = 1e-6
-    cost_cap: float = 1e12
+    state_tol: float = TerminalSetSpec.state_tol
+    cost_cap: float = TerminalSetSpec.cost_cap
 
     def to_spec(self, horizon: float, dt: float, default_tolerance: float) -> TerminalSetSpec:
         cap = self.regulation_cap
@@ -98,49 +99,37 @@ class OrbitConfig:
     nu_deg: float
 
     def to_elements(self) -> sc.OrbitalElements:
-        d = math.pi / 180.0
-        return sc.OrbitalElements(
-            a=self.a_km,
-            e=self.e,
-            i=self.i_deg * d,
-            raan=self.raan_deg * d,
-            argp=self.argp_deg * d,
-            nu=self.nu_deg * d,
-        )
+        return sc.orbit_deg(self.a_km, self.e, self.i_deg, self.raan_deg, self.argp_deg, self.nu_deg)
 
 
 @dataclass
 class AttitudeConfig:
-    inertia_diag: List[float] = field(default_factory=lambda: [4500.0, 2000.0, 7500.0])
+    inertia_diag: List[float] = field(default_factory=lambda: list(sc.DEFAULT_INERTIA_DIAG))
 
 
 @dataclass
 class RendezvousConfig:
-    mu: float = 398600.0
-    alpha: float = 5e-4
-    mass_kg: float = 1000.0
-    chaser: OrbitConfig = field(
-        default_factory=lambda: OrbitConfig(7200.0, 0.22, 64.0, 66.0, 28.0, 81.0)
-    )
-    target: OrbitConfig = field(
-        default_factory=lambda: OrbitConfig(7000.0, 0.1, 40.0, 35.0, 10.0, 120.0)
-    )
+    mu: float = sc.EARTH_MU
+    alpha: float = sc.RendezvousParams.alpha
+    mass_kg: float = sc.RENDEZVOUS_MASS_KG
+    chaser: OrbitConfig = field(default_factory=lambda: OrbitConfig(*sc.CHASER_ORBIT))
+    target: OrbitConfig = field(default_factory=lambda: OrbitConfig(*sc.TARGET_ORBIT))
 
 
 @dataclass
 class LanderConfig:
-    isp_s: float = 225.0
-    g_ref: float = 3.7114
-    initial_mass_kg: float = 1000.0
-    inertia_diag: List[float] = field(default_factory=lambda: [4500.0, 2000.0, 7500.0])
-    penalty_weight: float = 100.0
-    penalty_rate: float = 1.0
-    penalty_coord_scale: float = 1.0
+    isp_s: float = sc.LanderParams.isp
+    g_ref: float = sc.LanderParams.g_ref
+    initial_mass_kg: float = sc.LanderParams.initial_mass
+    inertia_diag: List[float] = field(default_factory=lambda: list(sc.DEFAULT_INERTIA_DIAG))
+    penalty_weight: float = sc.LANDER_PENALTY_WEIGHT
+    penalty_rate: float = sc.LANDER_PENALTY_RATE
+    penalty_coord_scale: float = sc.LANDER_PENALTY_COORD_SCALE
     terminal_weight: float = sc.LANDER_TERMINAL_WEIGHT
     terminal_sink_rate_mps: float = sc.LANDER_SINK_RATE
-    touchdown_speed_limit_mps: float = 2.0
-    initial_position_m: List[float] = field(default_factory=lambda: [300.0, -200.0, 1000.0])
-    initial_velocity_mps: List[float] = field(default_factory=lambda: [100.0, 120.0, 0.0])
+    touchdown_speed_limit_mps: float = sc.TOUCHDOWN_SPEED_LIMIT
+    initial_position_m: List[float] = field(default_factory=lambda: list(sc.LANDER_INITIAL_POSITION_M))
+    initial_velocity_mps: List[float] = field(default_factory=lambda: list(sc.LANDER_INITIAL_VELOCITY_MPS))
 
 
 @dataclass
@@ -169,8 +158,8 @@ _SCENARIO_BASE = {
         horizon=sc.ATTITUDE_HORIZON,
         initial_state=list(sc.ATTITUDE_INITIAL_DEG),
         goal_state=[0.0] * 6,
-        q=[1.0] * 6,
-        r=[1.0] * 3,
+        q=list(sc.ATTITUDE_Q_DIAG),
+        r=list(sc.ATTITUDE_R_DIAG),
     ),
     "rendezvous": dict(
         dt=sc.RENDEZVOUS_DT,
@@ -190,19 +179,12 @@ _SCENARIO_BASE = {
     ),
     "custom-linear": dict(
         dt=1.0,
-        horizon=40.0,
+        horizon=sc.LINEAR_HORIZON,
         initial_state=[1.0],
         goal_state=[0.0],
         q=[2.0],
         r=[2.0],
     ),
-}
-
-DEFAULT_MEMBERSHIP_TOLERANCE = {
-    "attitude": 1e-2,
-    "rendezvous": 5e-2,
-    "soft-landing": 1e-2,
-    "custom-linear": 1e-2,
 }
 
 
@@ -451,8 +433,6 @@ def build_two_phase_problem(cfg: ScenarioConfig):
     """Scenario config -> solvable problem object (two-phase scenarios only),
     carrying the configured horizon, sweep grid and warm-start flag."""
     settings = cfg.solver.to_settings()
-    tol = DEFAULT_MEMBERSHIP_TOLERANCE[cfg.scenario]
-    terminal_set = cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, tol)
     if cfg.scenario == "attitude":
         problem = sc.attitude_problem(
             initial_state_deg=cfg.initial_state,
@@ -461,7 +441,6 @@ def build_two_phase_problem(cfg: ScenarioConfig):
             q=cfg.q,
             r=cfg.r,
             settings=settings,
-            terminal_set=terminal_set,
         )
     elif cfg.scenario == "rendezvous":
         params = sc.RendezvousParams(mu=cfg.rendezvous.mu, alpha=cfg.rendezvous.alpha)
@@ -474,16 +453,15 @@ def build_two_phase_problem(cfg: ScenarioConfig):
             q=cfg.q,
             r=cfg.r,
             settings=settings,
-            terminal_set=terminal_set,
         )
     elif cfg.scenario == "custom-linear":
-        problem = sc.linear_benchmark(
-            x0=float(cfg.initial_state[0]), settings=settings, terminal_set=terminal_set
-        )
+        problem = sc.linear_benchmark(x0=float(cfg.initial_state[0]), settings=settings)
     else:
         raise ConfigError("scenario", f"{cfg.scenario} has no two-phase formulation")
     return replace(
         problem,
+        # an unset membership tolerance stays the scenario's own
+        terminal_set=cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, problem.terminal_set.tolerance),
         horizon=cfg.horizon,
         grid=tuple(default_sweep_grid(cfg)),
         warm_start=cfg.sweep.warm_start,

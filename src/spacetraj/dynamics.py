@@ -1,24 +1,25 @@
 """Discrete-time dynamics: explicit Euler maps and their Jacobians.
 
-A `ContinuousModel` supplies the right-hand side ``xdot = deriv(x, u)`` and,
-optionally, its analytic partials. `DiscreteModel` wraps it with a fixed step
-``step(x, u) = x + dt * deriv(x, u)`` (explicit Euler, order 1), so the
-discrete Jacobians are ``A = I + dt * d(deriv)/dx`` and ``B = dt * d(deriv)/du``.
+A `DiscreteModel` is a right-hand side ``xdot = rates(x, u)`` with a fixed
+step ``step(x, u) = x + dt * rates(x, u)`` (explicit Euler, order 1), so the
+discrete Jacobians are ``A = I + dt * d(rates)/dx`` and ``B = dt * d(rates)/du``.
 
 Kernel contract:
 
-- ``deriv(x, u)`` evaluates one point, ``x`` (n,) and ``u`` (m,) arrays, and
-  returns the (n,) derivative (finite differences and `verify` use it).
-- ``rates(x, u)``, optional, is the same right-hand side on lists of floats,
-  returning n floats. `euler_step`, run once per simulated step, then forms
-  ``x + dt * f`` in floats, the bits the array expression gives.
-- ``deriv_jacobians(x, u)`` takes an optional leading trajectory axis:
-  ``x`` (n,) or (T, n) with ``u`` (m,) or (T, m), returning partials of shape
-  (n, n)/(n, m) or (T, n, n)/(T, n, m). A partial that does not depend on the
-  point may come back unbatched; `jacobians` broadcasts it. One call thus
-  linearizes a whole trajectory (the iLQR backward pass makes one per pass).
+- ``rates(x, u)`` is the one point kernel: ``x`` and ``u`` are lists of
+  floats, and it returns n numbers. `euler_step`, run once per simulated
+  step, forms ``x + dt * f`` in floats, the bits the array expression gives;
+  finite differences and `verify` step the same map.
+- ``deriv_jacobians(x, u)``, optional, takes an optional leading trajectory
+  axis: ``x`` (n,) or (T, n) with ``u`` (m,) or (T, m), returning the
+  continuous partials of shape (n, n)/(n, m) or (T, n, n)/(T, n, m). A
+  partial that does not depend on the point may come back unbatched;
+  `jacobians` broadcasts it. One call thus linearizes a whole trajectory
+  (the iLQR backward pass makes one per pass). Without it, Jacobians fall
+  back to central differences on the discrete map.
 - `simulate` is the one closed loop: every simulated step of the program
-  (rollouts, line-search candidates, regulation, landing) is taken there.
+  (rollouts, line-search candidates, regulation, landing, the rendezvous
+  goal orbit) is taken there.
 - Parameters a kernel needs in every call (such as an inverse inertia) are
   precomputed when the model's parameters are constructed, never per call.
 
@@ -41,7 +42,6 @@ from .errors import DynamicsDomainError, SingularityError
 # 1e4 km positions.
 FD_STEP = 1e-6
 
-DerivFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 RatesFn = Callable[[list, list], Sequence[float]]
 DerivJacFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 # control(t, x_t) -> u_t, or None to stop before stepping
@@ -49,50 +49,25 @@ ControlLaw = Callable[[int, np.ndarray], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
-class ContinuousModel:
-    """Continuous-time dynamics ``xdot = deriv(x, u)``.
+class DiscreteModel:
+    """Explicit-Euler dynamics ``x+ = x + dt * rates(x, u)`` with step `dt` (s).
 
-    `deriv_jacobians`, when provided, returns the continuous partials
-    ``(d deriv/dx, d deriv/du)`` at a point or along a leading trajectory axis
-    (see the module docstring); otherwise Jacobians fall back to central
-    differences on the discrete map. `rates`, when provided, is `deriv` on
-    lists of floats, for the Euler step.
+    `rates` is the point kernel and `deriv_jacobians`, when provided, its
+    continuous partials (see the module docstring).
     """
 
     state_dim: int
     control_dim: int
-    deriv: DerivFn
+    rates: RatesFn
+    dt: float
     deriv_jacobians: Optional[DerivJacFn] = None
     name: str = ""
-    rates: Optional[RatesFn] = None
 
     def __post_init__(self):
         if not (self.state_dim > 0 and self.control_dim > 0):
             raise ValueError(f"dimensions must be positive, got {self.state_dim}, {self.control_dim}")
-
-
-@dataclass(frozen=True)
-class DiscreteModel:
-    """Explicit-Euler discretization of a continuous model with step `dt` (s)."""
-
-    inner: ContinuousModel
-    dt: float
-
-    def __post_init__(self):
         if not 0.0 < self.dt < math.inf:  # NaN fails it
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-
-    @property
-    def state_dim(self) -> int:
-        return self.inner.state_dim
-
-    @property
-    def control_dim(self) -> int:
-        return self.inner.control_dim
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return euler_step(self, x, u)
@@ -108,18 +83,18 @@ class Linearization:
 
 
 def euler_step(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One explicit Euler step ``x + dt * deriv(x, u)``, formed in Python
-    floats (from `rates` when the model has it).
+    """One explicit Euler step ``x + dt * rates(x, u)``, formed in Python
+    floats.
 
     Raises SingularityError if the new state is non-finite, which covers a
     non-finite derivative as well as an overflowing step (the scenario
-    derivative functions raise it directly at their kinematic guards). This
+    kernels raise it directly at their kinematic guards). This
     is the only finiteness test of a simulated step; `simulate` does not
     repeat it.
     """
-    dt, xs, rates = model.dt, x.tolist(), model.inner.rates
+    dt, xs = model.dt, x.tolist()
     try:
-        f = model.inner.deriv(x, u).tolist() if rates is None else rates(xs, u.tolist())
+        f = model.rates(xs, u.tolist())
         x_next = [a + dt * b for a, b in zip(xs, f)]
     except OverflowError:  # a float power in the kernel overflowed
         x_next = [math.inf]
@@ -215,7 +190,7 @@ def jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> Linearizati
     u = np.asarray(u, dtype=float)
     n, m = model.state_dim, model.control_dim
     lead = x.shape[:-1]
-    fn = model.inner.deriv_jacobians
+    fn = model.deriv_jacobians
     if fn is None:
         points = [
             finite_diff_jacobians(model, xt, ut)
@@ -250,28 +225,11 @@ def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0, name: str = "lti") 
         raise ValueError(f"A has shape {A.shape}, expected {(n, n)} to match B {B.shape}")
     Ac = (A - np.eye(n)) / dt
     Bc = B / dt
-
-    def deriv(x, u):
-        return Ac @ x + Bc @ u
-
-    def deriv_jac(x, u):
-        return Ac, Bc
-
     return DiscreteModel(
-        inner=ContinuousModel(n, m, deriv, deriv_jac, name=name), dt=dt
+        n, m, lambda x, u: (Ac.dot(x) + Bc.dot(u)).tolist(), dt, lambda x, u: (Ac, Bc), name
     )
 
 
 def double_integrator(dt: float = 0.1) -> DiscreteModel:
     """Euler-discretized double integrator: position/velocity state, force control."""
-
-    def deriv(x, u):
-        return np.array([x[1], u[0]])
-
-    def deriv_jac(x, u):
-        return np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
-
-    return DiscreteModel(
-        inner=ContinuousModel(2, 1, deriv, deriv_jac, name="double_integrator"),
-        dt=dt,
-    )
+    return lti_model([[1.0, dt], [0.0, 1.0]], [[0.0], [dt]], dt, "double_integrator")

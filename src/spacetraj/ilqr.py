@@ -69,6 +69,10 @@ from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, first_over
 from .dynamics import ControlLaw, DiscreteModel, jacobians, simulate
 from .errors import DivergenceError, RegularizationError
 
+# Default line search: step sizes LINE_SEARCH_FACTOR**i, i < LINE_SEARCH_STEPS.
+LINE_SEARCH_FACTOR = 0.7
+LINE_SEARCH_STEPS = 16
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -110,7 +114,7 @@ class GainSchedule:
 class SolverSettings:
     max_iterations: int = 500
     tolerance: float = 1e-8  # relative cost change / stationarity threshold
-    alphas: Tuple[float, ...] = tuple(0.7**i for i in range(16))
+    alphas: Tuple[float, ...] = tuple(LINE_SEARCH_FACTOR**i for i in range(LINE_SEARCH_STEPS))
     reg_init: float = 1e-6
     reg_growth: float = 10.0
     reg_shrink: float = 0.1

@@ -13,6 +13,10 @@ The returned value matrix P satisfies
 to a small relative residual, with gain K = (R + B'PB)^-1 B'PA and a stable
 closed loop A - BK.
 
+`stationary_design` is the one path from a goal to a design: it linearizes
+the model at the goal, checks that the regulated block is a fixed point
+there (`linearize_at_goal`) and solves the DARE of that block.
+
 A `RegulationDesign` embeds the design into a (possibly larger) simulation
 state: the regulated coordinates z = x[indices] feed the feedback u = -K z and
 the quadratic predicted cost z' P z. `regulation_rollout` applies that law to
@@ -90,15 +94,24 @@ CHUNK_STEPS = 64
 
 
 def linearize_at_goal(
-    model: DiscreteModel, x_eq: np.ndarray, u_eq: np.ndarray
+    model: DiscreteModel,
+    x_eq: np.ndarray,
+    u_eq: np.ndarray,
+    indices: Optional[np.ndarray] = None,
 ) -> Linearization:
-    """Jacobians at an equilibrium; rejects points that are not fixed points
-    of the discrete map (e.g. a lander held by nonzero hover thrust, whose
-    mass-flow keeps the state moving)."""
+    """Jacobians of the regulated block x[indices] (the whole state by
+    default) at an equilibrium of that block.
+
+    Rejects points whose block is not a fixed point of the discrete map (e.g.
+    a lander held by nonzero hover thrust, whose mass-flow keeps the state
+    moving). The coordinates outside the block may move: the rendezvous
+    target orbits while the relative error stays at zero.
+    """
     x_eq = np.asarray(x_eq, dtype=float)
     u_eq = np.asarray(u_eq, dtype=float)
-    residual = float(np.linalg.norm(model.step(x_eq, u_eq) - x_eq))
-    bound = FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(x_eq)))
+    block = np.arange(model.state_dim) if indices is None else np.asarray(indices, dtype=int)
+    residual = float(np.linalg.norm((model.step(x_eq, u_eq) - x_eq)[block]))
+    bound = FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(x_eq[block])))
     if residual > bound:
         raise NotAFixedPointError(
             f"linearization point is not an equilibrium (residual {residual:.3e} "
@@ -106,7 +119,8 @@ def linearize_at_goal(
             residual=residual,
             state=x_eq,
         )
-    return jacobians(model, x_eq, u_eq)
+    lin = jacobians(model, x_eq, u_eq)
+    return Linearization(A=lin.A[np.ix_(block, block)], B=lin.B[block])
 
 
 @dataclass(frozen=True)
@@ -239,6 +253,22 @@ class RegulationDesign:
     def predicted_cost(self, x: np.ndarray) -> float:
         z = self.regulated(x)
         return float(z @ self.solution.P @ z)
+
+
+def stationary_design(
+    model: DiscreteModel,
+    cost: QuadraticCostSpec,
+    x_eq: np.ndarray,
+    u_eq: np.ndarray,
+    indices: np.ndarray,
+) -> RegulationDesign:
+    """The stationary LQR design of the block x[indices] about the goal
+    (x_eq, u_eq): the DARE of the block's linearization with the block's
+    weights Q/2 and R/2 (the stage cost is x'Qx/2 + u'Ru/2)."""
+    block = np.asarray(indices, dtype=int)
+    lin = linearize_at_goal(model, x_eq, u_eq, block)
+    solution = solve_dare(lin.A, lin.B, cost.Q[np.ix_(block, block)] / 2.0, cost.R / 2.0)
+    return RegulationDesign(solution=solution, indices=block, state_dim=model.state_dim)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
 """Scenario dynamics: spacecraft attitude, orbital rendezvous, powered descent.
 
-All right-hand sides are continuous-time; discretization happens via
-`dynamics.DiscreteModel` (explicit Euler). Each model follows the kernel
-contract stated in `dynamics`:
+All right-hand sides are continuous-time; each model is one
+`dynamics.DiscreteModel` (explicit Euler) and follows the kernel contract
+stated in `dynamics`:
 
-- ``*_rates(x, u, p)`` evaluates one point in scalar math (``math`` functions,
-  explicit cross products) on lists of floats and returns a tuple of floats;
-  the Euler step runs it once per simulated step, where numpy's per-call
-  overhead on 3-vectors would dominate. ``*_deriv(x, u, p)`` is its array
-  form, for finite differences and checks.
+- ``*_rates(x, u, p)`` is the model's one point kernel: scalar math
+  (``math`` functions, explicit cross products) on lists of floats,
+  returning a tuple of floats. The Euler step runs it once per simulated
+  step, where numpy's per-call overhead on 3-vectors would dominate.
 - ``*_deriv_jacobians(x, u, p)`` accept an optional leading trajectory axis
   (x of shape (n,) or (T, n)) and return the partials for every point from
   one vectorized evaluation; partials that are constant come back unbatched.
@@ -37,7 +36,10 @@ Rendezvous (13 states, km / km/s / kg / kN):
 
     e_r = r_t - r_c is the chaser's relative position error, e_v the velocity
     error; the target's inertial state (r_t, v_t) is propagated alongside
-    because the error equations depend on it:
+    because the error equations depend on it. Along any target orbit,
+    e = 0 with u = 0 and a positive mass stays e = 0 exactly (the two
+    gravity terms cancel bit for bit), so the regulated block
+    REND_ERROR_INDICES has the target's moving orbit as its goal:
 
     e_r'  = e_v
     e_v'  = -mu r_t/|r_t|^3 + mu r_c/|r_c|^3 - u/m,   r_c = r_t - e_r
@@ -70,10 +72,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .dynamics import ContinuousModel, DiscreteModel
+from .dynamics import DiscreteModel
 from .errors import DynamicsDomainError, SingularityError, UnsupportedOrbitError
 
 COS_THETA_MIN = 1e-8
+
+DEFAULT_INERTIA_DIAG = (4500.0, 2000.0, 7500.0)  # kg*m^2, attitude and lander
 
 EARTH_MU = 398600.0  # km^3/s^2
 MARS_GRAVITY = 3.7114  # m/s^2, surface reference
@@ -227,9 +231,7 @@ class AttitudeParams:
     Its inverse is computed once here, from the checked matrix.
     """
 
-    inertia: np.ndarray = field(
-        default_factory=lambda: np.diag([4500.0, 2000.0, 7500.0])
-    )
+    inertia: np.ndarray = field(default_factory=lambda: np.diag(DEFAULT_INERTIA_DIAG))
     inertia_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _inertia_lists: tuple = field(init=False, repr=False, compare=False)
 
@@ -242,10 +244,6 @@ def attitude_rates(x: list, torque: list, p: AttitudeParams) -> Tuple[float, ...
     _check_theta(theta, x)
     m1, m2, m3 = torque
     return _rigid_body_rates(theta, phi, w1, w2, w3, m1, m2, m3, *p._inertia_lists)
-
-
-def attitude_deriv(x: np.ndarray, torque: np.ndarray, p: AttitudeParams) -> np.ndarray:
-    return np.array(attitude_rates(x.tolist(), torque.tolist(), p))
 
 
 def attitude_deriv_jacobians(
@@ -263,15 +261,12 @@ def attitude_deriv_jacobians(
 def attitude_model(p: AttitudeParams | None = None, dt: float = 0.1) -> DiscreteModel:
     p = p or AttitudeParams()
     return DiscreteModel(
-        inner=ContinuousModel(
-            state_dim=6,
-            control_dim=3,
-            deriv=lambda x, u: attitude_deriv(x, u, p),
-            deriv_jacobians=lambda x, u: attitude_deriv_jacobians(x, u, p),
-            name="attitude",
-            rates=lambda x, u: attitude_rates(x, u, p),
-        ),
+        state_dim=6,
+        control_dim=3,
+        rates=lambda x, u: attitude_rates(x, u, p),
         dt=dt,
+        deriv_jacobians=lambda x, u: attitude_deriv_jacobians(x, u, p),
+        name="attitude",
     )
 
 
@@ -290,7 +285,7 @@ class RendezvousParams:
             raise ValueError("mu, alpha and min_radius_km must be positive")
 
 
-REND_ERROR_INDICES = np.arange(6)  # (e_r, e_v) block regulated by the LQR phase
+REND_ERROR_INDICES = np.arange(6)  # (e_r, e_v): the block the regulation design acts on
 
 
 def _inv_cube_grad(r: np.ndarray, mu: float) -> np.ndarray:
@@ -325,10 +320,6 @@ def rendezvous_rates(x: list, u: list, p: RendezvousParams) -> Tuple[float, ...]
     )
 
 
-def rendezvous_deriv(x: np.ndarray, u: np.ndarray, p: RendezvousParams) -> np.ndarray:
-    return np.array(rendezvous_rates(x.tolist(), u.tolist(), p))
-
-
 def rendezvous_deriv_jacobians(
     x: np.ndarray, u: np.ndarray, p: RendezvousParams
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -356,48 +347,12 @@ def rendezvous_deriv_jacobians(
 def rendezvous_model(p: RendezvousParams | None = None, dt: float = 2.0) -> DiscreteModel:
     p = p or RendezvousParams()
     return DiscreteModel(
-        inner=ContinuousModel(
-            state_dim=13,
-            control_dim=3,
-            deriv=lambda x, u: rendezvous_deriv(x, u, p),
-            deriv_jacobians=lambda x, u: rendezvous_deriv_jacobians(x, u, p),
-            name="rendezvous",
-            rates=lambda x, u: rendezvous_rates(x, u, p),
-        ),
+        state_dim=13,
+        control_dim=3,
+        rates=lambda x, u: rendezvous_rates(x, u, p),
         dt=dt,
-    )
-
-
-def rendezvous_error_model(
-    r_t_frozen: np.ndarray, mass: float, p: RendezvousParams | None = None, dt: float = 2.0
-) -> DiscreteModel:
-    """Relative-error subsystem (e_r, e_v) with the target position and chaser
-    mass frozen; its origin is an equilibrium, which the full 13-state model
-    lacks. Used to design the stationary regulation gain."""
-    p = p or RendezvousParams()
-    r_t = np.array(r_t_frozen, dtype=float)
-    R_t = np.linalg.norm(r_t)
-
-    def deriv(x, u):
-        e_r, e_v = x[0:3], x[3:6]
-        r_c = r_t - e_r
-        R_c = np.linalg.norm(r_c)
-        if R_c <= p.min_radius_km:
-            raise DynamicsDomainError(f"chaser radius below {p.min_radius_km} km")
-        e_v_dot = -p.mu * r_t / R_t**3 + p.mu * r_c / R_c**3 - u / mass
-        return np.concatenate([e_v, e_v_dot])
-
-    dfdu = np.zeros((6, 3))
-    dfdu[3:6, :] = -np.eye(3) / mass
-
-    def deriv_jac(x, u):
-        dfdx = np.zeros(x.shape[:-1] + (6, 6))
-        dfdx[..., 0:3, 3:6] = np.eye(3)
-        dfdx[..., 3:6, 0:3] = -_inv_cube_grad(r_t - x[..., 0:3], p.mu)
-        return dfdx, dfdu
-
-    return DiscreteModel(
-        inner=ContinuousModel(6, 3, deriv, deriv_jac, name="rendezvous_error"), dt=dt
+        deriv_jacobians=lambda x, u: rendezvous_deriv_jacobians(x, u, p),
+        name="rendezvous",
     )
 
 
@@ -410,9 +365,7 @@ class LanderParams:
     """Lander inertia (SPD, kg*m^2; its inverse is computed once here),
     engine Isp, reference gravity and initial mass."""
 
-    inertia: np.ndarray = field(
-        default_factory=lambda: np.diag([4500.0, 2000.0, 7500.0])
-    )
+    inertia: np.ndarray = field(default_factory=lambda: np.diag(DEFAULT_INERTIA_DIAG))
     isp: float = 225.0  # s
     g_ref: float = MARS_GRAVITY  # m/s^2
     initial_mass: float = 1000.0  # kg
@@ -453,10 +406,6 @@ def lander_rates(x: list, control: list, p: LanderParams) -> Tuple[float, ...]:
     )
 
 
-def lander_deriv(x: np.ndarray, control: np.ndarray, p: LanderParams) -> np.ndarray:
-    return np.array(lander_rates(x.tolist(), control.tolist(), p))
-
-
 def lander_deriv_jacobians(
     x: np.ndarray, control: np.ndarray, p: LanderParams
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -480,15 +429,12 @@ def lander_deriv_jacobians(
 def lander_model(p: LanderParams | None = None, dt: float = 0.2) -> DiscreteModel:
     p = p or LanderParams()
     return DiscreteModel(
-        inner=ContinuousModel(
-            state_dim=13,
-            control_dim=6,
-            deriv=lambda x, u: lander_deriv(x, u, p),
-            deriv_jacobians=lambda x, u: lander_deriv_jacobians(x, u, p),
-            name="lander",
-            rates=lambda x, u: lander_rates(x, u, p),
-        ),
+        state_dim=13,
+        control_dim=6,
+        rates=lambda x, u: lander_rates(x, u, p),
         dt=dt,
+        deriv_jacobians=lambda x, u: lander_deriv_jacobians(x, u, p),
+        name="lander",
     )
 
 

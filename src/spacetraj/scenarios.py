@@ -9,9 +9,13 @@ Conventions:
     matrices are specified in degrees (the tabulated working units) and
     converted here at the boundary.
   * Rendezvous works in km, km/s, kg, kN. The regulated coordinates are the
-    six relative-error states; the stationary design freezes the target at
-    its (autonomous) position at the switch epoch and the chaser mass at its
-    initial value.
+    six relative-error states. The design for transfer time T linearizes the
+    full 13-state model at the goal-orbit state of epoch T: zero error, the
+    initial mass, and the target propagated by `dynamics.simulate` under
+    u = 0 (the target's rows of every trajectory, bit for bit). The orbit is
+    propagated once, lazily, up to the largest epoch asked for; a goal orbit
+    that leaves the dynamics domain raises DynamicsDomainError.
+  * Every design comes from `lqr.stationary_design`.
   * The lander works in normalized variables (see `models`); its config I/O
     is plain SI. The scenario is single-phase: the hover equilibrium needs
     nonzero thrust, so no stationary design exists and the solve is a
@@ -28,15 +32,18 @@ import numpy as np
 
 from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, stage_costs
 from .dynamics import DiscreteModel, lti_model, simulate
-from .errors import ConfigError, NotAFixedPointError
+from .errors import ConfigError, DynamicsDomainError, NotAFixedPointError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
-from .lqr import RegulationDesign, TerminalSetSpec, linearize_at_goal, solve_dare
+from .lqr import RegulationDesign, TerminalSetSpec, linearize_at_goal, stationary_design
 from .models import (
+    DEFAULT_INERTIA_DIAG,
+    EARTH_MU,
     LANDER_ALTITUDE_INDEX,
     LANDER_CONTROL_SCALE,
     LANDER_R_SCALE,
     LANDER_STATE_SCALE,
     LANDER_V_SCALE,
+    REND_ERROR_INDICES,
     AttitudeParams,
     LanderParams,
     OrbitalElements,
@@ -45,7 +52,6 @@ from .models import (
     kepler_to_cartesian,
     lander_hover_control,
     lander_model,
-    rendezvous_error_model,
     rendezvous_model,
 )
 from .two_phase import RunResult, TwoPhaseProblem
@@ -58,12 +64,20 @@ LANDER_INITIAL_ATTITUDE_DEG = (22.91, 17.18, 11.45, 5.72, 11.45, -11.45)
 LANDER_INITIAL_POSITION_M = (300.0, -200.0, 1000.0)
 LANDER_INITIAL_VELOCITY_MPS = (100.0, 120.0, 0.0)
 
-CHASER_ELEMENTS = OrbitalElements(
-    a=7200.0, e=0.22, i=64.0 * DEG, raan=66.0 * DEG, argp=28.0 * DEG, nu=81.0 * DEG
-)
-TARGET_ELEMENTS = OrbitalElements(
-    a=7000.0, e=0.1, i=40.0 * DEG, raan=35.0 * DEG, argp=10.0 * DEG, nu=120.0 * DEG
-)
+
+def orbit_deg(
+    a_km: float, e: float, i_deg: float, raan_deg: float, argp_deg: float, nu_deg: float
+) -> OrbitalElements:
+    """Orbital elements with the angles given in degrees."""
+    return OrbitalElements(a_km, e, i_deg * DEG, raan_deg * DEG, argp_deg * DEG, nu_deg * DEG)
+
+
+# (a km, e, i, raan, argp, nu in degrees)
+CHASER_ORBIT = (7200.0, 0.22, 64.0, 66.0, 28.0, 81.0)
+TARGET_ORBIT = (7000.0, 0.1, 40.0, 35.0, 10.0, 120.0)
+CHASER_ELEMENTS = orbit_deg(*CHASER_ORBIT)
+TARGET_ELEMENTS = orbit_deg(*TARGET_ORBIT)
+RENDEZVOUS_MASS_KG = 1000.0
 
 ATTITUDE_DT = 0.1
 ATTITUDE_HORIZON = 200.0
@@ -71,6 +85,7 @@ RENDEZVOUS_DT = 2.0
 RENDEZVOUS_HORIZON = 6000.0
 LANDER_DT = 0.2
 LANDER_HORIZON = 30.0
+LINEAR_HORIZON = 40.0  # steps of 1 s
 
 # Default weights. Attitude weights are per-degree (identity in the tabulated
 # working units); rendezvous weights per km / (km/s) on the error states with
@@ -90,7 +105,14 @@ LANDER_TERMINAL_WEIGHT = 1.0e5
 LANDER_SINK_RATE = 0.8  # m/s
 LANDER_PENALTY_WEIGHT = 100.0
 LANDER_PENALTY_RATE = 1.0
+LANDER_PENALTY_COORD_SCALE = 1.0
 TOUCHDOWN_SPEED_LIMIT = 2.0  # m/s
+
+# The rendezvous design freezes the moving target at the switch epoch, which
+# leaves a few percent of structural prediction error in the regulation
+# leg; its membership tolerance allows for it. The other scenarios use the
+# `TerminalSetSpec` default.
+RENDEZVOUS_MEMBERSHIP_TOLERANCE = 5e-2
 
 
 def _diag(values: Sequence[float]) -> np.ndarray:
@@ -139,7 +161,7 @@ def _attitude_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
 def attitude_problem(
     initial_state_deg: Sequence[float] = ATTITUDE_INITIAL_DEG,
     goal_state_deg: Sequence[float] = (0.0,) * 6,
-    inertia_diag: Sequence[float] = (4500.0, 2000.0, 7500.0),
+    inertia_diag: Sequence[float] = DEFAULT_INERTIA_DIAG,
     dt: float = ATTITUDE_DT,
     q=ATTITUDE_Q_DIAG,
     r=ATTITUDE_R_DIAG,
@@ -163,10 +185,7 @@ def attitude_problem(
     terminal_set = terminal_set or TerminalSetSpec(
         regulation_cap=default_regulation_cap(ATTITUDE_HORIZON, dt)
     )
-
-    lin = linearize_at_goal(model, np.zeros(6), np.zeros(3))
-    solution = solve_dare(lin.A, lin.B, Q / 2.0, R / 2.0)
-    design = RegulationDesign(solution=solution, indices=np.arange(6), state_dim=6)
+    design = stationary_design(model, cost, np.zeros(6), np.zeros(3), np.arange(6))
 
     return TwoPhaseProblem(
         model=model,
@@ -186,8 +205,8 @@ def attitude_problem(
 def rendezvous_initial_state(
     chaser: OrbitalElements = CHASER_ELEMENTS,
     target: OrbitalElements = TARGET_ELEMENTS,
-    mass: float = 1000.0,
-    mu: float = RendezvousParams().mu,
+    mass: float = RENDEZVOUS_MASS_KG,
+    mu: float = EARTH_MU,
 ) -> np.ndarray:
     r_c, v_c = kepler_to_cartesian(chaser, mu)
     r_t, v_t = kepler_to_cartesian(target, mu)
@@ -207,23 +226,10 @@ def _rendezvous_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray
     return x, rng.normal(0, 0.5, 3) + 0.1
 
 
-def _propagate_target(
-    r: np.ndarray, v: np.ndarray, steps: int, dt: float, mu: float
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Euler propagation of the autonomous target orbit (control-independent):
-    its (r, v) after each of `steps` steps from (r, v)."""
-    orbit = []
-    for _ in range(steps):
-        acc = -mu * r / np.linalg.norm(r) ** 3
-        r, v = r + dt * v, v + dt * acc
-        orbit.append((r, v))
-    return orbit
-
-
 def rendezvous_problem(
     chaser: OrbitalElements = CHASER_ELEMENTS,
     target: OrbitalElements = TARGET_ELEMENTS,
-    mass: float = 1000.0,
+    mass: float = RENDEZVOUS_MASS_KG,
     params: Optional[RendezvousParams] = None,
     dt: float = RENDEZVOUS_DT,
     q=RENDEZVOUS_Q_DIAG,
@@ -235,40 +241,39 @@ def rendezvous_problem(
 
     The quadratic weight acts on the six error states only (the target state
     and chaser mass ride along unweighted); the regulation design is built
-    per transfer time at the target's switch-epoch position.
+    per transfer time at the goal-orbit state of the switch epoch (see the
+    module docstring).
     """
     params = params or RendezvousParams()
     model = rendezvous_model(params, dt)
-    Q6 = weight_matrix(q, 6, "q")
     Q_full = np.zeros((13, 13))
-    Q_full[:6, :6] = Q6
+    Q_full[:6, :6] = weight_matrix(q, 6, "q")
     R = weight_matrix(r, 3, "r")
     cost = QuadraticCostSpec(Q=Q_full, R=R)
     x0 = rendezvous_initial_state(chaser, target, mass, params.mu)
     settings = settings or SolverSettings()
-    # The stationary design freezes the target at the switch epoch while the
-    # real target keeps moving during regulation, which carries a few percent
-    # of structural prediction error; the membership tolerance allows for it.
     terminal_set = terminal_set or TerminalSetSpec(
-        tolerance=5e-2, regulation_cap=default_regulation_cap(RENDEZVOUS_HORIZON, dt)
+        tolerance=RENDEZVOUS_MEMBERSHIP_TOLERANCE,
+        regulation_cap=default_regulation_cap(RENDEZVOUS_HORIZON, dt),
     )
 
-    # the target's (r, v) at every step propagated so far: each design
+    # the goal-orbit state at every step propagated so far: each design
     # continues the orbit from its last epoch instead of from t = 0
-    orbit = [(x0[7:10].copy(), x0[10:13].copy())]
+    goal = x0.copy()
+    goal[REND_ERROR_INDICES] = 0.0
+    orbit = [goal]
+    coast = np.zeros(3)
     cache: Dict[int, RegulationDesign] = {}
 
     def design_for(transfer_time: float) -> RegulationDesign:
         steps = int(round(transfer_time / dt))
         if steps not in cache:
             if steps >= len(orbit):
-                orbit.extend(_propagate_target(*orbit[-1], steps + 1 - len(orbit), dt, params.mu))
-            err_model = rendezvous_error_model(orbit[steps][0], mass, params, dt)
-            lin = linearize_at_goal(err_model, np.zeros(6), np.zeros(3))
-            solution = solve_dare(lin.A, lin.B, Q6 / 2.0, R / 2.0)
-            cache[steps] = RegulationDesign(
-                solution=solution, indices=np.arange(6), state_dim=13
-            )
+                X, _, message = simulate(model, orbit[-1], lambda t, x: coast, steps + 1 - len(orbit))
+                orbit.extend(X[1:])
+                if message:
+                    raise DynamicsDomainError(f"goal orbit left the dynamics domain: {message}")
+            cache[steps] = stationary_design(model, cost, orbit[steps], coast, REND_ERROR_INDICES)
         return cache[steps]
 
     return TwoPhaseProblem(
@@ -398,7 +403,7 @@ def soft_landing_problem(
     terminal_sink_rate: float = LANDER_SINK_RATE,
     penalty_weight: float = LANDER_PENALTY_WEIGHT,
     penalty_rate: float = LANDER_PENALTY_RATE,
-    penalty_coord_scale: float = 1.0,
+    penalty_coord_scale: float = LANDER_PENALTY_COORD_SCALE,
     touchdown_speed_limit: float = TOUCHDOWN_SPEED_LIMIT,
     settings: Optional[SolverSettings] = None,
 ) -> LandingProblem:
@@ -537,15 +542,15 @@ def linear_benchmark(
     """
     model = lti_model([[1.0]], [[1.0]], dt=1.0, name="scalar_benchmark")
     cost = QuadraticCostSpec(Q=[[2.0]], R=[[2.0]])
-    solution = solve_dare([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-    design = RegulationDesign(solution=solution, indices=np.arange(1), state_dim=1)
+    design = stationary_design(model, cost, np.zeros(1), np.zeros(1), np.arange(1))
     return TwoPhaseProblem(
         model=model,
         cost=cost,
         x0=np.array([float(x0)]),
         design_for=lambda T: design,
         settings=settings or SolverSettings(),
-        terminal_set=terminal_set or TerminalSetSpec(regulation_cap=1000),
+        terminal_set=terminal_set
+        or TerminalSetSpec(regulation_cap=default_regulation_cap(LINEAR_HORIZON, 1.0)),
     )
 
 

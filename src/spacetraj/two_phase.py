@@ -78,9 +78,12 @@ class TwoPhaseProblem:
     """A regulation goal at the origin plus everything needed to solve for it.
 
     `design_for(T)` returns the stationary regulation design used when the
-    switch happens at transfer time T; it is constant for time-invariant
-    goals and re-evaluated per T when the design point moves (rendezvous
-    freezes the target state at the switch epoch). `horizon`, `grid` and
+    switch happens at transfer time T, built by `lqr.stationary_design` on
+    the problem's own model. It is constant for time-invariant goals and
+    built per T when the goal moves: rendezvous linearizes at the goal-orbit
+    state of epoch T, and raises DynamicsDomainError when that orbit leaves
+    the dynamics domain before T (a sweep records the point as failed,
+    `verify` exits 3). `horizon`, `grid` and
     `warm_start` are what `solve`, `simulate`, `sweep` and `design_check`
     run at (`config.build_problem` sets them from the config).
     """

@@ -51,7 +51,7 @@ from spacetraj.cost import (
     stage_cost,
     stage_costs,
 )
-from spacetraj.dynamics import ContinuousModel, DiscreteModel, jacobians, lti_model
+from spacetraj.dynamics import DiscreteModel, jacobians, lti_model
 from spacetraj.errors import (
     DynamicsDomainError,
     RegularizationError,
@@ -584,12 +584,12 @@ def test_non_finite_running_cost_rejects_the_rollout_at_any_cap():
 
 
 def test_regulation_leaving_the_domain_matches_reference():
-    def deriv(x, u):
+    def rates(x, u):
         if abs(x[0]) > 10.0:
             raise DynamicsDomainError(f"state {x[0]} out of range")
-        return np.array([x[0] + u[0]])
+        return [x[0] + u[0]]
 
-    model = DiscreteModel(ContinuousModel(1, 1, deriv), dt=1.0)
+    model = DiscreteModel(1, 1, rates, 1.0)
     spec = QuadraticCostSpec(Q=np.eye(1), R=np.eye(1))
     # u = -0.5 x: x grows by 1.5 a step and leaves the domain at step 6
     solution = LqrSolution(np.eye(1), np.array([[0.5]]), 1.5, 0.0, 0)

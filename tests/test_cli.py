@@ -145,14 +145,36 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     """A deterministic work count: every simulated step of the default
     simulate goes through `dynamics.euler_step`, and the steps are priced
     by at most one `stage_costs` call per finished loop or per chunk of a
-    regulation rollout, never by a `stage_cost` call per step."""
+    regulation rollout, never by a `stage_cost` call per step. The budget
+    holds the steps outside the design; the rendezvous design propagates
+    its goal orbit to T* = 300 s, exactly 150 steps of dt = 2 s."""
     import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
     import spacetraj.ilqr as ilqr
     import spacetraj.lqr as lqr
+    import spacetraj.scenarios as scenarios
     import spacetraj.two_phase as two_phase
 
     calls = Counter()
+    designing = False
+    propagate = scenarios.simulate
+
+    def propagating(*args):
+        nonlocal designing
+        designing = True
+        try:
+            return propagate(*args)
+        finally:
+            designing = False
+
+    monkeypatch.setattr(scenarios, "simulate", propagating)
+    step = dynamics.euler_step
+
+    def counting_step(*args):
+        calls["goal_orbit" if designing else "steps"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "euler_step", counting_step)
 
     def count(module, name, key):
         original = getattr(module, name)
@@ -163,7 +185,6 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
 
         monkeypatch.setattr(module, name, counting)
 
-    count(dynamics, "euler_step", "steps")
     count(cost, "stage_cost", "stage_cost")
     for module in (cost, ilqr, lqr, two_phase):
         count(module, "stage_costs", "stage_costs")
@@ -180,6 +201,7 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     assert summary["regulation_converged"] and not summary["diverged"]
     assert summary["membership_switches"] == []
     assert 0 < calls["steps"] <= budget
+    assert calls["goal_orbit"] == (150 if scenario == "rendezvous" else 0)
     assert calls["stage_cost"] == 0
     assert 0 < calls["stage_costs"] <= calls["loops"] < 100
 
@@ -448,6 +470,9 @@ def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, v
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.isp_s=0.5"], "DivergenceError"),
         # a penalty Hessian whose coefficient overflows to inf
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_rate=1e300"], "RegularizationError"),
+        # the target orbit dips below the 1000 km guard near step 2,800, so
+        # the design at the last grid time (6000 s) has no goal state
+        ("verify", ["scenario=rendezvous", "rendezvous.target.e=0.9"], "DynamicsDomainError"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # the failure is reported, not preceded by numpy warnings
@@ -459,6 +484,20 @@ def test_runtime_failure_is_machine_readable(tmp_path, capsys, command, override
     captured = capsys.readouterr()
     assert code == 3 and json.loads(captured.out)["error"] == error
     assert "Traceback" not in captured.err
+
+
+def test_sweep_records_a_goal_orbit_that_leaves_the_domain(tmp_path, capsys):
+    """The grid point whose goal orbit crosses the radius guard fails on its
+    own; the rest of the sweep runs."""
+    code, _ = run_cli(
+        capsys, "sweep", "--set", "scenario=rendezvous", "--set", "rendezvous.target.e=0.9",
+        "--out", str(tmp_path / "o"),
+    )
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert code == 0
+    assert [f["T"] for f in summary["failures"]] == [6000.0]
+    assert summary["failures"][0]["error"].startswith("DynamicsDomainError: goal orbit left")
+    assert summary["first_hitting_time"] == 300.0
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Config parsing, validation, defaults, and round-tripping."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from spacetraj import scenarios
 from spacetraj.config import (
     apply_overrides,
     build_landing_problem,
+    build_problem,
     build_two_phase_problem,
     default_sweep_grid,
     emit_config,
@@ -46,6 +49,44 @@ def test_lander_defaults():
     assert cfg.lander.penalty_weight == 100.0 and cfg.lander.penalty_rate == 1.0
     assert cfg.lander.initial_position_m == [300.0, -200.0, 1000.0]
     assert cfg.lander.initial_velocity_mps == [100.0, 120.0, 0.0]
+
+
+def assert_same(a, b, path="problem"):
+    """Field by field equality of problem objects. A model is compared by
+    its attributes (its steps by the caller), a function field by identity
+    or else by its value at T = 300 s (a grid time of every two-phase
+    default)."""
+    if hasattr(a, "rates"):
+        assert (a.state_dim, a.control_dim, a.dt, a.name) == (b.state_dim, b.control_dim, b.dt, b.name), path
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif callable(a) and a is not b:
+        assert_same(a(300.0), b(300.0), f"{path}(300)")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize(
+    "scenario,builder",
+    [
+        ("attitude", scenarios.attitude_problem),
+        ("rendezvous", scenarios.rendezvous_problem),
+        ("soft-landing", scenarios.soft_landing_problem),
+        ("custom-linear", scenarios.linear_benchmark),
+    ],
+)
+def test_default_config_builds_the_default_problem(scenario, builder):
+    """Each config default and the builder's default are one constant."""
+    built, default = build_problem(scenario_defaults(scenario)), builder()
+    if scenario != "soft-landing":  # the config adds what the commands run at
+        built = dataclasses.replace(built, horizon=None, grid=(), warm_start=True)
+    assert_same(built, default)
+    u = np.full(default.model.control_dim, 0.1)
+    assert np.array_equal(built.model.step(built.x0, u), default.model.step(default.x0, u))
 
 
 def test_negative_dt_rejected():

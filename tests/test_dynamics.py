@@ -1,10 +1,11 @@
 """Euler stepping and Jacobian machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spacetraj.dynamics import (
-    ContinuousModel,
     DiscreteModel,
     double_integrator,
     euler_step,
@@ -24,10 +25,7 @@ from spacetraj.models import (
 
 
 def scalar_integrator(dt=0.1):
-    return DiscreteModel(
-        inner=ContinuousModel(1, 1, lambda x, u: u.copy(), lambda x, u: (np.zeros((1, 1)), np.eye(1))),
-        dt=dt,
-    )
+    return DiscreteModel(1, 1, lambda x, u: u, dt, lambda x, u: (np.zeros((1, 1)), np.eye(1)))
 
 
 def test_scalar_integrator_step():
@@ -60,7 +58,7 @@ def test_euler_consistency_identity():
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.normal(0, 50, 6), [1000.0], [7000.0, 100.0, -200.0], [0.2, 7.4, 0.1]])
     u = rng.normal(0, 0.3, 3)
-    d = m.inner.deriv(x, u)
+    d = np.array(m.rates(x.tolist(), u.tolist()))
     bound = np.finfo(float).eps * np.maximum(1.0, np.abs(x)) / m.dt * 4.0
     assert np.all(np.abs((m.step(x, u) - x) / m.dt - d) <= bound)
 
@@ -85,8 +83,7 @@ def test_jacobians_exact_for_lti():
 
 def test_jacobians_fall_back_to_finite_differences():
     # model without analytic partials
-    inner = ContinuousModel(1, 1, lambda x, u: np.array([np.sin(x[0]) + u[0]]))
-    m = DiscreteModel(inner=inner, dt=0.2)
+    m = DiscreteModel(1, 1, lambda x, u: [np.sin(x[0]) + u[0]], 0.2)
     lin = jacobians(m, np.array([0.5]), np.array([0.0]))
     assert lin.A[0, 0] == pytest.approx(1.0 + 0.2 * np.cos(0.5), rel=1e-9)
     assert lin.B[0, 0] == pytest.approx(0.2, rel=1e-9)
@@ -226,9 +223,9 @@ def test_double_integrator_step():
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: ContinuousModel(0, 1, lambda x, u: x), "dimensions must be positive"),
-        (lambda: DiscreteModel(double_integrator().inner, 0.0), "dt must be positive"),
-        (lambda: DiscreteModel(double_integrator().inner, float("nan")), "dt must be positive"),
+        (lambda: DiscreteModel(0, 1, lambda x, u: x, 1.0), "dimensions must be positive"),
+        (lambda: dataclasses.replace(double_integrator(), dt=0.0), "dt must be positive"),
+        (lambda: dataclasses.replace(double_integrator(), dt=float("nan")), "dt must be positive"),
         (lambda: lti_model(np.eye(3), np.ones((2, 1))), "A has shape"),
         (
             lambda: finite_diff_jacobians(double_integrator(), np.zeros(2), np.zeros(1), h=0.0),

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from spacetraj.cost import AltitudePenaltySpec, QuadraticCostSpec, cost_derivatives
 from spacetraj.dynamics import (
-    ContinuousModel,
     DiscreteModel,
     finite_diff_jacobians,
     jacobians,
@@ -30,12 +29,12 @@ from spacetraj.models import (
     AttitudeParams,
     LanderParams,
     RendezvousParams,
-    attitude_deriv,
     attitude_model,
-    lander_deriv,
+    attitude_rates,
     lander_model,
-    rendezvous_deriv,
+    lander_rates,
     rendezvous_model,
+    rendezvous_rates,
 )
 
 RTOL = 1e-12
@@ -149,6 +148,11 @@ def ref_lander_jacobians(x, control, p):
     return dfdx, dfdu
 
 
+def rates_at(kernel, x, u, p):
+    """A point kernel's rates at array arguments, as an array."""
+    return np.array(kernel(x.tolist(), u.tolist(), p))
+
+
 def assert_close(actual, reference, rtol=RTOL):
     """Agreement to `rtol` relative to the largest entry of the reference."""
     scale = max(np.abs(reference).max(), np.finfo(float).tiny)
@@ -224,21 +228,21 @@ def trajectories(states, controls, max_len=6):
 @KERNEL_SETTINGS
 @given(x=attitude_states(), torque=vec(3, -500.0, 500.0), J=spd_inertias())
 def test_attitude_deriv_matches_reference(x, torque, J):
-    assert_close(attitude_deriv(x, torque, AttitudeParams(inertia=J)), ref_attitude_deriv(x, torque, J))
+    assert_close(rates_at(attitude_rates, x, torque, AttitudeParams(inertia=J)), ref_attitude_deriv(x, torque, J))
 
 
 @KERNEL_SETTINGS
 @given(x=lander_states(), control=vec(6, -1.0, 1.0), J=spd_inertias())
 def test_lander_deriv_matches_reference(x, control, J):
     p = LanderParams(inertia=J)
-    assert_close(lander_deriv(x, control, p), ref_lander_deriv(x, control, p))
+    assert_close(rates_at(lander_rates, x, control, p), ref_lander_deriv(x, control, p))
 
 
 @KERNEL_SETTINGS
 @given(x=rendezvous_states(), u=vec(3, -2.0, 2.0))
 def test_rendezvous_deriv_matches_reference(x, u):
     p = RendezvousParams()
-    assert_close(rendezvous_deriv(x, u, p), ref_rendezvous_deriv(x, u, p))
+    assert_close(rates_at(rendezvous_rates, x, u, p), ref_rendezvous_deriv(x, u, p))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +339,7 @@ def test_constant_partials_are_broadcast_over_a_trajectory():
 
 
 def test_finite_difference_fallback_loops_over_a_trajectory():
-    inner = ContinuousModel(1, 1, lambda x, u: np.array([np.sin(x[0]) + u[0]]))
-    model = DiscreteModel(inner=inner, dt=0.2)
+    model = DiscreteModel(1, 1, lambda x, u: [np.sin(x[0]) + u[0]], 0.2)
     X = np.array([[0.1], [0.5], [-1.2]])
     U = np.array([[0.0], [1.0], [2.0]])
     lin = jacobians(model, X, U)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
 from spacetraj.cost import QuadraticCostSpec, first_over_cap, stage_costs
-from spacetraj.dynamics import ContinuousModel, DiscreteModel, double_integrator, lti_model, simulate
+from spacetraj.dynamics import DiscreteModel, double_integrator, lti_model, simulate
 from spacetraj.errors import DynamicsDomainError, NotAFixedPointError, StabilizabilityError
 from spacetraj.lqr import (
     CHUNK_STEPS,
@@ -24,7 +24,7 @@ from spacetraj.lqr import (
     regulation_rollout,
     solve_dare,
 )
-from spacetraj.models import lander_hover_control, lander_model, rendezvous_error_model
+from spacetraj.models import REND_ERROR_INDICES, lander_hover_control, lander_model, rendezvous_model
 from spacetraj.scenarios import attitude_problem, linear_benchmark
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -268,12 +268,12 @@ def test_membership_stops_once_the_verdict_is_decided(a):
 def _leaves_domain_above(bound):
     """x+ = 2x + u (dt = 1), whose step is undefined once |x| > bound."""
 
-    def deriv(x, u):
+    def rates(x, u):
         if abs(x[0]) > bound:
             raise DynamicsDomainError(f"|x| above {bound}")
-        return x + u
+        return [x[0] + u[0]]
 
-    return DiscreteModel(ContinuousModel(1, 1, deriv, name="bounded"), dt=1.0)
+    return DiscreteModel(1, 1, rates, 1.0, name="bounded")
 
 
 @pytest.mark.filterwarnings("error")
@@ -321,9 +321,13 @@ def test_linearize_at_goal_attitude():
 
 
 def test_linearize_at_goal_rendezvous_error_subsystem():
-    m = rendezvous_error_model(np.array([7000.0, 0.0, 0.0]), 1000.0)
-    lin = linearize_at_goal(m, np.zeros(6), np.zeros(3))
+    # the error block of the full model at zero error on a moving target
+    m = rendezvous_model()
+    x = np.concatenate([np.zeros(6), [1000.0], [7000.0, 0.0, 0.0], [0.0, 7.5, 0.0]])
+    lin = linearize_at_goal(m, x, np.zeros(3), REND_ERROR_INDICES)
     assert lin.A.shape == (6, 6) and lin.B.shape == (6, 3)
+    full = linearize_at_goal(m, x, np.zeros(3), np.arange(7))  # error block and mass
+    assert np.array_equal(full.A[:6, :6], lin.A) and np.array_equal(full.B[:6], lin.B)
 
 
 def test_linearize_at_goal_rejects_lander_rest_point():

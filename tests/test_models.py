@@ -10,13 +10,13 @@ from spacetraj.models import (
     LanderParams,
     OrbitalElements,
     RendezvousParams,
-    attitude_deriv,
     attitude_model,
+    attitude_rates,
     kepler_to_cartesian,
-    lander_deriv,
     lander_hover_control,
     lander_model,
-    rendezvous_deriv,
+    lander_rates,
+    rendezvous_rates,
     scale_lander,
     specific_orbital_energy,
     unscale_lander,
@@ -25,12 +25,17 @@ from spacetraj.models import (
 DEG = np.pi / 180.0
 
 
+def rates_at(kernel, x, u, p):
+    """A point kernel's rates at array arguments, as an array."""
+    return np.array(kernel(np.asarray(x).tolist(), np.asarray(u).tolist(), p))
+
+
 # ---------------------------------------------------------------------------
 # attitude
 # ---------------------------------------------------------------------------
 
 def test_attitude_equilibrium():
-    d = attitude_deriv(np.zeros(6), np.zeros(3), AttitudeParams())
+    d = rates_at(attitude_rates, np.zeros(6), np.zeros(3), AttitudeParams())
     assert np.array_equal(d, np.zeros(6))
 
 
@@ -48,7 +53,7 @@ def test_attitude_gyroscopic_term_componentwise():
     )
     expected = -gyro / np.array([4500.0, 2000.0, 7500.0])
     x = np.concatenate([np.zeros(3), w])
-    d = attitude_deriv(x, np.zeros(3), AttitudeParams(inertia=J))
+    d = rates_at(attitude_rates, x, np.zeros(3), AttitudeParams(inertia=J))
     assert np.allclose(d[3:6], expected, rtol=1e-14)
 
 
@@ -80,7 +85,7 @@ def test_attitude_pitch_guard():
     x[1] = 89.9999999 * DEG
     x[3] = 0.1
     with pytest.raises(SingularityError):
-        attitude_deriv(x, np.zeros(3), AttitudeParams())
+        rates_at(attitude_rates, x, np.zeros(3), AttitudeParams())
 
 
 def test_attitude_params_validation():
@@ -122,19 +127,19 @@ def rendezvous_state(e_r=0, e_v=0, m=1000.0, r_t=(7000.0, 0.0, 0.0), v_t=(0.0, 7
 
 
 def test_rendezvous_symmetric_point():
-    d = rendezvous_deriv(rendezvous_state(), np.zeros(3), RendezvousParams())
+    d = rates_at(rendezvous_rates, rendezvous_state(), np.zeros(3), RendezvousParams())
     assert np.allclose(d[0:6], 0.0)
     assert d[6] == 0.0
 
 
 def test_rendezvous_mass_flow_345():
-    d = rendezvous_deriv(rendezvous_state(), np.array([3.0, 4.0, 0.0]), RendezvousParams())
+    d = rates_at(rendezvous_rates, rendezvous_state(), np.array([3.0, 4.0, 0.0]), RendezvousParams())
     assert d[6] == pytest.approx(-5e-4 * 5.0, rel=1e-15)
 
 
 def test_rendezvous_circular_orbit_acceleration():
     p = RendezvousParams()
-    d = rendezvous_deriv(rendezvous_state(), np.zeros(3), p)
+    d = rates_at(rendezvous_rates, rendezvous_state(), np.zeros(3), p)
     assert np.linalg.norm(d[10:13]) == pytest.approx(p.mu / 7000.0**2, rel=1e-12)
 
 
@@ -151,9 +156,9 @@ def test_rendezvous_error_stays_zero_without_thrust():
 
 def test_rendezvous_domain_guard():
     with pytest.raises(DynamicsDomainError):
-        rendezvous_deriv(rendezvous_state(r_t=(500.0, 0.0, 0.0)), np.zeros(3), RendezvousParams())
+        rates_at(rendezvous_rates, rendezvous_state(r_t=(500.0, 0.0, 0.0)), np.zeros(3), RendezvousParams())
     with pytest.raises(DynamicsDomainError):
-        rendezvous_deriv(rendezvous_state(m=-1.0), np.zeros(3), RendezvousParams())
+        rates_at(rendezvous_rates, rendezvous_state(m=-1.0), np.zeros(3), RendezvousParams())
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def test_lander_hover_cancels_gravity():
     p = LanderParams()
     x = lander_state()
     u = lander_hover_control(1000.0, p)
-    d = lander_deriv(x, u, p)
+    d = rates_at(lander_rates, x, u, p)
     assert np.allclose(d[6:12], 0.0, atol=1e-15)  # position and velocity frozen
     assert d[12] < 0.0  # mass strictly decreasing
 
@@ -189,20 +194,20 @@ def test_lander_mass_flow_unit_rate():
     p = LanderParams()
     thrust_n = 225.0 * 3.7114  # = 835.065 N
     u = np.concatenate([np.zeros(3), [0.0, 0.0, thrust_n / 1e4]])
-    d = lander_deriv(lander_state(), u, p)
+    d = rates_at(lander_rates, lander_state(), u, p)
     assert d[12] == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_lander_free_fall_acceleration():
     p = LanderParams()
-    d = lander_deriv(lander_state(), np.zeros(6), p)
+    d = rates_at(lander_rates, lander_state(), np.zeros(6), p)
     v_dot_si = d[9:12] * 1e3
     assert np.allclose(v_dot_si, [0.0, 0.0, -3.7114], rtol=1e-12)
 
 
 def test_lander_domain_guard_on_mass():
     with pytest.raises(DynamicsDomainError):
-        lander_deriv(lander_state(m=0.0), np.zeros(6), LanderParams())
+        rates_at(lander_rates, lander_state(m=0.0), np.zeros(6), LanderParams())
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ import pytest
 
 from spacetraj.config import build_two_phase_problem, default_sweep_grid, parse_config_dict
 from spacetraj.cost import QuadraticCostSpec, TerminalValue, stage_costs
-from spacetraj.dynamics import ContinuousModel, DiscreteModel, lti_model, simulate
-from spacetraj.errors import HittingTimeNotFoundError
-from spacetraj.ilqr import GainSchedule, SolveReport, rollout
+from spacetraj.dynamics import DiscreteModel, lti_model, simulate
+from spacetraj.errors import HittingTimeNotFoundError, NotAFixedPointError
+from spacetraj.ilqr import GainSchedule, SolveReport, SolverSettings, rollout
 from spacetraj.lqr import (
     LqrSolution,
     RegulationDesign,
     TerminalSetSpec,
     in_terminal_set,
+    linearize_at_goal,
     regulation_law,
     regulation_rollout,
 )
@@ -117,7 +118,7 @@ def test_convergence_study_raises_when_a_level_is_never_reached():
 
 def test_rendezvous_designs_continue_the_target_orbit(monkeypatch):
     """Designs built along a shuffled grid equal, bit for bit, designs whose
-    target orbit is propagated from t = 0, and the orbit is propagated only
+    goal orbit is propagated from t = 0, and the orbit is propagated only
     once, up to the largest grid step."""
     import spacetraj.scenarios as scenarios
 
@@ -125,19 +126,49 @@ def test_rendezvous_designs_continue_the_target_orbit(monkeypatch):
     shuffled = [grid[i] for i in np.random.default_rng(8).permutation(len(grid))]
     fresh = {T: scenarios.rendezvous_problem().design_for(T) for T in grid}
     propagated = 0
-    propagate = scenarios._propagate_target
 
-    def counting(r, v, steps, dt, mu):
+    def counting(*args):
         nonlocal propagated
-        propagated += steps
-        return propagate(r, v, steps, dt, mu)
+        X, U, message = simulate(*args)
+        propagated += len(U)
+        return X, U, message
 
-    monkeypatch.setattr(scenarios, "_propagate_target", counting)
+    monkeypatch.setattr(scenarios, "simulate", counting)
     problem = scenarios.rendezvous_problem()
     for T in shuffled:
         got, want = problem.design_for(T).solution, fresh[T].solution
         assert np.array_equal(got.P, want.P) and np.array_equal(got.K, want.K)
     assert propagated == round(max(grid) / scenarios.RENDEZVOUS_DT)
+
+
+def test_rendezvous_goal_orbit_is_the_trajectory_target(monkeypatch):
+    """The design for T linearizes the full model at the goal-orbit state of
+    epoch T, whose target rows are those of every trajectory at T, bit for
+    bit (3,000 steps here). Its error block is an exact fixed point of the
+    model, while the full state is not (the target moves)."""
+    import spacetraj.scenarios as scenarios
+
+    goals = []
+    design = scenarios.stationary_design
+
+    def recording(model, cost, x_eq, u_eq, indices):
+        goals.append(np.array(x_eq))
+        return design(model, cost, x_eq, u_eq, indices)
+
+    monkeypatch.setattr(scenarios, "stationary_design", recording)
+    problem = dataclasses.replace(
+        scenarios.rendezvous_problem(),
+        horizon=scenarios.RENDEZVOUS_HORIZON,
+        settings=SolverSettings(max_iterations=2),
+    )
+    x_T = problem.solve().states[-1]
+    (goal,) = goals
+    assert np.array_equal(goal[7:13], x_T[7:13])
+    assert np.array_equal(goal[:6], np.zeros(6)) and goal[6] == problem.x0[6]
+    zero = np.zeros(3)
+    assert np.array_equal((problem.model.step(goal, zero) - goal)[:7], np.zeros(7))
+    with pytest.raises(NotAFixedPointError):
+        linearize_at_goal(problem.model, goal, zero)
 
 
 def test_bellman_residuals_linear_instance():
@@ -381,9 +412,7 @@ def test_phase_one_stops_at_an_overflowing_state():
     # tested, so phase 1 ends diverged instead of running on through inf
     bp = linear_benchmark()
     sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
-    runaway = DiscreteModel(
-        ContinuousModel(1, 1, lambda x, u: np.array([1e308]), name="runaway"), dt=1.0
-    )
+    runaway = DiscreteModel(1, 1, lambda x, u: [1e308], 1.0, name="runaway")
     closed = two_phase_simulate(dataclasses.replace(bp, model=runaway), sol, x0=np.array([1e308]))
     assert closed.diverged and not closed.converged
     assert closed.message.startswith("phase-1 rollout left the dynamics domain")
