@@ -7,7 +7,7 @@ Ships three ready-made scenarios (spacecraft attitude, orbital rendezvous,
 Mars soft landing) and a CLI that runs, sweeps, and verifies them.
 """
 
-from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, altitude_penalty, stage_cost
+from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, altitude_penalty
 from .dynamics import (
     DiscreteModel,
     Linearization,

@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -45,10 +46,10 @@ from .artifacts import (
     write_csv,
     write_json,
 )
-from .config import ScenarioConfig, build_problem, emit_config, parse_config
+from .config import ScenarioConfig, emit_config, parse_config, scenario_defaults
 from .dynamics import finite_diff_jacobians, jacobians
 from .errors import ConfigError, SpacetrajError
-from .scenarios import benchmark_grid, linear_benchmark
+from .scenarios import benchmark_grid, build_problem, linear_benchmark
 from .two_phase import RunResult, bellman_check, convergence_study, membership_switches, solve_two_phase
 
 log = logging.getLogger("spacetraj")
@@ -161,7 +162,7 @@ def cmd_verify(cfg: ScenarioConfig, out: Path) -> Outcome:
 
 
 def cmd_convergence(cfg: ScenarioConfig, out: Path) -> Outcome:
-    bench = linear_benchmark(settings=cfg.solver.to_settings())
+    bench = linear_benchmark(replace(scenario_defaults("custom-linear"), solver=cfg.solver))
     ideal = bench.design_for(1.0).predicted_cost(bench.x0)
     levels = cfg.convergence_levels or [ideal * f for f in DEFAULT_LEVEL_FRACTIONS]
     rows = convergence_study(bench, levels, benchmark_grid(40))

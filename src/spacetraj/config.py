@@ -1,10 +1,18 @@
-"""Scenario configuration: parsing, validation, defaults, round-tripping.
+"""Scenario configuration: the one description of each scenario.
+
+`ScenarioConfig` holds every parameter of a scenario, and this module owns
+their defaults and the scenario constants: `scenario_defaults(s)` is the
+tabulated case of scenario `s`. The builders in `scenarios` read a config
+directly (`scenarios.build_problem(cfg)`); this module knows no problem
+object and imports neither `scenarios` nor `two_phase`, which import it.
 
 Configs are JSON (UTF-8, nesting allowed). Angles cross this boundary in
 degrees and are converted where the problem objects are built; weight
 matrices may be given as a diagonal (list of length n) or a full matrix
 (n x n nested lists). Unknown keys anywhere are rejected with the offending
-dotted path.
+dotted path. `validate_config` checks every field, and `float_array` and
+`weight_matrix` are the checked conversions of the array-valued ones; each
+raises ConfigError naming the field.
 """
 
 from __future__ import annotations
@@ -12,16 +20,64 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .ilqr import LINE_SEARCH_FACTOR, LINE_SEARCH_STEPS, SolverSettings
 from .lqr import TerminalSetSpec
-from . import scenarios as sc
+from .models import DEFAULT_INERTIA_DIAG, EARTH_MU, LanderParams, OrbitalElements, RendezvousParams
+
+DEG = math.pi / 180.0
+
+# Tabulated initial conditions (degrees / deg/s; meters / m/s for the lander).
+ATTITUDE_INITIAL_DEG = (85.94, -68.75, -120.32, 5.72, -5.72, 2.86)
+LANDER_INITIAL_ATTITUDE_DEG = (22.91, 17.18, 11.45, 5.72, 11.45, -11.45)
+LANDER_INITIAL_POSITION_M = (300.0, -200.0, 1000.0)
+LANDER_INITIAL_VELOCITY_MPS = (100.0, 120.0, 0.0)
+
+# (a km, e, i, raan, argp, nu in degrees)
+CHASER_ORBIT = (7200.0, 0.22, 64.0, 66.0, 28.0, 81.0)
+TARGET_ORBIT = (7000.0, 0.1, 40.0, 35.0, 10.0, 120.0)
+RENDEZVOUS_MASS_KG = 1000.0
+
+ATTITUDE_DT = 0.1
+ATTITUDE_HORIZON = 200.0
+RENDEZVOUS_DT = 2.0
+RENDEZVOUS_HORIZON = 6000.0
+LANDER_DT = 0.2
+LANDER_HORIZON = 30.0
+LINEAR_HORIZON = 40.0  # steps of 1 s
+
+# Default weights. Attitude weights are per-degree (identity in the tabulated
+# working units); rendezvous weights per km / (km/s) on the error states with
+# thrust weighted per kN; lander weights act on the normalized variables.
+ATTITUDE_Q_DIAG = (1.0,) * 6
+ATTITUDE_R_DIAG = (1.0,) * 3
+RENDEZVOUS_Q_DIAG = (1.0,) * 6
+RENDEZVOUS_R_DIAG = (500.0,) * 3
+LANDER_Q_DIAG = (1.0,) * 6 + (10000.0,) * 3 + (1000.0,) * 3
+LANDER_R_DIAG = (1.0,) * 6
+LANDER_TERMINAL_WEIGHT = 1.0e5
+# Commanded descent rate at the planning horizon's end. The terminal
+# reference sits one step below the surface at this rate, so the planned
+# trajectory crosses zero altitude strictly inside the horizon instead of
+# flaring to rest a few centimeters above it (the altitude penalty always
+# leaves the unconstrained optimum slightly airborne).
+LANDER_SINK_RATE = 0.8  # m/s
+LANDER_PENALTY_WEIGHT = 100.0
+LANDER_PENALTY_RATE = 1.0
+LANDER_PENALTY_COORD_SCALE = 1.0
+TOUCHDOWN_SPEED_LIMIT = 2.0  # m/s
+
+# The rendezvous design freezes the moving target at the switch epoch, which
+# leaves a few percent of structural prediction error in the regulation
+# leg; its membership tolerance allows for it. The other scenarios use the
+# `TerminalSetSpec` default.
+RENDEZVOUS_MEMBERSHIP_TOLERANCE = 5e-2
 
 SCENARIOS = ("attitude", "rendezvous", "soft-landing", "custom-linear")
 
@@ -34,7 +90,8 @@ MAX_STEPS = 10**6
 MAX_LINE_SEARCH_STEPS = 100
 
 
-# Every default below is the default of the object the field configures.
+# Every default below is a scenario constant above or the default of the
+# object the field configures.
 @dataclass
 class SolverConfig:
     max_iterations: int = SolverSettings.max_iterations
@@ -73,7 +130,7 @@ class TerminalSetConfig:
     def to_spec(self, horizon: float, dt: float, default_tolerance: float) -> TerminalSetSpec:
         cap = self.regulation_cap
         if cap is None:
-            cap = sc.default_regulation_cap(horizon, dt)
+            cap = default_regulation_cap(horizon, dt)
         return TerminalSetSpec(
             level=self.level,
             tolerance=self.tolerance if self.tolerance is not None else default_tolerance,
@@ -98,38 +155,40 @@ class OrbitConfig:
     argp_deg: float
     nu_deg: float
 
-    def to_elements(self) -> sc.OrbitalElements:
-        return sc.orbit_deg(self.a_km, self.e, self.i_deg, self.raan_deg, self.argp_deg, self.nu_deg)
+    def to_elements(self) -> OrbitalElements:
+        return OrbitalElements(
+            self.a_km, self.e, self.i_deg * DEG, self.raan_deg * DEG, self.argp_deg * DEG, self.nu_deg * DEG
+        )
 
 
 @dataclass
 class AttitudeConfig:
-    inertia_diag: List[float] = field(default_factory=lambda: list(sc.DEFAULT_INERTIA_DIAG))
+    inertia_diag: List[float] = field(default_factory=lambda: list(DEFAULT_INERTIA_DIAG))
 
 
 @dataclass
 class RendezvousConfig:
-    mu: float = sc.EARTH_MU
-    alpha: float = sc.RendezvousParams.alpha
-    mass_kg: float = sc.RENDEZVOUS_MASS_KG
-    chaser: OrbitConfig = field(default_factory=lambda: OrbitConfig(*sc.CHASER_ORBIT))
-    target: OrbitConfig = field(default_factory=lambda: OrbitConfig(*sc.TARGET_ORBIT))
+    mu: float = EARTH_MU
+    alpha: float = RendezvousParams.alpha
+    mass_kg: float = RENDEZVOUS_MASS_KG
+    chaser: OrbitConfig = field(default_factory=lambda: OrbitConfig(*CHASER_ORBIT))
+    target: OrbitConfig = field(default_factory=lambda: OrbitConfig(*TARGET_ORBIT))
 
 
 @dataclass
 class LanderConfig:
-    isp_s: float = sc.LanderParams.isp
-    g_ref: float = sc.LanderParams.g_ref
-    initial_mass_kg: float = sc.LanderParams.initial_mass
-    inertia_diag: List[float] = field(default_factory=lambda: list(sc.DEFAULT_INERTIA_DIAG))
-    penalty_weight: float = sc.LANDER_PENALTY_WEIGHT
-    penalty_rate: float = sc.LANDER_PENALTY_RATE
-    penalty_coord_scale: float = sc.LANDER_PENALTY_COORD_SCALE
-    terminal_weight: float = sc.LANDER_TERMINAL_WEIGHT
-    terminal_sink_rate_mps: float = sc.LANDER_SINK_RATE
-    touchdown_speed_limit_mps: float = sc.TOUCHDOWN_SPEED_LIMIT
-    initial_position_m: List[float] = field(default_factory=lambda: list(sc.LANDER_INITIAL_POSITION_M))
-    initial_velocity_mps: List[float] = field(default_factory=lambda: list(sc.LANDER_INITIAL_VELOCITY_MPS))
+    isp_s: float = LanderParams.isp
+    g_ref: float = LanderParams.g_ref
+    initial_mass_kg: float = LanderParams.initial_mass
+    inertia_diag: List[float] = field(default_factory=lambda: list(DEFAULT_INERTIA_DIAG))
+    penalty_weight: float = LANDER_PENALTY_WEIGHT
+    penalty_rate: float = LANDER_PENALTY_RATE
+    penalty_coord_scale: float = LANDER_PENALTY_COORD_SCALE
+    terminal_weight: float = LANDER_TERMINAL_WEIGHT
+    terminal_sink_rate_mps: float = LANDER_SINK_RATE
+    touchdown_speed_limit_mps: float = TOUCHDOWN_SPEED_LIMIT
+    initial_position_m: List[float] = field(default_factory=lambda: list(LANDER_INITIAL_POSITION_M))
+    initial_velocity_mps: List[float] = field(default_factory=lambda: list(LANDER_INITIAL_VELOCITY_MPS))
 
 
 @dataclass
@@ -154,32 +213,34 @@ class ScenarioConfig:
 
 _SCENARIO_BASE = {
     "attitude": dict(
-        dt=sc.ATTITUDE_DT,
-        horizon=sc.ATTITUDE_HORIZON,
-        initial_state=list(sc.ATTITUDE_INITIAL_DEG),
+        dt=ATTITUDE_DT,
+        horizon=ATTITUDE_HORIZON,
+        initial_state=list(ATTITUDE_INITIAL_DEG),
         goal_state=[0.0] * 6,
-        q=list(sc.ATTITUDE_Q_DIAG),
-        r=list(sc.ATTITUDE_R_DIAG),
+        q=list(ATTITUDE_Q_DIAG),
+        r=list(ATTITUDE_R_DIAG),
     ),
     "rendezvous": dict(
-        dt=sc.RENDEZVOUS_DT,
-        horizon=sc.RENDEZVOUS_HORIZON,
+        dt=RENDEZVOUS_DT,
+        horizon=RENDEZVOUS_HORIZON,
         initial_state=[],  # derived from the orbital elements
         goal_state=[0.0] * 6,
-        q=list(sc.RENDEZVOUS_Q_DIAG),
-        r=list(sc.RENDEZVOUS_R_DIAG),
+        q=list(RENDEZVOUS_Q_DIAG),
+        r=list(RENDEZVOUS_R_DIAG),
     ),
     "soft-landing": dict(
-        dt=sc.LANDER_DT,
-        horizon=sc.LANDER_HORIZON,
-        initial_state=list(sc.LANDER_INITIAL_ATTITUDE_DEG),
+        dt=LANDER_DT,
+        horizon=LANDER_HORIZON,
+        initial_state=list(LANDER_INITIAL_ATTITUDE_DEG),
         goal_state=[0.0] * 12,
-        q=list(sc.LANDER_Q_DIAG),
-        r=list(sc.LANDER_R_DIAG),
+        q=list(LANDER_Q_DIAG),
+        r=list(LANDER_R_DIAG),
     ),
+    # x+ = x + u with stage cost (q x^2 + r u^2) / 2 = x^2 + u^2, whose
+    # stationary value matrix is the golden ratio
     "custom-linear": dict(
         dt=1.0,
-        horizon=sc.LINEAR_HORIZON,
+        horizon=LINEAR_HORIZON,
         initial_state=[1.0],
         goal_state=[0.0],
         q=[2.0],
@@ -275,6 +336,36 @@ def emit_config(cfg: ScenarioConfig) -> Dict[str, Any]:
     return asdict(cfg)
 
 
+def float_array(value, field: str, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+    """`value` as an array of finite floats, of `shape` when given; otherwise
+    ConfigError naming `field`. Strings, all-boolean arrays and ragged
+    nesting are rejected."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError
+    except ValueError:  # also raised for ragged nesting
+        raise ConfigError(field, f"expected numbers, got {value!r}") from None
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(field, f"expected shape {shape}, got {arr.shape}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ConfigError(field, f"entries must be finite, got {value!r}")
+    return arr
+
+
+def weight_matrix(value, dim: int, field: str) -> np.ndarray:
+    """A diagonal (length-dim) or full (dim x dim) weight array as a matrix."""
+    arr = float_array(value, field)
+    if arr.shape != ((dim,) if arr.ndim == 1 else (dim, dim)):
+        raise ConfigError(field, f"expected {dim} weights or a {dim}x{dim} matrix, got {arr.shape}")
+    return np.diag(arr) if arr.ndim == 1 else arr
+
+
+def default_regulation_cap(horizon: float, dt: float) -> int:
+    return int(round(10.0 * horizon / dt))
+
+
 def _real(value: Any, path: str) -> float:
     """A finite real number; booleans and strings are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -329,19 +420,25 @@ def validate_config(cfg: ScenarioConfig) -> None:
     n = STATE_DIMS[cfg.scenario]
     m = CONTROL_DIMS[cfg.scenario]
 
-    if cfg.scenario != "rendezvous":
+    if cfg.scenario == "rendezvous":
+        if cfg.initial_state != []:
+            raise ConfigError(
+                "initial_state", "must be empty: rendezvous.chaser and rendezvous.target give the initial state"
+            )
+    else:
         dim = 6 if cfg.scenario in ("attitude", "soft-landing") else n
-        init = sc.float_array(cfg.initial_state, "initial_state", (dim,))
+        init = float_array(cfg.initial_state, "initial_state", (dim,))
         if cfg.scenario in ("attitude", "soft-landing") and abs(abs(init[1]) - 90.0) < 1e-6:
             raise ConfigError("initial_state", "pitch angle sits on the 90 deg singularity")
-    if np.any(sc.float_array(cfg.goal_state, "goal_state", (n,)) != 0.0):
+    if np.any(float_array(cfg.goal_state, "goal_state", (n,)) != 0.0):
         raise ConfigError("goal_state", "only the origin goal is supported")
 
-    Q = sc.weight_matrix(cfg.q, n, "q")
+    Q = weight_matrix(cfg.q, n, "q")
     if not np.allclose(Q, Q.T) or np.any(np.linalg.eigvalsh(Q) < -1e-12):
         raise ConfigError("q", "must be symmetric positive semidefinite")
-    R = sc.weight_matrix(cfg.r, m, "r")
-    if not np.allclose(R, R.T) or np.any(np.linalg.eigvalsh(R) <= 0.0):
+    R = weight_matrix(cfg.r, m, "r")
+    # the stationary design solves against R / 2, which must stay definite
+    if not np.allclose(R, R.T) or np.any(np.linalg.eigvalsh(R / 2.0) <= 0.0):
         raise ConfigError("r", "must be symmetric positive definite")
 
     s = cfg.solver
@@ -371,7 +468,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _positive(t.cost_cap, "terminal_set.cost_cap")
 
     if cfg.sweep.grid is not None:
-        grid = sc.float_array(cfg.sweep.grid, "sweep.grid")
+        grid = float_array(cfg.sweep.grid, "sweep.grid")
         if grid.ndim != 1 or not len(grid):
             raise ConfigError("sweep.grid", "must be a non-empty list of transfer times")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -381,7 +478,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 raise ConfigError("sweep.grid", f"{T} is not a positive multiple of dt={cfg.dt}")
 
     if cfg.convergence_levels is not None:
-        lv = sc.float_array(cfg.convergence_levels, "convergence_levels")
+        lv = float_array(cfg.convergence_levels, "convergence_levels")
         if lv.ndim != 1 or any(x <= 0 for x in lv) or any(b >= a for a, b in zip(lv, lv[1:])):
             raise ConfigError("convergence_levels", "must be strictly decreasing positive numbers")
 
@@ -389,10 +486,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         ("attitude.inertia_diag", cfg.attitude.inertia_diag),
         ("lander.inertia_diag", cfg.lander.inertia_diag),
     ):
-        if not (sc.float_array(diag, path, (3,)) > 0.0).all():
+        if not (float_array(diag, path, (3,)) > 0.0).all():
             raise ConfigError(path, f"entries must be positive, got {diag!r}")
-    sc.float_array(cfg.lander.initial_position_m, "lander.initial_position_m", (3,))
-    sc.float_array(cfg.lander.initial_velocity_mps, "lander.initial_velocity_mps", (3,))
+    float_array(cfg.lander.initial_position_m, "lander.initial_position_m", (3,))
+    float_array(cfg.lander.initial_velocity_mps, "lander.initial_velocity_mps", (3,))
     for name in ("isp_s", "g_ref", "initial_mass_kg"):
         _positive(getattr(cfg.lander, name), f"lander.{name}")
     for name in ("penalty_weight", "penalty_rate", "penalty_coord_scale", "terminal_sink_rate_mps", "touchdown_speed_limit_mps"):
@@ -420,79 +517,3 @@ def default_sweep_grid(cfg: ScenarioConfig) -> List[float]:
     raw = np.geomspace(0.05 * cfg.horizon, cfg.horizon, 20)
     snapped = sorted({max(1, round(T / cfg.dt)) * cfg.dt for T in raw})
     return [float(T) for T in snapped]
-
-
-def build_problem(cfg: ScenarioConfig):
-    """Scenario config -> the problem object every CLI command runs."""
-    if cfg.scenario == "soft-landing":
-        return build_landing_problem(cfg)
-    return build_two_phase_problem(cfg)
-
-
-def build_two_phase_problem(cfg: ScenarioConfig):
-    """Scenario config -> solvable problem object (two-phase scenarios only),
-    carrying the configured horizon, sweep grid and warm-start flag."""
-    settings = cfg.solver.to_settings()
-    if cfg.scenario == "attitude":
-        problem = sc.attitude_problem(
-            initial_state_deg=cfg.initial_state,
-            inertia_diag=cfg.attitude.inertia_diag,
-            dt=cfg.dt,
-            q=cfg.q,
-            r=cfg.r,
-            settings=settings,
-        )
-    elif cfg.scenario == "rendezvous":
-        params = sc.RendezvousParams(mu=cfg.rendezvous.mu, alpha=cfg.rendezvous.alpha)
-        problem = sc.rendezvous_problem(
-            chaser=cfg.rendezvous.chaser.to_elements(),
-            target=cfg.rendezvous.target.to_elements(),
-            mass=cfg.rendezvous.mass_kg,
-            params=params,
-            dt=cfg.dt,
-            q=cfg.q,
-            r=cfg.r,
-            settings=settings,
-        )
-    elif cfg.scenario == "custom-linear":
-        problem = sc.linear_benchmark(x0=float(cfg.initial_state[0]), settings=settings)
-    else:
-        raise ConfigError("scenario", f"{cfg.scenario} has no two-phase formulation")
-    return replace(
-        problem,
-        # an unset membership tolerance stays the scenario's own
-        terminal_set=cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, problem.terminal_set.tolerance),
-        horizon=cfg.horizon,
-        grid=tuple(default_sweep_grid(cfg)),
-        warm_start=cfg.sweep.warm_start,
-    )
-
-
-def build_landing_problem(cfg: ScenarioConfig):
-    if cfg.scenario != "soft-landing":
-        raise ConfigError("scenario", "landing problem requires scenario=soft-landing")
-    settings = cfg.solver.to_settings()
-    L = cfg.lander
-    params = sc.LanderParams(
-        inertia=np.diag(L.inertia_diag),
-        isp=L.isp_s,
-        g_ref=L.g_ref,
-        initial_mass=L.initial_mass_kg,
-    )
-    return sc.soft_landing_problem(
-        initial_attitude_deg=cfg.initial_state,
-        initial_position_m=L.initial_position_m,
-        initial_velocity_mps=L.initial_velocity_mps,
-        params=params,
-        dt=cfg.dt,
-        horizon=cfg.horizon,
-        q=cfg.q,
-        r=cfg.r,
-        terminal_weight=L.terminal_weight,
-        terminal_sink_rate=L.terminal_sink_rate_mps,
-        penalty_weight=L.penalty_weight,
-        penalty_rate=L.penalty_rate,
-        penalty_coord_scale=L.penalty_coord_scale,
-        touchdown_speed_limit=L.touchdown_speed_limit_mps,
-        settings=settings,
-    )

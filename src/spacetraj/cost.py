@@ -50,21 +50,26 @@ class AltitudePenaltySpec:
 
     def gradient_at(self, x: np.ndarray):
         """d penalty / d x[index] at x (n,) or along x (T, n)."""
-        return self._times_exp(-self.weight * self.rate * self.coord_scale, x)
+        return self._times_exp(-self.weight * self.rate * self.coord_scale, 1, x)
 
     def hessian_at(self, x: np.ndarray):
         """d^2 penalty / d x[index]^2 at x (n,) or along x (T, n)."""
         k = self.rate * self.coord_scale  # k * k overflows to inf where k ** 2 raises
-        return self._times_exp(self.weight * (k * k), x)
+        return self._times_exp(self.weight * (k * k), 2, x)
 
-    def _times_exp(self, coef: float, x: np.ndarray):
-        """coef * exp(-rate * altitude). A coefficient that overflowed to
-        +-inf gives +-inf at every point, not inf * 0 = NaN where the
-        exponential underflows; an overflowing term is inf without a
-        warning."""
+    def _times_exp(self, coef: float, power: int, x: np.ndarray):
+        """coef * exp(-rate * altitude), where coef = weight * (-k)**power
+        and k = rate * coord_scale. A coefficient that overflowed is taken
+        in log space, sign * exp(log|weight| + power log|k| - rate * altitude),
+        so the term is finite wherever it is representable, not inf * 0 =
+        NaN where the exponential underflows; an overflowing term is inf
+        without a warning."""
         with np.errstate(over="ignore"):
-            e = np.exp(-self.rate * (self.coord_scale * x[..., self.index]))
-            return np.full_like(e, coef) if math.isinf(coef) else coef * e
+            exponent = -self.rate * (self.coord_scale * x[..., self.index])
+            if not math.isinf(coef):
+                return coef * np.exp(exponent)
+            log_k = math.log(abs(self.rate)) + math.log(abs(self.coord_scale))
+            return math.copysign(1.0, coef) * np.exp(math.log(abs(self.weight)) + power * log_k + exponent)
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,6 @@ def first_over_cap(
         running = np.cumsum(np.concatenate(([start], costs)))[1:]
         over = np.flatnonzero(~(np.isfinite(running) & (running <= cap)))
     return running, int(over[0]) if len(over) else None
-
-
-def stage_cost(x: np.ndarray, u: np.ndarray, spec: QuadraticCostSpec) -> float:
-    """One-row form of `stage_costs`."""
-    return float(stage_costs(np.reshape(x, (1, -1)), np.reshape(u, (1, -1)), spec)[0])
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,3 @@ class TerminalValue:
 
     def hessian(self) -> np.ndarray:
         return 2.0 * self.P
-
-
-def terminal_value(x: np.ndarray, P: np.ndarray) -> float:
-    return TerminalValue(P).value(np.asarray(x, dtype=float))

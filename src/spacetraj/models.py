@@ -438,16 +438,6 @@ def lander_model(p: LanderParams | None = None, dt: float = 0.2) -> DiscreteMode
     )
 
 
-def scale_lander(x_si: np.ndarray, u_si: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """SI state/control -> normalized solver variables."""
-    return np.asarray(x_si) / LANDER_STATE_SCALE, np.asarray(u_si) / LANDER_CONTROL_SCALE
-
-
-def unscale_lander(x_bar: np.ndarray, u_bar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized solver variables -> SI state/control; exact inverse of scale_lander."""
-    return np.asarray(x_bar) * LANDER_STATE_SCALE, np.asarray(u_bar) * LANDER_CONTROL_SCALE
-
-
 def lander_hover_control(mass: float, p: LanderParams) -> np.ndarray:
     """Normalized control that cancels gravity at the given mass (zero torque)."""
     thrust = np.array([0.0, 0.0, mass * p.g_ref])  # N
@@ -501,8 +491,3 @@ def kepler_to_cartesian(
     v_pf = (mu / h) * np.array([-np.sin(el.nu), el.e + np.cos(el.nu), 0.0])
     rot = _rot_z(el.raan) @ _rot_x(el.i) @ _rot_z(el.argp)
     return rot @ r_pf, rot @ v_pf
-
-
-def specific_orbital_energy(r: np.ndarray, v: np.ndarray, mu: float = EARTH_MU) -> float:
-    """v^2/2 - mu/|r|; conserved by the exact two-body flow, drifts O(dt) under Euler."""
-    return 0.5 * float(np.dot(v, v)) - mu / float(np.linalg.norm(r))

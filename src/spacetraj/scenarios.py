@@ -1,20 +1,26 @@
-"""Scenario construction: default parameters, initial conditions, weights.
+"""Scenario construction: the problem object of each scenario's config.
 
-Builds ready-to-solve problem objects for the three cases (attitude slew,
-orbital rendezvous, powered descent) plus a scalar linear benchmark whose
-infinite-horizon cost is known in closed form.
+Each builder takes one `config.ScenarioConfig` (the scenario's defaults,
+`config.scenario_defaults`, when omitted) and reads its fields directly;
+`build_problem(cfg)` picks the builder of `cfg.scenario`. The defaults, the
+scenario constants and the checked array conversions live in `config`, which
+this module imports; `config` imports neither this module nor `two_phase`.
+Three cases (attitude slew, orbital rendezvous, powered descent) plus a
+scalar linear benchmark whose infinite-horizon cost is known in closed form.
 
 Conventions:
   * Attitude states are radians internally; initial/goal states and weight
     matrices are specified in degrees (the tabulated working units) and
     converted here at the boundary.
   * Rendezvous works in km, km/s, kg, kN. The regulated coordinates are the
-    six relative-error states. The design for transfer time T linearizes the
-    full 13-state model at the goal-orbit state of epoch T: zero error, the
-    initial mass, and the target propagated by `dynamics.simulate` under
-    u = 0 (the target's rows of every trajectory, bit for bit). The orbit is
-    propagated once, lazily, up to the largest epoch asked for; a goal orbit
-    that leaves the dynamics domain raises DynamicsDomainError.
+    six relative-error states. The initial state comes from the chaser and
+    target orbits, not from `initial_state`. The design for transfer time T
+    linearizes the full 13-state model at the goal-orbit state of epoch T:
+    zero error, the initial mass, and the target propagated by
+    `dynamics.simulate` under u = 0 (the target's rows of every trajectory,
+    bit for bit). The orbit is propagated once, lazily, up to the largest
+    epoch asked for; a goal orbit that leaves the dynamics domain raises
+    DynamicsDomainError.
   * Every design comes from `lqr.stationary_design`.
   * The lander works in normalized variables (see `models`); its config I/O
     is plain SI. The scenario is single-phase: the hover equilibrium needs
@@ -26,18 +32,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import (
+    DEG,
+    RENDEZVOUS_MEMBERSHIP_TOLERANCE,
+    ScenarioConfig,
+    default_sweep_grid,
+    float_array,
+    scenario_defaults,
+    weight_matrix,
+)
 from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, stage_costs
 from .dynamics import DiscreteModel, lti_model, simulate
 from .errors import ConfigError, DynamicsDomainError, NotAFixedPointError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
 from .lqr import RegulationDesign, TerminalSetSpec, linearize_at_goal, stationary_design
 from .models import (
-    DEFAULT_INERTIA_DIAG,
-    EARTH_MU,
     LANDER_ALTITUDE_INDEX,
     LANDER_CONTROL_SCALE,
     LANDER_R_SCALE,
@@ -46,7 +59,6 @@ from .models import (
     REND_ERROR_INDICES,
     AttitudeParams,
     LanderParams,
-    OrbitalElements,
     RendezvousParams,
     attitude_model,
     kepler_to_cartesian,
@@ -56,97 +68,44 @@ from .models import (
 )
 from .two_phase import RunResult, TwoPhaseProblem
 
-DEG = math.pi / 180.0
-
-# Tabulated initial conditions (degrees / deg/s; meters / m/s for the lander).
-ATTITUDE_INITIAL_DEG = (85.94, -68.75, -120.32, 5.72, -5.72, 2.86)
-LANDER_INITIAL_ATTITUDE_DEG = (22.91, 17.18, 11.45, 5.72, 11.45, -11.45)
-LANDER_INITIAL_POSITION_M = (300.0, -200.0, 1000.0)
-LANDER_INITIAL_VELOCITY_MPS = (100.0, 120.0, 0.0)
-
-
-def orbit_deg(
-    a_km: float, e: float, i_deg: float, raan_deg: float, argp_deg: float, nu_deg: float
-) -> OrbitalElements:
-    """Orbital elements with the angles given in degrees."""
-    return OrbitalElements(a_km, e, i_deg * DEG, raan_deg * DEG, argp_deg * DEG, nu_deg * DEG)
-
-
-# (a km, e, i, raan, argp, nu in degrees)
-CHASER_ORBIT = (7200.0, 0.22, 64.0, 66.0, 28.0, 81.0)
-TARGET_ORBIT = (7000.0, 0.1, 40.0, 35.0, 10.0, 120.0)
-CHASER_ELEMENTS = orbit_deg(*CHASER_ORBIT)
-TARGET_ELEMENTS = orbit_deg(*TARGET_ORBIT)
-RENDEZVOUS_MASS_KG = 1000.0
-
-ATTITUDE_DT = 0.1
-ATTITUDE_HORIZON = 200.0
-RENDEZVOUS_DT = 2.0
-RENDEZVOUS_HORIZON = 6000.0
-LANDER_DT = 0.2
-LANDER_HORIZON = 30.0
-LINEAR_HORIZON = 40.0  # steps of 1 s
-
-# Default weights. Attitude weights are per-degree (identity in the tabulated
-# working units); rendezvous weights per km / (km/s) on the error states with
-# thrust weighted per kN; lander weights act on the normalized variables.
-ATTITUDE_Q_DIAG = (1.0,) * 6
-ATTITUDE_R_DIAG = (1.0,) * 3
-RENDEZVOUS_Q_DIAG = (1.0,) * 6
-RENDEZVOUS_R_DIAG = (500.0,) * 3
-LANDER_Q_DIAG = (1.0,) * 6 + (10000.0,) * 3 + (1000.0,) * 3
-LANDER_R_DIAG = (1.0,) * 6
-LANDER_TERMINAL_WEIGHT = 1.0e5
-# Commanded descent rate at the planning horizon's end. The terminal
-# reference sits one step below the surface at this rate, so the planned
-# trajectory crosses zero altitude strictly inside the horizon instead of
-# flaring to rest a few centimeters above it (the altitude penalty always
-# leaves the unconstrained optimum slightly airborne).
-LANDER_SINK_RATE = 0.8  # m/s
-LANDER_PENALTY_WEIGHT = 100.0
-LANDER_PENALTY_RATE = 1.0
-LANDER_PENALTY_COORD_SCALE = 1.0
-TOUCHDOWN_SPEED_LIMIT = 2.0  # m/s
-
-# The rendezvous design freezes the moving target at the switch epoch, which
-# leaves a few percent of structural prediction error in the regulation
-# leg; its membership tolerance allows for it. The other scenarios use the
-# `TerminalSetSpec` default.
-RENDEZVOUS_MEMBERSHIP_TOLERANCE = 5e-2
-
 
 def _diag(values: Sequence[float]) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=float))
 
 
-def float_array(value, field: str, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
-    """`value` as an array of finite floats, of `shape` when given; otherwise
-    ConfigError naming `field`. Strings, all-boolean arrays and ragged
-    nesting are rejected."""
-    try:
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "iuf":
-            raise ValueError
-    except ValueError:  # also raised for ragged nesting
-        raise ConfigError(field, f"expected numbers, got {value!r}") from None
-    if shape is not None and arr.shape != shape:
-        raise ConfigError(field, f"expected shape {shape}, got {arr.shape}")
-    arr = arr.astype(float)
-    if not np.isfinite(arr).all():
-        raise ConfigError(field, f"entries must be finite, got {value!r}")
-    return arr
+def _config(cfg: Optional[ScenarioConfig], scenario: str) -> ScenarioConfig:
+    """`cfg`, or the defaults of `scenario` when omitted; a config of another
+    scenario is rejected."""
+    if cfg is None:
+        return scenario_defaults(scenario)
+    if cfg.scenario != scenario:
+        raise ConfigError("scenario", f"the {scenario} problem requires scenario={scenario}, got {cfg.scenario!r}")
+    return cfg
 
 
-def weight_matrix(value, dim: int, field: str) -> np.ndarray:
-    """A diagonal (length-dim) or full (dim x dim) weight array as a matrix."""
-    arr = float_array(value, field)
-    if arr.shape != ((dim,) if arr.ndim == 1 else (dim, dim)):
-        raise ConfigError(field, f"expected {dim} weights or a {dim}x{dim} matrix, got {arr.shape}")
-    return np.diag(arr) if arr.ndim == 1 else arr
-
-
-def default_regulation_cap(horizon: float, dt: float) -> int:
-    return int(round(10.0 * horizon / dt))
+def _two_phase(
+    cfg: ScenarioConfig,
+    model: DiscreteModel,
+    cost: QuadraticCostSpec,
+    x0: np.ndarray,
+    design_for: Callable[[float], RegulationDesign],
+    sampler: Optional[Callable[[np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None,
+    tolerance: float = TerminalSetSpec.tolerance,
+) -> TwoPhaseProblem:
+    """A two-phase problem with the config's solver, terminal set, horizon
+    and sweep; an unset membership tolerance is the scenario's `tolerance`."""
+    return TwoPhaseProblem(
+        model=model,
+        cost=cost,
+        x0=x0,
+        design_for=design_for,
+        sampler=sampler,
+        settings=cfg.solver.to_settings(),
+        terminal_set=cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, tolerance),
+        horizon=cfg.horizon,
+        grid=tuple(default_sweep_grid(cfg)),
+        warm_start=cfg.sweep.warm_start,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,60 +117,22 @@ def _attitude_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     return x, rng.normal(0, 5, 3)
 
 
-def attitude_problem(
-    initial_state_deg: Sequence[float] = ATTITUDE_INITIAL_DEG,
-    goal_state_deg: Sequence[float] = (0.0,) * 6,
-    inertia_diag: Sequence[float] = DEFAULT_INERTIA_DIAG,
-    dt: float = ATTITUDE_DT,
-    q=ATTITUDE_Q_DIAG,
-    r=ATTITUDE_R_DIAG,
-    settings: Optional[SolverSettings] = None,
-    terminal_set: Optional[TerminalSetSpec] = None,
-) -> TwoPhaseProblem:
+def attitude_problem(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     """Slew-to-rest problem. State weights are per-degree (identity in the
     tabulated working units by default) and are converted to the internal
     radian state; torque weights are per N*m."""
-    goal = np.asarray(goal_state_deg, dtype=float)
-    if np.any(goal != 0.0):
-        raise ValueError("attitude goal must be the origin (rest at zero angles)")
-    params = AttitudeParams(inertia=_diag(inertia_diag))
-    model = attitude_model(params, dt)
+    cfg = _config(cfg, "attitude")
+    model = attitude_model(AttitudeParams(inertia=_diag(cfg.attitude.inertia_diag)), cfg.dt)
     S = np.diag(np.full(6, 1.0 / DEG))  # rad -> deg per coordinate
-    Q = S @ weight_matrix(q, 6, "q") @ S
-    R = weight_matrix(r, 3, "r")
-    cost = QuadraticCostSpec(Q=Q, R=R)
-    x0 = np.asarray(initial_state_deg, dtype=float) * DEG
-    settings = settings or SolverSettings()
-    terminal_set = terminal_set or TerminalSetSpec(
-        regulation_cap=default_regulation_cap(ATTITUDE_HORIZON, dt)
-    )
+    cost = QuadraticCostSpec(Q=S @ weight_matrix(cfg.q, 6, "q") @ S, R=weight_matrix(cfg.r, 3, "r"))
     design = stationary_design(model, cost, np.zeros(6), np.zeros(3), np.arange(6))
-
-    return TwoPhaseProblem(
-        model=model,
-        cost=cost,
-        x0=x0,
-        design_for=lambda T: design,
-        settings=settings,
-        terminal_set=terminal_set,
-        sampler=_attitude_sample,
-    )
+    x0 = np.asarray(cfg.initial_state, dtype=float) * DEG
+    return _two_phase(cfg, model, cost, x0, lambda T: design, _attitude_sample)
 
 
 # ---------------------------------------------------------------------------
 # Rendezvous
 # ---------------------------------------------------------------------------
-
-def rendezvous_initial_state(
-    chaser: OrbitalElements = CHASER_ELEMENTS,
-    target: OrbitalElements = TARGET_ELEMENTS,
-    mass: float = RENDEZVOUS_MASS_KG,
-    mu: float = EARTH_MU,
-) -> np.ndarray:
-    r_c, v_c = kepler_to_cartesian(chaser, mu)
-    r_t, v_t = kepler_to_cartesian(target, mu)
-    return np.concatenate([r_t - r_c, v_t - v_c, [mass], r_t, v_t])
-
 
 def _rendezvous_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     x = np.concatenate(
@@ -226,17 +147,7 @@ def _rendezvous_sample(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray
     return x, rng.normal(0, 0.5, 3) + 0.1
 
 
-def rendezvous_problem(
-    chaser: OrbitalElements = CHASER_ELEMENTS,
-    target: OrbitalElements = TARGET_ELEMENTS,
-    mass: float = RENDEZVOUS_MASS_KG,
-    params: Optional[RendezvousParams] = None,
-    dt: float = RENDEZVOUS_DT,
-    q=RENDEZVOUS_Q_DIAG,
-    r=RENDEZVOUS_R_DIAG,
-    settings: Optional[SolverSettings] = None,
-    terminal_set: Optional[TerminalSetSpec] = None,
-) -> TwoPhaseProblem:
+def rendezvous_problem(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     """Chaser-to-target problem in relative-error coordinates.
 
     The quadratic weight acts on the six error states only (the target state
@@ -244,18 +155,16 @@ def rendezvous_problem(
     per transfer time at the goal-orbit state of the switch epoch (see the
     module docstring).
     """
-    params = params or RendezvousParams()
-    model = rendezvous_model(params, dt)
+    cfg = _config(cfg, "rendezvous")
+    rc = cfg.rendezvous
+    dt = cfg.dt
+    model = rendezvous_model(RendezvousParams(mu=rc.mu, alpha=rc.alpha), dt)
     Q_full = np.zeros((13, 13))
-    Q_full[:6, :6] = weight_matrix(q, 6, "q")
-    R = weight_matrix(r, 3, "r")
-    cost = QuadraticCostSpec(Q=Q_full, R=R)
-    x0 = rendezvous_initial_state(chaser, target, mass, params.mu)
-    settings = settings or SolverSettings()
-    terminal_set = terminal_set or TerminalSetSpec(
-        tolerance=RENDEZVOUS_MEMBERSHIP_TOLERANCE,
-        regulation_cap=default_regulation_cap(RENDEZVOUS_HORIZON, dt),
-    )
+    Q_full[:6, :6] = weight_matrix(cfg.q, 6, "q")
+    cost = QuadraticCostSpec(Q=Q_full, R=weight_matrix(cfg.r, 3, "r"))
+    r_c, v_c = kepler_to_cartesian(rc.chaser.to_elements(), rc.mu)
+    r_t, v_t = kepler_to_cartesian(rc.target.to_elements(), rc.mu)
+    x0 = np.concatenate([r_t - r_c, v_t - v_c, [rc.mass_kg], r_t, v_t])
 
     # the goal-orbit state at every step propagated so far: each design
     # continues the orbit from its last epoch instead of from t = 0
@@ -276,15 +185,7 @@ def rendezvous_problem(
             cache[steps] = stationary_design(model, cost, orbit[steps], coast, REND_ERROR_INDICES)
         return cache[steps]
 
-    return TwoPhaseProblem(
-        model=model,
-        cost=cost,
-        x0=x0,
-        design_for=design_for,
-        settings=settings,
-        terminal_set=terminal_set,
-        sampler=_rendezvous_sample,
-    )
+    return _two_phase(cfg, model, cost, x0, design_for, _rendezvous_sample, RENDEZVOUS_MEMBERSHIP_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +208,7 @@ class LandingProblem:
     steps: int
     settings: SolverSettings
     params: LanderParams
-    touchdown_speed_limit: float = TOUCHDOWN_SPEED_LIMIT
+    touchdown_speed_limit: float
 
     def hover_controls(self) -> np.ndarray:
         u = lander_hover_control(float(self.x0[12]), self.params)
@@ -390,64 +291,43 @@ class LandingProblem:
         }
 
 
-def soft_landing_problem(
-    initial_attitude_deg: Sequence[float] = LANDER_INITIAL_ATTITUDE_DEG,
-    initial_position_m: Sequence[float] = LANDER_INITIAL_POSITION_M,
-    initial_velocity_mps: Sequence[float] = LANDER_INITIAL_VELOCITY_MPS,
-    params: Optional[LanderParams] = None,
-    dt: float = LANDER_DT,
-    horizon: float = LANDER_HORIZON,
-    q=LANDER_Q_DIAG,
-    r=LANDER_R_DIAG,
-    terminal_weight: float = LANDER_TERMINAL_WEIGHT,
-    terminal_sink_rate: float = LANDER_SINK_RATE,
-    penalty_weight: float = LANDER_PENALTY_WEIGHT,
-    penalty_rate: float = LANDER_PENALTY_RATE,
-    penalty_coord_scale: float = LANDER_PENALTY_COORD_SCALE,
-    touchdown_speed_limit: float = TOUCHDOWN_SPEED_LIMIT,
-    settings: Optional[SolverSettings] = None,
-) -> LandingProblem:
+def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem:
     """Descent-to-origin problem in normalized variables.
 
     The exponential altitude penalty (weight, rate) acts on the normalized
     altitude coordinate scaled by `penalty_coord_scale`. The terminal cost is
     `terminal_weight` times the stage state weight, referenced one step below
-    the surface at `terminal_sink_rate`, which times the touchdown to the end
-    of the horizon with a controlled descent rate.
+    the surface at `terminal_sink_rate_mps`, which times the touchdown to the
+    end of the horizon with a controlled descent rate.
     """
-    params = params or LanderParams()
-    model = lander_model(params, dt)
+    cfg = _config(cfg, "soft-landing")
+    L, dt = cfg.lander, cfg.dt
+    params = LanderParams(
+        inertia=_diag(L.inertia_diag), isp=L.isp_s, g_ref=L.g_ref, initial_mass=L.initial_mass_kg
+    )
     Q = np.zeros((13, 13))
-    Q[:12, :12] = weight_matrix(q, 12, "q")  # mass unweighted
-    R = weight_matrix(r, 6, "r")
+    Q[:12, :12] = weight_matrix(cfg.q, 12, "q")  # mass unweighted
     penalty = AltitudePenaltySpec(
-        weight=penalty_weight,
-        rate=penalty_rate,
+        weight=L.penalty_weight,
+        rate=L.penalty_rate,
         index=LANDER_ALTITUDE_INDEX,
-        coord_scale=penalty_coord_scale,
+        coord_scale=L.penalty_coord_scale,
     )
-    cost = QuadraticCostSpec(Q=Q, R=R, penalty=penalty)
+    cost = QuadraticCostSpec(Q=Q, R=weight_matrix(cfg.r, 6, "r"), penalty=penalty)
     reference = np.zeros(13)
-    reference[LANDER_ALTITUDE_INDEX] = -terminal_sink_rate * dt / LANDER_R_SCALE
-    reference[11] = -terminal_sink_rate / LANDER_V_SCALE
-    terminal = TerminalValue(P=(terminal_weight / 2.0) * Q, reference=reference)
-
-    angles = np.asarray(initial_attitude_deg, dtype=float) * DEG
-    x0_si = np.concatenate(
-        [angles[:3], angles[3:], initial_position_m, initial_velocity_mps, [params.initial_mass]]
-    )
-    x0 = x0_si / LANDER_STATE_SCALE
-    steps = int(round(horizon / dt))
-    settings = settings or SolverSettings()
+    reference[LANDER_ALTITUDE_INDEX] = -L.terminal_sink_rate_mps * dt / LANDER_R_SCALE
+    reference[11] = -L.terminal_sink_rate_mps / LANDER_V_SCALE
+    angles = np.asarray(cfg.initial_state, dtype=float) * DEG
+    x0_si = np.concatenate([angles, L.initial_position_m, L.initial_velocity_mps, [params.initial_mass]])
     return LandingProblem(
-        model=model,
+        model=lander_model(params, dt),
         cost=cost,
-        terminal=terminal,
-        x0=x0,
-        steps=steps,
-        settings=settings,
+        terminal=TerminalValue(P=(L.terminal_weight / 2.0) * Q, reference=reference),
+        x0=x0_si / LANDER_STATE_SCALE,
+        steps=int(round(cfg.horizon / dt)),
+        settings=cfg.solver.to_settings(),
         params=params,
-        touchdown_speed_limit=touchdown_speed_limit,
+        touchdown_speed_limit=L.touchdown_speed_limit_mps,
     )
 
 
@@ -529,31 +409,35 @@ def solve_landing(problem: LandingProblem) -> SolveReport:
 # Linear benchmark
 # ---------------------------------------------------------------------------
 
-def linear_benchmark(
-    x0: float = 1.0,
-    settings: Optional[SolverSettings] = None,
-    terminal_set: Optional[TerminalSetSpec] = None,
-) -> TwoPhaseProblem:
-    """Scalar system x+ = x + u with stage cost x^2 + u^2.
+def linear_benchmark(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
+    """Scalar system x+ = x + u with stage cost (q x^2 + r u^2) / 2.
 
-    Its stationary value matrix is the golden ratio, so the infinite-horizon
-    cost from x0 is exactly phi * x0^2; used to validate the level-to-zero
-    convergence of the two-phase objective.
+    With the default q = r = 2 its stationary value matrix is the golden
+    ratio, so the infinite-horizon cost from x0 is exactly phi * x0^2
+    (scaling q and r by c scales it by c); used to validate the
+    level-to-zero convergence of the two-phase objective.
     """
-    model = lti_model([[1.0]], [[1.0]], dt=1.0, name="scalar_benchmark")
-    cost = QuadraticCostSpec(Q=[[2.0]], R=[[2.0]])
+    cfg = _config(cfg, "custom-linear")
+    model = lti_model([[1.0]], [[1.0]], dt=cfg.dt, name="scalar_benchmark")
+    cost = QuadraticCostSpec(Q=weight_matrix(cfg.q, 1, "q"), R=weight_matrix(cfg.r, 1, "r"))
     design = stationary_design(model, cost, np.zeros(1), np.zeros(1), np.arange(1))
-    return TwoPhaseProblem(
-        model=model,
-        cost=cost,
-        x0=np.array([float(x0)]),
-        design_for=lambda T: design,
-        settings=settings or SolverSettings(),
-        terminal_set=terminal_set
-        or TerminalSetSpec(regulation_cap=default_regulation_cap(LINEAR_HORIZON, 1.0)),
-    )
+    x0 = float_array(cfg.initial_state, "initial_state", (1,))
+    return _two_phase(cfg, model, cost, x0, lambda T: design)
 
 
 def benchmark_grid(max_steps: int = 40) -> List[float]:
     """Integer transfer times for the scalar benchmark."""
     return [float(k) for k in range(1, max_steps + 1)]
+
+
+BUILDERS = {
+    "attitude": attitude_problem,
+    "rendezvous": rendezvous_problem,
+    "soft-landing": soft_landing_problem,
+    "custom-linear": linear_benchmark,
+}
+
+
+def build_problem(cfg: ScenarioConfig):
+    """Scenario config -> the problem object every CLI command runs."""
+    return BUILDERS[cfg.scenario](cfg)

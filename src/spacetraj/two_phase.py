@@ -85,7 +85,7 @@ class TwoPhaseProblem:
     the dynamics domain before T (a sweep records the point as failed,
     `verify` exits 3). `horizon`, `grid` and
     `warm_start` are what `solve`, `simulate`, `sweep` and `design_check`
-    run at (`config.build_problem` sets them from the config).
+    run at (the builders in `scenarios` set them from the config).
     """
 
     model: DiscreteModel

@@ -18,7 +18,7 @@ from spacetraj.cost import (
     QuadraticCostSpec,
     TerminalValue,
     cost_derivatives,
-    stage_cost,
+    stage_costs,
 )
 from spacetraj.dynamics import double_integrator, finite_diff_jacobians, jacobians
 from spacetraj.ilqr import solve_fhocp
@@ -30,7 +30,6 @@ from spacetraj.models import (
     kepler_to_cartesian,
     lander_model,
     rendezvous_model,
-    specific_orbital_energy,
 )
 from spacetraj.scenarios import (
     attitude_problem,
@@ -185,6 +184,10 @@ def test_criterion_4_cost_derivative_suite():
         R=np.diag(rng.uniform(0.5, 2.0, 3)),
         penalty=AltitudePenaltySpec(weight=100.0, rate=1.0, index=2),
     )
+
+    def stage_cost(x, u, spec):
+        return float(stage_costs([x], [u], spec)[0])
+
     worst_grad, worst_hess = 0.0, 0.0
     for _ in range(100):
         x = rng.normal(0, 1.0, 4)
@@ -399,6 +402,10 @@ def test_criterion_10_determinism_and_io(tmp_path, capsys):
     mu = RendezvousParams().mu
     r0 = np.array([7000.0, 0.0, 0.0])
     v0 = np.array([0.0, np.sqrt(mu / 7000.0) * 1.05, 0.3])
+
+    def specific_orbital_energy(r, v, mu):
+        return 0.5 * float(np.dot(v, v)) - mu / float(np.linalg.norm(r))
+
     e0 = specific_orbital_energy(r0, v0, mu)
 
     def drift(dt, total=1000.0):

@@ -39,8 +39,6 @@ from hypothesis import strategies as st
 
 import spacetraj.ilqr as ilqr
 from spacetraj.config import (
-    build_landing_problem,
-    build_two_phase_problem,
     default_sweep_grid,
     parse_config_dict,
 )
@@ -48,7 +46,6 @@ from spacetraj.cost import (
     AltitudePenaltySpec,
     QuadraticCostSpec,
     TerminalValue,
-    stage_cost,
     stage_costs,
 )
 from spacetraj.dynamics import DiscreteModel, jacobians, lti_model
@@ -75,7 +72,7 @@ from spacetraj.lqr import (
     regulation_rollout,
     solve_dare,
 )
-from spacetraj.scenarios import attitude_problem, rendezvous_problem
+from spacetraj.scenarios import attitude_problem, build_problem, rendezvous_problem
 from spacetraj.two_phase import (
     ClosedLoopTrajectory,
     solve_two_phase,
@@ -505,7 +502,7 @@ def test_rendezvous_loops_are_bit_exact():
 
 
 def test_soft_landing_loops_are_bit_exact():
-    p = build_landing_problem(parse_config_dict({"scenario": "soft-landing"}))
+    p = build_problem(parse_config_dict({"scenario": "soft-landing"}))
     cand = check_ilqr_loops(p.model, p.cost, p.terminal, p.x0, p.hover_controls())
     check_ilqr_loops(p.model, p.cost, p.terminal, p.x0, cand.controls)
 
@@ -521,7 +518,7 @@ def test_two_phase_simulate_is_bit_exact():
 @pytest.mark.parametrize("scenario", ["attitude", "rendezvous"])
 def test_resumed_closed_loop_is_bit_exact_on_the_default_problem(scenario):
     cfg = parse_config_dict({"scenario": scenario})
-    p = build_two_phase_problem(cfg)
+    p = build_problem(cfg)
     solution = solve_two_phase(p, grid=default_sweep_grid(cfg))
     prefix = solution.membership.rollout
     closed = two_phase_simulate(p, solution)
@@ -661,11 +658,10 @@ def test_stage_costs_match_the_row_reference(n, m, seed, with_penalty):
     costs = stage_costs(X, U, spec)
     want = np.array([ref_stage_cost(x, u, spec) for x, u in zip(X, U)])
     assert_costs_close(costs, want, X, U, spec)
-    # a row gives the same bits alone, at any offset, and through stage_cost
+    # a row gives the same bits alone and at any offset
     for t in range(12):
         assert stage_costs(X[t:], U[t:], spec)[0] == costs[t]
         assert stage_costs(X[t : t + 1], U[t : t + 1], spec)[0] == costs[t]
-        assert stage_cost(X[t], U[t], spec) == costs[t]
     assert np.array_equal(stage_costs(X[::-1], U[::-1], spec), costs[::-1])
 
 

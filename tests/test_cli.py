@@ -145,7 +145,7 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     """A deterministic work count: every simulated step of the default
     simulate goes through `dynamics.euler_step`, and the steps are priced
     by at most one `stage_costs` call per finished loop or per chunk of a
-    regulation rollout, never by a `stage_cost` call per step. The budget
+    regulation rollout (there is no one-row cost to call per step). The budget
     holds the steps outside the design; the rendezvous design propagates
     its goal orbit to T* = 300 s, exactly 150 steps of dt = 2 s."""
     import spacetraj.cost as cost
@@ -185,7 +185,6 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
 
         monkeypatch.setattr(module, name, counting)
 
-    count(cost, "stage_cost", "stage_cost")
     for module in (cost, ilqr, lqr, two_phase):
         count(module, "stage_costs", "stage_costs")
     for module, loop in (
@@ -202,7 +201,7 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     assert summary["membership_switches"] == []
     assert 0 < calls["steps"] <= budget
     assert calls["goal_orbit"] == (150 if scenario == "rendezvous" else 0)
-    assert calls["stage_cost"] == 0
+    assert not hasattr(cost, "stage_cost")
     assert 0 < calls["stage_costs"] <= calls["loops"] < 100
 
 
@@ -382,6 +381,7 @@ def test_bad_inertia_is_a_config_error(tmp_path, capsys, field, value):
         ("solver.max_iterations", "2.5"),
         ("solver.reg_growth", "0.5"),
         ("solver.alpha_count", "0"),
+        ("r", "[5e-324,1,1]"),  # R / 2 underflows to a singular matrix
     ],
 )
 def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
@@ -468,8 +468,9 @@ def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, v
         # the initial rollout already passes the cost cap
         ("solve", ["scenario=attitude", "horizon=3", "solver.cost_cap=7"], "DivergenceError"),
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.isp_s=0.5"], "DivergenceError"),
-        # a penalty Hessian whose coefficient overflows to inf
-        ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_rate=1e300"], "RegularizationError"),
+        # a negative penalty weight rewards descending: the control Hessian
+        # stays indefinite up to reg_max
+        ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_weight=-1e12"], "RegularizationError"),
         # the target orbit dips below the 1000 km guard near step 2,800, so
         # the design at the last grid time (6000 s) has no goal state
         ("verify", ["scenario=rendezvous", "rendezvous.target.e=0.9"], "DynamicsDomainError"),
@@ -484,6 +485,51 @@ def test_runtime_failure_is_machine_readable(tmp_path, capsys, command, override
     captured = capsys.readouterr()
     assert code == 3 and json.loads(captured.out)["error"] == error
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_penalty_rate_lands_like_a_large_one(tmp_path, capsys):
+    """At penalty_rate 1e300 the penalty's derivative coefficients overflow;
+    taken in log space they are 0 high above the ground, as at 1e150, so
+    the descent is the same."""
+    files = {}
+    for rate in ("1e150", "1e300"):
+        out = tmp_path / rate
+        code, _ = run_cli(
+            capsys, "simulate", "--set", "scenario=soft-landing", "--set", "horizon=3",
+            "--set", f"lander.penalty_rate={rate}", "--out", str(out),
+        )
+        assert code == 0
+        files[rate] = [(out / name).read_bytes() for name in ("trajectory.csv", "iterations.csv")]
+    assert files["1e300"] == files["1e150"]
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+@pytest.mark.parametrize(
+    "overrides,ideal",
+    [([], GOLDEN), (["q=[50]", "r=[50]"], 25.0 * GOLDEN), (["initial_state=[2]"], 4.0 * GOLDEN)],
+)
+def test_custom_linear_solves_with_its_weights_and_initial_state(tmp_path, capsys, overrides, ideal):
+    """Stage cost (q x^2 + r u^2) / 2 from x0: the value is (q / 2) phi x0^2
+    when q = r."""
+    argv = ["solve", "--set", "scenario=custom-linear"]
+    for item in overrides:
+        argv += ["--set", item]
+    code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert code == 0
+    assert summary["total_cost"] == pytest.approx(ideal, rel=1e-12)
+    if not overrides:
+        assert summary["total_cost"] == 1.618033988749917
+
+
+@pytest.mark.parametrize("value", ["[1,2,3]", "[0]", '"x"', "null"])
+def test_rendezvous_initial_state_is_a_config_error(tmp_path, capsys, value):
+    """The chaser and target orbits give the rendezvous initial state; an
+    initial_state is rejected, not ignored."""
+    assert_config_error(tmp_path, capsys, "rendezvous", "initial_state", value)
 
 
 def test_sweep_records_a_goal_orbit_that_leaves_the_domain(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config parsing, validation, defaults, and round-tripping."""
 
+import copy
 import dataclasses
 import json
 
@@ -9,9 +10,6 @@ import pytest
 from spacetraj import scenarios
 from spacetraj.config import (
     apply_overrides,
-    build_landing_problem,
-    build_problem,
-    build_two_phase_problem,
     default_sweep_grid,
     emit_config,
     parse_config,
@@ -19,6 +17,7 @@ from spacetraj.config import (
     scenario_defaults,
 )
 from spacetraj.errors import ConfigError
+from spacetraj.scenarios import build_problem
 
 
 def test_empty_file_plus_scenario_gives_full_defaults(tmp_path):
@@ -80,13 +79,106 @@ def assert_same(a, b, path="problem"):
     ],
 )
 def test_default_config_builds_the_default_problem(scenario, builder):
-    """Each config default and the builder's default are one constant."""
+    """A builder without a config builds the scenario's default config."""
     built, default = build_problem(scenario_defaults(scenario)), builder()
-    if scenario != "soft-landing":  # the config adds what the commands run at
-        built = dataclasses.replace(built, horizon=None, grid=(), warm_start=True)
     assert_same(built, default)
     u = np.full(default.model.control_dim, 0.1)
     assert np.array_equal(built.model.step(built.x0, u), default.model.step(default.x0, u))
+
+
+# Fields that do not describe the problem: where the outputs go, the seed
+# of the Jacobian check, the levels of the convergence study (which runs on
+# the linear benchmark's defaults) and the goal (only the origin is accepted).
+EXEMPT = {"output_dir", "seed", "convergence_levels", "goal_state"}
+# The lander is single-phase: it has no terminal set and no sweep.
+EXEMPT_PREFIXES = {"soft-landing": ("terminal_set.", "sweep.")}
+SECTIONS = {"attitude": "attitude", "rendezvous": "rendezvous", "soft-landing": "lander", "custom-linear": None}
+# Fields that take only their default value in that scenario.
+FIXED = {("custom-linear", "dt"), ("rendezvous", "initial_state")}
+# Values for fields that are unset by default.
+UNSET = {"terminal_set.level": 1.0, "terminal_set.tolerance": 0.2, "terminal_set.regulation_cap": 123}
+
+
+def config_leaves(data, prefix=""):
+    """(dotted path, list index or None, value) of every leaf of an emitted
+    config; a list of numbers gives one leaf per entry."""
+    for key, value in data.items():
+        path = prefix + key
+        if isinstance(value, dict):
+            yield from config_leaves(value, path + ".")
+        elif isinstance(value, list) and value and not isinstance(value[0], list):
+            for i, entry in enumerate(value):
+                yield path, i, entry
+        else:
+            yield path, None, value
+
+
+def variants(path, value, data):
+    """Other values of one leaf: a number halved and doubled, a count one
+    less and one more, the other boolean, a value for an unset field."""
+    if path == "sweep.grid":
+        return [[data["horizon"]]]
+    if path in UNSET:
+        return [UNSET[path]]
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    if isinstance(value, float):
+        return [0.5 * value, 2.0 * value] if value else [0.5, -0.5]
+    if value == []:
+        return [[1.0, 2.0, 3.0]]
+    raise AssertionError(f"no variant for {path}={value!r}")
+
+
+def same_problem(a, b):
+    try:
+        assert_same(a, b)
+    except AssertionError:
+        return False
+    u = np.full(a.model.control_dim, 0.1)
+    return np.array_equal(a.model.step(a.x0, u), b.model.step(b.x0, u))
+
+
+@pytest.mark.parametrize("scenario", ["attitude", "rendezvous", "soft-landing", "custom-linear"])
+def test_every_config_field_reaches_the_problem(scenario):
+    """Every field of a scenario's description, each list entry on its own,
+    either changes the problem `build_problem` returns or is rejected by
+    name: no field is read and then dropped. A field other than the named
+    fixed ones must also take some other value."""
+    data = emit_config(scenario_defaults(scenario))
+    default = build_problem(scenario_defaults(scenario))
+    other_sections = set(SECTIONS.values()) - {SECTIONS[scenario], None}
+    checked = set()
+    for path, index, value in config_leaves(data):
+        if (
+            path in EXEMPT | {"scenario"}
+            or path.split(".")[0] in other_sections
+            or path.startswith(EXEMPT_PREFIXES.get(scenario, ()))
+        ):
+            continue
+        accepted = 0
+        for other in variants(path, value, data):
+            varied = copy.deepcopy(data)
+            *parents, leaf = path.split(".")
+            node = varied
+            for part in parents:
+                node = node[part]
+            if index is None:
+                node[leaf] = other
+            else:
+                node[leaf][index] = other
+            name = path if index is None else f"{path}[{index}]"
+            try:
+                problem = build_problem(parse_config_dict(varied))
+            except ConfigError as exc:
+                assert exc.field == path, f"{name}={other!r} rejected as {exc.field}"
+                continue
+            assert not same_problem(problem, default), f"{name}={other!r} does not reach the problem"
+            accepted += 1
+        assert accepted or (scenario, path) in FIXED, f"{path} takes no other value"
+        checked.add(path)
+    assert {"dt", "horizon", "initial_state", "q", "r", "solver.max_iterations"} <= checked
 
 
 def test_negative_dt_rejected():
@@ -106,7 +198,7 @@ def test_unknown_scenario_rejected():
 
 def test_diagonal_weight_expansion_and_dimension_error():
     cfg = parse_config_dict({"scenario": "attitude", "q": [1, 2, 3, 4, 5, 6]})
-    problem = build_two_phase_problem(cfg)
+    problem = build_problem(cfg)
     # per-degree weights land on the diagonal after the unit conversion
     deg = np.pi / 180.0
     assert np.allclose(np.diag(problem.cost.Q), np.array([1, 2, 3, 4, 5, 6]) / deg**2)
@@ -117,7 +209,7 @@ def test_diagonal_weight_expansion_and_dimension_error():
 def test_full_matrix_weights_accepted():
     q = (np.eye(6) + 0.01 * np.ones((6, 6))).tolist()
     cfg = parse_config_dict({"scenario": "attitude", "q": q})
-    problem = build_two_phase_problem(cfg)
+    problem = build_problem(cfg)
     assert problem.cost.Q[0, 1] != 0.0
 
 
@@ -172,8 +264,8 @@ def test_default_sweep_grid_is_ascending_multiple_of_dt():
 
 def test_build_landing_problem_requires_lander_scenario():
     cfg = parse_config_dict({"scenario": "attitude"})
-    with pytest.raises(ConfigError):
-        build_landing_problem(cfg)
+    with pytest.raises(ConfigError, match="scenario"):
+        scenarios.soft_landing_problem(cfg)
 
 
 def test_invalid_json_reports_path(tmp_path):

@@ -9,9 +9,13 @@ from spacetraj.cost import (
     TerminalValue,
     altitude_penalty,
     cost_derivatives,
-    stage_cost,
-    terminal_value,
+    stage_costs,
 )
+
+
+def stage_cost(x, u, spec):
+    """The cost of one row through the batched `stage_costs`."""
+    return float(stage_costs([x], [u], spec)[0])
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -98,15 +102,29 @@ def test_penalty_monotone_and_bounded():
 
 @pytest.mark.filterwarnings("error")
 def test_penalty_with_an_overflowing_rate_is_never_nan():
-    # rate^2 * weight overflows: the Hessian is inf everywhere (not inf * 0
-    # where exp(-rate * altitude) underflows); the terms that still fit stay
-    # exact, and what overflows is inf, all without numpy warnings
+    # rate^2 * weight overflows: the Hessian is taken in log space, so it is
+    # 0 where exp(-rate * altitude) underflows (not inf * 0 = NaN) and inf
+    # where the term itself overflows; the terms that still fit stay exact,
+    # and what overflows is inf, all without numpy warnings
     pen = AltitudePenaltySpec(weight=100.0, rate=1e300, index=0)
     x = np.array([[1e3], [0.0], [-1.0]])
-    assert np.array_equal(pen.hessian_at(x), [np.inf] * 3)
+    assert np.array_equal(pen.hessian_at(x), [0.0, np.inf, np.inf])
     assert np.array_equal(pen.gradient_at(x), [-0.0, -1e302, -np.inf])
     assert np.array_equal(pen.value(x), [-100.0, 0.0, np.inf])
-    assert pen.hessian_at(x[0]) == np.inf
+    assert pen.hessian_at(x[0]) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_penalty_coefficients_keep_the_finite_terms():
+    # weight * k^2 = -1e400 and weight * k = 1e400 overflow, while the
+    # terms at these altitudes are about 5e-35: w * k^2 * exp(-k * a)
+    # evaluated in an order that stays in range
+    hess = AltitudePenaltySpec(weight=-1e200, rate=1e50, index=0, coord_scale=1e50)
+    want = -(1e200 * np.exp(-1e3)) * 1e200
+    assert hess.hessian_at(np.array([1e-97])) == pytest.approx(want, rel=1e-12)
+    grad = AltitudePenaltySpec(weight=-1e200, rate=1e200, index=0)
+    want = (1e200 * np.exp(-1e3)) * 1e200
+    assert grad.gradient_at(np.array([[1e-197]]))[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_derivatives_zero_at_origin():
@@ -150,8 +168,8 @@ def test_derivatives_match_finite_differences():
 
 
 def test_terminal_value_basics():
-    assert terminal_value(np.zeros(2), np.eye(2)) == 0.0
-    assert terminal_value(np.array([3.0, 4.0]), np.eye(2)) == 25.0
+    assert TerminalValue(np.eye(2)).value(np.zeros(2)) == 0.0
+    assert TerminalValue(np.eye(2)).value(np.array([3.0, 4.0])) == 25.0
 
 
 def test_terminal_gradient_and_hessian():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spacetraj.config import build_two_phase_problem, default_sweep_grid, parse_config_dict
+from spacetraj.config import RENDEZVOUS_DT, default_sweep_grid, parse_config_dict, scenario_defaults
 from spacetraj.cost import QuadraticCostSpec, TerminalValue, stage_costs
 from spacetraj.dynamics import DiscreteModel, lti_model, simulate
 from spacetraj.errors import HittingTimeNotFoundError, NotAFixedPointError
@@ -22,7 +22,7 @@ from spacetraj.lqr import (
     regulation_law,
     regulation_rollout,
 )
-from spacetraj.scenarios import attitude_problem, benchmark_grid, linear_benchmark
+from spacetraj.scenarios import attitude_problem, benchmark_grid, build_problem, linear_benchmark
 from spacetraj.two_phase import (
     TwoPhaseProblem,
     TwoPhaseSolution,
@@ -138,7 +138,7 @@ def test_rendezvous_designs_continue_the_target_orbit(monkeypatch):
     for T in shuffled:
         got, want = problem.design_for(T).solution, fresh[T].solution
         assert np.array_equal(got.P, want.P) and np.array_equal(got.K, want.K)
-    assert propagated == round(max(grid) / scenarios.RENDEZVOUS_DT)
+    assert propagated == round(max(grid) / RENDEZVOUS_DT)
 
 
 def test_rendezvous_goal_orbit_is_the_trajectory_target(monkeypatch):
@@ -157,9 +157,7 @@ def test_rendezvous_goal_orbit_is_the_trajectory_target(monkeypatch):
 
     monkeypatch.setattr(scenarios, "stationary_design", recording)
     problem = dataclasses.replace(
-        scenarios.rendezvous_problem(),
-        horizon=scenarios.RENDEZVOUS_HORIZON,
-        settings=SolverSettings(max_iterations=2),
+        scenarios.rendezvous_problem(), settings=SolverSettings(max_iterations=2)
     )
     x_T = problem.solve().states[-1]
     (goal,) = goals
@@ -316,7 +314,7 @@ def test_solve_two_phase_validation(level, grid, message):
 
 def default_sweep(scenario):
     cfg = parse_config_dict({"scenario": scenario})
-    problem = build_two_phase_problem(cfg)
+    problem = build_problem(cfg)
     return problem, sweep_transfer_time(problem, default_sweep_grid(cfg))
 
 
@@ -435,7 +433,7 @@ def test_overflowing_initial_state_diverges_without_warnings():
 @pytest.mark.parametrize("q,r", [([1.0] * 5, [1.0] * 3), ([1.0] * 6, np.eye(2))])
 def test_weight_shape_is_validated(q, r):
     with pytest.raises(ValueError, match="expected"):
-        attitude_problem(q=q, r=r)
+        attitude_problem(dataclasses.replace(scenario_defaults("attitude"), q=q, r=r))
 
 
 @pytest.mark.parametrize("cap", [1000.0, np.finfo(float).max])
