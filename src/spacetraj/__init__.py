@@ -51,7 +51,6 @@ from .two_phase import (
     convergence_study,
     lyapunov_decreasing,
     solve_two_phase,
-    sweep_transfer_time,
     two_phase_simulate,
 )
 

@@ -49,7 +49,7 @@ from .artifacts import (
 from .config import ScenarioConfig, emit_config, parse_config, scenario_defaults
 from .dynamics import finite_diff_jacobians, jacobians
 from .errors import ConfigError, SpacetrajError
-from .scenarios import benchmark_grid, build_problem, linear_benchmark
+from .scenarios import build_problem, linear_benchmark
 from .two_phase import RunResult, bellman_check, convergence_study, membership_switches, solve_two_phase
 
 log = logging.getLogger("spacetraj")
@@ -145,8 +145,11 @@ def cmd_verify(cfg: ScenarioConfig, out: Path) -> Outcome:
         )
 
     # one-step value consistency on the built-in linear benchmark
-    bench = linear_benchmark()
-    solution = solve_two_phase(bench, level=0.002, grid=benchmark_grid(20))
+    defaults = scenario_defaults("custom-linear")
+    bench = linear_benchmark(
+        replace(defaults, horizon=20.0, terminal_set=replace(defaults.terminal_set, level=0.002))
+    )
+    solution = solve_two_phase(bench)
     residuals = [c.residual for c in bellman_check(bench, solution, 3) if not c.skipped]
     checks = [
         {"check": "jacobians", "passed": worst < 1e-5, "max_relative_error": worst, "points": 100},
@@ -165,7 +168,7 @@ def cmd_convergence(cfg: ScenarioConfig, out: Path) -> Outcome:
     bench = linear_benchmark(replace(scenario_defaults("custom-linear"), solver=cfg.solver))
     ideal = bench.design_for(1.0).predicted_cost(bench.x0)
     levels = cfg.convergence_levels or [ideal * f for f in DEFAULT_LEVEL_FRACTIONS]
-    rows = convergence_study(bench, levels, benchmark_grid(40))
+    rows = convergence_study(bench, levels)
     csv = write_csv(
         out / "convergence.csv",
         CONVERGENCE_SCHEMA,

@@ -50,7 +50,7 @@ class AltitudePenaltySpec:
 
     def gradient_at(self, x: np.ndarray):
         """d penalty / d x[index] at x (n,) or along x (T, n)."""
-        return self._times_exp(-self.weight * self.rate * self.coord_scale, 1, x)
+        return self._times_exp(-self.weight * (self.rate * self.coord_scale), 1, x)
 
     def hessian_at(self, x: np.ndarray):
         """d^2 penalty / d x[index]^2 at x (n,) or along x (T, n)."""

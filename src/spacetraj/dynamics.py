@@ -144,35 +144,24 @@ def simulate(
     return np.array(states), np.array(controls).reshape(len(controls), model.control_dim), message
 
 
-def _fd_steps(v: np.ndarray, h: Optional[float]) -> np.ndarray:
-    if h is not None:
-        if not 0.0 < h < math.inf:
-            raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
-        return np.full(v.shape, h)
-    return np.maximum(FD_STEP, FD_STEP * np.abs(v))
-
-
-def finite_diff_jacobians(
-    model: DiscreteModel, x: np.ndarray, u: np.ndarray, h: Optional[float] = None
-) -> Linearization:
+def finite_diff_jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> Linearization:
     """Central-difference Jacobians of the discrete step map.
 
     Oracle for the analytic Jacobians; exact for linear maps up to roundoff.
-    By default the perturbation is per-coordinate, max(FD_STEP, FD_STEP*|v|);
-    pass `h` for a uniform explicit scale. A perturbed evaluation that hits a
-    singularity propagates the error.
+    The perturbation is per-coordinate, max(FD_STEP, FD_STEP*|v|). A
+    perturbed evaluation that hits a singularity propagates the error.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     n, m = model.state_dim, model.control_dim
     A = np.empty((n, n))
     B = np.empty((n, m))
-    hx = _fd_steps(x, h)
+    hx = np.maximum(FD_STEP, FD_STEP * np.abs(x))
     for j in range(n):
         e = np.zeros(n)
         e[j] = hx[j]
         A[:, j] = (model.step(x + e, u) - model.step(x - e, u)) / (2.0 * hx[j])
-    hu = _fd_steps(u, h)
+    hu = np.maximum(FD_STEP, FD_STEP * np.abs(u))
     for j in range(m):
         e = np.zeros(m)
         e[j] = hu[j]

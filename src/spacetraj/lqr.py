@@ -135,10 +135,13 @@ class LqrSolution:
 
 
 def dare_residual(P: np.ndarray, A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> float:
-    """Relative Frobenius residual of the Riccati fixed-point equation."""
-    K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    rhs = Q + A.T @ P @ A - A.T @ P @ B @ K
-    return float(np.linalg.norm(P - rhs) / max(np.linalg.norm(P), 1e-300))
+    """Relative Frobenius residual of the Riccati fixed-point equation. Where
+    P is near the float limit the residual is NaN or inf, without numpy
+    warnings, and fails every `< tol` test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        rhs = Q + A.T @ P @ A - A.T @ P @ B @ K
+        return float(np.linalg.norm(P - rhs) / max(np.linalg.norm(P), 1e-300))
 
 
 def solve_dare(

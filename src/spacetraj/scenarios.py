@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,7 +124,11 @@ def attitude_problem(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     cfg = _config(cfg, "attitude")
     model = attitude_model(AttitudeParams(inertia=_diag(cfg.attitude.inertia_diag)), cfg.dt)
     S = np.diag(np.full(6, 1.0 / DEG))  # rad -> deg per coordinate
-    cost = QuadraticCostSpec(Q=S @ weight_matrix(cfg.q, 6, "q") @ S, R=weight_matrix(cfg.r, 3, "r"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = S @ weight_matrix(cfg.q, 6, "q") @ S
+    if not np.isfinite(Q).all():
+        raise ConfigError("q", "the per-degree weights overflow when converted to radians")
+    cost = QuadraticCostSpec(Q=Q, R=weight_matrix(cfg.r, 3, "r"))
     design = stationary_design(model, cost, np.zeros(6), np.zeros(3), np.arange(6))
     x0 = np.asarray(cfg.initial_state, dtype=float) * DEG
     return _two_phase(cfg, model, cost, x0, lambda T: design, _attitude_sample)
@@ -423,11 +427,6 @@ def linear_benchmark(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     design = stationary_design(model, cost, np.zeros(1), np.zeros(1), np.arange(1))
     x0 = float_array(cfg.initial_state, "initial_state", (1,))
     return _two_phase(cfg, model, cost, x0, lambda T: design)
-
-
-def benchmark_grid(max_steps: int = 40) -> List[float]:
-    """Integer transfer times for the scalar benchmark."""
-    return [float(k) for k in range(1, max_steps + 1)]
 
 
 BUILDERS = {

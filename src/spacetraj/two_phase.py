@@ -9,9 +9,15 @@ cost. The combined objective
     sum_{t<T} c(x_t, u_t) + max(z_T' P z_T, level)
 
 converges to the true infinite-horizon cost as the level shrinks to zero,
-which `convergence_study` measures on a linear benchmark where the true cost
-is known in closed form. `bellman_check` re-solves from successor states to
-measure one-step Bellman residuals of the combined value.
+which `convergence_study` measures on a problem whose true cost is the
+quadratic x0'Px0 (linear dynamics). `bellman_check` re-solves from successor
+states to measure one-step Bellman residuals of the combined value.
+
+A query is stated once, on the problem: its `grid`, `warm_start` and
+`terminal_set` (with the level). One walk of the grid serves the sweep, and
+one function, `_first_hits`, holds the hitting rule and the objective:
+`solve_two_phase(problem)` asks it for the problem's own level,
+`convergence_study(problem, levels)` for many levels in one level-free walk.
 
 A problem object is what every CLI command runs: `TwoPhaseProblem` here and
 `scenarios.LandingProblem` answer `solve()` and `simulate()` with one
@@ -83,9 +89,10 @@ class TwoPhaseProblem:
     built per T when the goal moves: rendezvous linearizes at the goal-orbit
     state of epoch T, and raises DynamicsDomainError when that orbit leaves
     the dynamics domain before T (a sweep records the point as failed,
-    `verify` exits 3). `horizon`, `grid` and
-    `warm_start` are what `solve`, `simulate`, `sweep` and `design_check`
-    run at (the builders in `scenarios` set them from the config).
+    `verify` exits 3). `horizon`, `grid`, `warm_start` and `terminal_set`
+    are what `solve`, `simulate`, `sweep`, `design_check`, `solve_two_phase`
+    and `convergence_study` run at (the builders in `scenarios` set them
+    from the config; `dataclasses.replace` asks another query).
     """
 
     model: DiscreteModel
@@ -130,11 +137,12 @@ class TwoPhaseProblem:
         )
 
     def sweep(self) -> List["SweepPoint"]:
-        return sweep_transfer_time(self, self.grid, self.warm_start)
+        """Every point of `grid`, in order (see `_walk`)."""
+        return list(_walk(self))
 
     def simulate(self) -> RunResult:
         """The first hitting time on `grid`, then the closed loop through it."""
-        solution = solve_two_phase(self, self.terminal_set.level, self.grid, self.warm_start)
+        solution = solve_two_phase(self)
         closed = two_phase_simulate(self, solution)
         costs, phases = closed.stage_costs, closed.phases
         summary = {
@@ -201,10 +209,7 @@ class SweepPoint:
 
 
 def _evaluate_point(
-    problem: TwoPhaseProblem,
-    transfer_time: float,
-    stop: TerminalSetSpec,
-    previous_controls: Optional[np.ndarray] = None,
+    problem: TwoPhaseProblem, transfer_time: float, previous_controls: Optional[np.ndarray]
 ) -> SweepPoint:
     try:
         steps = problem.steps_for(transfer_time)
@@ -237,7 +242,7 @@ def _evaluate_point(
             error=f"{type(exc).__name__}: {exc}",
         )
     x_T = report.trajectory.states[-1]
-    membership = in_terminal_set(problem.model, x_T, design, problem.cost, stop)
+    membership = in_terminal_set(problem.model, x_T, design, problem.cost, problem.terminal_set)
     return SweepPoint(
         transfer_time=transfer_time,
         ilqr_cost=report.trajectory.phase_cost,
@@ -251,37 +256,24 @@ def _evaluate_point(
     )
 
 
-def _walk(
-    problem: TwoPhaseProblem,
-    grid: Sequence[float],
-    stop: TerminalSetSpec,
-    warm_start: bool,
-) -> Iterator[SweepPoint]:
-    """Evaluate the (ascending) grid in order, lazily: the one walk behind
-    the sweep, the first hitting time and the convergence study."""
-    grid = list(grid)
+def _walk(problem: TwoPhaseProblem) -> Iterator[SweepPoint]:
+    """Evaluate the problem's (ascending) grid in order, lazily, with
+    membership in its terminal set: the one walk behind the sweep, the first
+    hitting time and the convergence study.
+
+    With `warm_start` each solve reuses the previous horizon's controls;
+    without it each starts from the problem's own guess. Per-point solver
+    failures are recorded on the point, not raised.
+    """
+    grid = list(problem.grid)
     if not (grid and all(b > a for a, b in zip(grid, grid[1:]))):
         raise ValueError(f"the transfer-time grid must be non-empty and ascending, got {grid}")
     previous = None
     for T in grid:
-        point = _evaluate_point(problem, T, stop, previous)
+        point = _evaluate_point(problem, T, previous)
         yield point
-        if warm_start and not point.failed:
+        if problem.warm_start and not point.failed:
             previous = point.report.trajectory.controls
-
-
-def sweep_transfer_time(
-    problem: TwoPhaseProblem,
-    grid: Sequence[float],
-    warm_start: bool = True,
-) -> List[SweepPoint]:
-    """Evaluate every transfer time on the (ascending) grid, in order.
-
-    With warm starting each solve reuses the previous horizon's controls;
-    without it each starts from the problem's own guess. Per-point solver
-    failures are recorded on the point, not raised.
-    """
-    return list(_walk(problem, grid, problem.terminal_set, warm_start))
 
 
 def membership_switches(points: Sequence[SweepPoint]) -> List[float]:
@@ -311,40 +303,56 @@ class TwoPhaseSolution:
     sweep: Tuple[SweepPoint, ...]
 
 
-def solve_two_phase(
-    problem: TwoPhaseProblem,
-    level: Optional[float] = None,
-    grid: Sequence[float] | None = None,
-    warm_start: bool = True,
-) -> TwoPhaseSolution:
-    """Walk the grid upward and stop at the first transfer time whose terminal
-    state is a terminal-set member (the first hitting time).
+def _first_hits(problem: TwoPhaseProblem, levels: Sequence[Optional[float]]) -> List[TwoPhaseSolution]:
+    """The first hitting time of each level, from one walk of the grid.
 
-    With `level=None` membership uses only the predicted-vs-actual agreement
-    test and the reported level becomes the terminal value actually observed
-    at the selected transfer state.
+    A level is hit at the first member of the problem's terminal set whose
+    terminal value is at most the level; a None level at the first member,
+    and its reported level becomes the terminal value observed there. The
+    walk stops once every level is hit, and raises HittingTimeNotFoundError
+    with the points walked when one never is.
     """
-    if grid is None or not (level is None or level > 0.0):
-        raise ValueError(f"need a transfer-time grid and a positive level, got {grid}, {level}")
-    stop = replace(problem.terminal_set, level=level)
-    evaluated: List[SweepPoint] = []
-    for point in _walk(problem, grid, stop, warm_start):
-        evaluated.append(point)
-        if point.in_set:
-            effective_level = level if level is not None else point.terminal_value
-            return TwoPhaseSolution(
-                transfer_time=point.transfer_time,
-                level=effective_level,
-                objective=point.ilqr_cost + max(point.terminal_value, effective_level),
-                report=point.report,
-                design=problem.design_for(point.transfer_time),
-                membership=point.membership,
-                sweep=tuple(evaluated),
+    hits: List[Optional[int]] = [None] * len(levels)
+    walked: List[SweepPoint] = []
+    for point in _walk(problem):
+        walked.append(point)
+        for i, level in enumerate(levels):
+            if hits[i] is None and point.in_set and (level is None or point.terminal_value <= level):
+                hits[i] = len(walked)
+        if None in hits:
+            continue
+        solutions = []
+        for n, level in zip(hits, levels):
+            point = walked[n - 1]
+            level = point.terminal_value if level is None else level
+            solutions.append(
+                TwoPhaseSolution(
+                    transfer_time=point.transfer_time,
+                    level=level,
+                    objective=point.ilqr_cost + max(point.terminal_value, level),
+                    report=point.report,
+                    design=problem.design_for(point.transfer_time),
+                    membership=point.membership,
+                    sweep=tuple(walked[:n]),
+                )
             )
+        return solutions
     raise HittingTimeNotFoundError(
-        f"no transfer time on the grid {list(grid)} reached the terminal set",
-        sweep=evaluated,
+        f"no transfer time on the grid {list(problem.grid)} reached the terminal set "
+        f"at level {levels[hits.index(None)]}",
+        sweep=walked,
     )
+
+
+def solve_two_phase(problem: TwoPhaseProblem) -> TwoPhaseSolution:
+    """Walk the grid upward and stop at the first transfer time whose terminal
+    state is a member of `problem.terminal_set` (the first hitting time).
+
+    Without a level, membership uses only the predicted-vs-actual agreement
+    test and the reported level is the terminal value observed at the
+    selected transfer state.
+    """
+    return _first_hits(problem, [problem.terminal_set.level])[0]
 
 
 @dataclass(frozen=True)
@@ -455,43 +463,26 @@ class ConvergenceRow:
     gap: float
 
 
-def convergence_study(
-    problem: TwoPhaseProblem,
-    levels: Sequence[float],
-    grid: Sequence[float],
-) -> List[ConvergenceRow]:
+def convergence_study(problem: TwoPhaseProblem, levels: Sequence[float]) -> List[ConvergenceRow]:
     """Objective-vs-level table on a problem whose true infinite-horizon cost
     is the quadratic x0' P x0 (linear dynamics). The gap shrinks to zero as
     the level does.
 
-    One level-free walk serves every level: the solves, the membership
-    rollouts and the warm-start chain do not depend on the level, so each
-    level's objective is the one `solve_two_phase` gives at it. A level is
-    hit at the first point within tolerance whose terminal value is at
-    most the level; the walk stops once every level is hit.
+    One level-free walk of the problem's grid serves every level: the
+    solves, the membership rollouts and the warm-start chain do not depend
+    on the level, so each level's objective is the one `solve_two_phase`
+    gives at it.
     """
     levels = [float(level) for level in levels]
     if not all(level > 0.0 for level in levels):
         raise ValueError(f"need positive levels, got {levels}")
-    ideal = problem.design_for(grid[0]).predicted_cost(problem.x0)
-    objectives: List[Optional[float]] = [None] * len(levels)
-    evaluated: List[SweepPoint] = []
-    for point in _walk(problem, grid, replace(problem.terminal_set, level=None), True):
-        evaluated.append(point)
-        if point.in_set:  # within tolerance, as the level is None
-            for i, level in enumerate(levels):
-                if objectives[i] is None and point.terminal_value <= level:
-                    objectives[i] = point.ilqr_cost + max(point.terminal_value, level)
-        if None not in objectives:
-            return [
-                ConvergenceRow(level=level, objective=obj, ideal=ideal, gap=obj - ideal)
-                for level, obj in zip(levels, objectives)
-            ]
-    raise HittingTimeNotFoundError(
-        f"no transfer time on the grid {list(grid)} reached the terminal set "
-        f"at level {levels[objectives.index(None)]}",
-        sweep=evaluated,
-    )
+    free = replace(problem, terminal_set=replace(problem.terminal_set, level=None))
+    solutions = _first_hits(free, levels)
+    ideal = problem.design_for(problem.grid[0]).predicted_cost(problem.x0)
+    return [
+        ConvergenceRow(level=sol.level, objective=sol.objective, ideal=ideal, gap=sol.objective - ideal)
+        for sol in solutions
+    ]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from spacetraj.models import (
 )
 from spacetraj.scenarios import (
     attitude_problem,
-    benchmark_grid,
     linear_benchmark,
     rendezvous_problem,
     simulate_landing,
@@ -45,7 +44,6 @@ from spacetraj.two_phase import (
     convergence_study,
     lyapunov_decreasing,
     solve_two_phase,
-    sweep_transfer_time,
     two_phase_simulate,
 )
 
@@ -65,7 +63,7 @@ def report(number: int, name: str, passed: bool, budget_s: float, elapsed: float
 def attitude_solution():
     """Shared by criteria 5 and 9: first-hitting solve on the {10 s, 80 s} grid."""
     problem = attitude_problem()
-    solution = solve_two_phase(problem, level=None, grid=[10.0, 80.0])
+    solution = solve_two_phase(dataclasses.replace(problem, grid=(10.0, 80.0)))
     return problem, solution
 
 
@@ -274,7 +272,7 @@ def test_criterion_5_attitude_trend(attitude_solution):
 def test_criterion_6_rendezvous_trend():
     t0 = time.perf_counter()
     problem = rendezvous_problem()
-    points = sweep_transfer_time(problem, [600.0, 2400.0])
+    points = dataclasses.replace(problem, grid=(600.0, 2400.0)).sweep()
     err600, err2400 = points[0].error_norm, points[1].error_norm
     ratio = err600 / err2400
     worst_visviva = 0.0
@@ -340,7 +338,7 @@ def test_criterion_8_level_convergence_study():
     bench = linear_benchmark()
     ideal = GOLDEN
     levels = [ideal * f for f in (0.5, 0.25, 0.1, 0.03, 0.01, 0.001)]
-    rows = convergence_study(bench, levels, benchmark_grid(40))
+    rows = convergence_study(bench, levels)
     gaps = [r.gap for r in rows]
     passed = all(g >= -1e-9 for g in gaps) and gaps[-1] < 1e-3 * ideal
     report(
@@ -357,7 +355,10 @@ def test_criterion_9_bellman_and_lyapunov(attitude_solution):
     t0 = time.perf_counter()
     # exact on the linear instance
     bench = linear_benchmark()
-    bench_sol = solve_two_phase(bench, level=0.002, grid=benchmark_grid(20))
+    bench = dataclasses.replace(
+        bench, grid=bench.grid[:20], terminal_set=dataclasses.replace(bench.terminal_set, level=0.002)
+    )
+    bench_sol = solve_two_phase(bench)
     linear_residuals = [c.residual for c in bellman_check(bench, bench_sol, 3) if not c.skipped]
     linear_ok = bool(linear_residuals) and max(linear_residuals) < 1e-6
     # approximate on three early attitude steps; the cold re-solve has to

@@ -38,10 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacetraj.ilqr as ilqr
-from spacetraj.config import (
-    default_sweep_grid,
-    parse_config_dict,
-)
+from spacetraj.config import parse_config_dict
 from spacetraj.cost import (
     AltitudePenaltySpec,
     QuadraticCostSpec,
@@ -401,9 +398,12 @@ def assert_gains_within_bounds(got, want, oracle, rtol):
     The oracle test compares the worst error over the five quantities: on
     ill-conditioned draws the error of a single quantity moves by more than
     a factor of two with the evaluation order alone (7 of 6,000
-    draw-damping pairs, mostly the gradient norm of an unstable draw), while
-    the worst one stayed within 1.81x of the reference's plus the floor on
-    12,000."""
+    draw-damping pairs, mostly the gradient norm of an unstable draw). The
+    worst one stayed within 1.81x of the reference's plus the floor on
+    12,000 pairs, but not on every draw: the draw n=6, m=1, seed=40, T=13
+    at damping 1e-6 (the drawn A has spectral radius 1.35) measures
+    3.06e-14 against the reference's 6.8e-15, over the 2.36e-14 allowed
+    here, and fails this test whenever it is drawn."""
     assert got.feedforward.shape == want.feedforward.shape
     assert got.feedback.shape == want.feedback.shape
     agreement = gain_errors(got, want)
@@ -509,7 +509,7 @@ def test_soft_landing_loops_are_bit_exact():
 
 def test_two_phase_simulate_is_bit_exact():
     p = attitude_problem()
-    solution = solve_two_phase(p, grid=[22.0])
+    solution = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
     closed = two_phase_simulate(p, solution)
     assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
     assert closed.converged and not closed.diverged
@@ -517,9 +517,8 @@ def test_two_phase_simulate_is_bit_exact():
 
 @pytest.mark.parametrize("scenario", ["attitude", "rendezvous"])
 def test_resumed_closed_loop_is_bit_exact_on_the_default_problem(scenario):
-    cfg = parse_config_dict({"scenario": scenario})
-    p = build_problem(cfg)
-    solution = solve_two_phase(p, grid=default_sweep_grid(cfg))
+    p = build_problem(parse_config_dict({"scenario": scenario}))
+    solution = solve_two_phase(p)
     prefix = solution.membership.rollout
     closed = two_phase_simulate(p, solution)
     assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
@@ -532,7 +531,7 @@ def test_resumed_closed_loop_is_bit_exact_on_the_default_problem(scenario):
 
 def test_cost_cap_trips_on_the_reused_prefix():
     base = attitude_problem()
-    solution = solve_two_phase(base, grid=[22.0])
+    solution = solve_two_phase(dataclasses.replace(base, grid=(22.0,)))
     phase1 = solution.report.trajectory.phase_cost
     prefix = solution.membership.rollout
     # the cap admits the membership rollout (regulation cost alone) but not
@@ -541,7 +540,7 @@ def test_cost_cap_trips_on_the_reused_prefix():
     p = dataclasses.replace(
         base, terminal_set=dataclasses.replace(base.terminal_set, cost_cap=cap)
     )
-    solution = solve_two_phase(p, grid=[22.0])
+    solution = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
     assert solution.membership.rollout.steps == prefix.steps
     closed = two_phase_simulate(p, solution)
     assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)

@@ -4,14 +4,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spacetraj
 from spacetraj.artifacts import _fmt, trajectory_rows, write_csv
 from spacetraj.cli import main
 
@@ -382,6 +387,9 @@ def test_bad_inertia_is_a_config_error(tmp_path, capsys, field, value):
         ("solver.reg_growth", "0.5"),
         ("solver.alpha_count", "0"),
         ("r", "[5e-324,1,1]"),  # R / 2 underflows to a singular matrix
+        # the per-degree conversion multiplies Q by about 3,283 and overflows
+        ("q", "[1e305,1e305,1e305,1e305,1e305,1e305]"),
+        ("q", "[1e308,1e308,1e308,1e308,1e308,1e308]"),
     ],
 )
 def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
@@ -502,6 +510,40 @@ def test_overflowing_penalty_rate_lands_like_a_large_one(tmp_path, capsys):
         assert code == 0
         files[rate] = [(out / name).read_bytes() for name in ("trajectory.csv", "iterations.csv")]
     assert files["1e300"] == files["1e150"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_vanishing_penalty_with_overflowing_weights_lands_like_no_penalty(tmp_path, capsys):
+    """With coord_scale 0 the penalty is identically 0, whatever weight *
+    rate gives: its gradient is -weight * (rate * coord_scale) = -0, not
+    inf * 0 = NaN, so the descent is the unpenalized one byte for byte."""
+    files = []
+    for overrides in (
+        ["lander.penalty_weight=1e300", "lander.penalty_rate=1e300", "lander.penalty_coord_scale=0"],
+        ["lander.penalty_weight=0"],
+    ):
+        out = tmp_path / str(len(files))
+        argv = ["simulate", "--set", "scenario=soft-landing", "--set", "horizon=3", "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        files.append([(out / name).read_bytes() for name in ("trajectory.csv", "iterations.csv")])
+    assert files[0] == files[1]
+
+
+def test_dare_near_the_float_limit_prints_no_warning(tmp_path):
+    """Weights of 1e300 put P near the float limit; the run exits 3 with its
+    JSON line and nothing on stderr (a fresh interpreter, so numpy's
+    default warning filter applies)."""
+    src = Path(spacetraj.__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "spacetraj.cli", "solve", "--set", "scenario=attitude", "--set", "horizon=3"]
+    argv += ["--set", "q=[1e300,1e300,1e300,1e300,1e300,1e300]", "--set", "r=[1e300,1e300,1e300]"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([*argv, "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env)
+    assert run.returncode == 3
+    assert json.loads(run.stdout)["status"] == "error"
+    assert run.stderr == ""
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

@@ -230,10 +230,6 @@ def test_double_integrator_step():
         (lambda: dataclasses.replace(double_integrator(), dt=0.0), "dt must be positive"),
         (lambda: dataclasses.replace(double_integrator(), dt=float("nan")), "dt must be positive"),
         (lambda: lti_model(np.eye(3), np.ones((2, 1))), "A has shape"),
-        (
-            lambda: finite_diff_jacobians(double_integrator(), np.zeros(2), np.zeros(1), h=0.0),
-            "finite-difference step",
-        ),
     ],
 )
 def test_model_validation_raises_value_error(build, message):

@@ -22,7 +22,7 @@ from spacetraj.lqr import (
     regulation_law,
     regulation_rollout,
 )
-from spacetraj.scenarios import attitude_problem, benchmark_grid, build_problem, linear_benchmark
+from spacetraj.scenarios import attitude_problem, build_problem, linear_benchmark
 from spacetraj.two_phase import (
     TwoPhaseProblem,
     TwoPhaseSolution,
@@ -31,50 +31,60 @@ from spacetraj.two_phase import (
     lyapunov_decreasing,
     membership_switches,
     solve_two_phase,
-    sweep_transfer_time,
     two_phase_simulate,
 )
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
+def query(problem, grid, level=None, warm_start=True):
+    """`problem` asked on `grid`, at `level`, with or without warm starts."""
+    stop = dataclasses.replace(problem.terminal_set, level=level)
+    return dataclasses.replace(problem, grid=tuple(grid), terminal_set=stop, warm_start=warm_start)
+
+
+def steps(n):
+    """The scalar benchmark's integer transfer times 1..n."""
+    return [float(k) for k in range(1, n + 1)]
+
+
 def test_sweep_from_origin_all_points_trivial():
     bp = dataclasses.replace(linear_benchmark(), x0=np.zeros(1))
-    points = sweep_transfer_time(bp, [1.0, 2.0, 3.0])
+    points = query(bp, [1.0, 2.0, 3.0]).sweep()
     for pt in points:
         assert pt.total_cost == pytest.approx(0.0, abs=1e-12)
         assert pt.in_set
-    sol = solve_two_phase(bp, level=0.1, grid=[1.0, 2.0, 3.0])
+    sol = solve_two_phase(query(bp, [1.0, 2.0, 3.0], level=0.1))
     assert sol.transfer_time == 1.0
 
 
 def test_sweep_points_carry_cost_identity():
     bp = linear_benchmark()
-    for pt in sweep_transfer_time(bp, [1.0, 3.0, 6.0]):
+    for pt in query(bp, [1.0, 3.0, 6.0]).sweep():
         assert pt.total_cost == pytest.approx(pt.ilqr_cost + pt.regulation_cost, abs=1e-12)
 
 
 def test_objective_gap_bounded_by_level_difference():
     bp = linear_benchmark()
-    grid = benchmark_grid(20)
     small, large = 0.05 * GOLDEN, 0.5 * GOLDEN
-    j_small = solve_two_phase(bp, level=small, grid=grid).objective
-    j_large = solve_two_phase(bp, level=large, grid=grid).objective
+    j_small = solve_two_phase(query(bp, steps(20), level=small)).objective
+    j_large = solve_two_phase(query(bp, steps(20), level=large)).objective
     assert j_large >= j_small - 1e-9
     assert j_large - j_small <= (large - small) + 1e-9
 
 
 def test_start_inside_terminal_set():
     bp = dataclasses.replace(linear_benchmark(), x0=np.array([0.05]))
-    sol = solve_two_phase(bp, level=1.0, grid=benchmark_grid(10))
+    sol = solve_two_phase(query(bp, steps(10), level=1.0))
     assert sol.transfer_time == 1.0
     assert sol.report.trajectory.phase_cost < 0.01
 
 
 def test_convergence_study_gap_shrinks_to_zero():
     bp = linear_benchmark()
+    assert bp.grid == tuple(steps(40))
     levels = [GOLDEN * f for f in (0.5, 0.25, 0.1, 0.03, 0.01, 0.001)]
-    rows = convergence_study(bp, levels, benchmark_grid(40))
+    rows = convergence_study(bp, levels)
     for row in rows:
         assert row.gap >= -1e-9
         assert row.ideal == pytest.approx(GOLDEN, abs=1e-10)
@@ -92,8 +102,7 @@ def test_convergence_study_walks_the_grid_once(monkeypatch):
 
     bp = linear_benchmark()
     levels = [GOLDEN * f for f in (0.5, 0.25, 0.1, 0.03, 0.01, 0.001)]
-    grid = benchmark_grid(40)
-    want = [solve_two_phase(bp, level=level, grid=grid).objective for level in levels]
+    want = [solve_two_phase(query(bp, bp.grid, level=level)).objective for level in levels]
     solves = 0
     solve = two_phase.solve_fhocp
 
@@ -103,7 +112,7 @@ def test_convergence_study_walks_the_grid_once(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(two_phase, "solve_fhocp", counting)
-    rows = convergence_study(bp, levels, grid)
+    rows = convergence_study(bp, levels)
     assert solves == 4
     assert [r.level for r in rows] == levels
     assert [r.objective for r in rows] == want
@@ -112,7 +121,7 @@ def test_convergence_study_walks_the_grid_once(monkeypatch):
 def test_convergence_study_raises_when_a_level_is_never_reached():
     bp = linear_benchmark()
     with pytest.raises(HittingTimeNotFoundError) as info:
-        convergence_study(bp, [0.5 * GOLDEN, 1e-30], benchmark_grid(5))
+        convergence_study(query(bp, steps(5)), [0.5 * GOLDEN, 1e-30])
     assert len(info.value.sweep) == 5
 
 
@@ -171,7 +180,7 @@ def test_rendezvous_goal_orbit_is_the_trajectory_target(monkeypatch):
 
 def test_bellman_residuals_linear_instance():
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.002, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.002))
     checks = bellman_check(bp, sol, steps_to_check=3)
     assert len(checks) == 3 and not any(c.skipped for c in checks)
     for c in checks:
@@ -181,14 +190,14 @@ def test_bellman_residuals_linear_instance():
 def test_bellman_skips_steps_inside_terminal_set():
     # initial state already inside the sublevel set: the scope rule skips it
     bp = dataclasses.replace(linear_benchmark(), x0=np.array([0.05]))
-    sol = solve_two_phase(bp, level=0.5, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.5))
     checks = bellman_check(bp, sol, steps_to_check=1)
     assert checks[0].skipped and checks[0].reason == "inside terminal set"
 
 
 def test_two_phase_simulate_reproduces_nominal_without_perturbation():
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.05))
     closed = two_phase_simulate(bp, sol)
     T = sol.report.trajectory.horizon
     assert np.array_equal(closed.states[: T + 1], sol.report.trajectory.states)
@@ -201,7 +210,7 @@ def test_two_phase_simulate_reproduces_nominal_without_perturbation():
 
 def test_phase_boundary_feasibility():
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.05))
     closed = two_phase_simulate(bp, sol)
     for t in range(len(closed.controls)):
         step = bp.model.step(closed.states[t], closed.controls[t])
@@ -210,7 +219,7 @@ def test_phase_boundary_feasibility():
 
 def test_feedback_beats_open_loop_replay():
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.05))
     nominal = sol.report.trajectory
     x0 = bp.x0 + 0.05
     closed = two_phase_simulate(bp, sol, x0=x0)
@@ -226,7 +235,7 @@ def test_feedback_beats_open_loop_replay():
 
 def test_lyapunov_tail_decrease_outside_set():
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.05))
     closed = two_phase_simulate(bp, sol)
     assert lyapunov_decreasing(closed, sol.design, sol.level)
 
@@ -261,7 +270,7 @@ def test_lyapunov_tail_rise_counts_only_outside_the_set(x_at_rise, expected):
 
 def test_lyapunov_check_matches_the_per_step_definition():
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.05))
     closed = two_phase_simulate(bp, sol)
     for level in (0.0, 1e-12, 1e-6, sol.level, 1.0):
         assert lyapunov_decreasing(closed, sol.design, level) == per_step_lyapunov(
@@ -272,15 +281,15 @@ def test_lyapunov_check_matches_the_per_step_definition():
 def test_hitting_time_not_found_carries_sweep():
     bp = linear_benchmark()
     with pytest.raises(HittingTimeNotFoundError) as exc:
-        solve_two_phase(bp, level=1e-9, grid=[1.0, 2.0])
+        solve_two_phase(query(bp, [1.0, 2.0], level=1e-9))
     assert len(exc.value.sweep) == 2
 
 
 def test_cold_sweep_is_deterministic():
     bp = linear_benchmark()
     grid = [1.0, 2.0, 4.0, 8.0]
-    first = sweep_transfer_time(bp, grid, warm_start=False)
-    again = sweep_transfer_time(bp, grid, warm_start=False)
+    first = query(bp, grid, warm_start=False).sweep()
+    again = query(bp, grid, warm_start=False).sweep()
     assert [pt.transfer_time for pt in first] == grid
     for a, b in zip(first, again):
         assert a.transfer_time == b.transfer_time
@@ -291,31 +300,39 @@ def test_cold_sweep_is_deterministic():
 def test_sweep_records_solver_failures_without_raising():
     bp = linear_benchmark()
     # non-multiple transfer time triggers a recorded per-point failure
-    points = sweep_transfer_time(bp, [0.5, 1.0], warm_start=True)
+    points = query(bp, [0.5, 1.0]).sweep()
     assert points[0].failed and not points[1].failed
 
 
 def test_grid_must_be_ascending():
     bp = linear_benchmark()
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_transfer_time(bp, [2.0, 1.0])
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_transfer_time(bp, [])
+    for grid in ([2.0, 1.0], [1.0, 1.0], []):
+        problem = query(bp, grid)
+        for ask in (problem.sweep, lambda: solve_two_phase(problem), lambda: convergence_study(problem, [1.0])):
+            with pytest.raises(ValueError, match="non-empty and ascending"):
+                ask()
 
 
 @pytest.mark.parametrize(
     "level,grid,message",
-    [(0.0, [1.0], "positive level"), (float("nan"), [1.0], "positive level"), (None, [], "grid")],
+    [(0.0, [1.0], "positive and finite"), (float("nan"), [1.0], "positive and finite"), (None, [], "ascending")],
 )
 def test_solve_two_phase_validation(level, grid, message):
+    # the terminal set rejects the level when the problem states it; the
+    # walk rejects the grid
     with pytest.raises(ValueError, match=message):
-        solve_two_phase(linear_benchmark(), level=level, grid=grid)
+        solve_two_phase(query(linear_benchmark(), grid, level=level))
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, float("nan")])
+def test_convergence_study_rejects_a_non_positive_level(level):
+    with pytest.raises(ValueError, match="positive levels"):
+        convergence_study(linear_benchmark(), [1.0, level])
 
 
 def default_sweep(scenario):
-    cfg = parse_config_dict({"scenario": scenario})
-    problem = build_problem(cfg)
-    return problem, sweep_transfer_time(problem, default_sweep_grid(cfg))
+    problem = build_problem(parse_config_dict({"scenario": scenario}))
+    return problem, problem.sweep()
 
 
 @pytest.fixture(scope="module")
@@ -375,13 +392,14 @@ def test_rendezvous_sweep_verdicts_match_rolling_to_state_tol():
 def test_linear_benchmark_verdicts_match_rolling_to_state_tol():
     # the walks behind `convergence` (level-free) and `verify` (level 0.002)
     bp = linear_benchmark()
-    walks = [
-        (sweep_transfer_time(bp, benchmark_grid(40)), bp.terminal_set),
-        (
-            solve_two_phase(bp, level=0.002, grid=benchmark_grid(20)).sweep,
-            dataclasses.replace(bp.terminal_set, level=0.002),
-        ),
-    ]
+    defaults = scenario_defaults("custom-linear")
+    verify = linear_benchmark(
+        dataclasses.replace(
+            defaults, horizon=20.0, terminal_set=dataclasses.replace(defaults.terminal_set, level=0.002)
+        )
+    )
+    assert verify.grid == tuple(steps(20))
+    walks = [(bp.sweep(), bp.terminal_set), (solve_two_phase(verify).sweep, verify.terminal_set)]
     for points, stop in walks:
         for pt in points:
             assert pt.in_set == roll_to_state_tol(bp, pt, stop)[1]
@@ -409,7 +427,7 @@ def test_phase_one_stops_at_an_overflowing_state():
     # a finite derivative whose Euler step overflows: the new state is
     # tested, so phase 1 ends diverged instead of running on through inf
     bp = linear_benchmark()
-    sol = solve_two_phase(bp, level=0.05, grid=benchmark_grid(20))
+    sol = solve_two_phase(query(bp, steps(20), level=0.05))
     runaway = DiscreteModel(1, 1, lambda x, u: [1e308], 1.0, name="runaway")
     closed = two_phase_simulate(dataclasses.replace(bp, model=runaway), sol, x0=np.array([1e308]))
     assert closed.diverged and not closed.converged
@@ -422,7 +440,7 @@ def test_overflowing_initial_state_diverges_without_warnings():
     # the feedback product and the stage cost overflow before `euler_step`
     # rejects the state; the run reports a divergence, with nothing on stderr
     p = attitude_problem()
-    sol = solve_two_phase(p, grid=[22.0])
+    sol = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
     x0 = np.array(p.x0, dtype=float)
     x0[0] = 1e308
     closed = two_phase_simulate(p, sol, x0=x0)
