@@ -6,7 +6,7 @@ a backward sweep of the state-control value function partials
 
     Q_x  = l_x  + A' V_x          Q_u  = l_u + B' V_x
     Q_xx = l_xx + A' V_xx A       Q_ux = B' V_xx A
-    Q_uu = l_uu + lambda I + B' V_xx B
+    Q_uu = l_uu + B' V_xx B + lambda I
 
     k = -Q_uu^-1 Q_u              K = -Q_uu^-1 Q_ux
 
@@ -22,11 +22,12 @@ iteration reaches the exact finite-horizon LQR optimum. Solves are
 deterministic: identical inputs produce bitwise-identical logs.
 
 The sweep runs over z = [u; x; 1]. With the stage expansion packed into
-L_t = [[l_uu + lambda I, 0, l_u], [0, l_xx, l_x], [l_u', l_x', 0]], the
-dynamics into F_t = [[B A 0], [0 0 1]] and V = [[V_xx, V_x], [V_x', c]],
-each step is one product, one solve and one update:
+L_t = [[l_uu, 0, l_u], [0, l_xx, l_x], [l_u', l_x', 0]], the dynamics into
+F_t = [[B A 0], [0 0 1]] and V = [[V_xx, V_x], [V_x', c]], each step is one
+product, one solve and one update:
 
-    H = L_t + F_t' V F_t        (H_uu = Q_uu, H_u,[x 1] = [Q_ux | Q_u])
+    H = L_t + F_t' V F_t,  H_uu += lambda I
+                                (H_uu = Q_uu, H_u,[x 1] = [Q_ux | Q_u])
     [K | k] = -H_uu^-1 H_u,[x 1]
     V <- S' H S,   S = [[K, k], [I, 0], [0, 1]]
 
@@ -36,11 +37,13 @@ four-term update above as one product. Unlike the equal two-term form
 H_[x1],[x1] - H_[x1],u H_uu^-1 H_u,[x1], its error is second-order in the
 gains' error (on the soft-landing trajectory the two-term form's worst
 error against long double measured 5.2x the per-step reference's, this
-form's 1.6x). Only V_xx is symmetrized. The gradient norm and the
-predicted change are formed after the sweep from the stored H_u and H_uu,
-and one batched finiteness and Cholesky test checks every damped Q_uu
-(Cholesky alone accepts NaN); on failure the steps are re-tested from the
-last, so the error names the step a per-step test would have named.
+form's 1.6x). The damping is added after the product, as the per-step
+reference adds it, so the solve sees the reference's rounding of Q_uu
+whenever the products agree. Only V_xx is symmetrized. The gradient norm
+and the predicted change are formed after the sweep from the stored H_u
+and H_uu, and one batched finiteness and Cholesky test checks every damped
+Q_uu (Cholesky alone accepts NaN); on failure the steps are re-tested from
+the last, so the error names the step a per-step test would have named.
 
 The rollouts are `dynamics.simulate` under the open-loop law ``U[t]`` and
 the affine `tracking_law`, priced after the loop as its hot-loop contract
@@ -49,10 +52,10 @@ states: their states and controls are bitwise the ``@`` formulas kept in
 each step would have stopped. The sweep is held to measured
 bounds instead: relative to each quantity's largest entry it agrees with
 the per-step reference to 1e-12 on the scenario trajectories (measured
-<= 3e-14). Its worst error against long double is mostly within twice the
-reference's plus 1e-14, but not always: on one generated draw (6 states,
-1 control, 13 steps, damping 1e-6, the drawn A of spectral radius 1.35) it
-measured 3.06e-14 against the reference's 6.8e-15. It calls the gufunc behind
+<= 3e-14). Its worst error against long double is within twice the
+reference's plus 1e-14 on the scenario trajectories; on rare generated
+unstable draws none of the double-precision evaluation orders tried stays
+within it (see ``tests/test_bitexact.py``). It calls the gufunc behind
 `np.linalg.solve` inside its one `np.errstate`, as the wrapper's own error
 state costs several 3x3 solves; a singular Q_uu then gives NaN gains, which
 the deferred test rejects.
@@ -273,11 +276,11 @@ def backward_pass(
     der = cost_derivatives(X, U, spec)
     H = np.zeros((T, m + n + 1, m + n + 1))  # L_t, turned into H_t by the sweep
     H[:, u_, u_] = der.l_uu
-    H[:, range(m), range(m)] += regularization
     H[:, x_, x_] = der.l_xx
     H[:, u_, one] = H[:, one, u_] = der.l_u
     H[:, x_, one] = H[:, one, x_] = der.l_x
     del der
+    damped = np.einsum("tii->ti", H[:, u_, u_])  # view of each Q_uu's diagonal
     G = np.empty((T, m, n + 1))  # -[K | k]
     S = np.zeros((m + n + 1, n + 1))  # -S_t of the module docstring
     S[range(m, m + n + 1), range(n + 1)] = -1.0
@@ -291,6 +294,7 @@ def backward_pass(
         for t in range(T - 1, -1, -1):
             F_t, H_t = F[t], H[t]
             H_t += F_t.T.dot(V).dot(F_t)
+            damped[t] += regularization
             G[t] = solve(H_t[u_, u_], H_t[u_, m:], out=S[u_])
             V = S.T.dot(H_t).dot(S)
             V_xx = V[:n, :n]

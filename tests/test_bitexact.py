@@ -34,7 +34,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacetraj.ilqr as ilqr
@@ -399,11 +399,13 @@ def assert_gains_within_bounds(got, want, oracle, rtol):
     ill-conditioned draws the error of a single quantity moves by more than
     a factor of two with the evaluation order alone (7 of 6,000
     draw-damping pairs, mostly the gradient norm of an unstable draw). The
-    worst one stayed within 1.81x of the reference's plus the floor on
-    12,000 pairs, but not on every draw: the draw n=6, m=1, seed=40, T=13
-    at damping 1e-6 (the drawn A has spectral radius 1.35) measures
-    3.06e-14 against the reference's 6.8e-15, over the 2.36e-14 allowed
-    here, and fails this test whenever it is drawn."""
+    worst one moves too: of the pairs whose reference error exceeds 2e-14
+    (about 1.2% of 20,000 pairs), each double-precision order tried, this
+    sweep's included, lands over twice the reference's on about 2%, as
+    rounding amplified over the horizon decides which order comes out
+    ahead. The pinned draw `lti_problem(6, 1, 40, 13)` is one: at damping
+    1e-6 it measured 3.06e-14 against the reference's 6.8e-15 (2.36e-14
+    allowed) with the damping added before the product."""
     assert got.feedforward.shape == want.feedforward.shape
     assert got.feedback.shape == want.feedback.shape
     agreement = gain_errors(got, want)
@@ -600,12 +602,7 @@ def test_regulation_leaving_the_domain_matches_reference():
 # generated linear problems
 # ---------------------------------------------------------------------------
 
-@st.composite
-def lti_problems(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 2**32 - 1))
-    T = draw(st.integers(1, 25))
+def lti_problem(n, m, seed, T):
     rng = np.random.default_rng(seed)
     A = rng.normal(0.0, 0.6, (n, n))
     B = rng.normal(0.0, 1.0, (n, m))
@@ -619,8 +616,18 @@ def lti_problems(draw):
     return lti_model(A, B), QuadraticCostSpec(Q=Q, R=R), TerminalValue(P), x0, controls
 
 
+@st.composite
+def lti_problems(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    T = draw(st.integers(1, 25))
+    return lti_problem(n, m, seed, T)
+
+
 @LOOP_SETTINGS
 @given(lti_problems())
+@example(lti_problem(6, 1, 40, 13))
 def test_lti_loops_are_bit_exact(problem):
     model, spec, terminal, x0, controls = problem
     check_ilqr_loops(model, spec, terminal, x0, controls, rtol=GENERATED_SWEEP_RTOL)
