@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -98,22 +97,6 @@ def write_json(path: Path, payload: Dict[str, Any]) -> Path:
     payload.setdefault("schema", SUMMARY_SCHEMA)
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    summary_json: Path
-    trajectory_csv: Optional[Path] = None
-    sweep_csv: Optional[Path] = None
-    iterations_csv: Optional[Path] = None
-    convergence_csv: Optional[Path] = None
-
-    def paths(self) -> List[Path]:
-        out = [self.summary_json]
-        for p in (self.trajectory_csv, self.sweep_csv, self.iterations_csv, self.convergence_csv):
-            if p is not None:
-                out.append(p)
-        return out
 
 
 def trajectory_rows(

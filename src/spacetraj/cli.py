@@ -41,7 +41,6 @@ from .artifacts import (
     SWEEP_COLUMNS,
     SWEEP_SCHEMA,
     TRAJECTORY_SCHEMA,
-    RunArtifacts,
     trajectory_rows,
     write_csv,
     write_json,
@@ -69,9 +68,9 @@ def _setup_logging() -> None:
 
 
 # A command runs on the config and the output directory and returns its
-# summary fields, the files it wrote (by `RunArtifacts` field) and its exit
-# code; `run` adds the fields every summary carries and writes summary.json.
-Outcome = Tuple[Dict[str, Any], Dict[str, Path], int]
+# summary fields, the files it wrote and its exit code; `run` adds the
+# fields every summary carries and writes summary.json.
+Outcome = Tuple[Dict[str, Any], List[Path], int]
 
 
 def _write_run(cfg: ScenarioConfig, out: Path, result: RunResult) -> Outcome:
@@ -90,12 +89,11 @@ def _write_run(cfg: ScenarioConfig, out: Path, result: RunResult) -> Outcome:
         ITERATIONS_SCHEMA,
         ITERATION_COLUMNS,
         [
-            [r["iteration"], r["cost"], r["alpha"], r["lambda"], r["gradient_norm"], r["accepted"]]
-            for r in result.report.iteration_rows()
+            [r.iteration, r.cost, r.alpha, r.regularization, r.gradient_norm, int(r.accepted)]
+            for r in result.report.iterations
         ],
     )
-    files = {"trajectory_csv": traj_csv, "iterations_csv": iter_csv}
-    return {**result.summary, "iterations": iterations}, files, 0
+    return {**result.summary, "iterations": iterations}, [traj_csv, iter_csv], 0
 
 
 def cmd_solve(cfg: ScenarioConfig, out: Path) -> Outcome:
@@ -125,7 +123,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path) -> Outcome:
         "membership_switches": membership_switches(points),
         "failures": failures,
     }
-    return fields, {"sweep_csv": sweep_csv}, 0
+    return fields, [sweep_csv], 0
 
 
 def cmd_verify(cfg: ScenarioConfig, out: Path) -> Outcome:
@@ -161,7 +159,7 @@ def cmd_verify(cfg: ScenarioConfig, out: Path) -> Outcome:
         },
     ]
     passed = all(c["passed"] for c in checks)
-    return {"checks": checks, "passed": passed}, {}, 0 if passed else 1
+    return {"checks": checks, "passed": passed}, [], 0 if passed else 1
 
 
 def cmd_convergence(cfg: ScenarioConfig, out: Path) -> Outcome:
@@ -182,7 +180,7 @@ def cmd_convergence(cfg: ScenarioConfig, out: Path) -> Outcome:
         "finest_gap": rows[-1].gap,
         "finest_gap_relative": rows[-1].gap / ideal,
     }
-    return fields, {"convergence_csv": csv}, 0
+    return fields, [csv], 0
 
 
 COMMANDS = {
@@ -194,8 +192,9 @@ COMMANDS = {
 }
 
 
-def run(command: str, cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
-    """Dispatch a command; returns the artifact paths and the exit code."""
+def run(command: str, cfg: ScenarioConfig) -> Tuple[List[Path], int]:
+    """Dispatch a command; returns the paths it wrote (summary.json first)
+    and the exit code."""
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}")
     started = time.perf_counter()
@@ -209,7 +208,7 @@ def run(command: str, cfg: ScenarioConfig) -> Tuple[RunArtifacts, int]:
         "wall_clock_s": time.perf_counter() - started,
         **fields,
     }
-    return RunArtifacts(summary_json=write_json(out / "summary.json", summary), **files), code
+    return [write_json(out / "summary.json", summary), *files], code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -239,7 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = parse_config(args.config, [*args.overrides, *seed])
         if args.out is not None:
             cfg.output_dir = args.out
-        artifacts, code = run(args.command, cfg)
+        paths, code = run(args.command, cfg)
     except ConfigError as exc:
         print(json.dumps({"status": "error", "error": "config", "field": exc.field, "message": str(exc)}))
         return 2
@@ -256,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "status": "ok",
                 "command": args.command,
                 "exit_code": code,
-                "artifacts": [str(p) for p in artifacts.paths()],
+                "artifacts": [str(p) for p in paths],
             }
         )
     )

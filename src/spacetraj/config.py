@@ -10,7 +10,10 @@ Configs are JSON (UTF-8, nesting allowed). Angles cross this boundary in
 degrees and are converted where the problem objects are built; weight
 matrices may be given as a diagonal (list of length n) or a full matrix
 (n x n nested lists). Unknown keys anywhere are rejected with the offending
-dotted path. `validate_config` checks every field, and `float_array` and
+dotted path. The `solver` section is `ilqr.SolverSettings` and the
+`terminal_set` section builds an `lqr.TerminalSetSpec`; each checks its own
+fields, and the error names the section (`solver.reg_init`).
+`validate_config` checks every other field, and `float_array` and
 `weight_matrix` are the checked conversions of the array-valued ones; each
 raises ConfigError naming the field.
 """
@@ -20,14 +23,14 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
-from .ilqr import LINE_SEARCH_FACTOR, LINE_SEARCH_STEPS, SolverSettings
+from .errors import ConfigError, integer, positive, real
+from .ilqr import SolverSettings
 from .lqr import TerminalSetSpec
 from .models import DEFAULT_INERTIA_DIAG, EARTH_MU, LanderParams, OrbitalElements, RendezvousParams
 
@@ -86,39 +89,10 @@ CONTROL_DIMS = {"attitude": 3, "rendezvous": 3, "soft-landing": 6, "custom-linea
 
 # Largest horizon / dt accepted (each step is a stored state and control).
 MAX_STEPS = 10**6
-# Most line-search trials per iLQR iteration (solver.alpha_count).
-MAX_LINE_SEARCH_STEPS = 100
 
 
 # Every default below is a scenario constant above or the default of the
 # object the field configures.
-@dataclass
-class SolverConfig:
-    max_iterations: int = SolverSettings.max_iterations
-    tolerance: float = SolverSettings.tolerance
-    alpha_factor: float = LINE_SEARCH_FACTOR
-    alpha_count: int = LINE_SEARCH_STEPS
-    reg_init: float = SolverSettings.reg_init
-    reg_growth: float = SolverSettings.reg_growth
-    reg_shrink: float = SolverSettings.reg_shrink
-    reg_min: float = SolverSettings.reg_min
-    reg_max: float = SolverSettings.reg_max
-    cost_cap: float = SolverSettings.cost_cap
-
-    def to_settings(self) -> SolverSettings:
-        return SolverSettings(
-            max_iterations=int(self.max_iterations),
-            tolerance=self.tolerance,
-            alphas=tuple(self.alpha_factor**i for i in range(int(self.alpha_count))),
-            reg_init=self.reg_init,
-            reg_growth=self.reg_growth,
-            reg_shrink=self.reg_shrink,
-            reg_min=self.reg_min,
-            reg_max=self.reg_max,
-            cost_cap=self.cost_cap,
-        )
-
-
 @dataclass
 class TerminalSetConfig:
     level: Optional[float] = None
@@ -128,16 +102,21 @@ class TerminalSetConfig:
     cost_cap: float = TerminalSetSpec.cost_cap
 
     def to_spec(self, horizon: float, dt: float, default_tolerance: float) -> TerminalSetSpec:
+        """The checked spec; a bad field raises ConfigError naming
+        `terminal_set.<field>`."""
         cap = self.regulation_cap
         if cap is None:
             cap = default_regulation_cap(horizon, dt)
-        return TerminalSetSpec(
-            level=self.level,
-            tolerance=self.tolerance if self.tolerance is not None else default_tolerance,
-            regulation_cap=int(cap),
-            state_tol=self.state_tol,
-            cost_cap=self.cost_cap,
-        )
+        try:
+            return TerminalSetSpec(
+                level=self.level,
+                tolerance=self.tolerance if self.tolerance is not None else default_tolerance,
+                regulation_cap=cap,
+                state_tol=self.state_tol,
+                cost_cap=self.cost_cap,
+            )
+        except ConfigError as exc:
+            raise exc.within("terminal_set") from None
 
 
 @dataclass
@@ -197,10 +176,9 @@ class ScenarioConfig:
     dt: float
     horizon: float
     initial_state: List[float]
-    goal_state: List[float]
     q: Any  # diagonal list or full matrix
     r: Any
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverSettings = field(default_factory=SolverSettings)
     terminal_set: TerminalSetConfig = field(default_factory=TerminalSetConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     attitude: AttitudeConfig = field(default_factory=AttitudeConfig)
@@ -216,7 +194,6 @@ _SCENARIO_BASE = {
         dt=ATTITUDE_DT,
         horizon=ATTITUDE_HORIZON,
         initial_state=list(ATTITUDE_INITIAL_DEG),
-        goal_state=[0.0] * 6,
         q=list(ATTITUDE_Q_DIAG),
         r=list(ATTITUDE_R_DIAG),
     ),
@@ -224,7 +201,6 @@ _SCENARIO_BASE = {
         dt=RENDEZVOUS_DT,
         horizon=RENDEZVOUS_HORIZON,
         initial_state=[],  # derived from the orbital elements
-        goal_state=[0.0] * 6,
         q=list(RENDEZVOUS_Q_DIAG),
         r=list(RENDEZVOUS_R_DIAG),
     ),
@@ -232,7 +208,6 @@ _SCENARIO_BASE = {
         dt=LANDER_DT,
         horizon=LANDER_HORIZON,
         initial_state=list(LANDER_INITIAL_ATTITUDE_DEG),
-        goal_state=[0.0] * 12,
         q=list(LANDER_Q_DIAG),
         r=list(LANDER_R_DIAG),
     ),
@@ -242,7 +217,6 @@ _SCENARIO_BASE = {
         dt=1.0,
         horizon=LINEAR_HORIZON,
         initial_state=[1.0],
-        goal_state=[0.0],
         q=[2.0],
         r=[2.0],
     ),
@@ -251,18 +225,21 @@ _SCENARIO_BASE = {
 
 def _coerce(value: Any, template: Any, path: str) -> Any:
     """Fill a dataclass/list/scalar `template` from a parsed JSON `value`,
-    rejecting unknown keys and reporting dotted paths on errors."""
+    rejecting unknown keys and reporting dotted paths on errors; a section
+    that checks its own fields has its errors prefixed with its path."""
     if hasattr(template, "__dataclass_fields__"):
         if not isinstance(value, dict):
             raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-        out = copy.deepcopy(template)
-        fields = template.__dataclass_fields__
+        changes = {}
         for key, sub in value.items():
-            if key not in fields:
-                raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-            current = getattr(out, key)
-            setattr(out, key, _coerce(sub, current, f"{path}.{key}" if path else key))
-        return out
+            sub_path = f"{path}.{key}" if path else key
+            if key not in template.__dataclass_fields__:
+                raise ConfigError(sub_path, "unknown key")
+            changes[key] = _coerce(sub, getattr(template, key), sub_path)
+        try:
+            return replace(template, **changes)
+        except ConfigError as exc:
+            raise exc.within(path) from None
     if isinstance(template, bool) and not isinstance(value, bool):
         raise ConfigError(path, "expected a boolean")
     if isinstance(value, bool):
@@ -366,45 +343,11 @@ def default_regulation_cap(horizon: float, dt: float) -> int:
     return int(round(10.0 * horizon / dt))
 
 
-def _real(value: Any, path: str) -> float:
-    """A finite real number; booleans and strings are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:
-        raise ConfigError(path, f"must be finite, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(path, f"must be finite, got {value!r}")
-    return out
-
-
-def _positive(value: Any, path: str) -> None:
-    if _real(value, path) <= 0.0:
-        raise ConfigError(path, f"must be positive, got {value!r}")
-
-
-def _in_unit_interval(value: Any, path: str) -> None:
-    if not 0.0 < _real(value, path) < 1.0:
-        raise ConfigError(path, f"must lie in (0, 1), got {value!r}")
-
-
-def _integer(value: Any, path: str, minimum: int, maximum: Optional[int] = None) -> None:
-    """An integral number (2 or 2.0, not 2.5) within [minimum, maximum]."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(path, f"must be an integer, got {value!r}")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f"at least {minimum}" if maximum is None else f"between {minimum} and {maximum}"
-        raise ConfigError(path, f"must be {bound}, got {value!r}")
-
-
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}")
-    _positive(cfg.dt, "dt")
-    _positive(cfg.horizon, "horizon")
+    positive(cfg.dt, "dt")
+    positive(cfg.horizon, "horizon")
     if cfg.horizon < cfg.dt:
         raise ConfigError("horizon", f"must be at least dt, got {cfg.horizon}")
     if cfg.horizon / cfg.dt > MAX_STEPS:
@@ -414,7 +357,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     # a two-phase solve runs exactly horizon / dt steps; the lander rounds
     if cfg.scenario != "soft-landing" and abs(cfg.horizon / cfg.dt - round(cfg.horizon / cfg.dt)) > 1e-6:
         raise ConfigError("horizon", f"must be a multiple of dt={cfg.dt}, got {cfg.horizon}")
-    _integer(cfg.seed, "seed", 0)
+    integer(cfg.seed, "seed", 0)
     if not isinstance(cfg.output_dir, str):
         raise ConfigError("output_dir", f"expected a path, got {cfg.output_dir!r}")
     n = STATE_DIMS[cfg.scenario]
@@ -430,8 +373,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         init = float_array(cfg.initial_state, "initial_state", (dim,))
         if cfg.scenario in ("attitude", "soft-landing") and abs(abs(init[1]) - 90.0) < 1e-6:
             raise ConfigError("initial_state", "pitch angle sits on the 90 deg singularity")
-    if np.any(float_array(cfg.goal_state, "goal_state", (n,)) != 0.0):
-        raise ConfigError("goal_state", "only the origin goal is supported")
 
     Q = weight_matrix(cfg.q, n, "q")
     if not np.allclose(Q, Q.T) or np.any(np.linalg.eigvalsh(Q) < -1e-12):
@@ -441,31 +382,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if not np.allclose(R, R.T) or np.any(np.linalg.eigvalsh(R / 2.0) <= 0.0):
         raise ConfigError("r", "must be symmetric positive definite")
 
-    s = cfg.solver
-    _integer(s.max_iterations, "solver.max_iterations", 1)
-    _positive(s.tolerance, "solver.tolerance")
-    _in_unit_interval(s.alpha_factor, "solver.alpha_factor")
-    _integer(s.alpha_count, "solver.alpha_count", 1, MAX_LINE_SEARCH_STEPS)
-    if s.alpha_factor ** (s.alpha_count - 1) <= 0.0:
-        raise ConfigError("solver.alpha_count", "the smallest line-search step underflows to zero")
-    for name in ("reg_min", "reg_init", "reg_max"):
-        _positive(getattr(s, name), f"solver.{name}")
-    if not (s.reg_min <= s.reg_init <= s.reg_max):
-        raise ConfigError("solver.reg_init", "need 0 < reg_min <= reg_init <= reg_max")
-    if _real(s.reg_growth, "solver.reg_growth") <= 1.0:
-        raise ConfigError("solver.reg_growth", f"must be greater than 1, got {s.reg_growth!r}")
-    _in_unit_interval(s.reg_shrink, "solver.reg_shrink")
-    _positive(s.cost_cap, "solver.cost_cap")
-
-    t = cfg.terminal_set
-    if t.level is not None:
-        _positive(t.level, "terminal_set.level")
-    if t.tolerance is not None:
-        _positive(t.tolerance, "terminal_set.tolerance")
-    if t.regulation_cap is not None:
-        _integer(t.regulation_cap, "terminal_set.regulation_cap", 1)
-    _positive(t.state_tol, "terminal_set.state_tol")
-    _positive(t.cost_cap, "terminal_set.cost_cap")
+    # the spec checks each terminal_set field (parsing has checked the solver's)
+    cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, TerminalSetSpec.tolerance)
 
     if cfg.sweep.grid is not None:
         grid = float_array(cfg.sweep.grid, "sweep.grid")
@@ -491,20 +409,20 @@ def validate_config(cfg: ScenarioConfig) -> None:
     float_array(cfg.lander.initial_position_m, "lander.initial_position_m", (3,))
     float_array(cfg.lander.initial_velocity_mps, "lander.initial_velocity_mps", (3,))
     for name in ("isp_s", "g_ref", "initial_mass_kg"):
-        _positive(getattr(cfg.lander, name), f"lander.{name}")
+        positive(getattr(cfg.lander, name), f"lander.{name}")
     for name in ("penalty_weight", "penalty_rate", "penalty_coord_scale", "terminal_sink_rate_mps", "touchdown_speed_limit_mps"):
-        _real(getattr(cfg.lander, name), f"lander.{name}")
-    if _real(cfg.lander.terminal_weight, "lander.terminal_weight") < 0.0:
+        real(getattr(cfg.lander, name), f"lander.{name}")
+    if real(cfg.lander.terminal_weight, "lander.terminal_weight") < 0.0:
         raise ConfigError("lander.terminal_weight", f"must not be negative, got {cfg.lander.terminal_weight!r}")
     for name in ("mu", "alpha", "mass_kg"):
-        _positive(getattr(cfg.rendezvous, name), f"rendezvous.{name}")
+        positive(getattr(cfg.rendezvous, name), f"rendezvous.{name}")
     for name in ("chaser", "target"):
         orbit = getattr(cfg.rendezvous, name)
-        _positive(orbit.a_km, f"rendezvous.{name}.a_km")
-        if not 0.0 <= _real(orbit.e, f"rendezvous.{name}.e") < 1.0:
+        positive(orbit.a_km, f"rendezvous.{name}.a_km")
+        if not 0.0 <= real(orbit.e, f"rendezvous.{name}.e") < 1.0:
             raise ConfigError(f"rendezvous.{name}.e", f"must lie in [0, 1), got {orbit.e!r}")
         for angle in ("i_deg", "raan_deg", "argp_deg", "nu_deg"):
-            _real(getattr(orbit, angle), f"rendezvous.{name}.{angle}")
+            real(getattr(orbit, angle), f"rendezvous.{name}.{angle}")
 
 
 def default_sweep_grid(cfg: ScenarioConfig) -> List[float]:

@@ -1,6 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checked-number rules
+every parameter object and the config apply (each raises ConfigError naming
+its field)."""
 
 from __future__ import annotations
+
+import math
+import numbers
+from typing import Any, Optional
 
 import numpy as np
 
@@ -61,3 +67,50 @@ class ConfigError(SpacetrajError, ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def within(self, section: str) -> "ConfigError":
+        """The same error, its field named inside `section`."""
+        return ConfigError(f"{section}.{self.field}", self.message)
+
+
+def _number(value: Any, field: str, kind: str = "a number") -> float:
+    """`value` as a float (an infinity past the float range); booleans and
+    strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(field, f"expected {kind}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def real(value: Any, field: str) -> float:
+    """A finite real number."""
+    out = _number(value, field)
+    if not math.isfinite(out):
+        raise ConfigError(field, f"must be finite, got {value!r}")
+    return out
+
+
+# comparisons are written so that NaN fails them
+def positive(value: Any, field: str) -> None:
+    if not 0.0 < _number(value, field) < math.inf:
+        raise ConfigError(field, f"must be positive and finite, got {value!r}")
+
+
+def in_unit_interval(value: Any, field: str) -> None:
+    if not 0.0 < _number(value, field) < 1.0:
+        raise ConfigError(field, f"must lie in (0, 1), got {value!r}")
+
+
+def integer(value: Any, field: str, minimum: int, maximum: Optional[int] = None) -> int:
+    """An integral number (2 or 2.0, not 2.5) within [minimum, maximum], as
+    an int."""
+    out = _number(value, field, "an integer")
+    if not isinstance(value, numbers.Integral) and not out.is_integer():
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f"at least {minimum}" if maximum is None else f"between {minimum} and {maximum}"
+        raise ConfigError(field, f"must be {bound}, got {value!r}")
+    return int(value)

@@ -72,11 +72,13 @@ from numpy.linalg import _umath_linalg
 
 from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, first_over_cap, stage_costs
 from .dynamics import ControlLaw, DiscreteModel, jacobians, simulate
-from .errors import DivergenceError, RegularizationError
+from .errors import ConfigError, DivergenceError, RegularizationError, in_unit_interval, integer, positive, real
 
 # Default line search: step sizes LINE_SEARCH_FACTOR**i, i < LINE_SEARCH_STEPS.
 LINE_SEARCH_FACTOR = 0.7
 LINE_SEARCH_STEPS = 16
+# Most line-search trials per iLQR iteration (alpha_count).
+MAX_LINE_SEARCH_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,14 @@ class GainSchedule:
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """iLQR settings, also the config's `solver` section. Each field is
+    checked here once (ConfigError naming it); counts may be integral
+    floats and are stored as int."""
+
     max_iterations: int = 500
     tolerance: float = 1e-8  # relative cost change / stationarity threshold
-    alphas: Tuple[float, ...] = tuple(LINE_SEARCH_FACTOR**i for i in range(LINE_SEARCH_STEPS))
+    alpha_factor: float = LINE_SEARCH_FACTOR
+    alpha_count: int = LINE_SEARCH_STEPS
     reg_init: float = 1e-6
     reg_growth: float = 10.0
     reg_shrink: float = 0.1
@@ -128,21 +135,29 @@ class SolverSettings:
     cost_cap: float = 1e30  # rollout divergence threshold
 
     def __post_init__(self):
-        # comparisons are written so that NaN fails them
-        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        if not (self.alphas and self.alphas[0] == 1.0 and all(a > 0.0 for a in self.alphas)):
-            raise ValueError("alphas must be positive and start at 1.0")
-        if not all(b < a for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError("alphas must be strictly decreasing")
-        if not 0.0 < self.reg_min <= self.reg_init <= self.reg_max < math.inf:
-            raise ValueError("need 0 < reg_min <= reg_init <= reg_max < inf")
-        if not (1.0 < self.reg_growth < math.inf and 0.0 < self.reg_shrink < 1.0):
-            raise ValueError("need 1 < reg_growth < inf and 0 < reg_shrink < 1")
-        if not 0.0 < self.cost_cap <= math.inf:
-            raise ValueError(f"cost_cap must be positive, got {self.cost_cap!r}")
+        counts = {
+            "max_iterations": integer(self.max_iterations, "max_iterations", 1),
+            "alpha_count": integer(self.alpha_count, "alpha_count", 1, MAX_LINE_SEARCH_STEPS),
+        }
+        for name, value in counts.items():
+            object.__setattr__(self, name, value)
+        positive(self.tolerance, "tolerance")
+        in_unit_interval(self.alpha_factor, "alpha_factor")
+        if self.alpha_factor ** (self.alpha_count - 1) <= 0.0:
+            raise ConfigError("alpha_count", "the smallest line-search step underflows to zero")
+        for name in ("reg_min", "reg_init", "reg_max"):
+            positive(getattr(self, name), name)
+        if not self.reg_min <= self.reg_init <= self.reg_max:
+            raise ConfigError("reg_init", "need 0 < reg_min <= reg_init <= reg_max")
+        if real(self.reg_growth, "reg_growth") <= 1.0:
+            raise ConfigError("reg_growth", f"must be greater than 1, got {self.reg_growth!r}")
+        in_unit_interval(self.reg_shrink, "reg_shrink")
+        positive(self.cost_cap, "cost_cap")
+
+    @property
+    def alphas(self) -> Tuple[float, ...]:
+        """Line-search step sizes alpha_factor**i, i < alpha_count."""
+        return tuple(self.alpha_factor**i for i in range(self.alpha_count))
 
 
 @dataclass(frozen=True)
@@ -166,19 +181,6 @@ class SolveReport:
     @property
     def cost(self) -> float:
         return self.trajectory.total_cost
-
-    def iteration_rows(self) -> List[dict]:
-        return [
-            {
-                "iteration": rec.iteration,
-                "cost": rec.cost,
-                "alpha": rec.alpha,
-                "lambda": rec.regularization,
-                "gradient_norm": rec.gradient_norm,
-                "accepted": int(rec.accepted),
-            }
-            for rec in self.iterations
-        ]
 
 
 def rollout(

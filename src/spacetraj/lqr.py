@@ -28,7 +28,7 @@ quadratic value z_s' P z_s left at the stopping state z_s, the terminal-cost
 argument of quasi-infinite-horizon control (Chen & Allgower, Automatica
 1998). The membership rollout therefore stops as soon as
 
-    z_s' P z_s <= TAIL_FRACTION * tolerance * max(predicted, floor)
+    z_s' P z_s <= TAIL_FRACTION * tolerance * max(predicted, PREDICTION_FLOOR)
 
 (or at ||z|| < state_tol, the cap, or divergence, whichever comes first).
 Error bound: the tail stands in for the cost the loop would still spend
@@ -79,12 +79,16 @@ import numpy as np
 
 from .cost import QuadraticCostSpec, first_over_cap, stage_costs
 from .dynamics import ControlLaw, DiscreteModel, Linearization, jacobians, simulate
-from .errors import NotAFixedPointError, StabilizabilityError
+from .errors import NotAFixedPointError, StabilizabilityError, integer, positive
 
 FIXED_POINT_RTOL = 1e-9
 
+# The membership band is tolerance * max(predicted, PREDICTION_FLOOR), so a
+# prediction near zero still leaves an absolute band.
+PREDICTION_FLOOR = 1e-9
+
 # A membership rollout stops once the tail z'Pz is at most this fraction of
-# the tolerance band tolerance * max(predicted, floor).
+# the tolerance band.
 TAIL_FRACTION = 1e-4
 
 # Steps per `simulate` call of a regulation rollout; each chunk is priced by
@@ -280,6 +284,8 @@ class TerminalSetSpec:
 
     `level` may be None, in which case only the predicted-vs-actual cost
     agreement is tested (the level is then reported from the sweep itself).
+    Each field is checked here once (ConfigError naming it); the count may
+    be an integral float and is stored as int.
     """
 
     level: Optional[float] = None
@@ -287,20 +293,14 @@ class TerminalSetSpec:
     regulation_cap: int = 20000
     state_tol: float = 1e-6
     cost_cap: float = 1e12
-    floor: float = 1e-9
 
     def __post_init__(self):
-        # comparisons are written so that NaN fails them
-        if not (self.level is None or 0.0 < self.level < math.inf):
-            raise ValueError(f"level must be positive and finite when given, got {self.level!r}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        if not (isinstance(self.regulation_cap, (int, np.integer)) and self.regulation_cap >= 1):
-            raise ValueError(f"regulation_cap must be an integer >= 1, got {self.regulation_cap!r}")
-        for name in ("state_tol", "cost_cap", "floor"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.level is not None:
+            positive(self.level, "level")
+        positive(self.tolerance, "tolerance")
+        object.__setattr__(self, "regulation_cap", integer(self.regulation_cap, "regulation_cap", 1))
+        positive(self.state_tol, "state_tol")
+        positive(self.cost_cap, "cost_cap")
 
 
 @dataclass(frozen=True)
@@ -462,7 +462,7 @@ def in_terminal_set(
     the module docstring). A divergent or decided rollout is never a
     member."""
     predicted = design.predicted_cost(x)
-    band = stop.tolerance * max(predicted, stop.floor)
+    band = stop.tolerance * max(predicted, PREDICTION_FLOOR)
     rollout = regulation_rollout(
         model, x, design, spec, stop, TAIL_FRACTION * band, (predicted - band, predicted + band)
     )

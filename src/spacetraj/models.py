@@ -274,15 +274,17 @@ def attitude_model(p: AttitudeParams | None = None, dt: float = 0.1) -> Discrete
 # Rendezvous
 # ---------------------------------------------------------------------------
 
+MIN_ORBIT_RADIUS_KM = 1000.0  # domain guard on |r_t| and |r_c|
+
+
 @dataclass(frozen=True)
 class RendezvousParams:
     mu: float = EARTH_MU  # km^3/s^2
     alpha: float = 5.0e-4  # kg/s of propellant per kN of thrust
-    min_radius_km: float = 1000.0  # domain guard on |r_t| and |r_c|
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and self.alpha > 0.0 and self.min_radius_km > 0.0):
-            raise ValueError("mu, alpha and min_radius_km must be positive")
+        if not (self.mu > 0.0 and self.alpha > 0.0):
+            raise ValueError("mu and alpha must be positive")
 
 
 REND_ERROR_INDICES = np.arange(6)  # (e_r, e_v): the block the regulation design acts on
@@ -301,9 +303,9 @@ def rendezvous_rates(x: list, u: list, p: RendezvousParams) -> Tuple[float, ...]
     c1, c2, c3 = t1 - e1, t2 - e2, t3 - e3  # chaser position r_c = r_t - e_r
     R_t = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
     R_c = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    if R_t <= p.min_radius_km or R_c <= p.min_radius_km:
+    if R_t <= MIN_ORBIT_RADIUS_KM or R_c <= MIN_ORBIT_RADIUS_KM:
         raise DynamicsDomainError(
-            f"orbit radius below {p.min_radius_km} km (target {R_t:.1f}, chaser {R_c:.1f})"
+            f"orbit radius below {MIN_ORBIT_RADIUS_KM} km (target {R_t:.1f}, chaser {R_c:.1f})"
         )
     u1, u2, u3 = u
     mu = p.mu

@@ -9,7 +9,7 @@ Three cases (attitude slew, orbital rendezvous, powered descent) plus a
 scalar linear benchmark whose infinite-horizon cost is known in closed form.
 
 Conventions:
-  * Attitude states are radians internally; initial/goal states and weight
+  * Attitude states are radians internally; initial states and weight
     matrices are specified in degrees (the tabulated working units) and
     converted here at the boundary.
   * Rendezvous works in km, km/s, kg, kN. The regulated coordinates are the
@@ -100,7 +100,7 @@ def _two_phase(
         x0=x0,
         design_for=design_for,
         sampler=sampler,
-        settings=cfg.solver.to_settings(),
+        settings=cfg.solver,
         terminal_set=cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, tolerance),
         horizon=cfg.horizon,
         grid=tuple(default_sweep_grid(cfg)),
@@ -329,7 +329,7 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
         terminal=TerminalValue(P=(L.terminal_weight / 2.0) * Q, reference=reference),
         x0=x0_si / LANDER_STATE_SCALE,
         steps=int(round(cfg.horizon / dt)),
-        settings=cfg.solver.to_settings(),
+        settings=cfg.solver,
         params=params,
         touchdown_speed_limit=L.touchdown_speed_limit_mps,
     )

@@ -17,6 +17,8 @@ from spacetraj.config import (
     scenario_defaults,
 )
 from spacetraj.errors import ConfigError
+from spacetraj.ilqr import SolverSettings
+from spacetraj.lqr import TerminalSetSpec
 from spacetraj.scenarios import build_problem
 
 
@@ -87,9 +89,9 @@ def test_default_config_builds_the_default_problem(scenario, builder):
 
 
 # Fields that do not describe the problem: where the outputs go, the seed
-# of the Jacobian check, the levels of the convergence study (which runs on
-# the linear benchmark's defaults) and the goal (only the origin is accepted).
-EXEMPT = {"output_dir", "seed", "convergence_levels", "goal_state"}
+# of the Jacobian check and the levels of the convergence study (which runs
+# on the linear benchmark's defaults).
+EXEMPT = {"output_dir", "seed", "convergence_levels"}
 # The lander is single-phase: it has no terminal set and no sweep.
 EXEMPT_PREFIXES = {"soft-landing": ("terminal_set.", "sweep.")}
 SECTIONS = {"attitude": "attitude", "rendezvous": "rendezvous", "soft-landing": "lander", "custom-linear": None}
@@ -303,10 +305,27 @@ def test_bad_numeric_field_names_its_path(key, value):
     assert info.value.field == key
 
 
+@pytest.mark.parametrize(
+    "cls,field",
+    [(SolverSettings, "max_iterations"), (SolverSettings, "alpha_count"), (TerminalSetSpec, "regulation_cap")],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_parameter_objects_check_their_counts(cls, field):
+    """The library objects apply the config's rules: a count is an integral
+    number, not a boolean or a string, and an integral float is stored as
+    an int."""
+    for bad in (True, "x", 2.5):
+        with pytest.raises(ConfigError) as info:
+            cls(**{field: bad})
+        assert info.value.field == field
+    value = getattr(cls(**{field: 3.0}), field)
+    assert value == 3 and type(value) is int
+
+
 def test_integral_float_counts_are_accepted():
     cfg = parse_config_dict(
         {"scenario": "attitude", "solver": {"max_iterations": 3.0, "alpha_count": 4.0}}
     )
-    settings = cfg.solver.to_settings()
+    settings = cfg.solver
     assert settings.max_iterations == 3 and isinstance(settings.max_iterations, int)
     assert len(settings.alphas) == 4

@@ -205,7 +205,7 @@ def test_divergent_initial_guess_raises():
 
 def test_alpha_schedule_validation():
     with pytest.raises(ValueError):
-        SolverSettings(alphas=(0.5, 1.0))  # must start at 1 and decrease
+        SolverSettings(alpha_factor=1.5)  # steps must start at 1 and decrease
 
 
 def test_consecutive_line_search_failures_escalate_damping_geometrically(monkeypatch):
@@ -231,7 +231,7 @@ def test_consecutive_line_search_failures_escalate_damping_geometrically(monkeyp
     monkeypatch.setattr(ilqr, "backward_pass", recording)
     monkeypatch.setattr(ilqr, "forward_pass", rejecting)
     # one trial per line search, so trial i is the line search of iteration i
-    settings = SolverSettings(alphas=(1.0,), reg_init=1e-6, reg_growth=10.0, reg_shrink=0.1)
+    settings = SolverSettings(alpha_count=1, reg_init=1e-6, reg_growth=10.0, reg_shrink=0.1)
     report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50, settings)
     # rejected x3 (x10, x100, x1000), accepted (x0.1), rejected x2 (x10, x100), accepted
     assert dampings[:8] == pytest.approx([1e-6, 1e-5, 1e-3, 1.0, 0.1, 1.0, 100.0, 10.0])
@@ -246,7 +246,7 @@ def test_escalation_stops_at_reg_max(monkeypatch):
 
     model, _, _, _, _, spec, terminal = di_problem()
     monkeypatch.setattr(ilqr, "forward_pass", lambda *args, **kwargs: None)
-    settings = SolverSettings(alphas=(1.0,), reg_init=1e-6, reg_max=1e2)
+    settings = SolverSettings(alpha_count=1, reg_init=1e-6, reg_max=1e2)
     report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50, settings)
     # 1e-6 -> 1e-5 -> 1e-3 -> 1 -> capped at 1e2, where the next failure stops
     assert [rec.regularization for rec in report.iterations] == pytest.approx(

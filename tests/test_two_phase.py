@@ -14,6 +14,7 @@ from spacetraj.dynamics import DiscreteModel, lti_model, simulate
 from spacetraj.errors import HittingTimeNotFoundError, NotAFixedPointError
 from spacetraj.ilqr import GainSchedule, SolveReport, SolverSettings, rollout
 from spacetraj.lqr import (
+    PREDICTION_FLOOR,
     LqrSolution,
     RegulationDesign,
     TerminalSetSpec,
@@ -347,7 +348,7 @@ def roll_to_state_tol(problem, pt, stop):
     design = problem.design_for(pt.transfer_time)
     full = regulation_rollout(problem.model, x, design, problem.cost, stop)
     predicted = design.predicted_cost(x)
-    band = stop.tolerance * max(predicted, stop.floor)
+    band = stop.tolerance * max(predicted, PREDICTION_FLOOR)
     within_tol = not full.diverged and abs(full.cost + full.tail - predicted) <= band
     return full, within_tol and (stop.level is None or predicted <= stop.level)
 
