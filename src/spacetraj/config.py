@@ -11,8 +11,8 @@ degrees and are converted where the problem objects are built; weight
 matrices may be given as a diagonal (list of length n) or a full matrix
 (n x n nested lists). Unknown keys anywhere are rejected with the offending
 dotted path. The `solver` section is `ilqr.SolverSettings` and the
-`terminal_set` section builds an `lqr.TerminalSetSpec`; each checks its own
-fields, and the error names the section (`solver.reg_init`).
+`terminal_set` section is `lqr.TerminalSetSpec`; each checks its own fields,
+and the error names the section (`solver.reg_init`).
 `validate_config` checks every other field, and `float_array` and
 `weight_matrix` are the checked conversions of the array-valued ones; each
 raises ConfigError naming the field.
@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, integer, positive, real
+from .errors import ConfigError, integer, number, positive, real
 from .ilqr import SolverSettings
 from .lqr import TerminalSetSpec
 from .models import DEFAULT_INERTIA_DIAG, EARTH_MU, LanderParams, OrbitalElements, RendezvousParams
@@ -94,32 +94,6 @@ MAX_STEPS = 10**6
 # Every default below is a scenario constant above or the default of the
 # object the field configures.
 @dataclass
-class TerminalSetConfig:
-    level: Optional[float] = None
-    tolerance: Optional[float] = None  # scenario default when omitted
-    regulation_cap: Optional[int] = None  # 10 * horizon / dt when omitted
-    state_tol: float = TerminalSetSpec.state_tol
-    cost_cap: float = TerminalSetSpec.cost_cap
-
-    def to_spec(self, horizon: float, dt: float, default_tolerance: float) -> TerminalSetSpec:
-        """The checked spec; a bad field raises ConfigError naming
-        `terminal_set.<field>`."""
-        cap = self.regulation_cap
-        if cap is None:
-            cap = default_regulation_cap(horizon, dt)
-        try:
-            return TerminalSetSpec(
-                level=self.level,
-                tolerance=self.tolerance if self.tolerance is not None else default_tolerance,
-                regulation_cap=cap,
-                state_tol=self.state_tol,
-                cost_cap=self.cost_cap,
-            )
-        except ConfigError as exc:
-            raise exc.within("terminal_set") from None
-
-
-@dataclass
 class SweepConfig:
     grid: Optional[List[float]] = None  # log-spaced default when omitted
     warm_start: bool = True
@@ -179,7 +153,7 @@ class ScenarioConfig:
     q: Any  # diagonal list or full matrix
     r: Any
     solver: SolverSettings = field(default_factory=SolverSettings)
-    terminal_set: TerminalSetConfig = field(default_factory=TerminalSetConfig)
+    terminal_set: TerminalSetSpec = field(default_factory=TerminalSetSpec)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     attitude: AttitudeConfig = field(default_factory=AttitudeConfig)
     rendezvous: RendezvousConfig = field(default_factory=RendezvousConfig)
@@ -203,6 +177,7 @@ _SCENARIO_BASE = {
         initial_state=[],  # derived from the orbital elements
         q=list(RENDEZVOUS_Q_DIAG),
         r=list(RENDEZVOUS_R_DIAG),
+        terminal_set=TerminalSetSpec(tolerance=RENDEZVOUS_MEMBERSHIP_TOLERANCE),
     ),
     "soft-landing": dict(
         dt=LANDER_DT,
@@ -246,8 +221,8 @@ def _coerce(value: Any, template: Any, path: str) -> Any:
         if not isinstance(template, (bool, type(None))):
             raise ConfigError(path, "unexpected boolean")
         return value
-    if isinstance(value, (int, float)):
-        return value if isinstance(value, int) and isinstance(template, int) else float(value) if isinstance(template, float) else value
+    if isinstance(template, float) and isinstance(value, (int, float)):
+        return number(value, path)  # an int past the float range is an infinity
     return value
 
 
@@ -339,10 +314,6 @@ def weight_matrix(value, dim: int, field: str) -> np.ndarray:
     return np.diag(arr) if arr.ndim == 1 else arr
 
 
-def default_regulation_cap(horizon: float, dt: float) -> int:
-    return int(round(10.0 * horizon / dt))
-
-
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}")
@@ -381,9 +352,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     # the stationary design solves against R / 2, which must stay definite
     if not np.allclose(R, R.T) or np.any(np.linalg.eigvalsh(R / 2.0) <= 0.0):
         raise ConfigError("r", "must be symmetric positive definite")
-
-    # the spec checks each terminal_set field (parsing has checked the solver's)
-    cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, TerminalSetSpec.tolerance)
 
     if cfg.sweep.grid is not None:
         grid = float_array(cfg.sweep.grid, "sweep.grid")

@@ -74,7 +74,7 @@ class ConfigError(SpacetrajError, ValueError):
         return ConfigError(f"{section}.{self.field}", self.message)
 
 
-def _number(value: Any, field: str, kind: str = "a number") -> float:
+def number(value: Any, field: str, kind: str = "a number") -> float:
     """`value` as a float (an infinity past the float range); booleans and
     strings are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -87,7 +87,7 @@ def _number(value: Any, field: str, kind: str = "a number") -> float:
 
 def real(value: Any, field: str) -> float:
     """A finite real number."""
-    out = _number(value, field)
+    out = number(value, field)
     if not math.isfinite(out):
         raise ConfigError(field, f"must be finite, got {value!r}")
     return out
@@ -95,19 +95,19 @@ def real(value: Any, field: str) -> float:
 
 # comparisons are written so that NaN fails them
 def positive(value: Any, field: str) -> None:
-    if not 0.0 < _number(value, field) < math.inf:
+    if not 0.0 < number(value, field) < math.inf:
         raise ConfigError(field, f"must be positive and finite, got {value!r}")
 
 
 def in_unit_interval(value: Any, field: str) -> None:
-    if not 0.0 < _number(value, field) < 1.0:
+    if not 0.0 < number(value, field) < 1.0:
         raise ConfigError(field, f"must lie in (0, 1), got {value!r}")
 
 
 def integer(value: Any, field: str, minimum: int, maximum: Optional[int] = None) -> int:
     """An integral number (2 or 2.0, not 2.5) within [minimum, maximum], as
     an int."""
-    out = _number(value, field, "an integer")
+    out = number(value, field, "an integer")
     if not isinstance(value, numbers.Integral) and not out.is_integer():
         raise ConfigError(field, f"must be an integer, got {value!r}")
     if value < minimum or (maximum is not None and value > maximum):

@@ -38,7 +38,6 @@ import numpy as np
 
 from .config import (
     DEG,
-    RENDEZVOUS_MEMBERSHIP_TOLERANCE,
     ScenarioConfig,
     default_sweep_grid,
     float_array,
@@ -49,7 +48,7 @@ from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, stage_c
 from .dynamics import DiscreteModel, lti_model, simulate
 from .errors import ConfigError, DynamicsDomainError, NotAFixedPointError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
-from .lqr import RegulationDesign, TerminalSetSpec, linearize_at_goal, stationary_design
+from .lqr import RegulationDesign, linearize_at_goal, stationary_design
 from .models import (
     LANDER_ALTITUDE_INDEX,
     LANDER_CONTROL_SCALE,
@@ -90,10 +89,9 @@ def _two_phase(
     x0: np.ndarray,
     design_for: Callable[[float], RegulationDesign],
     sampler: Optional[Callable[[np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None,
-    tolerance: float = TerminalSetSpec.tolerance,
 ) -> TwoPhaseProblem:
     """A two-phase problem with the config's solver, terminal set, horizon
-    and sweep; an unset membership tolerance is the scenario's `tolerance`."""
+    and sweep."""
     return TwoPhaseProblem(
         model=model,
         cost=cost,
@@ -101,7 +99,7 @@ def _two_phase(
         design_for=design_for,
         sampler=sampler,
         settings=cfg.solver,
-        terminal_set=cfg.terminal_set.to_spec(cfg.horizon, cfg.dt, tolerance),
+        terminal_set=cfg.terminal_set,
         horizon=cfg.horizon,
         grid=tuple(default_sweep_grid(cfg)),
         warm_start=cfg.sweep.warm_start,
@@ -189,7 +187,7 @@ def rendezvous_problem(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
             cache[steps] = stationary_design(model, cost, orbit[steps], coast, REND_ERROR_INDICES)
         return cache[steps]
 
-    return _two_phase(cfg, model, cost, x0, design_for, _rendezvous_sample, RENDEZVOUS_MEMBERSHIP_TOLERANCE)
+    return _two_phase(cfg, model, cost, x0, design_for, _rendezvous_sample)
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,10 @@ class TwoPhaseProblem:
     state of epoch T, and raises DynamicsDomainError when that orbit leaves
     the dynamics domain before T (a sweep records the point as failed,
     `verify` exits 3). `horizon`, `grid`, `warm_start` and `terminal_set`
-    are what `solve`, `simulate`, `sweep`, `design_check`, `solve_two_phase`
-    and `convergence_study` run at (the builders in `scenarios` set them
-    from the config; `dataclasses.replace` asks another query).
+    are what `solve`, `simulate`, `sweep`, `design_check`, `solve_two_phase`,
+    `convergence_study` and `bellman_check` run at (the builders in
+    `scenarios` set them from the config; `dataclasses.replace` asks another
+    query). `leg` is the one finite-horizon solve behind all of them.
     """
 
     model: DiscreteModel
@@ -118,19 +119,17 @@ class TwoPhaseProblem:
     def guess_for(self, steps: int) -> np.ndarray:
         return np.zeros((steps, self.model.control_dim))
 
+    def leg(self, design: RegulationDesign, x0: np.ndarray, controls: np.ndarray) -> SolveReport:
+        """The nonlinear leg from `x0` over `len(controls)` steps, started
+        from `controls`, with the design's z'Pz as terminal value."""
+        return solve_fhocp(
+            self.model, self.cost, TerminalValue(design.P_full), x0, len(controls), self.settings, controls
+        )
+
     def solve(self) -> RunResult:
         """The nonlinear leg at `horizon`, its terminal value the design's."""
-        steps = self.steps_for(self.horizon)
         design = self.design_for(self.horizon)
-        report = solve_fhocp(
-            self.model,
-            self.cost,
-            TerminalValue(design.P_full),
-            self.x0,
-            steps,
-            self.settings,
-            self.guess_for(steps),
-        )
+        report = self.leg(design, self.x0, self.guess_for(self.steps_for(self.horizon)))
         traj = report.trajectory
         return RunResult.solved(
             report, self.model.dt, traj.states, traj.controls, design.regulated(traj.states[-1])
@@ -219,16 +218,7 @@ def _evaluate_point(
             initial_controls = np.zeros((steps, problem.model.control_dim))
             initial_controls[: len(previous_controls)] = previous_controls[:steps]
         design = problem.design_for(transfer_time)
-        terminal = TerminalValue(design.P_full)
-        report = solve_fhocp(
-            problem.model,
-            problem.cost,
-            terminal,
-            problem.x0,
-            steps,
-            problem.settings,
-            initial_controls,
-        )
+        report = problem.leg(design, problem.x0, initial_controls)
     except (RegularizationError, StabilizabilityError, ValueError) as exc:
         nan = float("nan")
         return SweepPoint(
@@ -497,10 +487,7 @@ class BellmanResidual:
 
 
 def bellman_check(
-    problem: TwoPhaseProblem,
-    solution: TwoPhaseSolution,
-    steps_to_check: int,
-    warm_start: bool = True,
+    problem: TwoPhaseProblem, solution: TwoPhaseSolution, steps_to_check: int
 ) -> List[BellmanResidual]:
     """One-step consistency of the combined value along the optimized leg.
 
@@ -510,15 +497,15 @@ def bellman_check(
 
         value(x_t)  vs  c(x_t, u_t) + value(x_{t+1}).
 
-    With `warm_start` the re-solve starts from the shifted incumbent
-    controls (fast; confirms stationarity); without it the re-solve starts
-    from the problem's own initial guess and must rediscover the tail value
-    independently. Steps already inside the terminal set are skipped; a
-    failed re-solve marks the residual unavailable instead of raising.
+    With the problem's `warm_start` the re-solve starts from the shifted
+    incumbent controls (fast; confirms stationarity); without it the
+    re-solve starts from the problem's own initial guess and must
+    rediscover the tail value independently. Steps already inside the
+    terminal set are skipped; a failed re-solve marks the residual
+    unavailable instead of raising.
     """
     traj = solution.report.trajectory
     design = solution.design
-    terminal = TerminalValue(design.P_full)
     level = solution.level
     # tail values of the incumbent: sum of remaining stage costs + floored terminal
     floored_terminal = max(traj.terminal_cost, level)
@@ -537,17 +524,9 @@ def bellman_check(
                 BellmanResidual(t, tails[t], 0.0, 0.0, 0.0, skipped=True, reason="no horizon left")
             )
             continue
-        guess = traj.controls[t + 1 :] if warm_start else problem.guess_for(remaining)
+        guess = traj.controls[t + 1 :] if problem.warm_start else problem.guess_for(remaining)
         try:
-            report = solve_fhocp(
-                problem.model,
-                problem.cost,
-                terminal,
-                traj.states[t + 1],
-                remaining,
-                problem.settings,
-                guess,
-            )
+            report = problem.leg(design, traj.states[t + 1], guess)
         except (RegularizationError, ValueError) as exc:
             out.append(
                 BellmanResidual(

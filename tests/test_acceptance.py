@@ -364,7 +364,7 @@ def test_criterion_9_bellman_and_lyapunov(attitude_solution):
     # approximate on three early attitude steps; the cold re-solve has to
     # rediscover the tail value from the zero guess
     problem, solution = attitude_solution
-    att_checks = bellman_check(problem, solution, 3, warm_start=False)
+    att_checks = bellman_check(dataclasses.replace(problem, warm_start=False), solution, 3)
     att_residuals = [c.residual for c in att_checks if not c.skipped]
     attitude_ok = len(att_residuals) == 3 and max(att_residuals) < 1e-3
     # tail cost-to-go decreases outside the terminal set on the closed loop

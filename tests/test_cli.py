@@ -350,6 +350,28 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     assert out["field"] == "dt"
 
 
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "dt", "horizon", "solver.tolerance", "terminal_set.state_tol", "lander.isp_s", "rendezvous.mu",
+        "rendezvous.chaser.a_km",
+    ],
+)
+def test_integer_past_the_float_range_names_its_field(tmp_path, capsys, field, sign):
+    """An integer too large for a float is read as an infinity, which the
+    field's own check rejects."""
+    code = main(
+        ["solve", "--set", "scenario=custom-linear", "--set", f"{field}={sign}1{'0' * 400}", "--out", str(tmp_path / "o")]
+    )
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["error"] == "config" and out["field"] == field
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

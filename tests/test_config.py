@@ -9,6 +9,7 @@ import pytest
 
 from spacetraj import scenarios
 from spacetraj.config import (
+    RENDEZVOUS_MEMBERSHIP_TOLERANCE,
     apply_overrides,
     default_sweep_grid,
     emit_config,
@@ -98,7 +99,7 @@ SECTIONS = {"attitude": "attitude", "rendezvous": "rendezvous", "soft-landing": 
 # Fields that take only their default value in that scenario.
 FIXED = {("custom-linear", "dt"), ("rendezvous", "initial_state")}
 # Values for fields that are unset by default.
-UNSET = {"terminal_set.level": 1.0, "terminal_set.tolerance": 0.2, "terminal_set.regulation_cap": 123}
+UNSET = {"terminal_set.level": 1.0}
 
 
 def config_leaves(data, prefix=""):
@@ -181,6 +182,21 @@ def test_every_config_field_reaches_the_problem(scenario):
         assert accepted or (scenario, path) in FIXED, f"{path} takes no other value"
         checked.add(path)
     assert {"dt", "horizon", "initial_state", "q", "r", "solver.max_iterations"} <= checked
+
+
+@pytest.mark.parametrize("scenario", ["attitude", "rendezvous", "custom-linear"])
+def test_the_configured_terminal_set_is_the_one_the_problem_runs(scenario):
+    """The `terminal_set` section is the spec itself: the rendezvous
+    tolerance is its scenario default, and the regulation cap has one
+    default whatever the horizon."""
+    cfg = scenario_defaults(scenario)
+    assert build_problem(cfg).terminal_set == cfg.terminal_set
+    tolerance = RENDEZVOUS_MEMBERSHIP_TOLERANCE if scenario == "rendezvous" else TerminalSetSpec.tolerance
+    assert cfg.terminal_set.tolerance == tolerance
+    for steps in (10, 2 * round(cfg.horizon / cfg.dt)):
+        varied = parse_config_dict({"scenario": scenario, "horizon": steps * cfg.dt})
+        assert build_problem(varied).terminal_set == varied.terminal_set == cfg.terminal_set
+        assert varied.terminal_set.regulation_cap == 20000
 
 
 def test_negative_dt_rejected():
