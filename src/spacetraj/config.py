@@ -10,9 +10,9 @@ Configs are JSON (UTF-8, nesting allowed). Angles cross this boundary in
 degrees and are converted where the problem objects are built; weight
 matrices may be given as a diagonal (list of length n) or a full matrix
 (n x n nested lists). Unknown keys anywhere are rejected with the offending
-dotted path. The `solver` section is `ilqr.SolverSettings` and the
-`terminal_set` section is `lqr.TerminalSetSpec`; each checks its own fields,
-and the error names the section (`solver.reg_init`).
+dotted path, and so is a section the scenario's problem does not read
+(`UNREAD`). The `solver` and `terminal_set` sections are `ilqr.SolverSettings`
+and `lqr.TerminalSetSpec`; each checks its fields, naming the section (`solver.reg_init`).
 `validate_config` checks every other field, and `float_array` and
 `weight_matrix` are the checked conversions of the array-valued ones; each
 raises ConfigError naming the field.
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, integer, number, positive, real
 from .ilqr import SolverSettings
 from .lqr import TerminalSetSpec
-from .models import DEFAULT_INERTIA_DIAG, EARTH_MU, LanderParams, OrbitalElements, RendezvousParams
+from .models import COS_THETA_MIN, DEFAULT_INERTIA_DIAG, EARTH_MU, LanderParams, OrbitalElements, RendezvousParams
 
 DEG = math.pi / 180.0
 
@@ -83,6 +83,15 @@ TOUCHDOWN_SPEED_LIMIT = 2.0  # m/s
 RENDEZVOUS_MEMBERSHIP_TOLERANCE = 5e-2
 
 SCENARIOS = ("attitude", "rendezvous", "soft-landing", "custom-linear")
+
+# The sections each scenario's problem does not read (the single-phase
+# lander has no terminal set and no sweep): setting one is a config error.
+UNREAD = {
+    "attitude": ("rendezvous", "lander"),
+    "rendezvous": ("attitude", "lander"),
+    "soft-landing": ("attitude", "rendezvous", "terminal_set", "sweep"),
+    "custom-linear": ("attitude", "rendezvous", "lander"),
+}
 
 STATE_DIMS = {"attitude": 6, "rendezvous": 6, "soft-landing": 12, "custom-linear": 1}
 CONTROL_DIMS = {"attitude": 3, "rendezvous": 3, "soft-landing": 6, "custom-linear": 1}
@@ -261,6 +270,9 @@ def parse_config_dict(data: Dict[str, Any]) -> ScenarioConfig:
     if scenario is None:
         raise ConfigError("scenario", "missing (set it in the file or via --set scenario=...)")
     base = scenario_defaults(scenario)
+    for section in UNREAD[scenario]:
+        if section in data:
+            raise ConfigError(section, f"the {scenario} problem does not read this section")
     rest = {k: v for k, v in data.items() if k != "scenario"}
     cfg = _coerce(rest, base, "")
     validate_config(cfg)
@@ -284,8 +296,8 @@ def parse_config(
 
 
 def emit_config(cfg: ScenarioConfig) -> Dict[str, Any]:
-    """Inverse of parse_config_dict: parse(emit(cfg)) == cfg."""
-    return asdict(cfg)
+    """Inverse of parse_config_dict, parse(emit(cfg)) == cfg; UNREAD sections are left out."""
+    return {k: v for k, v in asdict(cfg).items() if k not in UNREAD[cfg.scenario]}
 
 
 def float_array(value, field: str, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
@@ -325,8 +337,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("horizon", f"more than {MAX_STEPS} steps of dt={cfg.dt}")
     if cfg.scenario == "custom-linear" and cfg.dt != 1.0:
         raise ConfigError("dt", f"the custom-linear benchmark steps once per second, got {cfg.dt}")
-    # a two-phase solve runs exactly horizon / dt steps; the lander rounds
-    if cfg.scenario != "soft-landing" and abs(cfg.horizon / cfg.dt - round(cfg.horizon / cfg.dt)) > 1e-6:
+    # a solve runs exactly horizon / dt steps
+    if abs(cfg.horizon / cfg.dt - round(cfg.horizon / cfg.dt)) > 1e-6:
         raise ConfigError("horizon", f"must be a multiple of dt={cfg.dt}, got {cfg.horizon}")
     integer(cfg.seed, "seed", 0)
     if not isinstance(cfg.output_dir, str):
@@ -342,8 +354,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     else:
         dim = 6 if cfg.scenario in ("attitude", "soft-landing") else n
         init = float_array(cfg.initial_state, "initial_state", (dim,))
-        if cfg.scenario in ("attitude", "soft-landing") and abs(abs(init[1]) - 90.0) < 1e-6:
-            raise ConfigError("initial_state", "pitch angle sits on the 90 deg singularity")
+        if dim == 6 and abs(math.cos(init[1] * DEG)) < COS_THETA_MIN:  # the model's pitch rule
+            raise ConfigError("initial_state", "pitch angle sits on the kinematic singularity, cos(pitch) = 0")
 
     Q = weight_matrix(cfg.q, n, "q")
     if not np.allclose(Q, Q.T) or np.any(np.linalg.eigvalsh(Q) < -1e-12):

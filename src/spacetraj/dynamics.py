@@ -18,8 +18,8 @@ Kernel contract:
   (the iLQR backward pass makes one per pass). Without it, Jacobians fall
   back to central differences on the discrete map.
 - `simulate` is the one closed loop: every simulated step of the program
-  (rollouts, line-search candidates, regulation, landing, the rendezvous
-  goal orbit) is taken there.
+  (rollouts, line-search candidates, regulation, the rendezvous goal
+  orbit) is taken there.
 - Parameters a kernel needs in every call (such as an inverse inertia) are
   precomputed when the model's parameters are constructed, never per call.
 

@@ -25,12 +25,11 @@ Conventions:
   * The lander works in normalized variables (see `models`); its config I/O
     is plain SI. The scenario is single-phase: the hover equilibrium needs
     nonzero thrust, so no stationary design exists and the solve is a
-    penalized finite-horizon problem simulated to touchdown.
+    penalized finite-horizon problem whose descent is cut at touchdown.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -44,10 +43,10 @@ from .config import (
     scenario_defaults,
     weight_matrix,
 )
-from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue, stage_costs
+from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue
 from .dynamics import DiscreteModel, lti_model, simulate
 from .errors import ConfigError, DynamicsDomainError, NotAFixedPointError
-from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
+from .ilqr import SolveReport, SolverSettings, solve_fhocp
 from .lqr import RegulationDesign, linearize_at_goal, stationary_design
 from .models import (
     LANDER_ALTITUDE_INDEX,
@@ -335,7 +334,7 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
 
 @dataclass(frozen=True)
 class LandingResult:
-    """Closed-loop descent, cut at the altitude zero crossing when it occurs."""
+    """The descent, cut at the altitude zero crossing when it occurs."""
 
     states: np.ndarray  # normalized, (k+1, 13)
     controls: np.ndarray  # normalized, (k, 6)
@@ -344,53 +343,42 @@ class LandingResult:
     touchdown_time: float  # s, linearly interpolated at the crossing
     touchdown_speed: float  # m/s, vertical, at the crossing
     touchdown_state_si: np.ndarray  # SI state interpolated at the crossing
-    message: str = ""
 
     @property
     def total_cost(self) -> float:
         return float(np.sum(self.stage_costs))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingResult:
-    """Run the optimized policy with feedback and stop at zero altitude.
+    """The optimized descent to touchdown, read from the solve.
 
-    The crossing instant and state are linearly interpolated between the last
-    non-negative-altitude step and the first below-ground one. An overflowing
-    state ends the run through `euler_step`, without numpy warnings.
+    Tracking the nominal with u*_t + K_t (x_t - x*_t) from its own initial
+    state leaves the feedback term zero, so the closed loop is the nominal:
+    its states, controls and stage costs, cut after the first step from
+    non-negative to negative altitude (whole when there is none), with the
+    crossing instant and state interpolated linearly within that step.
     """
-    model, nominal = problem.model, report.trajectory
-    track = tracking_law(nominal.controls, report.gains.feedback, nominal.states)
-    alt_prev = math.nan
-
-    def law(t: int, x: np.ndarray) -> Optional[np.ndarray]:
-        nonlocal alt_prev
-        if alt_prev >= 0.0 > x[LANDER_ALTITUDE_INDEX]:  # the last step touched down
-            return None
-        alt_prev = x[LANDER_ALTITUDE_INDEX]
-        return track(t, x)
-
-    X, U, message = simulate(model, nominal.states[0], law, nominal.horizon)
-    message = message and f"landing rollout left the dynamics domain: {message}"
-    touched = len(X) > 1 and X[-2, LANDER_ALTITUDE_INDEX] >= 0.0 > X[-1, LANDER_ALTITUDE_INDEX]
-    t_td = v_td = float("nan")
-    state_td = np.full(13, np.nan)
+    nominal = report.trajectory
+    altitude = nominal.states[:, LANDER_ALTITUDE_INDEX]
+    crossings = np.flatnonzero((altitude[:-1] >= 0.0) & (altitude[1:] < 0.0))
+    touched = len(crossings) > 0
+    end = crossings[0] + 1 if touched else nominal.horizon
+    t_td, v_td, state_td = np.nan, np.nan, np.full(13, np.nan)
     if touched:
-        x, x_next = X[-2], X[-1]
+        x, x_next = nominal.states[end - 1 : end + 1]
         frac = x[LANDER_ALTITUDE_INDEX] / (x[LANDER_ALTITUDE_INDEX] - x_next[LANDER_ALTITUDE_INDEX])
-        t_td = (len(X) - 2 + frac) * model.dt
+        t_td = (end - 1 + frac) * problem.model.dt
         state_interp = x + frac * (x_next - x)
         state_td = state_interp * LANDER_STATE_SCALE
         v_td = state_interp[11] * LANDER_V_SCALE
     return LandingResult(
-        states=X,
-        controls=U,
-        stage_costs=stage_costs(X[: len(U)], U, problem.cost),
-        touched_down=bool(touched),
+        states=nominal.states[: end + 1],
+        controls=nominal.controls[:end],
+        stage_costs=nominal.stage_costs[:end],
+        touched_down=touched,
         touchdown_time=t_td,
         touchdown_speed=v_td,
         touchdown_state_si=state_td,
-        message=message,
     )
 
 

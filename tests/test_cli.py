@@ -281,6 +281,26 @@ def test_every_simulated_step_is_taken_in_simulate(tmp_path, capsys, monkeypatch
     assert steps["simulate"] > 1000
 
 
+def test_landing_simulate_steps_only_in_its_solve(tmp_path, capsys, monkeypatch):
+    """The descent run is the solved nominal cut at touchdown: the default
+    soft-landing `simulate` takes exactly the `euler_step` calls of its
+    `solve`."""
+    import spacetraj.dynamics as dynamics
+
+    steps = Counter()
+    step = dynamics.euler_step
+
+    def counting(*args, **kwargs):
+        steps[command] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "euler_step", counting)
+    for command in ("solve", "simulate"):
+        code, _ = run_cli(capsys, command, "--set", "scenario=soft-landing", "--out", str(tmp_path / command))
+        assert code == 0
+    assert steps["simulate"] == steps["solve"] > 1000
+
+
 def test_sweep_rejected_for_soft_landing(tmp_path, capsys):
     code, out = run_cli(
         capsys, "sweep", "--set", "scenario=soft-landing", "--out", str(tmp_path / "o")
@@ -360,9 +380,10 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
 )
 def test_integer_past_the_float_range_names_its_field(tmp_path, capsys, field, sign):
     """An integer too large for a float is read as an infinity, which the
-    field's own check rejects."""
+    field's own check rejects (on a scenario that reads the field)."""
+    scenario = {"lander": "soft-landing", "rendezvous": "rendezvous"}.get(field.split(".")[0], "custom-linear")
     code = main(
-        ["solve", "--set", "scenario=custom-linear", "--set", f"{field}={sign}1{'0' * 400}", "--out", str(tmp_path / "o")]
+        ["solve", "--set", f"scenario={scenario}", "--set", f"{field}={sign}1{'0' * 400}", "--out", str(tmp_path / "o")]
     )
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
@@ -698,6 +719,43 @@ def test_fuzzed_overrides_end_in_a_documented_exit(command, scenario, overrides)
     lines = out.getvalue().strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["status"] in ("ok", "error")
     assert "Traceback" not in err.getvalue()
+
+
+# The sections each scenario's problem does not read.
+UNREAD_SECTIONS = {
+    "attitude": ["rendezvous", "lander"],
+    "rendezvous": ["attitude", "lander"],
+    "soft-landing": ["attitude", "rendezvous", "terminal_set", "sweep"],
+    "custom-linear": ["attitude", "rendezvous", "lander"],
+}
+# Settable values of the echoed default config (a list counts as one).
+ECHOED_VALUES = {"attitude": 27, "rendezvous": 41, "soft-landing": 31, "custom-linear": 26}
+
+
+@pytest.mark.parametrize(
+    "scenario,section", [(s, section) for s, sections in UNREAD_SECTIONS.items() for section in sections]
+)
+def test_an_unread_section_is_a_config_error(tmp_path, capsys, scenario, section):
+    """A section the scenario's problem does not read is rejected by name,
+    even when it is empty or holds only defaults."""
+    assert_config_error(tmp_path, capsys, scenario, section, "{}")
+
+
+@pytest.mark.parametrize("scenario", sorted(UNREAD_SECTIONS))
+def test_summary_echoes_only_the_sections_the_scenario_reads(tmp_path, capsys, scenario):
+    code, _ = run_cli(
+        capsys, "solve", "--set", f"scenario={scenario}", *[x for o in FUZZ_BASE[scenario] for x in ("--set", o)],
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    echoed = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
+    sections = {"solver", "terminal_set", "sweep", "attitude", "rendezvous", "lander"}
+    assert {k for k, v in echoed.items() if isinstance(v, dict)} == sections - set(UNREAD_SECTIONS[scenario])
+
+    def leaves(data):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in data.values())
+
+    assert leaves(echoed) == ECHOED_VALUES[scenario]
 
 
 def test_summary_echoes_config(tmp_path, capsys):

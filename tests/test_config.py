@@ -93,9 +93,6 @@ def test_default_config_builds_the_default_problem(scenario, builder):
 # of the Jacobian check and the levels of the convergence study (which runs
 # on the linear benchmark's defaults).
 EXEMPT = {"output_dir", "seed", "convergence_levels"}
-# The lander is single-phase: it has no terminal set and no sweep.
-EXEMPT_PREFIXES = {"soft-landing": ("terminal_set.", "sweep.")}
-SECTIONS = {"attitude": "attitude", "rendezvous": "rendezvous", "soft-landing": "lander", "custom-linear": None}
 # Fields that take only their default value in that scenario.
 FIXED = {("custom-linear", "dt"), ("rendezvous", "initial_state")}
 # Values for fields that are unset by default.
@@ -148,17 +145,13 @@ def test_every_config_field_reaches_the_problem(scenario):
     """Every field of a scenario's description, each list entry on its own,
     either changes the problem `build_problem` returns or is rejected by
     name: no field is read and then dropped. A field other than the named
-    fixed ones must also take some other value."""
+    fixed ones must also take some other value. The echo holds only the
+    sections the scenario reads, so every echoed field is checked."""
     data = emit_config(scenario_defaults(scenario))
     default = build_problem(scenario_defaults(scenario))
-    other_sections = set(SECTIONS.values()) - {SECTIONS[scenario], None}
     checked = set()
     for path, index, value in config_leaves(data):
-        if (
-            path in EXEMPT | {"scenario"}
-            or path.split(".")[0] in other_sections
-            or path.startswith(EXEMPT_PREFIXES.get(scenario, ()))
-        ):
+        if path in EXEMPT | {"scenario"}:
             continue
         accepted = 0
         for other in variants(path, value, data):
@@ -231,10 +224,27 @@ def test_full_matrix_weights_accepted():
     assert problem.cost.Q[0, 1] != 0.0
 
 
-def test_pitch_singularity_initial_state_rejected():
-    bad = [0.0, 90.0, 0.0, 0.0, 0.0, 0.0]
+@pytest.mark.parametrize("pitch", [90.0, -90.0, 270.0, -270.0, 450.0])
+@pytest.mark.parametrize("scenario", ["attitude", "soft-landing"])
+def test_pitch_singularity_initial_state_rejected(scenario, pitch):
+    """The config rejects every pitch the model's |cos(pitch)| rule rejects,
+    not only +-90 deg; a pitch just off the singularity runs."""
     with pytest.raises(ConfigError, match="initial_state"):
-        parse_config_dict({"scenario": "attitude", "initial_state": bad})
+        parse_config_dict({"scenario": scenario, "initial_state": [0.0, pitch, 0.0, 0.0, 0.0, 0.0]})
+    problem = build_problem(
+        parse_config_dict({"scenario": scenario, "initial_state": [0.0, 90.000001, 0.0, 0.0, 0.0, 0.0]})
+    )
+    problem.model.step(problem.x0, np.zeros(problem.model.control_dim))
+
+
+@pytest.mark.parametrize("scenario", ["attitude", "rendezvous", "soft-landing", "custom-linear"])
+def test_horizon_must_be_a_multiple_of_dt(scenario):
+    """Every scenario runs exactly horizon / dt steps, so a horizon between
+    two multiples is rejected instead of rounded."""
+    dt = scenario_defaults(scenario).dt
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict({"scenario": scenario, "horizon": 150.5 * dt})
+    assert info.value.field == "horizon"
 
 
 def test_nonzero_goal_rejected():
