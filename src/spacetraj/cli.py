@@ -238,16 +238,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = parse_config(args.config, [*args.overrides, *seed])
         if args.out is not None:
             cfg.output_dir = args.out
-        paths, code = run(args.command, cfg)
+        try:
+            paths, code = run(args.command, cfg)
+        except OSError as exc:  # the one file operation of a run: writing the artifacts
+            raise ConfigError("output_dir", f"cannot write the artifacts: {exc}") from exc
     except ConfigError as exc:
         print(json.dumps({"status": "error", "error": "config", "field": exc.field, "message": str(exc)}))
         return 2
     except SpacetrajError as exc:
         print(json.dumps({"status": "error", "error": type(exc).__name__, "message": str(exc)}))
         return 3
-    except FileNotFoundError as exc:
-        print(json.dumps({"status": "error", "error": "file_not_found", "message": str(exc)}))
-        return 2
 
     print(
         json.dumps(

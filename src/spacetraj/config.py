@@ -96,7 +96,7 @@ UNREAD = {
 STATE_DIMS = {"attitude": 6, "rendezvous": 6, "soft-landing": 12, "custom-linear": 1}
 CONTROL_DIMS = {"attitude": 3, "rendezvous": 3, "soft-landing": 6, "custom-linear": 1}
 
-# Largest horizon / dt accepted (each step is a stored state and control).
+# Largest horizon / dt and grid time / dt accepted (each step is stored).
 MAX_STEPS = 10**6
 
 
@@ -284,7 +284,10 @@ def parse_config(
 ) -> ScenarioConfig:
     data: Dict[str, Any] = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8").strip()
+        try:
+            text = Path(path).read_text(encoding="utf-8").strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(path), f"cannot read the config file: {exc}") from exc
         if text:
             try:
                 data = json.loads(text)
@@ -374,6 +377,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         for T in grid:
             if T <= 0 or abs(T / cfg.dt - round(T / cfg.dt)) > 1e-6:
                 raise ConfigError("sweep.grid", f"{T} is not a positive multiple of dt={cfg.dt}")
+            if T / cfg.dt > MAX_STEPS:
+                raise ConfigError("sweep.grid", f"transfer time {T} is more than {MAX_STEPS} steps of dt={cfg.dt}")
 
     if cfg.convergence_levels is not None:
         lv = float_array(cfg.convergence_levels, "convergence_levels")

@@ -173,7 +173,6 @@ class IterationRecord:
 @dataclass(frozen=True)
 class SolveReport:
     trajectory: Trajectory
-    gains: GainSchedule
     iterations: Tuple[IterationRecord, ...]
     converged: bool
     status: str
@@ -376,7 +375,6 @@ def solve_fhocp(
     lam = settings.reg_init
     failures = 0  # consecutive rejected line searches
     log: List[IterationRecord] = []
-    gains = None
     converged = False
     status = "max_iterations"
 
@@ -435,7 +433,6 @@ def solve_fhocp(
 
     return SolveReport(
         trajectory=traj,
-        gains=gains,
         iterations=tuple(log),
         converged=converged,
         status=status,

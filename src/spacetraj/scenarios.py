@@ -234,29 +234,7 @@ class LandingProblem:
         )
 
     def simulate(self) -> RunResult:
-        report = solve_landing(self)
-        result = simulate_landing(self, report)
-        touched = result.touched_down
-        within = bool(abs(result.touchdown_speed) <= self.touchdown_speed_limit) if touched else None
-        final = result.touchdown_state_si if touched else result.states[-1] * LANDER_STATE_SCALE
-        summary = {
-            "solver_converged": report.converged,
-            "solver_status": report.status,
-            "total_cost": result.total_cost,
-            "touched_down": touched,
-            "touchdown_time_s": result.touchdown_time,
-            "touchdown_speed_mps": result.touchdown_speed,
-            "touchdown_speed_within_limit": within,
-            "final_state_error": [float(v) for v in final[:12]],
-        }
-        return RunResult(
-            report,
-            self.model.dt,
-            result.states * LANDER_STATE_SCALE,
-            result.controls * LANDER_CONTROL_SCALE,
-            result.stage_costs,
-            summary,
-        )
+        return simulate_landing(self, solve_landing(self))
 
     def sample(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
         """A point (x, u) for the Jacobian check."""
@@ -332,54 +310,44 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
     )
 
 
-@dataclass(frozen=True)
-class LandingResult:
-    """The descent, cut at the altitude zero crossing when it occurs."""
-
-    states: np.ndarray  # normalized, (k+1, 13)
-    controls: np.ndarray  # normalized, (k, 6)
-    stage_costs: np.ndarray
-    touched_down: bool
-    touchdown_time: float  # s, linearly interpolated at the crossing
-    touchdown_speed: float  # m/s, vertical, at the crossing
-    touchdown_state_si: np.ndarray  # SI state interpolated at the crossing
-
-    @property
-    def total_cost(self) -> float:
-        return float(np.sum(self.stage_costs))
-
-
-def simulate_landing(problem: LandingProblem, report: SolveReport) -> LandingResult:
-    """The optimized descent to touchdown, read from the solve.
+def simulate_landing(problem: LandingProblem, report: SolveReport) -> RunResult:
+    """The optimized descent to touchdown, read from the solve, as the
+    `simulate` result in SI units.
 
     Tracking the nominal with u*_t + K_t (x_t - x*_t) from its own initial
     state leaves the feedback term zero, so the closed loop is the nominal:
     its states, controls and stage costs, cut after the first step from
-    non-negative to negative altitude (whole when there is none), with the
-    crossing instant and state interpolated linearly within that step.
+    non-negative to negative altitude (whole when there is none). The
+    summary's touchdown time, vertical speed and final state are
+    interpolated linearly at the crossing within that step.
     """
     nominal = report.trajectory
     altitude = nominal.states[:, LANDER_ALTITUDE_INDEX]
     crossings = np.flatnonzero((altitude[:-1] >= 0.0) & (altitude[1:] < 0.0))
     touched = len(crossings) > 0
     end = crossings[0] + 1 if touched else nominal.horizon
-    t_td, v_td, state_td = np.nan, np.nan, np.full(13, np.nan)
+    states, costs = nominal.states[: end + 1], nominal.stage_costs[:end]
+    t_td, v_td, within, final = np.nan, np.nan, None, states[-1] * LANDER_STATE_SCALE
     if touched:
-        x, x_next = nominal.states[end - 1 : end + 1]
+        x, x_next = states[-2:]
         frac = x[LANDER_ALTITUDE_INDEX] / (x[LANDER_ALTITUDE_INDEX] - x_next[LANDER_ALTITUDE_INDEX])
         t_td = (end - 1 + frac) * problem.model.dt
         state_interp = x + frac * (x_next - x)
-        state_td = state_interp * LANDER_STATE_SCALE
+        final = state_interp * LANDER_STATE_SCALE
         v_td = state_interp[11] * LANDER_V_SCALE
-    return LandingResult(
-        states=nominal.states[: end + 1],
-        controls=nominal.controls[:end],
-        stage_costs=nominal.stage_costs[:end],
-        touched_down=touched,
-        touchdown_time=t_td,
-        touchdown_speed=v_td,
-        touchdown_state_si=state_td,
-    )
+        within = bool(abs(v_td) <= problem.touchdown_speed_limit)
+    summary = {
+        "solver_converged": report.converged,
+        "solver_status": report.status,
+        "total_cost": float(np.sum(costs)),
+        "touched_down": touched,
+        "touchdown_time_s": t_td,
+        "touchdown_speed_mps": v_td,
+        "touchdown_speed_within_limit": within,
+        "final_state_error": [float(v) for v in final[:12]],
+    }
+    controls = nominal.controls[:end] * LANDER_CONTROL_SCALE
+    return RunResult(report, problem.model.dt, states * LANDER_STATE_SCALE, controls, costs, summary)
 
 
 def solve_landing(problem: LandingProblem) -> SolveReport:

@@ -37,7 +37,7 @@ import numpy as np
 from .cost import QuadraticCostSpec, TerminalValue, first_over_cap, stage_costs
 from .dynamics import DiscreteModel, simulate
 from .errors import HittingTimeNotFoundError, RegularizationError, StabilizabilityError
-from .ilqr import SolveReport, SolverSettings, solve_fhocp, tracking_law
+from .ilqr import SolveReport, SolverSettings, solve_fhocp
 from .lqr import (
     MembershipResult,
     RegulationDesign,
@@ -369,62 +369,37 @@ class ClosedLoopTrajectory:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def two_phase_simulate(
-    problem: TwoPhaseProblem,
-    solution: TwoPhaseSolution,
-    x0: Optional[np.ndarray] = None,
-) -> ClosedLoopTrajectory:
-    """Apply the optimized policy with feedback, then switch to regulation.
+def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> ClosedLoopTrajectory:
+    """The two-phase run from the problem's initial state, read from the solve.
 
-    Phase 1 tracks the nominal with u = u*_t + K_t (x_t - x*_t); from the
-    transfer time onward u = -K z until the regulated state converges or the
-    cap runs out.
-
-    Without `x0` the run starts at the nominal initial state, where the
-    feedback term is zero at every step, so phase 1 is the nominal leg
-    itself and is taken from it. Phase 2 then starts from the selected
-    point's membership rollout, which applied the same law from the same
-    switch state, and runs on from where it stopped. The loops are
-    `dynamics.simulate` (see its hot-loop contract); one `stage_costs` call
-    prices the finished run, which is cut where phase-1 plus regulation
-    cost first passed the cap, so the result is what simulating both phases
-    step by step gives. `solution` must come from `solve_two_phase` on
-    `problem`. An overflowing state ends the run as diverged, without numpy
-    warnings.
+    Phase 1 is the nominal leg (tracking it from its own initial state leaves
+    the feedback term zero). Phase 2, u = -K z until the regulated state
+    converges or the cap runs out, is the selected point's membership
+    rollout (the same law from the same switch state) resumed where it
+    stopped: one `dynamics.simulate` loop priced by one `stage_costs` call,
+    while the other rows keep the costs the solve stored (the same bits).
+    The run is cut where phase-1 plus regulation cost first passed the cap,
+    so it is what simulating both phases step by step gives. `solution`
+    must come from `solve_two_phase` on `problem`. An overflowing state
+    ends the run as diverged, without numpy warnings.
     """
-    model = problem.model
-    nominal = solution.report.trajectory
+    nominal, prefix = solution.report.trajectory, solution.membership.rollout
     stop = problem.terminal_set
     switch_index = nominal.horizon
-    regulate = regulation_law(solution.design, stop.state_tol)
-
-    if x0 is None:  # the nominal leg, then the membership rollout resumed
-        prefix = solution.membership.rollout
-        used = min(prefix.steps, stop.regulation_cap)
-        X1 = np.concatenate((nominal.states, prefix.states[1 : used + 1]))
-        U1 = np.concatenate((nominal.controls, prefix.controls[:used]))
-        law, budget = regulate, stop.regulation_cap - used
-    else:  # one loop: tracking up to the switch, regulation from it
-        track = tracking_law(nominal.controls, solution.report.gains.feedback, nominal.states)
-        X1, U1 = np.array([x0], dtype=float), np.empty((0, model.control_dim))
-        budget = switch_index + stop.regulation_cap
-
-        def law(t: int, x: np.ndarray) -> Optional[np.ndarray]:
-            return track(t, x) if t < switch_index else regulate(t, x)
-
-    X2, U2, message = simulate(model, X1[-1], law, budget)
-    X, U = np.concatenate((X1, X2[1:])), np.concatenate((U1, U2))
+    budget = stop.regulation_cap - prefix.steps
+    law = regulation_law(solution.design, stop.state_tol)
+    X2, U2, message = simulate(problem.model, prefix.states[-1], law, budget)
+    X = np.concatenate((nominal.states, prefix.states[1:], X2[1:]))
+    U = np.concatenate((nominal.controls, prefix.controls, U2))
+    costs = np.concatenate(
+        (nominal.stage_costs, prefix.stage_costs, stage_costs(X2[: len(U2)], U2, problem.cost))
+    )
     converged = not message and len(U2) < budget
-    switched = not message or len(U) > switch_index  # else phase 1 left the domain
-    if message:
-        phase = "regulation" if switched else "phase-1 rollout"
-        message = f"{phase} left the dynamics domain: {message}"
-    # Row by row these are the costs the nominal leg and the membership
-    # rollout stored. The cap is tested on the regulation steps, on top of
-    # the phase-1 cost (a step that failed ended the run first).
-    costs = stage_costs(X[: len(U)], U, problem.cost)
+    message = message and f"regulation left the dynamics domain: {message}"
+    # The cap is tested on the regulation steps, on top of the phase-1 cost
+    # (a step that failed ended the run first).
     tested = costs[switch_index : len(X) - 1]
-    over = first_over_cap(tested, stop.cost_cap, np.sum(costs[:switch_index]))[1]
+    over = first_over_cap(tested, stop.cost_cap, nominal.phase_cost)[1]
     if over is not None:
         # the closed loop tests after each applied step: the tripping step stays
         end = switch_index + over + 1
@@ -437,8 +412,8 @@ def two_phase_simulate(
         controls=U,
         stage_costs=costs,
         phases=phases,
-        switch_index=switch_index if switched else -1,
-        switch_time=switch_index * model.dt if switched else float("nan"),
+        switch_index=switch_index,
+        switch_time=switch_index * problem.model.dt,
         converged=converged,
         diverged=bool(message),
         message=message,

@@ -311,15 +311,16 @@ def test_criterion_7_soft_landing():
     assert problem.cost.penalty.weight == 100.0 and problem.cost.penalty.rate == 1.0
     rep = solve_landing(problem)
     result = simulate_landing(problem, rep)
-    altitudes = result.states[:, 8] * 1e4
+    summary = result.summary
+    altitudes = result.states[:, 8]  # SI, m
     terminates_at_crossing = bool(
-        result.touched_down and altitudes[-1] < 0.0 and np.all(altitudes[:-1] >= 0.0)
+        summary["touched_down"] and altitudes[-1] < 0.0 and np.all(altitudes[:-1] >= 0.0)
     )
     passed = (
         rep.converged
-        and result.touched_down
-        and result.touchdown_time <= 30.0
-        and abs(result.touchdown_speed) < problem.touchdown_speed_limit
+        and summary["touched_down"]
+        and summary["touchdown_time_s"] <= 30.0
+        and abs(summary["touchdown_speed_mps"]) < problem.touchdown_speed_limit
         and terminates_at_crossing
     )
     report(
@@ -328,7 +329,7 @@ def test_criterion_7_soft_landing():
         passed,
         120.0,
         time.perf_counter() - t0,
-        f"touchdown at {result.touchdown_time:.2f}s, |v3|={abs(result.touchdown_speed):.2f} m/s "
+        f"touchdown at {summary['touchdown_time_s']:.2f}s, |v3|={abs(summary['touchdown_speed_mps']):.2f} m/s "
         f"(limit {problem.touchdown_speed_limit}), converged={rep.converged}",
     )
 

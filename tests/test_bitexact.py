@@ -317,14 +317,15 @@ def ref_regulation_rollout(model, x0, design, spec, stop):
 
 
 def ref_two_phase_simulate(problem, solution):
-    """Both phases simulated step by step from the nominal initial state."""
+    """Both phases simulated step by step from the nominal initial state:
+    the nominal controls replayed, then the regulation law."""
     model, spec = problem.model, problem.cost
-    nominal, gains = solution.report.trajectory, solution.report.gains
+    nominal = solution.report.trajectory
     design, stop = solution.design, problem.terminal_set
     x = np.array(problem.x0, dtype=float)
     states, controls, costs, phases = [x], [], [], []
     for t in range(nominal.horizon):
-        u = nominal.controls[t] + gains.feedback[t] @ (x - nominal.states[t])
+        u = nominal.controls[t]
         controls.append(u)
         costs.append(ref_stage_cost(x, u, spec))
         phases.append(1)

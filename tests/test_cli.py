@@ -152,7 +152,9 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     by at most one `stage_costs` call per finished loop or per chunk of a
     regulation rollout (there is no one-row cost to call per step). The budget
     holds the steps outside the design; the rendezvous design propagates
-    its goal orbit to T* = 300 s, exactly 150 steps of dt = 2 s."""
+    its goal orbit to T* = 300 s, exactly 150 steps of dt = 2 s. The closed
+    loop prices only the regulation steps it resumes after the membership
+    rollout; the nominal's and the rollout's rows keep their stored costs."""
     import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
     import spacetraj.ilqr as ilqr
@@ -199,6 +201,13 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
         (two_phase, "two_phase_simulate"),
     ):
         count(module, loop, "loops")
+    price = two_phase.stage_costs
+
+    def pricing(X, U, spec):
+        calls["closed_loop_rows"] += len(U)
+        return price(X, U, spec)
+
+    monkeypatch.setattr(two_phase, "stage_costs", pricing)
     code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
@@ -208,6 +217,7 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     assert calls["goal_orbit"] == (150 if scenario == "rendezvous" else 0)
     assert not hasattr(cost, "stage_cost")
     assert 0 < calls["stage_costs"] <= calls["loops"] < 100
+    assert calls["closed_loop_rows"] == {"attitude": 754, "rendezvous": 1405}[scenario]
 
 
 def test_simulate_solver_budget(tmp_path, capsys, monkeypatch):
@@ -629,6 +639,30 @@ def test_sweep_records_a_goal_orbit_that_leaves_the_domain(tmp_path, capsys):
     assert [f["T"] for f in summary["failures"]] == [6000.0]
     assert summary["failures"][0]["error"].startswith("DynamicsDomainError: goal orbit left")
     assert summary["first_hitting_time"] == 300.0
+
+
+@pytest.mark.parametrize("kind", ["not-utf-8", "directory", "missing"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "not-utf-8":
+        path.write_bytes(b'\xff{"scenario": "attitude"}')
+    elif kind == "directory":
+        path.mkdir()
+    code, out = run_cli(capsys, "solve", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out["error"] == "config" and out["field"] == str(path)
+
+
+def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the artifacts are written after the command: a stub stands in for it
+    import spacetraj.cli as cli
+
+    monkeypatch.setitem(cli.COMMANDS, "solve", lambda cfg, out: ({}, [], 0))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out = run_cli(capsys, "solve", "--set", "scenario=custom-linear", "--out", str(blocker / "o"))
+    assert code == 2
+    assert out["error"] == "config" and out["field"] == "output_dir"
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):

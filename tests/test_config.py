@@ -259,6 +259,25 @@ def test_sweep_grid_validation():
         parse_config_dict({"scenario": "attitude", "sweep": {"grid": [10.05]}})
 
 
+@pytest.mark.parametrize(
+    "scenario,grid,accepted",
+    [
+        ("attitude", [100000.0], True),  # exactly MAX_STEPS steps of 0.1 s
+        ("attitude", [10.0, 100000.1], False),
+        ("attitude", [1e6], False),
+        ("rendezvous", [2e6], True),
+        ("rendezvous", [2e6 + 2.0], False),
+    ],
+)
+def test_sweep_grid_times_obey_the_step_bound(scenario, grid, accepted):
+    data = {"scenario": scenario, "sweep": {"grid": grid}}
+    if accepted:
+        assert parse_config_dict(data).sweep.grid == grid
+    else:
+        with pytest.raises(ConfigError, match="sweep.grid"):
+            parse_config_dict(data)
+
+
 @pytest.mark.parametrize("scenario", ["attitude", "rendezvous", "soft-landing", "custom-linear"])
 def test_round_trip(scenario):
     cfg = scenario_defaults(scenario)

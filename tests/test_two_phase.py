@@ -10,9 +10,9 @@ import pytest
 
 from spacetraj.config import RENDEZVOUS_DT, default_sweep_grid, parse_config_dict, scenario_defaults
 from spacetraj.cost import QuadraticCostSpec, TerminalValue, stage_costs
-from spacetraj.dynamics import DiscreteModel, lti_model, simulate
+from spacetraj.dynamics import lti_model, simulate
 from spacetraj.errors import HittingTimeNotFoundError, NotAFixedPointError
-from spacetraj.ilqr import GainSchedule, SolveReport, SolverSettings, rollout
+from spacetraj.ilqr import SolveReport, SolverSettings, rollout
 from spacetraj.lqr import (
     PREDICTION_FLOOR,
     LqrSolution,
@@ -218,22 +218,6 @@ def test_phase_boundary_feasibility():
         assert np.array_equal(closed.states[t + 1], step)
 
 
-def test_feedback_beats_open_loop_replay():
-    bp = linear_benchmark()
-    sol = solve_two_phase(query(bp, steps(20), level=0.05))
-    nominal = sol.report.trajectory
-    x0 = bp.x0 + 0.05
-    closed = two_phase_simulate(bp, sol, x0=x0)
-    # open-loop replay of the nominal controls from the perturbed start
-    x = x0.copy()
-    for t in range(nominal.horizon):
-        x = bp.model.step(x, nominal.controls[t])
-    T = nominal.horizon
-    closed_err = abs(closed.states[T][0] - nominal.states[T][0])
-    open_err = abs(x[0] - nominal.states[T][0])
-    assert closed_err < open_err
-
-
 def test_lyapunov_tail_decrease_outside_set():
     bp = linear_benchmark()
     sol = solve_two_phase(query(bp, steps(20), level=0.05))
@@ -423,32 +407,6 @@ def test_membership_switches():
     assert membership_switches(points([False, True, False, False, True, False])) == [2.0, 4.0, 5.0]
 
 
-@pytest.mark.filterwarnings("error")
-def test_phase_one_stops_at_an_overflowing_state():
-    # a finite derivative whose Euler step overflows: the new state is
-    # tested, so phase 1 ends diverged instead of running on through inf
-    bp = linear_benchmark()
-    sol = solve_two_phase(query(bp, steps(20), level=0.05))
-    runaway = DiscreteModel(1, 1, lambda x, u: [1e308], 1.0, name="runaway")
-    closed = two_phase_simulate(dataclasses.replace(bp, model=runaway), sol, x0=np.array([1e308]))
-    assert closed.diverged and not closed.converged
-    assert closed.message.startswith("phase-1 rollout left the dynamics domain")
-    assert len(closed.states) == 1 and np.isfinite(closed.states).all()
-
-
-@pytest.mark.filterwarnings("error")
-def test_overflowing_initial_state_diverges_without_warnings():
-    # the feedback product and the stage cost overflow before `euler_step`
-    # rejects the state; the run reports a divergence, with nothing on stderr
-    p = attitude_problem()
-    sol = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
-    x0 = np.array(p.x0, dtype=float)
-    x0[0] = 1e308
-    closed = two_phase_simulate(p, sol, x0=x0)
-    assert closed.diverged and not closed.converged
-    assert closed.message.startswith("phase-1 rollout left the dynamics domain")
-
-
 @pytest.mark.parametrize("q,r", [([1.0] * 5, [1.0] * 3), ([1.0] * 6, np.eye(2))])
 def test_weight_shape_is_validated(q, r):
     with pytest.raises(ValueError, match="expected"):
@@ -494,8 +452,7 @@ def test_every_cost_cap_trips_at_the_same_step(caller, cap):
     else:  # the closed loop keeps the tripping step
         problem = TwoPhaseProblem(model, spec, x0, lambda T: design, terminal_set=stop)
         nominal = rollout(model, x0, U[:1], spec, TerminalValue(np.eye(1)))
-        gains = GainSchedule(np.zeros((1, 1)), np.zeros((1, 1, 1)), 0.0, 0.0, 0.0)
-        report = SolveReport(nominal, gains, (), True, "converged")
+        report = SolveReport(nominal, (), True, "converged")
         with np.errstate(over="ignore"):
             membership = in_terminal_set(model, nominal.states[-1], design, spec, stop)
         solution = TwoPhaseSolution(1.0, 1.0, 0.0, report, design, membership, ())
