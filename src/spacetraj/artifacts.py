@@ -1,10 +1,15 @@
 """Atomic CSV/JSON artifact writers with embedded schema tags.
 
-Files are written to a temporary sibling and renamed into place. Floats are
-rendered with repr (shortest round-trip), so identical runs produce
-byte-identical CSV bodies; CSVs use '.' decimals, '\n' newlines, UTF-8, and
-no locale-dependent formatting. The first line of every CSV is a
-`# schema: <name>` comment.
+Files are written to a temporary sibling and renamed into place; a write
+that fails part-way removes the sibling and leaves any earlier file at the
+target as it was. Floats are rendered with repr (shortest round-trip), so
+identical runs produce byte-identical CSV bodies; CSVs use '.' decimals,
+'\n' newlines, UTF-8, and no locale-dependent formatting. The first line of
+every CSV is a `# schema: <name>` comment.
+
+Rows are streamed: `trajectory_rows` converts its arrays and `write_csv`
+formats and writes the rows `BLOCK_ROWS` at a time through one open file,
+so the writer's memory does not depend on the row count.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -21,6 +27,9 @@ SWEEP_SCHEMA = "sweep-v1"
 ITERATIONS_SCHEMA = "iterations-v1"
 CONVERGENCE_SCHEMA = "convergence-v1"
 SUMMARY_SCHEMA = "summary-v1"
+
+# Rows converted, formatted and written at a time.
+BLOCK_ROWS = 256
 
 STATE_COLUMNS = {
     "attitude": ["psi_rad", "theta_rad", "phi_rad", "w1_radps", "w2_radps", "w3_radps"],
@@ -70,32 +79,48 @@ def _fmt(value: Any) -> str:
         return str(value)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary sibling and rename it into place;
+    on any failure the sibling is removed and the target left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # `repr` formats these types (not bool) exactly as `_fmt` does
 _REPR_TYPES = frozenset((float, int))
 
 
+def _csv_blocks(schema: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
+    yield f"# schema: {schema}\n" + ",".join(header) + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        lines = []
+        for row in block:
+            if _REPR_TYPES.issuperset(map(type, row)):
+                lines.append(",".join(map(repr, row)))
+            else:
+                lines.append(",".join(_fmt(v) for v in row))
+        lines.append("")
+        yield "\n".join(lines)
+
+
 def write_csv(path: Path, schema: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
-    lines = [f"# schema: {schema}", ",".join(header)]
-    for row in rows:
-        if _REPR_TYPES.issuperset(map(type, row)):
-            lines.append(",".join(map(repr, row)))
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_blocks(schema, header, rows))
     return path
 
 
 def write_json(path: Path, payload: Dict[str, Any]) -> Path:
     payload = dict(payload)
     payload.setdefault("schema", SUMMARY_SCHEMA)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return path
 
 
@@ -105,19 +130,26 @@ def trajectory_rows(
     controls,
     stage_costs,
     phases=None,
-) -> List[List[Any]]:
+) -> Iterator[List[Any]]:
     """Rows for the trajectory CSV: one per state sample; the final row
     (no control applied) carries zero control/stage-cost entries and the
-    last phase label so every cell stays finite. Cells are Python floats
-    and ints, which `write_csv` formats with `repr` directly."""
+    last phase label so every cell stays finite. The arrays are converted
+    `BLOCK_ROWS` rows at a time; cells are Python floats and ints, which
+    `write_csv` formats with `repr` directly."""
     dt = float(dt)
+    states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
+    costs = np.asarray(stage_costs, dtype=float)
     n_controls = len(controls)
-    phases = [1] * n_controls if phases is None else [int(p) for p in phases]
-    costs = np.asarray(stage_costs, dtype=float).tolist()
-    tails = [[*u, c, p] for u, c, p in zip(controls.tolist(), costs, phases)]
-    filler = [0.0] * (controls.shape[1] if n_controls else 0) + [0.0, phases[-1] if phases else 1]
-    return [
-        [t * dt, *x, *(tails[t] if t < n_controls else filler)]
-        for t, x in enumerate(np.asarray(states, dtype=float).tolist())
-    ]
+    if phases is None:
+        phases = [1] * n_controls
+    last_phase = int(phases[-1]) if len(phases) else 1
+    filler = [0.0] * (controls.shape[1] if n_controls else 0) + [0.0, last_phase]
+    for start in range(0, len(states), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        tails = [
+            [*u, c, int(p)]
+            for u, c, p in zip(controls[start:stop].tolist(), costs[start:stop].tolist(), phases[start:stop])
+        ]
+        for t, x in enumerate(states[start:stop].tolist(), start):
+            yield [t * dt, *x, *(tails[t - start] if t < n_controls else filler)]

@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/solver error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -192,13 +193,28 @@ COMMANDS = {
 }
 
 
+def _check_output_dir(out: Path) -> None:
+    """Raise the OSError that creating `out` would meet at its nearest
+    existing ancestor, so an unwritable --out fails before the solve. It
+    creates nothing: a config the problem rejects leaves no directory."""
+    base = out.absolute()
+    while not base.exists():
+        base = base.parent
+    if not base.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(base))
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(base))
+
+
 def run(command: str, cfg: ScenarioConfig) -> Tuple[List[Path], int]:
-    """Dispatch a command; returns the paths it wrote (summary.json first)
-    and the exit code."""
+    """Dispatch a command once its output directory is known to be
+    creatable; returns the paths it wrote (summary.json first) and the
+    exit code."""
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}")
     started = time.perf_counter()
     out = Path(cfg.output_dir)
+    _check_output_dir(out)
     fields, files, code = COMMANDS[command](cfg, out)
     summary = {
         "version": __version__,
@@ -240,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.output_dir = args.out
         try:
             paths, code = run(args.command, cfg)
-        except OSError as exc:  # the one file operation of a run: writing the artifacts
+        except OSError as exc:  # a run's only file operations: the output directory and its files
             raise ConfigError("output_dir", f"cannot write the artifacts: {exc}") from exc
     except ConfigError as exc:
         print(json.dumps({"status": "error", "error": "config", "field": exc.field, "message": str(exc)}))

@@ -39,11 +39,15 @@ gains' error (on the soft-landing trajectory the two-term form's worst
 error against long double measured 5.2x the per-step reference's, this
 form's 1.6x). The damping is added after the product, as the per-step
 reference adds it, so the solve sees the reference's rounding of Q_uu
-whenever the products agree. Only V_xx is symmetrized. The gradient norm
-and the predicted change are formed after the sweep from the stored H_u
-and H_uu, and one batched finiteness and Cholesky test checks every damped
-Q_uu (Cholesky alone accepts NaN); on failure the steps are re-tested from
-the last, so the error names the step a per-step test would have named.
+whenever the products agree. Only V_xx is symmetrized. The batched
+Jacobians and cost expansion are packed into F_t and L_t `SWEEP_BLOCK`
+steps at a time, in two buffers allocated once per pass, so a pass holds a
+block of them rather than the whole horizon; of each H_t only the damped
+[Q_uu | Q_u] is kept. The gradient norm and the predicted change are formed
+after the sweep from those, and one batched finiteness and Cholesky test
+checks every damped Q_uu (Cholesky alone accepts NaN); on failure the steps
+are re-tested from the last, so the error names the step a per-step test
+would have named.
 
 The rollouts are `dynamics.simulate` under the open-loop law ``U[t]`` and
 the affine `tracking_law`, priced after the loop as its hot-loop contract
@@ -79,6 +83,8 @@ LINE_SEARCH_FACTOR = 0.7
 LINE_SEARCH_STEPS = 16
 # Most line-search trials per iLQR iteration (alpha_count).
 MAX_LINE_SEARCH_STEPS = 100
+# Steps of the backward sweep packed into F_t and L_t at a time.
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,8 @@ def backward_pass(
     """Backward sweep producing the gain schedule at the given damping.
 
     A Riccati sweep over z = [u; x; 1] (see the module docstring) on one
-    batched Jacobian and one cost-expansion call, packed into F_t and L_t.
+    batched Jacobian and one cost-expansion call, packed into F_t and L_t
+    one block of steps at a time.
     Raises RegularizationError if the damped Q_uu is non-finite or fails its
     Cholesky test at any step (the latest such step is named); the solve
     loop escalates lambda and retries.
@@ -269,19 +276,13 @@ def backward_pass(
     X, U = traj.states[:-1], traj.controls
     u_, x_, one = slice(0, m), slice(m, m + n), m + n
     lin = jacobians(model, X, U)
-    F = np.zeros((T, n + 1, m + n + 1))  # [[B A 0], [0 0 1]]
-    F[:, :n, u_] = lin.B
-    F[:, :n, x_] = lin.A
-    F[:, n, one] = 1.0
-    del lin
     der = cost_derivatives(X, U, spec)
-    H = np.zeros((T, m + n + 1, m + n + 1))  # L_t, turned into H_t by the sweep
-    H[:, u_, u_] = der.l_uu
-    H[:, x_, x_] = der.l_xx
-    H[:, u_, one] = H[:, one, u_] = der.l_u
-    H[:, x_, one] = H[:, one, x_] = der.l_x
-    del der
+    block = min(T, SWEEP_BLOCK)
+    F = np.zeros((block, n + 1, m + n + 1))  # [[B A 0], [0 0 1]] of one block
+    F[:, n, one] = 1.0
+    H = np.empty((block, m + n + 1, m + n + 1))  # L_t of one block, turned into H_t by the sweep
     damped = np.einsum("tii->ti", H[:, u_, u_])  # view of each Q_uu's diagonal
+    QU = np.empty((T, m, m + 1))  # the damped [Q_uu | Q_u] of every step
     G = np.empty((T, m, n + 1))  # -[K | k]
     S = np.zeros((m + n + 1, n + 1))  # -S_t of the module docstring
     S[range(m, m + n + 1), range(n + 1)] = -1.0
@@ -292,15 +293,28 @@ def backward_pass(
     # Past an indefinite or singular Q_uu the sweep runs on meaningless values
     # (overflow, NaN gains) until the deferred test below rejects it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(T - 1, -1, -1):
-            F_t, H_t = F[t], H[t]
-            H_t += F_t.T.dot(V).dot(F_t)
-            damped[t] += regularization
-            G[t] = solve(H_t[u_, u_], H_t[u_, m:], out=S[u_])
-            V = S.T.dot(H_t).dot(S)
-            V_xx = V[:n, :n]
-            V_xx[...] = 0.5 * (V_xx + V_xx.T)
-        Q_uus = H[:, u_, u_]
+        for stop in range(T, 0, -block):
+            start = max(stop - block, 0)
+            k = stop - start
+            F[:k, :n, u_] = lin.B[start:stop]
+            F[:k, :n, x_] = lin.A[start:stop]
+            H[:k] = 0.0
+            H[:k, u_, u_] = der.l_uu[start:stop]
+            H[:k, x_, x_] = der.l_xx[start:stop]
+            H[:k, u_, one] = H[:k, one, u_] = der.l_u[start:stop]
+            H[:k, x_, one] = H[:k, one, x_] = der.l_x[start:stop]
+            for t in range(stop - 1, start - 1, -1):
+                F_t, H_t = F[t - start], H[t - start]
+                H_t += F_t.T.dot(V).dot(F_t)
+                damped[t - start] += regularization
+                G[t] = solve(H_t[u_, u_], H_t[u_, m:], out=S[u_])
+                V = S.T.dot(H_t).dot(S)
+                V_xx = V[:n, :n]
+                V_xx[...] = 0.5 * (V_xx + V_xx.T)
+            QU[start:stop, :, :m] = H[:k, u_, u_]
+            QU[start:stop, :, m] = H[:k, u_, one]
+        del lin, der, F, H, damped  # before the deferred test's copies of QU
+        Q_uus = QU[:, :, :m]
         bad = _first_indefinite_step(Q_uus)
     if bad >= 0:
         raise RegularizationError(
@@ -308,12 +322,14 @@ def backward_pass(
             f"with damping {regularization:.3e}"
         )
     ks = -G[:, :, n]
-    Q_u = H[:, u_, one]
+    Q_u = QU[:, :, m]
     return GainSchedule(
         feedforward=ks,
         feedback=-G[:, :, :n],
         gradient_norm=math.sqrt(np.einsum("ti,ti->t", Q_u, Q_u).max()),
-        change_linear=float(np.einsum("ti,ti->", ks, Q_u)),
+        # summed in step order: `einsum` would run QU's column as one strided
+        # row (H's column went step by step) and round the sum differently
+        change_linear=float(np.cumsum(np.einsum("ti,ti->t", ks, Q_u))[-1]),
         change_quadratic=float(np.einsum("ti,tij,tj->", ks, Q_uus, ks)),
     )
 

@@ -510,6 +510,20 @@ def test_soft_landing_loops_are_bit_exact():
     check_ilqr_loops(p.model, p.cost, p.terminal, p.x0, cand.controls)
 
 
+@pytest.mark.parametrize("block", [1, 7, 149, 150, 151])
+def test_sweep_gains_do_not_depend_on_the_block_size(monkeypatch, block):
+    """F_t and L_t are packed `SWEEP_BLOCK` steps at a time: on the
+    150-step soft-landing hover trajectory every block size gives the
+    default's gains bit for bit."""
+    p = build_problem(parse_config_dict({"scenario": "soft-landing"}))
+    traj = rollout(p.model, p.x0, p.hover_controls(), p.cost, p.terminal)
+    want = backward_pass(traj, p.model, p.cost, p.terminal, 1e-6)
+    monkeypatch.setattr(ilqr, "SWEEP_BLOCK", block)
+    got = backward_pass(traj, p.model, p.cost, p.terminal, 1e-6)
+    for name in GAIN_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_two_phase_simulate_is_bit_exact():
     p = attitude_problem()
     solution = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
@@ -720,6 +734,15 @@ def test_deferred_test_names_the_reference_step(monkeypatch, bad):
             backward_pass(traj, model, spec, terminal, 0.0)
     assert str(got.value) == str(want.value)
     assert f"step {max(step for step, _ in bad)} " in str(got.value)
+
+
+def test_deferred_test_names_the_step_across_blocks(monkeypatch):
+    monkeypatch.setattr(ilqr, "SWEEP_BLOCK", 4)
+    _indefinite_at(monkeypatch, [(3, -5.0), (12, -5.0)])
+    model, spec, terminal, x0, controls = _linear_problem()
+    traj = rollout(model, x0, controls, spec, terminal)
+    with pytest.raises(RegularizationError, match="at step 12 with damping"):
+        backward_pass(traj, model, spec, terminal, 0.0)
 
 
 def test_nan_expansion_is_rejected_at_its_step(monkeypatch):
