@@ -10,13 +10,15 @@ Kernel contract:
   floats, and it returns n numbers. `euler_step`, run once per simulated
   step, forms ``x + dt * f`` in floats, the bits the array expression gives;
   finite differences and `verify` step the same map.
-- ``deriv_jacobians(x, u)``, optional, takes an optional leading trajectory
+- ``deriv_jacobians(x, u)``, required, takes an optional leading trajectory
   axis: ``x`` (n,) or (T, n) with ``u`` (m,) or (T, m), returning the
-  continuous partials of shape (n, n)/(n, m) or (T, n, n)/(T, n, m). A
-  partial that does not depend on the point may come back unbatched;
-  `jacobians` broadcasts it. One call thus linearizes a whole trajectory
-  (the iLQR backward pass makes one per pass). Without it, Jacobians fall
-  back to central differences on the discrete map.
+  continuous partials of shape (n, n)/(n, m) or (T, n, n)/(T, n, m), so one
+  call linearizes a whole trajectory (one per iLQR backward pass). A
+  partial that does not depend on the point may come back unbatched and
+  shared across calls (`lti_model`'s are): `jacobians` broadcasts it and
+  never writes to it. A batched partial must be a fresh array: `jacobians`
+  scales it by ``dt`` in place (the same bits, one (T, n, n) stack less).
+  `finite_diff_jacobians` is only the oracle they are checked against.
 - `simulate` is the one closed loop: every simulated step of the program
   (rollouts, line-search candidates, regulation, the rendezvous goal
   orbit) is taken there.
@@ -52,22 +54,23 @@ ControlLaw = Callable[[int, np.ndarray], Optional[np.ndarray]]
 class DiscreteModel:
     """Explicit-Euler dynamics ``x+ = x + dt * rates(x, u)`` with step `dt` (s).
 
-    `rates` is the point kernel and `deriv_jacobians`, when provided, its
-    continuous partials (see the module docstring).
+    `rates` is the point kernel and `deriv_jacobians` its continuous
+    partials (see the module docstring).
     """
 
     state_dim: int
     control_dim: int
     rates: RatesFn
     dt: float
-    deriv_jacobians: Optional[DerivJacFn] = None
-    name: str = ""
+    deriv_jacobians: DerivJacFn
 
     def __post_init__(self):
         if not (self.state_dim > 0 and self.control_dim > 0):
             raise ValueError(f"dimensions must be positive, got {self.state_dim}, {self.control_dim}")
         if not 0.0 < self.dt < math.inf:  # NaN fails it
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not callable(self.deriv_jacobians):
+            raise ValueError(f"deriv_jacobians must be callable, got {self.deriv_jacobians!r}")
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return euler_step(self, x, u)
@@ -169,30 +172,25 @@ def finite_diff_jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) ->
     return Linearization(A=A, B=B)
 
 
-def jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> Linearization:
-    """Discrete Jacobians at x (n,), u (m,) or along a trajectory x (T, n), u (T, m).
+def _times_dt(partial: np.ndarray, dt: float, lead: tuple) -> np.ndarray:
+    """dt * partial: in place on a batched (fresh) partial, never on a shared one."""
+    if lead and partial.shape[:-2] == lead:
+        partial *= dt
+        return partial
+    return dt * partial
 
-    Analytic when the model provides partials, else central differences at
-    each point.
-    """
+
+def jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> Linearization:
+    """Discrete Jacobians at x (n,), u (m,) or along a trajectory x (T, n), u (T, m),
+    from one call of the model's partials."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     n, m = model.state_dim, model.control_dim
     lead = x.shape[:-1]
-    fn = model.deriv_jacobians
-    if fn is None:
-        points = [
-            finite_diff_jacobians(model, xt, ut)
-            for xt, ut in zip(x.reshape(-1, n), u.reshape(-1, m))
-        ]
-        return Linearization(
-            A=np.array([p.A for p in points]).reshape(lead + (n, n)),
-            B=np.array([p.B for p in points]).reshape(lead + (n, m)),
-        )
-    dfdx, dfdu = fn(x, u)
-    A = model.dt * dfdx
-    A += np.eye(n)  # in place: a (T, n, n) temporary less
-    B = model.dt * dfdu
+    dfdx, dfdu = model.deriv_jacobians(x, u)
+    A = _times_dt(dfdx, model.dt, lead)
+    A += np.eye(n)
+    B = _times_dt(dfdu, model.dt, lead)
     if A.shape[:-2] != lead:
         A = np.broadcast_to(A, lead + (n, n))
     if B.shape[:-2] != lead:
@@ -200,7 +198,7 @@ def jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> Linearizati
     return Linearization(A=A, B=B)
 
 
-def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0, name: str = "lti") -> DiscreteModel:
+def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0) -> DiscreteModel:
     """Discrete model whose Euler step realizes ``x+ = A x + B u`` exactly.
 
     The continuous right-hand side is chosen as ``((A - I) x + B u) / dt`` so
@@ -215,10 +213,10 @@ def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0, name: str = "lti") 
     Ac = (A - np.eye(n)) / dt
     Bc = B / dt
     return DiscreteModel(
-        n, m, lambda x, u: (Ac.dot(x) + Bc.dot(u)).tolist(), dt, lambda x, u: (Ac, Bc), name
+        n, m, lambda x, u: (Ac.dot(x) + Bc.dot(u)).tolist(), dt, lambda x, u: (Ac, Bc)
     )
 
 
 def double_integrator(dt: float = 0.1) -> DiscreteModel:
     """Euler-discretized double integrator: position/velocity state, force control."""
-    return lti_model([[1.0, dt], [0.0, 1.0]], [[0.0], [dt]], dt, "double_integrator")
+    return lti_model([[1.0, dt], [0.0, 1.0]], [[0.0], [dt]], dt)

@@ -11,6 +11,8 @@ stated in `dynamics`:
 - ``*_deriv_jacobians(x, u, p)`` accept an optional leading trajectory axis
   (x of shape (n,) or (T, n)) and return the partials for every point from
   one vectorized evaluation; partials that are constant come back unbatched.
+  Every model has them (`DiscreteModel` requires them), and each batched
+  partial is a fresh array, which `dynamics.jacobians` scales in place.
 - The inverse inertia is computed once, from the validated matrix, when
   `AttitudeParams` or `LanderParams` is constructed. Attitude and lander share
   the rigid-body helpers (`_rigid_body_rates`, `_rigid_body_partials`).
@@ -266,7 +268,6 @@ def attitude_model(p: AttitudeParams | None = None, dt: float = 0.1) -> Discrete
         rates=lambda x, u: attitude_rates(x, u, p),
         dt=dt,
         deriv_jacobians=lambda x, u: attitude_deriv_jacobians(x, u, p),
-        name="attitude",
     )
 
 
@@ -354,7 +355,6 @@ def rendezvous_model(p: RendezvousParams | None = None, dt: float = 2.0) -> Disc
         rates=lambda x, u: rendezvous_rates(x, u, p),
         dt=dt,
         deriv_jacobians=lambda x, u: rendezvous_deriv_jacobians(x, u, p),
-        name="rendezvous",
     )
 
 
@@ -436,7 +436,6 @@ def lander_model(p: LanderParams | None = None, dt: float = 0.2) -> DiscreteMode
         rates=lambda x, u: lander_rates(x, u, p),
         dt=dt,
         deriv_jacobians=lambda x, u: lander_deriv_jacobians(x, u, p),
-        name="lander",
     )
 
 

@@ -376,7 +376,7 @@ def linear_benchmark(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     level-to-zero convergence of the two-phase objective.
     """
     cfg = _config(cfg, "custom-linear")
-    model = lti_model([[1.0]], [[1.0]], dt=cfg.dt, name="scalar_benchmark")
+    model = lti_model([[1.0]], [[1.0]], dt=cfg.dt)
     cost = QuadraticCostSpec(Q=weight_matrix(cfg.q, 1, "q"), R=weight_matrix(cfg.r, 1, "r"))
     design = stationary_design(model, cost, np.zeros(1), np.zeros(1), np.arange(1))
     x0 = float_array(cfg.initial_state, "initial_state", (1,))

@@ -25,8 +25,10 @@ held to stated float bounds instead. Against the reference's per-step
 formulas its gains and predicted-change terms agree to `SWEEP_RTOL` relative
 to each quantity's largest entry, and against the same recursion evaluated
 in long double (`oracle_backward_pass`) its error is at most twice the
-reference's plus `ORACLE_FLOOR` times that largest entry. Both forward
-passes are fed the same gains, so everything downstream stays bitwise.
+reference's plus `ORACLE_FLOOR` times that largest entry, plus, on generated
+draws, the draw's first-order rounding bound (`rounding_allowance`). Both
+forward passes are fed the same gains, so everything downstream stays
+bitwise.
 """
 
 import dataclasses
@@ -244,6 +246,78 @@ def oracle_backward_pass(traj, model, spec, terminal, regularization):
     return GainSchedule(ks, Ks, grad_norm, change_lin, change_quad)
 
 
+def rounding_allowance(traj, model, spec, terminal, regularization):
+    """First-order bound on the rounding error of the gains of any
+    double-precision evaluation of the recursion, relative to the largest
+    entry of K and of k (as `gain_errors`): u times the draw's condition
+    number.
+
+    Derivation, on the augmented state [x; 1] with V = [[V_xx, V_x], [V_x',
+    .]], A = [[A, 0], [0, 1]], B = [B; 0] and G = [K k] = -Q_uu^-1 Q_ux,
+    Q_ux = B'VA + [0 l_u] (V's corner never reaches a gain: B's last row is
+    zero).
+
+    - Local rounding. Every entry of Q_uu, Q_ux and the new V is a sum of
+      products with at most 2(n + m + 3) roundings along any term: 2n in
+      A'VA, one adding l, 2m in G'Q_uu G, three adding the four terms, one
+      symmetrizing. Its error is at most gamma = 2(n + m + 3) u times the sum
+      of the terms' magnitudes (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, 2002, section 3.5), and the solve adds a backward error
+      within gamma |Q_uu| (3m <= 2(n + m + 3) roundings, section 9.3).
+    - Propagation. G_t is stationary, so to first order an error dV of
+      V_{t+1} moves V_t by C_t' dV C_t, C_t = A + B G_t, and the gain by
+      -Q_uu^-1 B' dV C_t. The local error E_s of V_s thus reaches G_t
+      through P = C_{t+1} ... C_{s-1} as -Q_uu^-1 B' P' E_s P C_t, and
+      taking magnitudes only of the whole products keeps the closed loop's
+      cancellations (magnitudes taken step by step gave bounds above 0.5
+      on a tenth of the draws).
+
+    The sum over s of |Q_uu^-1 B' P'| E_s |P C_t|, plus the gain's own local
+    error, bounds |dG_t|. The condition number of the damped Q_uu alone
+    cannot stand in for it: with one control it is 1.
+    """
+    T = traj.horizon
+    n, m = model.state_dim, model.control_dim
+    X, U = traj.states[:-1], traj.controls
+    lin = ilqr.jacobians(model, X, U)
+    der = ilqr.cost_derivatives(X, U, spec)
+    gamma = (n + m + 3) * np.finfo(float).eps  # 2(n + m + 3) u
+    V = np.zeros((n + 1, n + 1))
+    V[:n, :n] = terminal.hessian()
+    V[:n, n] = V[n, :n] = terminal.gradient(traj.states[T])
+    L = np.zeros((n + 1, n + 1))
+    A, B = np.eye(n + 1), np.zeros((n + 1, m))
+    paths, local = [], []  # C_{t+1} ... C_{s-1} and E_s for each s > t
+    gains, bounds = [], []
+    for t in range(T - 1, -1, -1):
+        A[:n, :n], B[:n] = lin.A[t], lin.B[t]
+        L[:n, :n], L[:n, n], L[n, :n] = der.l_xx[t], der.l_x[t], der.l_x[t]
+        Q_uu = _sym(der.l_uu[t] + B.T @ V @ B) + regularization * np.eye(m)
+        Q_ux = B.T @ V @ A
+        Q_ux[:, n] += der.l_u[t]
+        inv = np.linalg.inv(Q_uu)
+        G = -inv @ Q_ux
+        C = A + B @ G
+        aG, aV, aA, aB = np.abs(G), np.abs(V), np.abs(A), np.abs(B)
+        mag_ux = aB.T @ aV @ aA
+        mag_ux[:, n] += np.abs(der.l_u[t])
+        mag_uu = np.abs(der.l_uu[t]) + aB.T @ aV @ aB + np.abs(Q_uu)
+        bound = gamma * np.abs(inv) @ (mag_ux + mag_uu @ aG)
+        for P, E in zip(paths, local):
+            bound += np.abs(inv @ B.T @ P.T) @ E @ np.abs(P @ C)
+        gains.append(G)
+        bounds.append(bound)
+        cross = aG.T @ np.abs(Q_ux)
+        local.append(gamma * (np.abs(L) + aA.T @ aV @ aA + aG.T @ np.abs(Q_uu) @ aG + cross + cross.T))
+        paths = [C @ P for P in paths] + [np.eye(n + 1)]
+        V = _sym(L + A.T @ V @ A + G.T @ Q_uu @ G + G.T @ Q_ux + Q_ux.T @ G)
+    gains, bounds = np.array(gains), np.array(bounds)
+    return max(
+        float(np.max(bounds[..., cols])) / (float(np.max(np.abs(gains[..., cols]))) or 1.0)
+        for cols in (slice(0, n), n)
+    )
+
+
 def ref_forward_pass(traj, gains, alpha, model, spec, terminal, cost_cap=1e30):
     T = traj.horizon
     states = np.empty_like(traj.states)
@@ -392,7 +466,7 @@ def gain_errors(got, want):
     return out
 
 
-def assert_gains_within_bounds(got, want, oracle, rtol):
+def assert_gains_within_bounds(got, want, oracle, rtol, allowance=0.0):
     """`got` (the augmented sweep) against the per-step reference `want` and
     the long-double `oracle` of the same recursion.
 
@@ -406,21 +480,33 @@ def assert_gains_within_bounds(got, want, oracle, rtol):
     rounding amplified over the horizon decides which order comes out
     ahead. The pinned draw `lti_problem(6, 1, 40, 13)` is one: at damping
     1e-6 it measured 3.06e-14 against the reference's 6.8e-15 (2.36e-14
-    allowed) with the damping added before the product."""
+    allowed) with the damping added before the product.
+
+    So twice the reference's error is one sample of rounding noise, not a
+    bound. A generated draw's test adds `allowance`, its
+    `rounding_allowance`, which bounds either evaluation's error: over
+    28,000 uniform draw-damping pairs the sweep's worst error reached at
+    most 0.74 of it (0.022 where it exceeds 1e-12; the three scalars,
+    formed from the same k and Q_u, under 0.2), and each of the 21 pairs in
+    76,000 that failed without it passes. The pinned draw
+    `lti_problem(4, 1, 35203, 19)` failed without it in a fresh run: at
+    damping 1e-2 the feedback's error is 4.56e-14 against the reference's
+    1.14e-14 (3.28e-14 allowed before, 6.02e-12 added now)."""
     assert got.feedforward.shape == want.feedforward.shape
     assert got.feedback.shape == want.feedback.shape
     agreement = gain_errors(got, want)
     assert max(agreement.values()) <= rtol, agreement
     new, ref = gain_errors(got, oracle), gain_errors(want, oracle)
-    assert max(new.values()) <= 2.0 * max(ref.values()) + ORACLE_FLOOR, (new, ref)
+    assert max(new.values()) <= 2.0 * max(ref.values()) + ORACLE_FLOOR + allowance, (new, ref, allowance)
 
 
 def check_ilqr_loops(
-    model, spec, terminal, x0, controls, alphas=(1.0, 0.7**3), rtol=SWEEP_RTOL
+    model, spec, terminal, x0, controls, alphas=(1.0, 0.7**3), rtol=SWEEP_RTOL, generated=False
 ):
     """rollout, then backward and forward passes at each damping, all
     against the reference (the forward passes bitwise, from the same gains);
-    returns the last forward candidate."""
+    returns the last forward candidate. A generated draw's oracle test also
+    allows its `rounding_allowance`."""
     traj = rollout(model, x0, controls, spec, terminal)
     assert_same_trajectory(traj, ref_rollout(model, x0, controls, spec, terminal), spec)
     cand = None
@@ -431,6 +517,7 @@ def check_ilqr_loops(
             ref_backward_pass(traj, model, spec, terminal, damping),
             oracle_backward_pass(traj, model, spec, terminal, damping),
             rtol,
+            rounding_allowance(traj, model, spec, terminal, damping) if generated else 0.0,
         )
         for alpha in alphas:
             cand = forward_pass(traj, gains, alpha, model, spec, terminal)
@@ -602,7 +689,7 @@ def test_regulation_leaving_the_domain_matches_reference():
             raise DynamicsDomainError(f"state {x[0]} out of range")
         return [x[0] + u[0]]
 
-    model = DiscreteModel(1, 1, rates, 1.0)
+    model = DiscreteModel(1, 1, rates, 1.0, lambda x, u: (np.eye(1), np.eye(1)))
     spec = QuadraticCostSpec(Q=np.eye(1), R=np.eye(1))
     # u = -0.5 x: x grows by 1.5 a step and leaves the domain at step 6
     solution = LqrSolution(np.eye(1), np.array([[0.5]]), 1.5, 0.0, 0)
@@ -643,9 +730,10 @@ def lti_problems(draw):
 @LOOP_SETTINGS
 @given(lti_problems())
 @example(lti_problem(6, 1, 40, 13))
+@example(lti_problem(4, 1, 35203, 19))
 def test_lti_loops_are_bit_exact(problem):
     model, spec, terminal, x0, controls = problem
-    check_ilqr_loops(model, spec, terminal, x0, controls, rtol=GENERATED_SWEEP_RTOL)
+    check_ilqr_loops(model, spec, terminal, x0, controls, rtol=GENERATED_SWEEP_RTOL, generated=True)
 
 
 @LOOP_SETTINGS

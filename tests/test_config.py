@@ -59,7 +59,7 @@ def assert_same(a, b, path="problem"):
     or else by its value at T = 300 s (a grid time of every two-phase
     default)."""
     if hasattr(a, "rates"):
-        assert (a.state_dim, a.control_dim, a.dt, a.name) == (b.state_dim, b.control_dim, b.dt, b.name), path
+        assert (a.state_dim, a.control_dim, a.dt) == (b.state_dim, b.control_dim, b.dt), path
     elif dataclasses.is_dataclass(a):
         assert type(a) is type(b), path
         for f in dataclasses.fields(a):

@@ -1,10 +1,12 @@
 """Euler stepping and Jacobian machinery."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spacetraj.config import parse_config_dict
 from spacetraj.dynamics import (
     DiscreteModel,
     double_integrator,
@@ -14,6 +16,7 @@ from spacetraj.dynamics import (
     lti_model,
 )
 from spacetraj.errors import SingularityError
+from spacetraj.ilqr import rollout
 from spacetraj.models import (
     AttitudeParams,
     RendezvousParams,
@@ -21,6 +24,7 @@ from spacetraj.models import (
     lander_model,
     rendezvous_model,
 )
+from spacetraj.scenarios import build_problem
 
 
 def scalar_integrator(dt=0.1):
@@ -80,12 +84,32 @@ def test_jacobians_exact_for_lti():
     assert np.array_equal(lin.B, B)
 
 
-def test_jacobians_fall_back_to_finite_differences():
-    # model without analytic partials
-    m = DiscreteModel(1, 1, lambda x, u: [np.sin(x[0]) + u[0]], 0.2)
-    lin = jacobians(m, np.array([0.5]), np.array([0.0]))
-    assert lin.A[0, 0] == pytest.approx(1.0 + 0.2 * np.cos(0.5), rel=1e-9)
-    assert lin.B[0, 0] == pytest.approx(0.2, rel=1e-9)
+def test_jacobians_never_write_a_shared_partial():
+    # lti_model hands out the same unbatched (Ac, Bc) on every call; only a
+    # batched partial, fresh per call, is scaled in place
+    m = lti_model([[0.9, 0.2], [-0.1, 1.05]], [[0.0], [0.3]], dt=0.5)
+    Ac, Bc = m.deriv_jacobians(np.zeros(2), np.zeros(1))
+    before = Ac.copy(), Bc.copy()
+    jacobians(m, np.array([0.4, -1.2]), np.array([0.7]))
+    jacobians(m, np.ones((4, 2)), np.ones((4, 1)))
+    assert np.array_equal(Ac, before[0]) and np.array_equal(Bc, before[1])
+
+
+def test_trajectory_jacobians_peak_allocation():
+    """Linearizing the default 150-step soft-landing trajectory allocates
+    under 450 KiB at its peak (356 KiB measured for the 290 KiB it returns;
+    580 KiB while ``dt * dfdx`` and ``dt * dfdu`` were new arrays)."""
+    p = build_problem(parse_config_dict({"scenario": "soft-landing"}))
+    traj = rollout(p.model, p.x0, p.hover_controls(), p.cost, p.terminal)
+    X, U = traj.states[:-1], traj.controls
+    assert X.shape == (150, 13)
+    tracemalloc.start()
+    try:
+        jacobians(p.model, X, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450 * 1024, peak
 
 
 def test_attitude_fd_kinematics_block_at_origin():
@@ -226,10 +250,14 @@ def test_double_integrator_step():
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: DiscreteModel(0, 1, lambda x, u: x, 1.0), "dimensions must be positive"),
+        (
+            lambda: DiscreteModel(0, 1, lambda x, u: x, 1.0, lambda x, u: (np.eye(0), np.zeros((0, 1)))),
+            "dimensions must be positive",
+        ),
         (lambda: dataclasses.replace(double_integrator(), dt=0.0), "dt must be positive"),
         (lambda: dataclasses.replace(double_integrator(), dt=float("nan")), "dt must be positive"),
         (lambda: lti_model(np.eye(3), np.ones((2, 1))), "A has shape"),
+        (lambda: dataclasses.replace(double_integrator(), deriv_jacobians=None), "deriv_jacobians"),
     ],
 )
 def test_model_validation_raises_value_error(build, message):

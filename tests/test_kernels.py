@@ -14,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacetraj.cost import AltitudePenaltySpec, QuadraticCostSpec, cost_derivatives
-from spacetraj.dynamics import (
-    DiscreteModel,
-    finite_diff_jacobians,
-    jacobians,
-    lti_model,
-)
+from spacetraj.dynamics import finite_diff_jacobians, jacobians, lti_model
 from spacetraj.errors import SingularityError
 from spacetraj.models import (
     LANDER_M_SCALE,
@@ -336,16 +331,6 @@ def test_constant_partials_are_broadcast_over_a_trajectory():
     lin = jacobians(lti_model(A, B), np.zeros((5, 2)), np.zeros((5, 1)))
     assert lin.A.shape == (5, 2, 2) and lin.B.shape == (5, 2, 1)
     assert all(np.array_equal(lin.A[t], A) and np.array_equal(lin.B[t], B) for t in range(5))
-
-
-def test_finite_difference_fallback_loops_over_a_trajectory():
-    model = DiscreteModel(1, 1, lambda x, u: [np.sin(x[0]) + u[0]], 0.2)
-    X = np.array([[0.1], [0.5], [-1.2]])
-    U = np.array([[0.0], [1.0], [2.0]])
-    lin = jacobians(model, X, U)
-    for t in range(3):
-        point = finite_diff_jacobians(model, X[t], U[t])
-        assert np.array_equal(lin.A[t], point.A) and np.array_equal(lin.B[t], point.B)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def _leaves_domain_above(bound):
             raise DynamicsDomainError(f"|x| above {bound}")
         return [x[0] + u[0]]
 
-    return DiscreteModel(1, 1, rates, 1.0, name="bounded")
+    return DiscreteModel(1, 1, rates, 1.0, lambda x, u: (np.eye(1), np.eye(1)))
 
 
 @pytest.mark.filterwarnings("error")
