@@ -49,7 +49,7 @@ from .two_phase import (
     TwoPhaseSolution,
     bellman_check,
     convergence_study,
-    lyapunov_decreasing,
+    lyapunov_decrease_ratio,
     solve_two_phase,
     two_phase_simulate,
 )

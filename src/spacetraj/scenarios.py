@@ -31,7 +31,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,9 @@ from .config import (
 )
 from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue
 from .dynamics import DiscreteModel, lti_model, simulate
-from .errors import ConfigError, DynamicsDomainError, NotAFixedPointError
+from .errors import ConfigError, DynamicsDomainError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp
-from .lqr import RegulationDesign, linearize_at_goal, stationary_design
+from .lqr import RegulationDesign, stationary_design
 from .models import (
     LANDER_ALTITUDE_INDEX,
     LANDER_CONTROL_SCALE,
@@ -249,25 +249,14 @@ class LandingProblem:
         )
         return x, rng.normal(0.1, 0.2, 6)
 
-    def design_check(self) -> Dict[str, Any]:
-        """No stationary design: hover at the initial mass must fail the
-        fixed-point test."""
-        x_eq = np.zeros(13)
-        x_eq[12] = self.params.initial_mass
-        try:
-            linearize_at_goal(self.model, x_eq, lander_hover_control(x_eq[12], self.params))
-        except NotAFixedPointError as exc:
-            return {
-                "check": "riccati",
-                "passed": True,
-                "detail": "no stationary design: hover is not a fixed point (single-phase scenario)",
-                "residual": exc.residual,
-            }
-        return {
-            "check": "riccati",
-            "passed": False,
-            "detail": "hover point unexpectedly qualified as an equilibrium",
-        }
+    def checks(self) -> List[Dict[str, Any]]:
+        """Neither `verify` entry applies: no stationary design, no
+        two-phase value."""
+        detail = "single-phase scenario: hover is not a fixed point, so no stationary design exists"
+        return [
+            {"check": "riccati", "passed": None, "detail": detail},
+            {"check": "bellman", "passed": None, "detail": detail},
+        ]
 
 
 def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem:

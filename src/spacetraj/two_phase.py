@@ -11,7 +11,10 @@ cost. The combined objective
 converges to the true infinite-horizon cost as the level shrinks to zero,
 which `convergence_study` measures on a problem whose true cost is the
 quadratic x0'Px0 (linear dynamics). `bellman_check` re-solves from successor
-states to measure one-step Bellman residuals of the combined value.
+states to measure one-step Bellman residuals of the combined value, and
+`lyapunov_decrease_ratio` measures the decrease condition
+V(x_t) - V(x_{t+1}) >= c(x_t, u_t) of V = z'Pz along the regulation phase
+of a closed loop (a ratio of 1 on linear dynamics).
 
 A query is stated once, on the problem: its `grid`, `warm_start` and
 `terminal_set` (with the level). One walk of the grid serves the sweep, and
@@ -22,9 +25,9 @@ one function, `_first_hits`, holds the hitting rule and the objective:
 A problem object is what every CLI command runs: `TwoPhaseProblem` here and
 `scenarios.LandingProblem` answer `solve()` and `simulate()` with one
 `RunResult`, `sweep()` with the grid's points, `sample(rng)` with a
-Jacobian-check point and `design_check()` with the `riccati` check of
-`verify`, so how a scenario is solved, simulated, scaled and checked lives
-behind the object.
+Jacobian-check point and `checks()` with the `riccati` and `bellman` entries
+of `verify`, so how a scenario is solved, simulated, scaled and checked
+lives behind the object.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ class TwoPhaseProblem:
     built per T when the goal moves: rendezvous linearizes at the goal-orbit
     state of epoch T, and raises DynamicsDomainError when that orbit leaves
     the dynamics domain before T (a sweep records the point as failed,
-    `verify` exits 3). `horizon`, `grid`, `warm_start` and `terminal_set`
-    are what `solve`, `simulate`, `sweep`, `design_check`, `solve_two_phase`,
+    `solve` exits 3). `horizon`, `grid`, `warm_start` and `terminal_set`
+    are what `solve`, `simulate`, `sweep`, `checks`, `solve_two_phase`,
     `convergence_study` and `bellman_check` run at (the builders in
     `scenarios` set them from the config; `dataclasses.replace` asks another
     query). `leg` is the one finite-horizon solve behind all of them.
@@ -155,10 +158,10 @@ class TwoPhaseProblem:
             "regulation_converged": closed.converged,
             "diverged": closed.diverged,
             "membership_switches": membership_switches(solution.sweep),
+            # every walked point before T* missed the hit
+            "first_hit_bracketed": any(not pt.failed for pt in solution.sweep[:-1]),
             "final_state_error": [float(v) for v in solution.design.regulated(closed.states[-1])],
-            "tail_cost_decreasing_outside_set": lyapunov_decreasing(
-                closed, solution.design, solution.level
-            ),
+            "lyapunov_decrease_ratio": lyapunov_decrease_ratio(closed, solution.design),
         }
         return RunResult(
             solution.report, self.model.dt, closed.states, closed.controls, costs, summary, phases
@@ -172,15 +175,27 @@ class TwoPhaseProblem:
         x = rng.normal(0, 1.0, self.model.state_dim)
         return x, rng.normal(0, 1.0, self.model.control_dim)
 
-    def design_check(self) -> Dict[str, Any]:
-        """The stationary Riccati residual of the design at the last grid time."""
-        sol = self.design_for(self.grid[-1]).solution
-        return {
-            "check": "riccati",
-            "passed": bool(sol.residual < 1e-9 and sol.spectral_radius < 1.0),
-            "residual": sol.residual,
-            "spectral_radius": sol.spectral_radius,
-        }
+    def checks(self) -> List[Dict[str, Any]]:
+        """The `riccati` and `bellman` entries of `verify`, on one solve of
+        the query: the stationary Riccati residual of the design at T*, and
+        the cold one-step Bellman residuals of three steps of its leg (not
+        applicable, `passed` None, when every step is skipped)."""
+        solution = solve_two_phase(self)
+        sol = solution.design.solution
+        steps = bellman_check(self, solution, 3)
+        worst = max((c.residual for c in steps if not c.skipped), default=None)
+        bellman = {"check": "bellman", "passed": None if worst is None else bool(worst < 1e-6), "max_residual": worst}
+        if worst is None:
+            bellman["detail"] = "every step skipped: " + "; ".join(sorted({c.reason for c in steps}))
+        return [
+            {
+                "check": "riccati",
+                "passed": bool(sol.residual < 1e-9 and sol.spectral_radius < 1.0),
+                "residual": sol.residual,
+                "spectral_radius": sol.spectral_radius,
+            },
+            bellman,
+        ]
 
 
 @dataclass(frozen=True)
@@ -363,10 +378,6 @@ class ClosedLoopTrajectory:
     def total_cost(self) -> float:
         return float(np.sum(self.stage_costs))
 
-    def tail_costs(self) -> np.ndarray:
-        """Remaining accumulated cost from each step onward (cost-to-go estimate)."""
-        return np.cumsum(self.stage_costs[::-1])[::-1]
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> ClosedLoopTrajectory:
@@ -472,12 +483,11 @@ def bellman_check(
 
         value(x_t)  vs  c(x_t, u_t) + value(x_{t+1}).
 
-    With the problem's `warm_start` the re-solve starts from the shifted
-    incumbent controls (fast; confirms stationarity); without it the
-    re-solve starts from the problem's own initial guess and must
-    rediscover the tail value independently. Steps already inside the
-    terminal set are skipped; a failed re-solve marks the residual
-    unavailable instead of raising.
+    Each re-solve starts cold, from the problem's own initial guess, so it
+    must rediscover the tail value independently: a leg that stopped short
+    of stationarity shows as a residual. Steps already inside the terminal
+    set are skipped; a failed re-solve marks the residual unavailable
+    instead of raising.
     """
     traj = solution.report.trajectory
     design = solution.design
@@ -499,9 +509,8 @@ def bellman_check(
                 BellmanResidual(t, tails[t], 0.0, 0.0, 0.0, skipped=True, reason="no horizon left")
             )
             continue
-        guess = traj.controls[t + 1 :] if problem.warm_start else problem.guess_for(remaining)
         try:
-            report = problem.leg(design, traj.states[t + 1], guess)
+            report = problem.leg(design, traj.states[t + 1], problem.guess_for(remaining))
         except (RegularizationError, ValueError) as exc:
             out.append(
                 BellmanResidual(
@@ -516,12 +525,18 @@ def bellman_check(
     return out
 
 
-def lyapunov_decreasing(
-    closed: ClosedLoopTrajectory, design: RegulationDesign, level: float
-) -> bool:
-    """True iff the tail cost-to-go strictly decreases at every step whose
-    state lies outside the terminal sublevel set. z'Pz is evaluated only at
-    the steps where the tail does not decrease."""
-    tails = closed.tail_costs()
-    rising = np.flatnonzero(~(tails[:-1] > tails[1:]))
-    return all(design.predicted_cost(closed.states[t]) <= level for t in rising)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def lyapunov_decrease_ratio(closed: ClosedLoopTrajectory, design: RegulationDesign) -> Optional[List[float]]:
+    """[min, max] over the phase-2 steps of (V_t - V_{t+1}) / c_t, with
+    V = z'Pz of `design`; None when phase 2 has no step.
+
+    The decrease condition V(x+) - V(x) <= -c(x, u) holds where the ratio
+    is at least 1, and linear dynamics under the design's own gain give 1
+    exactly. A diverged run yields inf or nan, without numpy warnings."""
+    s = closed.switch_index
+    Z = closed.states[s:, design.indices]  # a failed last step has no successor state
+    if len(Z) < 2:
+        return None
+    V = np.einsum("ti,ij,tj->t", Z, design.solution.P, Z)
+    ratio = (V[:-1] - V[1:]) / closed.stage_costs[s : s + len(Z) - 1]
+    return [float(ratio.min()), float(ratio.max())]

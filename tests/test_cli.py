@@ -143,7 +143,19 @@ def test_sweep_summary_lists_membership_switches(tmp_path, capsys):
     assert [r[5] for r in rows] == ["1", "0", "1"]
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["first_hitting_time"] == 22.0
+    assert summary["first_hit_bracketed"] is False  # T* is the first grid point
     assert summary["membership_switches"] == [25.8, 41.3]
+
+
+@pytest.mark.parametrize("grid,bracketed", [("[18.8,22.0]", True), ("[18.8]", None)])
+def test_sweep_summary_says_whether_the_first_hit_is_bracketed(tmp_path, capsys, grid, bracketed):
+    # attitude is not a member at 18.8 s; None when nothing is hit
+    code, _ = run_cli(
+        capsys, "sweep", "--set", "scenario=attitude", "--set", f"sweep.grid={grid}", "--out", str(tmp_path / "o")
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["first_hit_bracketed"] is bracketed
 
 
 @pytest.mark.parametrize("scenario,budget", [("attitude", 8000), ("rendezvous", 2600)])
@@ -214,6 +226,10 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["regulation_converged"] and not summary["diverged"]
     assert summary["membership_switches"] == []
+    # attitude's 18.8 s precedes T* = 22 s; rendezvous hits at its first point
+    assert summary["first_hit_bracketed"] is (scenario == "attitude")
+    low, high = summary["lyapunov_decrease_ratio"]
+    assert 0.99 < low < 1.0 < high < 1.04
     assert 0 < calls["steps"] <= budget
     assert calls["goal_orbit"] == (150 if scenario == "rendezvous" else 0)
     assert not hasattr(cost, "stage_cost")
@@ -397,18 +413,34 @@ def test_verify_command_passes(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["passed"] is True
-    names = {c["check"] for c in summary["checks"]}
-    assert names == {"jacobians", "riccati", "bellman"}
+    checks = {c["check"]: c for c in summary["checks"]}
+    assert list(checks) == ["jacobians", "riccati", "bellman"]
+    # the cold re-solves of the attitude T* solve, not a linear stand-in
+    assert 1e-9 < checks["bellman"]["max_residual"] < 1e-6
 
 
 def test_verify_soft_landing_reports_equilibrium_infeasibility(tmp_path, capsys):
+    """Without a stationary design neither entry applies; `passed` counts
+    only the Jacobian check."""
     code, _ = run_cli(
         capsys, "verify", "--set", "scenario=soft-landing", "--out", str(tmp_path / "o")
     )
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    riccati = next(c for c in summary["checks"] if c["check"] == "riccati")
-    assert riccati["passed"] and "not a fixed point" in riccati["detail"]
+    checks = {c["check"]: c for c in summary["checks"]}
+    assert checks["jacobians"]["passed"] is True and summary["passed"] is True
+    for name in ("riccati", "bellman"):
+        assert checks[name]["passed"] is None and "not a fixed point" in checks[name]["detail"]
+
+
+def test_verify_bellman_does_not_apply_to_a_one_step_hit(tmp_path, capsys):
+    # custom-linear hits at T* = 1 step: the leg has no step to re-solve from
+    code, _ = run_cli(capsys, "verify", "--set", "scenario=custom-linear", "--out", str(tmp_path / "o"))
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    bellman = summary["checks"][2]
+    assert bellman["passed"] is None and bellman["max_residual"] is None
+    assert bellman["detail"] == "every step skipped: no horizon left"
 
 
 def test_config_error_is_machine_readable(tmp_path, capsys):
@@ -573,8 +605,8 @@ def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, v
         # stays indefinite up to reg_max
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_weight=-1e12"], "RegularizationError"),
         # the target orbit dips below the 1000 km guard near step 2,800, so
-        # the design at the last grid time (6000 s) has no goal state
-        ("verify", ["scenario=rendezvous", "rendezvous.target.e=0.9"], "DynamicsDomainError"),
+        # the design at the horizon (6000 s) has no goal state
+        ("solve", ["scenario=rendezvous", "rendezvous.target.e=0.9"], "DynamicsDomainError"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # the failure is reported, not preceded by numpy warnings

@@ -29,7 +29,7 @@ from spacetraj.two_phase import (
     TwoPhaseSolution,
     bellman_check,
     convergence_study,
-    lyapunov_decreasing,
+    lyapunov_decrease_ratio,
     membership_switches,
     solve_two_phase,
     two_phase_simulate,
@@ -218,49 +218,67 @@ def test_phase_boundary_feasibility():
         assert np.array_equal(closed.states[t + 1], step)
 
 
-def test_lyapunov_tail_decrease_outside_set():
-    bp = linear_benchmark()
-    sol = solve_two_phase(query(bp, steps(20), level=0.05))
+def scaled_gain(design, factor):
+    """`design` with its feedback gain scaled by `factor` (the same P)."""
+    solution = dataclasses.replace(design.solution, K=factor * design.solution.K)
+    return RegulationDesign(solution, design.indices, design.state_dim)
+
+
+def test_lyapunov_ratio_is_one_on_linear_dynamics():
+    # V = x'Px of the DARE decreases by exactly the stage cost under u = -Kx
+    bp = query(linear_benchmark(), steps(20), level=0.05)
+    sol = solve_two_phase(bp)
     closed = two_phase_simulate(bp, sol)
-    assert lyapunov_decreasing(closed, sol.design, sol.level)
+    low, high = lyapunov_decrease_ratio(closed, sol.design)
+    assert abs(low - 1.0) <= 4 * np.spacing(1.0) and abs(high - 1.0) <= 4 * np.spacing(1.0)
 
 
-def per_step_lyapunov(closed, design, level):
-    """The definition of `lyapunov_decreasing`, one step at a time."""
-    tails = closed.tail_costs()
-    for t in range(len(tails) - 1):
-        if design.predicted_cost(closed.states[t]) <= level:
-            continue
-        if not tails[t] > tails[t + 1]:
-            return False
-    return True
+@pytest.mark.parametrize("factor,ratio", [(0.5, 0.7718), (2.0, 0.6044)])
+def test_lyapunov_ratio_falls_with_a_wrong_gain(factor, ratio):
+    """Phase 2 resumed under a scaled gain K: V falls by less than the
+    stage cost, (1 - a^2) P / (1 + K^2) with a = 1 - K, while the remaining
+    cumulative stage cost still decreases at every step, so a test of it
+    cannot see the fault."""
+    bp = query(linear_benchmark(), steps(20), level=0.05)
+    sol = solve_two_phase(bp)
+    faulty = dataclasses.replace(sol, design=scaled_gain(sol.design, factor))
+    closed = two_phase_simulate(bp, faulty)
+    low, high = lyapunov_decrease_ratio(closed, faulty.design)
+    assert low == pytest.approx(ratio, abs=1e-4) and high == pytest.approx(1.0)
+    tails = np.cumsum(closed.stage_costs[::-1])[::-1]
+    assert np.all(tails[:-1] > tails[1:])
 
 
-@pytest.mark.parametrize(
-    "x_at_rise,expected",
-    [(2.0, False), (0.5, True), (1.0, True)],  # outside, inside, on the level
-)
-def test_lyapunov_tail_rise_counts_only_outside_the_set(x_at_rise, expected):
-    design = linear_benchmark().design_for(1.0)
-    level = design.predicted_cost(np.array([1.0]))
-    # tails 6, 3, 1, 1: the tail fails to decrease only at step 2
-    states = np.array([[3.0], [2.5], [x_at_rise], [0.2], [0.1]])
-    closed = SimpleNamespace(
-        states=states,
-        tail_costs=lambda: np.cumsum(np.array([3.0, 2.0, 0.0, 1.0])[::-1])[::-1],
-    )
-    assert lyapunov_decreasing(closed, design, level) is expected
-    assert per_step_lyapunov(closed, design, level) is expected
+def test_lyapunov_ratio_of_a_diverged_run_is_nan_without_warnings():
+    bp = query(linear_benchmark(), steps(20), level=0.05)
+    sol = solve_two_phase(bp)
+    faulty = dataclasses.replace(sol, design=scaled_gain(sol.design, 1e200))
+    closed = two_phase_simulate(bp, faulty)
+    assert closed.diverged and np.isinf(closed.stage_costs[-1])
+    assert all(math.isnan(r) for r in lyapunov_decrease_ratio(closed, faulty.design))
 
 
-def test_lyapunov_check_matches_the_per_step_definition():
-    bp = linear_benchmark()
-    sol = solve_two_phase(query(bp, steps(20), level=0.05))
+def test_lyapunov_ratio_is_none_without_phase_2():
+    # from the origin the regulation law stops before its first step
+    bp = dataclasses.replace(query(linear_benchmark(), [1.0]), x0=np.zeros(1))
+    sol = solve_two_phase(bp)
     closed = two_phase_simulate(bp, sol)
-    for level in (0.0, 1e-12, 1e-6, sol.level, 1.0):
-        assert lyapunov_decreasing(closed, sol.design, level) == per_step_lyapunov(
-            closed, sol.design, level
-        )
+    assert len(closed.stage_costs) == closed.switch_index
+    assert lyapunov_decrease_ratio(closed, sol.design) is None
+
+
+@pytest.mark.parametrize("scenario,low", [("attitude", 0.1), ("rendezvous", 4e-5)])
+def test_bellman_check_fails_on_an_unconverged_leg(scenario, low):
+    """The cold re-solves pass on the scenario's T* solve and expose an
+    incumbent leg stopped after one iteration."""
+    problem = build_problem(scenario_defaults(scenario))
+    sol = solve_two_phase(problem)
+    assert max(c.residual for c in bellman_check(problem, sol, 3)) < 1e-6
+    capped = dataclasses.replace(problem, settings=dataclasses.replace(problem.settings, max_iterations=1))
+    incumbent = capped.leg(sol.design, problem.x0, problem.guess_for(problem.steps_for(sol.transfer_time)))
+    checks = bellman_check(problem, dataclasses.replace(sol, report=incumbent), 3)
+    assert len(checks) == 3 and not any(c.skipped for c in checks)
+    assert min(c.residual for c in checks) > low
 
 
 def test_hitting_time_not_found_carries_sweep():
