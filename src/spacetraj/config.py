@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cost import is_psd
 from .errors import ConfigError, integer, number, positive, real
 from .ilqr import SolverSettings
 from .lqr import TerminalSetSpec
@@ -361,7 +362,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError("initial_state", "pitch angle sits on the kinematic singularity, cos(pitch) = 0")
 
     Q = weight_matrix(cfg.q, n, "q")
-    if not np.allclose(Q, Q.T) or np.any(np.linalg.eigvalsh(Q) < -1e-12):
+    if not np.allclose(Q, Q.T) or not is_psd(Q):
         raise ConfigError("q", "must be symmetric positive semidefinite")
     R = weight_matrix(cfg.r, m, "r")
     # the stationary design solves against R / 2, which must stay definite

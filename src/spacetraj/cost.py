@@ -11,7 +11,8 @@ All derivatives consumed by the solver backward pass are exact.
 `cost_derivatives` takes an optional leading trajectory axis, so the backward
 pass gets the expansion of every stage from one call. `stage_costs` likewise
 prices a whole finished rollout at once; the step loops never call a cost.
-`first_over_cap` is the one cost-cap test applied to a priced rollout.
+`priced` is the one place a finished loop is priced and cut at a cost cap,
+and `is_psd` the one test of a positive semidefinite weight.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+
+# A weight is positive semidefinite when no eigenvalue lies below
+# -PSD_RTOL * max|entry|: rounding, relative to the matrix's own scale.
+PSD_RTOL = 1e-12
+
+
+def is_psd(M: np.ndarray) -> bool:
+    """True iff the symmetric float matrix M is positive semidefinite up to
+    `PSD_RTOL` relative to its largest entry, so a positive scaling keeps
+    the verdict."""
+    return bool(np.all(np.linalg.eigvalsh(M) >= -PSD_RTOL * np.abs(M).max()))
 
 
 def altitude_penalty(altitude: float, weight: float, rate: float) -> float:
@@ -84,7 +96,7 @@ class QuadraticCostSpec:
         for name, M in (("Q", Q), ("R", R)):
             if not np.allclose(M, M.T):
                 raise ValueError(f"{name} must be symmetric")
-        if not np.all(np.linalg.eigvalsh(Q) >= -1e-12 * max(1.0, np.abs(Q).max())):
+        if not is_psd(Q):
             raise ValueError("Q must be positive semidefinite")
         if not np.all(np.linalg.eigvalsh(R) > 0.0):
             raise ValueError("R must be positive definite")
@@ -126,17 +138,30 @@ def stage_costs(X: np.ndarray, U: np.ndarray, spec: QuadraticCostSpec) -> np.nda
     return c
 
 
-def first_over_cap(
-    costs: np.ndarray, cap: float, start: float = 0.0
-) -> Tuple[np.ndarray, Optional[int]]:
-    """The running sums start + c_0 + ... + c_t in step order, and the first
-    step whose sum is non-finite or above `cap` (None when no step's is).
-    A per-step test would have stopped the loop at that step; each caller
-    decides what of it to keep."""
+def priced(
+    simulation: Tuple[np.ndarray, np.ndarray, str], spec: QuadraticCostSpec, cap: float, start: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]:
+    """A finished `dynamics.simulate` loop, priced by one `stage_costs` call
+    and cut where the closed loop, testing after each applied step, stops.
+
+    The cut falls at the first control whose running sum start + c_0 + ...
+    + c_t, in step order, is non-finite or above `cap`; that control is kept
+    with its cost and the state it led to. A control whose step left the
+    dynamics domain ended the loop first: it is kept with its cost and has
+    no successor state, as `simulate` returns it. Returns the states, the
+    controls, their costs, the running sums and a message that is empty
+    unless the loop diverged.
+    """
+    states, controls, message = simulation
+    costs = stage_costs(states[: len(controls)], controls, spec)
     with np.errstate(over="ignore", invalid="ignore"):
         running = np.cumsum(np.concatenate(([start], costs)))[1:]
-        over = np.flatnonzero(~(np.isfinite(running) & (running <= cap)))
-    return running, int(over[0]) if len(over) else None
+        done = running[: len(states) - 1]  # the steps that were taken
+        over = np.flatnonzero(~(np.isfinite(done) & (done <= cap)))
+    if len(over):
+        k = int(over[0]) + 1
+        return states[: k + 1], controls[:k], costs[:k], running[:k], f"cost exceeded cap ({running[k - 1]:.3e})"
+    return states, controls, costs, running, message and f"left the dynamics domain: {message}"
 
 
 @dataclass(frozen=True)
@@ -189,7 +214,7 @@ class TerminalValue:
         P = np.atleast_2d(np.asarray(self.P, dtype=float))
         if not np.allclose(P, P.T):
             raise ValueError("terminal matrix must be symmetric")
-        if not np.all(np.linalg.eigvalsh(P) >= -1e-9 * max(1.0, np.abs(P).max())):
+        if not is_psd(P):
             raise ValueError("terminal matrix must be positive semidefinite")
         object.__setattr__(self, "P", P)
         if self.reference is not None:

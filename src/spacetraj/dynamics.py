@@ -125,11 +125,11 @@ def simulate(
     whose states and controls they give bit for bit (a marginal solve can
     flip on a last bit). Each step is one `euler_step` on the kernel's
     floats: one array per step and the only finiteness test of a state.
-    Callers price the finished loop with one `stage_costs` call (within
-    1e-13 of the per-step formula relative to each row's |quadratic part| +
-    |penalty|, measured <= 31 ulps) and cut it where the running sum in step
-    order first passed their cap, where a test after each step would have
-    stopped it.
+    Callers price the finished loop with `cost.priced`, one `stage_costs`
+    call (within 1e-13 of the per-step formula relative to each row's
+    |quadratic part| + |penalty|, measured <= 31 ulps), which cuts it where
+    the running sum in step order first passed their cap, keeping what a
+    test after each applied step would have kept.
     """
     x = np.array(x0, dtype=float)
     states, controls = [x], []

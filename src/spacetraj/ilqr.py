@@ -50,13 +50,13 @@ are re-tested from the last, so the error names the step a per-step test
 would have named.
 
 The rollouts are `dynamics.simulate` under the open-loop law ``U[t]`` and
-the affine `tracking_law`, priced after the loop as its hot-loop contract
-states: their states and controls are bitwise the ``@`` formulas kept in
-``tests/test_bitexact.py``, and they return None exactly where a test after
-each step would have stopped. The sweep is held to measured
-bounds instead: relative to each quantity's largest entry it agrees with
-the per-step reference to 1e-12 on the scenario trajectories (measured
-<= 3e-14). Its worst error against long double is within twice the
+the affine `tracking_law`, priced and cut by `cost.priced` after the loop as
+its hot-loop contract states: their states and controls are bitwise the
+``@`` formulas kept in ``tests/test_bitexact.py``, and they return None
+exactly where a test after each step would have stopped. The sweep is held
+to measured bounds instead: relative to each quantity's largest entry it
+agrees with the per-step reference to 1e-12 on the scenario trajectories
+(measured <= 3e-14). Its worst error against long double is within twice the
 reference's plus 1e-14 on the scenario trajectories; on rare generated
 unstable draws none of the double-precision evaluation orders tried stays
 within it (see ``tests/test_bitexact.py``). It calls the gufunc behind
@@ -74,7 +74,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, first_over_cap, stage_costs
+from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, priced
 from .dynamics import ControlLaw, DiscreteModel, jacobians, simulate
 from .errors import ConfigError, DivergenceError, RegularizationError, in_unit_interval, integer, positive, real
 
@@ -218,21 +218,10 @@ def _priced(
     terminal: TerminalValue,
     cost_cap: float,
 ) -> Optional[Trajectory]:
-    """The finished rollout with its stage costs, or None when a step left
-    the dynamics domain or a running sum of the costs tripped the cap."""
-    states, controls, message = simulation
-    if message:
-        return None
-    costs = stage_costs(states[:-1], controls, spec)
-    # a candidate that trips the cap at any step is rejected whole
-    if first_over_cap(costs, cost_cap)[1] is not None:
-        return None
-    return Trajectory(
-        states=states,
-        controls=controls,
-        stage_costs=costs,
-        terminal_cost=terminal.value(states[-1]),
-    )
+    """The finished rollout with its stage costs, or None when `cost.priced`
+    cuts it: a candidate that diverges at any step is rejected whole."""
+    states, controls, costs, _, message = priced(simulation, spec, cost_cap)
+    return None if message else Trajectory(states, controls, costs, terminal.value(states[-1]))
 
 
 def _first_indefinite_step(Q_uus: np.ndarray) -> int:

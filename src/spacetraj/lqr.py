@@ -61,11 +61,13 @@ and undecided points roll exactly as without the test.
 
 The rollout is `dynamics.simulate` under `regulation_law` (see its hot-loop
 contract), run in chunks of CHUNK_STEPS steps; z is a view when the
-regulated block is contiguous. One `stage_costs` call prices each chunk
-(rows price alike in any batch, and the running sum carries over in step
-order), the bracket is tested over the chunk's states at once, and the
-rollout is cut at the step `cost.first_over_cap` names, as one loop priced
-once would be.
+regulated block is contiguous. `cost.priced` prices and cuts each chunk,
+with the running sum carried over in step order (rows price alike in any
+batch), so the rollout keeps what one loop priced once keeps: a control that
+tripped the cost cap stays with its cost and the state it led to, one that
+left the dynamics domain with its cost and no successor state, and `cost`
+is always the last running sum. The bracket is then tested over the cut
+chunk's states at once, except the state after a trip.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, first_over_cap, stage_costs
+from .cost import QuadraticCostSpec, priced
 from .dynamics import ControlLaw, DiscreteModel, Linearization, jacobians, simulate
 from .errors import NotAFixedPointError, StabilizabilityError, integer, positive
 
@@ -92,7 +94,7 @@ PREDICTION_FLOOR = 1e-9
 TAIL_FRACTION = 1e-4
 
 # Steps per `simulate` call of a regulation rollout; each chunk is priced by
-# one `stage_costs` call before the verdict is tested on its states. Longer
+# one `cost.priced` call before the verdict is tested on its states. Longer
 # chunks price less often, shorter ones overshoot a decided stop by less.
 CHUNK_STEPS = 64
 
@@ -308,11 +310,13 @@ class RegulationRollout:
     """Nonlinear closed loop under u = -K z from one state.
 
     `stage_costs` holds the cost of each applied control, `cost` their
-    running sum (on a cost-cap divergence it also holds the step that tripped
-    the cap, which is not applied), and `tail` the quadratic value z'Pz at the
-    state the rollout stopped at (0 when it diverged). `decided` says the
-    rollout stopped because its tail-closed cost was settled outside the
-    membership band, neither converged nor diverged.
+    running sum, and `tail` the quadratic value z'Pz at the state the
+    rollout stopped at (0 when it diverged). A diverged rollout keeps its
+    last control (see `cost.priced`); when that one left the dynamics
+    domain it has no successor state, so `states` has `steps` rows, not
+    `steps + 1`. `decided` says the rollout stopped because its tail-closed
+    cost was settled outside the membership band, neither converged nor
+    diverged.
     """
 
     states: np.ndarray
@@ -374,63 +378,40 @@ def regulation_rollout(
     take, P = design.take, design.solution.P
     x = np.array(x0, dtype=float)
     X, U, costs = [x[None]], [], []
-    rolled, applied, decided, message = 0.0, 0, None, ""
-    while applied < stop.regulation_cap and decided is None:
+    rolled, applied, decided, message = 0.0, 0, False, ""
+    while applied < stop.regulation_cap:
         steps = min(CHUNK_STEPS, stop.regulation_cap - applied)
-        Xc, Uc, message = simulate(model, x, law, steps)
-        costs_c = stage_costs(Xc[: len(Uc)], Uc, spec)
-        running, over = first_over_cap(costs_c, stop.cost_cap, rolled)
+        Xc, Uc, costs_c, running, message = priced(simulate(model, x, law, steps), spec, stop.cost_cap, rolled)
         if band is not None:
-            # state j of the chunk has rolled running[j - 1]; the states
-            # past a cap trip are not tested, the trip decides them
-            last = len(Xc) - 1 if over is None else over
-            Z = Xc[1 : last + 1, take]
-            rolled_at, tails = running[:last], np.einsum("ij,jk,ik->i", Z, P, Z)
+            # state j of the chunk has rolled running[j - 1]; a diverged
+            # chunk's last control led to no state to test
+            Z = Xc[1 : len(Uc) + (not message), take]
+            rolled_at, tails = running[: len(Z)], np.einsum("ij,jk,ik->i", Z, P, Z)
             outside = (rolled_at > band[1]) | (rolled_at + 2.0 * tails < band[0])
             if outside.any():
-                decided = applied + int(np.argmax(outside)) + 1
+                k = int(np.argmax(outside)) + 1
+                Xc, Uc, costs_c, running, message, decided = Xc[: k + 1], Uc[:k], costs_c[:k], running[:k], "", True
         X.append(Xc[1:])
         U.append(Uc)
         costs.append(costs_c)
         applied += len(Uc)
-        if message or over is not None or len(Uc) < steps:
+        if len(Uc):
+            rolled = float(running[-1])
+        if decided or message or len(Uc) < steps:
             break
-        x, rolled = Xc[-1], float(running[-1])
+        x = Xc[-1]
     X, U, costs = np.concatenate(X), np.concatenate(U), np.concatenate(costs)
-    running, over = first_over_cap(costs, stop.cost_cap)
-    if decided is not None:
-        z = X[decided][take]
-        return RegulationRollout(
-            states=X[: decided + 1],
-            controls=U[:decided],
-            stage_costs=costs[:decided],
-            cost=float(running[decided - 1]),
-            tail=float(z.dot(P).dot(z)),
-            converged=False,
-            diverged=False,
-            decided=True,
-        )
-    converged = not message and len(U) < stop.regulation_cap
-    message = message and f"regulation rollout left the dynamics domain: {message}"
-    k = len(U) - 1  # the running sum that `cost` reports
-    if over is not None:
-        # the tripping control is priced but not applied, as a failed step's is
-        k = over
-        X, U, costs, converged = X[: k + 1], U[:k], costs[:k], False
-        message = f"regulation cost exceeded cap ({running[k]:.3e})"
-    elif message:
-        U, costs = U[:-1], costs[:-1]
-    cost = float(running[k]) if k >= 0 else 0.0
     z = X[-1][take]
     return RegulationRollout(
         states=X,
         controls=U,
         stage_costs=costs,
-        cost=cost,
+        cost=rolled,
         tail=0.0 if message else float(z.dot(P).dot(z)),
-        converged=converged,
+        converged=not (message or decided) and len(U) < stop.regulation_cap,
         diverged=bool(message),
-        message=message,
+        message=message and f"regulation rollout {message}",
+        decided=decided,
     )
 
 

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, TerminalValue, first_over_cap, stage_costs
+from .cost import QuadraticCostSpec, TerminalValue, priced
 from .dynamics import DiscreteModel, simulate
 from .errors import HittingTimeNotFoundError, RegularizationError, StabilizabilityError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp
@@ -179,13 +179,19 @@ class TwoPhaseProblem:
         """The `riccati` and `bellman` entries of `verify`, on one solve of
         the query: the stationary Riccati residual of the design at T*, and
         the cold one-step Bellman residuals of three steps of its leg (not
-        applicable, `passed` None, when every step is skipped)."""
+        applicable, `passed` None, when every step is skipped; failed, with
+        a `detail` naming the failures, when a re-solve raised)."""
         solution = solve_two_phase(self)
         sol = solution.design.solution
         steps = bellman_check(self, solution, 3)
-        worst = max((c.residual for c in steps if not c.skipped), default=None)
-        bellman = {"check": "bellman", "passed": None if worst is None else bool(worst < 1e-6), "max_residual": worst}
-        if worst is None:
+        measured = [c for c in steps if not c.skipped]
+        failures = sorted({c.reason for c in measured if c.reason})
+        worst = max((c.residual for c in measured if not c.reason), default=None)
+        passed = None if not measured else not failures and bool(worst < 1e-6)
+        bellman = {"check": "bellman", "passed": passed, "max_residual": worst}
+        if failures:
+            bellman["detail"] = "re-solve failed: " + "; ".join(failures)
+        elif not measured:
             bellman["detail"] = "every step skipped: " + "; ".join(sorted({c.reason for c in steps}))
         return [
             {
@@ -387,10 +393,11 @@ def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> 
     the feedback term zero). Phase 2, u = -K z until the regulated state
     converges or the cap runs out, is the selected point's membership
     rollout (the same law from the same switch state) resumed where it
-    stopped: one `dynamics.simulate` loop priced by one `stage_costs` call,
-    while the other rows keep the costs the solve stored (the same bits).
-    The run is cut where phase-1 plus regulation cost first passed the cap,
-    so it is what simulating both phases step by step gives. `solution`
+    stopped by one `dynamics.simulate` loop. `cost.priced` prices the
+    rollout and the resumed loop as one, on top of the phase-1 cost (rows
+    price alike in any batch, so the rollout's rows keep the bits the solve
+    stored), and cuts them where a test after each applied step would have,
+    so the run is what simulating both phases step by step gives. `solution`
     must come from `solve_two_phase` on `problem`. An overflowing state
     ends the run as diverged, without numpy warnings.
     """
@@ -400,22 +407,13 @@ def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> 
     budget = stop.regulation_cap - prefix.steps
     law = regulation_law(solution.design, stop.state_tol)
     X2, U2, message = simulate(problem.model, prefix.states[-1], law, budget)
-    X = np.concatenate((nominal.states, prefix.states[1:], X2[1:]))
-    U = np.concatenate((nominal.controls, prefix.controls, U2))
-    costs = np.concatenate(
-        (nominal.stage_costs, prefix.stage_costs, stage_costs(X2[: len(U2)], U2, problem.cost))
-    )
-    converged = not message and len(U2) < budget
-    message = message and f"regulation left the dynamics domain: {message}"
-    # The cap is tested on the regulation steps, on top of the phase-1 cost
-    # (a step that failed ended the run first).
-    tested = costs[switch_index : len(X) - 1]
-    over = first_over_cap(tested, stop.cost_cap, nominal.phase_cost)[1]
-    if over is not None:
-        # the closed loop tests after each applied step: the tripping step stays
-        end = switch_index + over + 1
-        X, U, costs = X[: end + 1], U[:end], costs[:end]
-        converged, message = False, "regulation diverged"
+    regulation = (np.concatenate((prefix.states, X2[1:])), np.concatenate((prefix.controls, U2)), message)
+    X2, U2, costs2, _, message = priced(regulation, problem.cost, stop.cost_cap, nominal.phase_cost)
+    X = np.concatenate((nominal.states, X2[1:]))
+    U = np.concatenate((nominal.controls, U2))
+    costs = np.concatenate((nominal.stage_costs, costs2))
+    converged = not message and len(U2) < stop.regulation_cap
+    message = message and f"regulation {message}"
     phases = np.full(len(costs), 2)
     phases[:switch_index] = 1
     return ClosedLoopTrajectory(
@@ -469,7 +467,7 @@ class BellmanResidual:
     next_value: float  # re-solved value at x_{t+1}
     residual: float  # |value - stage - next_value| / max(value, 1)
     skipped: bool = False
-    reason: str = ""
+    reason: str = ""  # why the step was skipped or its re-solve failed
 
 
 def bellman_check(
@@ -486,8 +484,8 @@ def bellman_check(
     Each re-solve starts cold, from the problem's own initial guess, so it
     must rediscover the tail value independently: a leg that stopped short
     of stationarity shows as a residual. Steps already inside the terminal
-    set are skipped; a failed re-solve marks the residual unavailable
-    instead of raising.
+    set, or with no horizon left, are skipped; a re-solve that raises is a
+    failed step (residual NaN, the error as its reason), not an exception.
     """
     traj = solution.report.trajectory
     design = solution.design
@@ -512,11 +510,7 @@ def bellman_check(
         try:
             report = problem.leg(design, traj.states[t + 1], problem.guess_for(remaining))
         except (RegularizationError, ValueError) as exc:
-            out.append(
-                BellmanResidual(
-                    t, tails[t], 0.0, 0.0, float("nan"), skipped=True, reason=str(exc)
-                )
-            )
+            out.append(BellmanResidual(t, tails[t], 0.0, 0.0, float("nan"), reason=f"{type(exc).__name__}: {exc}"))
             continue
         next_value = report.trajectory.phase_cost + max(report.trajectory.terminal_cost, level)
         stage = float(traj.stage_costs[t])

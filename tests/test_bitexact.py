@@ -345,7 +345,10 @@ def ref_forward_pass(traj, gains, alpha, model, spec, terminal, cost_cap=1e30):
 
 
 def ref_regulation_rollout(model, x0, design, spec, stop):
-    """Rolls to state_tol (no tail stop); the tail is z'Pz where it stops."""
+    """Rolls to state_tol (no tail stop); the tail is z'Pz where it stops.
+    The cost is tested after each applied step: a control that trips the
+    cap is kept with its cost and its state, one whose step leaves the
+    domain with its cost and no state."""
     x = np.array(x0, dtype=float)
     states = [x]
     controls = []
@@ -359,24 +362,20 @@ def ref_regulation_rollout(model, x0, design, spec, stop):
             break
         u = -design.solution.K @ x[design.indices]
         c = ref_stage_cost(x, u, spec)
+        controls.append(u)
+        costs.append(c)
         cost += c
-        if not np.isfinite(cost) or cost > stop.cost_cap:
-            diverged = True
-            message = f"regulation cost exceeded cap ({cost:.3e})"
-            break
         try:
             x = model.step(x, u)
         except (SingularityError, DynamicsDomainError) as exc:
             diverged = True
             message = f"regulation rollout left the dynamics domain: {exc}"
             break
-        if not np.all(np.isfinite(x)):
-            diverged = True
-            message = "regulation rollout produced non-finite state"
-            break
-        controls.append(u)
-        costs.append(c)
         states.append(x)
+        if not np.isfinite(cost) or cost > stop.cost_cap:
+            diverged = True
+            message = f"regulation rollout cost exceeded cap ({cost:.3e})"
+            break
     z = x[design.indices]
     return RegulationRollout(
         states=np.array(states),
@@ -420,9 +419,9 @@ def ref_two_phase_simulate(problem, solution):
         phases.append(2)
         x = model.step(x, u)
         states.append(x)
-        if running > stop.cost_cap:
+        if not np.isfinite(running) or running > stop.cost_cap:
             diverged = True
-            message = "regulation diverged"
+            message = f"regulation cost exceeded cap ({running:.3e})"
             break
     return ClosedLoopTrajectory(
         states=np.array(states),
@@ -550,8 +549,6 @@ def check_regulation(model, x, design, spec, stop):
     assert np.array_equal(got.controls, want.controls)
     X, U = want.states[: len(want.controls)], want.controls
     assert_costs_close(got.stage_costs, want.stage_costs, X, U, spec)
-    if want.diverged:  # `cost` also holds the cost of the control not applied
-        X, U = want.states, np.vstack([U, design.feedback(want.states[-1])])
     assert_sum_close(got.cost, want.cost, X, U, spec)
     assert got.tail == want.tail
     assert (got.converged, got.diverged, got.message) == (
@@ -651,7 +648,7 @@ def test_cost_cap_trips_on_the_reused_prefix():
     assert closed.diverged and not closed.converged
     tripped = int(np.sum(closed.phases == 2))
     assert 0 < tripped < prefix.steps
-    assert closed.message == "regulation diverged"
+    assert closed.message.startswith("regulation cost exceeded cap (")
 
 
 def test_divergent_rollout_matches_reference():
@@ -667,7 +664,9 @@ def test_divergent_rollout_matches_reference():
         )
     stop = TerminalSetSpec(regulation_cap=200, cost_cap=1.0)
     out = check_regulation(p.model, p.x0, design, p.cost, stop)
-    assert out.diverged
+    # the tripping control is kept with its cost and the state it led to
+    assert out.diverged and out.steps == 1 and len(out.states) == 2
+    assert out.cost == out.stage_costs[0] > stop.cost_cap
 
 
 def test_non_finite_running_cost_rejects_the_rollout_at_any_cap():
@@ -694,10 +693,12 @@ def test_regulation_leaving_the_domain_matches_reference():
     # u = -0.5 x: x grows by 1.5 a step and leaves the domain at step 6
     solution = LqrSolution(np.eye(1), np.array([[0.5]]), 1.5, 0.0, 0)
     design = RegulationDesign(solution, np.arange(1), 1)
-    for cap, message in ((1e12, "left the dynamics domain"), (30.0, "exceeded cap")):
+    # the control whose step leaves the domain is kept, with no successor state
+    for cap, message, steps, states in ((1e12, "left the dynamics domain", 7, 7), (30.0, "exceeded cap", 6, 7)):
         stop = TerminalSetSpec(regulation_cap=50, cost_cap=cap)
         out = check_regulation(model, np.array([1.0]), design, spec, stop)
         assert out.diverged and message in out.message
+        assert (out.steps, len(out.states)) == (steps, states)
 
 
 # ---------------------------------------------------------------------------

@@ -162,12 +162,13 @@ def test_sweep_summary_says_whether_the_first_hit_is_bracketed(tmp_path, capsys,
 def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, budget):
     """A deterministic work count: every simulated step of the default
     simulate goes through `dynamics.euler_step`, and the steps are priced
-    by at most one `stage_costs` call per finished loop or per chunk of a
-    regulation rollout (there is no one-row cost to call per step). The budget
-    holds the steps outside the design; the rendezvous design propagates
-    its goal orbit to T* = 300 s, exactly 150 steps of dt = 2 s. The closed
-    loop prices only the regulation steps it resumes after the membership
-    rollout; the nominal's and the rollout's rows keep their stored costs."""
+    by one `cost.priced` call, and so one `stage_costs` call, per finished
+    loop or per chunk of a regulation rollout (there is no one-row cost to
+    call per step). The budget holds the steps outside the design; the
+    rendezvous design propagates its goal orbit to T* = 300 s, exactly 150
+    steps of dt = 2 s. The closed loop prices the membership rollout it
+    resumes and the resumed steps; the nominal's rows keep their stored
+    costs."""
     import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
     import spacetraj.ilqr as ilqr
@@ -205,8 +206,9 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
 
         monkeypatch.setattr(module, name, counting)
 
-    for module in (cost, ilqr, lqr, two_phase):
-        count(module, "stage_costs", "stage_costs")
+    count(cost, "stage_costs", "stage_costs")
+    for module in (ilqr, lqr, two_phase):
+        count(module, "priced", "priced")
     for module, loop in (
         (ilqr, "rollout"),
         (ilqr, "forward_pass"),
@@ -214,13 +216,13 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
         (two_phase, "two_phase_simulate"),
     ):
         count(module, loop, "loops")
-    price = two_phase.stage_costs
+    price = two_phase.priced
 
-    def pricing(X, U, spec):
-        calls["closed_loop_rows"] += len(U)
-        return price(X, U, spec)
+    def pricing(simulation, *args):
+        calls["closed_loop_rows"] += len(simulation[1])
+        return price(simulation, *args)
 
-    monkeypatch.setattr(two_phase, "stage_costs", pricing)
+    monkeypatch.setattr(two_phase, "priced", pricing)
     code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
@@ -233,8 +235,9 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     assert 0 < calls["steps"] <= budget
     assert calls["goal_orbit"] == (150 if scenario == "rendezvous" else 0)
     assert not hasattr(cost, "stage_cost")
-    assert 0 < calls["stage_costs"] <= calls["loops"] < 100
-    assert calls["closed_loop_rows"] == {"attitude": 754, "rendezvous": 1405}[scenario]
+    assert 0 < calls["stage_costs"] == calls["priced"] <= calls["loops"] < 100
+    # the membership rollout's 1,066 / 642 rows and the 754 / 1,405 resumed
+    assert calls["closed_loop_rows"] == {"attitude": 1820, "rendezvous": 2047}[scenario]
 
 
 def _peak_allocation(call):
@@ -443,6 +446,21 @@ def test_verify_bellman_does_not_apply_to_a_one_step_hit(tmp_path, capsys):
     assert bellman["detail"] == "every step skipped: no horizon left"
 
 
+def test_verify_bellman_fails_when_its_re_solves_fail(tmp_path, capsys):
+    """The leg reaches T* from warm starts, but each cold re-solve's
+    zero-control rollout costs about 4.8e6, past the 2e6 cap: a re-solve
+    that raises is a failed step, not a skipped one."""
+    code, _ = run_cli(
+        capsys, "verify", "--set", "scenario=attitude", "--set", "solver.cost_cap=2e6", "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    bellman = summary["checks"][2]
+    assert summary["passed"] is False and bellman["passed"] is False
+    assert bellman["max_residual"] is None
+    assert bellman["detail"] == "re-solve failed: DivergenceError: initial control sequence produces a divergent rollout"
+
+
 def test_config_error_is_machine_readable(tmp_path, capsys):
     code, out = run_cli(
         capsys, "solve", "--set", "scenario=attitude", "--set", "dt=-1", "--out", str(tmp_path / "o")
@@ -548,6 +566,22 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
 def test_malformed_array_is_a_config_error(tmp_path, capsys, field, value):
     scenario = "soft-landing" if field.startswith("lander") else "attitude"
     assert_config_error(tmp_path, capsys, scenario, field, value)
+
+
+@pytest.mark.parametrize(
+    "scenario,value",
+    [
+        # the radian conversion scales Q by about 3,283
+        ("attitude", "[1e-5,1e-5,1e-5,1e-5,1e-5,-5e-13]"),
+        # the terminal matrix is 5e4 Q
+        ("soft-landing", "[" + "1e-8," * 11 + "-9e-13]"),
+    ],
+)
+def test_indefinite_weight_is_a_config_error_at_any_scale(tmp_path, capsys, scenario, value):
+    """An eigenvalue below rounding relative to q's own scale is rejected
+    once, by the config, as the scaled Q and terminal matrix built from it
+    would be."""
+    assert_config_error(tmp_path, capsys, scenario, "q", value)
 
 
 def assert_config_error(tmp_path, capsys, scenario, field, value):

@@ -9,6 +9,7 @@ from spacetraj.cost import (
     TerminalValue,
     altitude_penalty,
     cost_derivatives,
+    is_psd,
     stage_costs,
 )
 
@@ -211,3 +212,18 @@ def test_spec_validation():
 def test_terminal_value_validation(P, reference, message):
     with pytest.raises(ValueError, match=message):
         TerminalValue(P=P, reference=reference)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 3283.0, 5e4, 1e300])
+def test_one_psd_rule_keeps_its_verdict_under_scaling(scale):
+    """The weight test is relative to the matrix's own scale: a rounding-size
+    negative eigenvalue passes and a larger one fails at every scale, in the
+    predicate and in both specs that apply it."""
+    rounding, indefinite = np.diag([1.0, -1e-13]), np.diag([1.0, -5e-8])
+    assert is_psd(scale * rounding) and not is_psd(scale * indefinite)
+    QuadraticCostSpec(Q=scale * rounding, R=np.eye(1))
+    TerminalValue(P=scale * rounding)
+    with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+        QuadraticCostSpec(Q=scale * indefinite, R=np.eye(1))
+    with pytest.raises(ValueError, match="terminal matrix must be positive semidefinite"):
+        TerminalValue(P=scale * indefinite)

@@ -1,5 +1,6 @@
 """Stationary Riccati solution, regulation rollouts, terminal-set membership."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from spacetraj.cost import QuadraticCostSpec, first_over_cap, stage_costs
+from spacetraj.cost import QuadraticCostSpec, stage_costs
 from spacetraj.dynamics import DiscreteModel, double_integrator, lti_model, simulate
 from spacetraj.errors import DynamicsDomainError, NotAFixedPointError, StabilizabilityError
 from spacetraj.lqr import (
@@ -282,8 +283,8 @@ def _leaves_domain_above(bound):
     [
         (lti_model([[1.0]], [[1.0]]), 0.01, 2000, 1375, "converged"),
         (lti_model([[1.0]], [[1.0]]), 0.01, 150, 150, "step cap"),
-        (lti_model([[2.0]], [[1.0]]), 0.5, 1200, 875, "cost cap"),
-        (_leaves_domain_above(1e50), 0.5, 1200, 284, "domain"),
+        (lti_model([[2.0]], [[1.0]]), 0.5, 1200, 876, "cost cap"),
+        (_leaves_domain_above(1e50), 0.5, 1200, 285, "domain"),
     ],
 )
 def test_chunked_rollout_keeps_the_rows_of_one_loop(model, gain, cap, steps, outcome):
@@ -291,7 +292,9 @@ def test_chunked_rollout_keeps_the_rows_of_one_loop(model, gain, cap, steps, out
     its own `stage_costs` call; every kept row is bitwise that of one loop
     priced once, wherever the stop falls. The cost-cap case is x+ = 2x + u
     under u = -x/2 with the cap at the largest float: the overflow of the
-    cost (and of the law's z'z) ends it as diverged, without numpy warnings."""
+    cost (and of the law's z'z) ends it as diverged, without numpy warnings,
+    and keeps the tripping control with the state it led to. The domain case
+    keeps the control whose step failed, which has no successor state."""
     spec = QuadraticCostSpec(Q=[[2.0]], R=[[2.0]])
     design = RegulationDesign(LqrSolution(np.eye(1), np.array([[gain]]), 0.0, 0.0, 0), np.arange(1), 1)
     stop = TerminalSetSpec(regulation_cap=cap, cost_cap=sys.float_info.max)
@@ -299,17 +302,72 @@ def test_chunked_rollout_keeps_the_rows_of_one_loop(model, gain, cap, steps, out
     out = regulation_rollout(model, x0, design, spec, stop)
     with np.errstate(over="ignore"):
         X, U, message = simulate(model, x0, regulation_law(design, stop.state_tol), cap)
-        running, over = first_over_cap(stage_costs(X[: len(U)], U, spec), stop.cost_cap)
+        costs = stage_costs(X[: len(U)], U, spec)
+        running = np.cumsum(costs)
     assert out.steps == steps > CHUNK_STEPS
-    assert np.array_equal(out.states, X[: steps + 1])
+    assert len(out.states) == (steps if outcome == "domain" else steps + 1)
+    assert np.array_equal(out.states, X[: len(out.states)])
     assert np.array_equal(out.controls, U[:steps])
-    assert np.array_equal(out.stage_costs, stage_costs(X[:steps], U[:steps], spec))
-    # a diverged rollout's cost also holds the control it could not apply
-    assert out.cost == running[steps if out.diverged else steps - 1]
+    assert np.array_equal(out.stage_costs, costs[:steps])
+    assert out.cost == running[steps - 1]
     assert out.converged == (outcome == "converged")
     assert out.diverged == (outcome in ("cost cap", "domain")) and not out.decided
-    assert (over == steps) if outcome == "cost cap" else over is None
+    # the cap trips at the first non-finite running sum, which the loop stepped past
+    assert np.isfinite(running[steps - 2]) and (outcome != "cost cap" or not np.isfinite(running[steps - 1]))
     assert bool(message) == (outcome == "domain")
+
+
+def _excluding_ball(model, radius):
+    """`model` with its step undefined once max|x| < radius, so a regulated
+    loop leaves the domain on its way to the origin."""
+
+    def rates(x, u):
+        if max(map(abs, x)) < radius:
+            raise DynamicsDomainError(f"max|x| below {radius}")
+        return model.rates(x, u)
+
+    return dataclasses.replace(model, rates=rates)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("stop_at", ["converged", "tail", "decided", "cap", "domain"])
+def test_every_stop_reports_the_running_sum_of_its_rows(stop_at, n, m, seed):
+    """One rule for every stop of a regulation rollout on a generated linear
+    draw under its own design: `cost` is the last running sum of
+    `stage_costs`, and each control has its successor state except the one
+    whose step left the domain."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(0.0, 0.6, (n, n)), rng.normal(0.0, 1.0, (n, m))
+    Lq, Lr = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+    spec = QuadraticCostSpec(Q=Lq @ Lq.T + 0.1 * np.eye(n), R=Lr @ Lr.T + 0.1 * np.eye(m))
+    try:
+        sol = solve_dare(A, B, spec.Q / 2.0, spec.R / 2.0)
+    except StabilizabilityError:
+        return
+    design = RegulationDesign(sol, np.arange(n), n)
+    model, x0 = lti_model(A, B), rng.normal(0.0, 2.0, n)
+    predicted = design.predicted_cost(x0)
+    stop, kwargs = TerminalSetSpec(), {}
+    if stop_at == "tail":
+        kwargs["tail_bound"] = 1e-3 * predicted
+    elif stop_at == "decided":  # the loop costs its prediction, far below the band
+        kwargs["band"] = (10.0 * predicted, 11.0 * predicted)
+    elif stop_at == "cap":
+        stop = TerminalSetSpec(cost_cap=0.5 * predicted)
+    elif stop_at == "domain":
+        model = _excluding_ball(model, 0.5 * np.abs(x0).max())
+    out = regulation_rollout(model, x0, design, spec, stop, **kwargs)
+
+    assert out.steps > 0 and out.cost == np.cumsum(out.stage_costs)[-1]
+    assert len(out.states) == out.steps + (stop_at != "domain")
+    assert out.converged == (stop_at in ("converged", "tail"))
+    assert out.decided == (stop_at == "decided")
+    assert out.diverged == (stop_at in ("cap", "domain"))
+    if stop_at == "tail":
+        assert 0.0 < out.tail <= kwargs["tail_bound"]
+    if stop_at == "cap":
+        assert out.cost > stop.cost_cap >= out.cost - out.stage_costs[-1]
 
 
 def test_linearize_at_goal_attitude():

@@ -438,8 +438,9 @@ def test_every_cost_cap_trips_at_the_same_step(caller, cap):
     u = -x/2 from x = 1, stage cost x^2 + u^2. The state grows by 1.5 a step
     and stays finite while its cost overflows, so at the largest float cap
     only the non-finite running sum trips. Each caller stops at the first step
-    whose running sum, in step order, is non-finite or above the cap, and
-    keeps what its own cut keeps."""
+    whose running sum, in step order, is non-finite or above the cap: a
+    candidate is rejected whole, and the regulation rollout and the closed
+    loop keep the tripping step, as a test after each applied step does."""
     model = lti_model([[2.0]], [[1.0]])
     spec = QuadraticCostSpec(Q=[[2.0]], R=[[2.0]])
     design = RegulationDesign(LqrSolution(np.eye(1), np.array([[0.5]]), 1.5, 0.0, 0), np.arange(1), 1)
@@ -462,12 +463,13 @@ def test_every_cost_cap_trips_at_the_same_step(caller, cap):
         terminal = TerminalValue(np.eye(1))
         assert rollout(model, x0, U[:trip], spec, terminal, cap) is not None
         assert rollout(model, x0, U[: trip + 1], spec, terminal, cap) is None
-    elif caller == "lqr.regulation_rollout":  # the tripping control is priced, not applied
+    elif caller == "lqr.regulation_rollout":
         with np.errstate(over="ignore"):
             out = regulation_rollout(model, x0, design, spec, stop)
         assert out.diverged and "exceeded cap" in out.message
-        assert out.steps == trip and out.cost == running
-    else:  # the closed loop keeps the tripping step
+        assert out.steps == trip + 1 and out.cost == running
+        assert np.array_equal(out.states, X[: trip + 2])
+    else:
         problem = TwoPhaseProblem(model, spec, x0, lambda T: design, terminal_set=stop)
         nominal = rollout(model, x0, U[:1], spec, TerminalValue(np.eye(1)))
         report = SolveReport(nominal, (), True, "converged")
@@ -475,6 +477,6 @@ def test_every_cost_cap_trips_at_the_same_step(caller, cap):
             membership = in_terminal_set(model, nominal.states[-1], design, spec, stop)
         solution = TwoPhaseSolution(1.0, 1.0, 0.0, report, design, membership, ())
         closed = two_phase_simulate(problem, solution)
-        assert closed.diverged and closed.message == "regulation diverged"
+        assert closed.diverged and closed.message.startswith("regulation cost exceeded cap (")
         assert len(closed.controls) == trip + 1
         assert np.array_equal(closed.controls, U[: trip + 1])
