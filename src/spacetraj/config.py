@@ -12,7 +12,7 @@ matrices may be given as a diagonal (list of length n) or a full matrix
 (n x n nested lists). Unknown keys anywhere are rejected with the offending
 dotted path, and so is a section the scenario's problem does not read
 (`UNREAD`). The `solver` and `terminal_set` sections are `ilqr.SolverSettings`
-and `lqr.TerminalSetSpec`; each checks its fields, naming the section (`solver.reg_init`).
+and `lqr.TerminalSetSpec`; each checks its fields, naming the section (`solver.tolerance`).
 `validate_config` checks every other field, and `float_array` and
 `weight_matrix` are the checked conversions of the array-valued ones; each
 raises ConfigError naming the field.
@@ -106,7 +106,6 @@ MAX_STEPS = 10**6
 @dataclass
 class SweepConfig:
     grid: Optional[List[float]] = None  # log-spaced default when omitted
-    warm_start: bool = True
 
 
 @dataclass
@@ -225,12 +224,8 @@ def _coerce(value: Any, template: Any, path: str) -> Any:
             return replace(template, **changes)
         except ConfigError as exc:
             raise exc.within(path) from None
-    if isinstance(template, bool) and not isinstance(value, bool):
-        raise ConfigError(path, "expected a boolean")
     if isinstance(value, bool):
-        if not isinstance(template, (bool, type(None))):
-            raise ConfigError(path, "unexpected boolean")
-        return value
+        raise ConfigError(path, "unexpected boolean")
     if isinstance(template, float) and isinstance(value, (int, float)):
         return number(value, path)  # an int past the float range is an infinity
     return value

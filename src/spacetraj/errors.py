@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -99,18 +99,12 @@ def positive(value: Any, field: str) -> None:
         raise ConfigError(field, f"must be positive and finite, got {value!r}")
 
 
-def in_unit_interval(value: Any, field: str) -> None:
-    if not 0.0 < number(value, field) < 1.0:
-        raise ConfigError(field, f"must lie in (0, 1), got {value!r}")
-
-
-def integer(value: Any, field: str, minimum: int, maximum: Optional[int] = None) -> int:
-    """An integral number (2 or 2.0, not 2.5) within [minimum, maximum], as
-    an int."""
+def integer(value: Any, field: str, minimum: int) -> int:
+    """An integral number (2 or 2.0, not 2.5) of at least `minimum`, as an
+    int."""
     out = number(value, field, "an integer")
     if not isinstance(value, numbers.Integral) and not out.is_integer():
         raise ConfigError(field, f"must be an integer, got {value!r}")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f"at least {minimum}" if maximum is None else f"between {minimum} and {maximum}"
-        raise ConfigError(field, f"must be {bound}, got {value!r}")
+    if value < minimum:
+        raise ConfigError(field, f"must be at least {minimum}, got {value!r}")
     return int(value)

@@ -17,7 +17,8 @@ and rolls the nonlinear dynamics forward under u <- u_nom + alpha * k +
 K (x - x_nom) with a backtracking line search on alpha. The damping lambda
 shrinks after accepted steps and, as in Tassa, Erez & Todorov (IROS 2012),
 grows by compounding factors: the k-th rejected line search in a row
-multiplies it by reg_growth**k. On linear-quadratic problems one accepted
+multiplies it by REG_GROWTH**k. The line search and the damping schedule
+are constants of this module. On linear-quadratic problems one accepted
 iteration reaches the exact finite-horizon LQR optimum. Solves are
 deterministic: identical inputs produce bitwise-identical logs.
 
@@ -76,13 +77,17 @@ from numpy.linalg import _umath_linalg
 
 from .cost import QuadraticCostSpec, TerminalValue, cost_derivatives, priced
 from .dynamics import ControlLaw, DiscreteModel, jacobians, simulate
-from .errors import ConfigError, DivergenceError, RegularizationError, in_unit_interval, integer, positive, real
+from .errors import DivergenceError, RegularizationError, integer, positive
 
-# Default line search: step sizes LINE_SEARCH_FACTOR**i, i < LINE_SEARCH_STEPS.
-LINE_SEARCH_FACTOR = 0.7
-LINE_SEARCH_STEPS = 16
-# Most line-search trials per iLQR iteration (alpha_count).
-MAX_LINE_SEARCH_STEPS = 100
+# Line-search step sizes 0.7**i, i < 16, tried in order.
+ALPHAS = tuple(0.7**i for i in range(16))
+# Damping schedule: the first lambda, its compounding growth per rejected
+# line search, its shrink per accepted step, and its floor and ceiling.
+REG_INIT = 1e-6
+REG_GROWTH = 10.0
+REG_SHRINK = 0.1
+REG_MIN = 1e-8
+REG_MAX = 1e8
 # Steps of the backward sweep packed into F_t and L_t at a time.
 SWEEP_BLOCK = 64
 
@@ -126,44 +131,17 @@ class GainSchedule:
 @dataclass(frozen=True)
 class SolverSettings:
     """iLQR settings, also the config's `solver` section. Each field is
-    checked here once (ConfigError naming it); counts may be integral
-    floats and are stored as int."""
+    checked here once (ConfigError naming it); `max_iterations` may be an
+    integral float and is stored as int."""
 
     max_iterations: int = 500
     tolerance: float = 1e-8  # relative cost change / stationarity threshold
-    alpha_factor: float = LINE_SEARCH_FACTOR
-    alpha_count: int = LINE_SEARCH_STEPS
-    reg_init: float = 1e-6
-    reg_growth: float = 10.0
-    reg_shrink: float = 0.1
-    reg_min: float = 1e-8
-    reg_max: float = 1e8
     cost_cap: float = 1e30  # rollout divergence threshold
 
     def __post_init__(self):
-        counts = {
-            "max_iterations": integer(self.max_iterations, "max_iterations", 1),
-            "alpha_count": integer(self.alpha_count, "alpha_count", 1, MAX_LINE_SEARCH_STEPS),
-        }
-        for name, value in counts.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations", 1))
         positive(self.tolerance, "tolerance")
-        in_unit_interval(self.alpha_factor, "alpha_factor")
-        if self.alpha_factor ** (self.alpha_count - 1) <= 0.0:
-            raise ConfigError("alpha_count", "the smallest line-search step underflows to zero")
-        for name in ("reg_min", "reg_init", "reg_max"):
-            positive(getattr(self, name), name)
-        if not self.reg_min <= self.reg_init <= self.reg_max:
-            raise ConfigError("reg_init", "need 0 < reg_min <= reg_init <= reg_max")
-        if real(self.reg_growth, "reg_growth") <= 1.0:
-            raise ConfigError("reg_growth", f"must be greater than 1, got {self.reg_growth!r}")
-        in_unit_interval(self.reg_shrink, "reg_shrink")
         positive(self.cost_cap, "cost_cap")
-
-    @property
-    def alphas(self) -> Tuple[float, ...]:
-        """Line-search step sizes alpha_factor**i, i < alpha_count."""
-        return tuple(self.alpha_factor**i for i in range(self.alpha_count))
 
 
 @dataclass(frozen=True)
@@ -377,7 +355,7 @@ def solve_fhocp(
     if traj is None:
         raise DivergenceError("initial control sequence produces a divergent rollout")
 
-    lam = settings.reg_init
+    lam = REG_INIT
     failures = 0  # consecutive rejected line searches
     log: List[IterationRecord] = []
     converged = False
@@ -389,9 +367,9 @@ def solve_fhocp(
                 gains = backward_pass(traj, model, spec, terminal, lam)
                 break
             except RegularizationError:
-                if lam >= settings.reg_max:
+                if lam >= REG_MAX:
                     raise
-                lam = min(lam * settings.reg_growth, settings.reg_max)
+                lam = min(lam * REG_GROWTH, REG_MAX)
 
         scale = max(abs(traj.total_cost), 1.0)
         if abs(gains.predicted_change(1.0)) < settings.tolerance * scale:
@@ -404,7 +382,7 @@ def solve_fhocp(
 
         candidate = None
         accepted_alpha = 0.0
-        for alpha in settings.alphas:
+        for alpha in ALPHAS:
             cand = forward_pass(traj, gains, alpha, model, spec, terminal, settings.cost_cap)
             if cand is not None and cand.total_cost < traj.total_cost:
                 candidate = cand
@@ -415,17 +393,17 @@ def solve_fhocp(
             log.append(
                 IterationRecord(it, traj.total_cost, 0.0, lam, gains.gradient_norm, False)
             )
-            if lam >= settings.reg_max:
+            if lam >= REG_MAX:
                 status = "line_search_failed"
                 break
             failures += 1
-            lam = min(lam * settings.reg_growth**failures, settings.reg_max)
+            lam = min(lam * REG_GROWTH**failures, REG_MAX)
             continue
 
         failures = 0
         rel_change = abs(traj.total_cost - candidate.total_cost) / scale
         traj = candidate
-        lam = max(lam * settings.reg_shrink, settings.reg_min)
+        lam = max(lam * REG_SHRINK, REG_MIN)
         log.append(
             IterationRecord(
                 it, traj.total_cost, accepted_alpha, lam, gains.gradient_norm, True

@@ -101,7 +101,6 @@ def _two_phase(
         terminal_set=cfg.terminal_set,
         horizon=cfg.horizon,
         grid=tuple(default_sweep_grid(cfg)),
-        warm_start=cfg.sweep.warm_start,
     )
 
 

@@ -16,8 +16,8 @@ states to measure one-step Bellman residuals of the combined value, and
 V(x_t) - V(x_{t+1}) >= c(x_t, u_t) of V = z'Pz along the regulation phase
 of a closed loop (a ratio of 1 on linear dynamics).
 
-A query is stated once, on the problem: its `grid`, `warm_start` and
-`terminal_set` (with the level). One walk of the grid serves the sweep, and
+A query is stated once, on the problem: its `grid` and `terminal_set`
+(with the level). One walk of the grid serves the sweep, and
 one function, `_first_hits`, holds the hitting rule and the objective:
 `solve_two_phase(problem)` asks it for the problem's own level,
 `convergence_study(problem, levels)` for many levels in one level-free walk.
@@ -92,8 +92,8 @@ class TwoPhaseProblem:
     built per T when the goal moves: rendezvous linearizes at the goal-orbit
     state of epoch T, and raises DynamicsDomainError when that orbit leaves
     the dynamics domain before T (a sweep records the point as failed,
-    `solve` exits 3). `horizon`, `grid`, `warm_start` and `terminal_set`
-    are what `solve`, `simulate`, `sweep`, `checks`, `solve_two_phase`,
+    `solve` exits 3). `horizon`, `grid` and `terminal_set` are what
+    `solve`, `simulate`, `sweep`, `checks`, `solve_two_phase`,
     `convergence_study` and `bellman_check` run at (the builders in
     `scenarios` set them from the config; `dataclasses.replace` asks another
     query). `leg` is the one finite-horizon solve behind all of them.
@@ -108,7 +108,6 @@ class TwoPhaseProblem:
     sampler: Optional[Callable[[np.random.Generator], Tuple[np.ndarray, np.ndarray]]] = None
     horizon: Optional[float] = None
     grid: Tuple[float, ...] = ()
-    warm_start: bool = True
 
     def steps_for(self, transfer_time: float) -> int:
         steps = transfer_time / self.model.dt
@@ -272,9 +271,9 @@ def _walk(problem: TwoPhaseProblem) -> Iterator[SweepPoint]:
     membership in its terminal set: the one walk behind the sweep, the first
     hitting time and the convergence study.
 
-    With `warm_start` each solve reuses the previous horizon's controls;
-    without it each starts from the problem's own guess. Per-point solver
-    failures are recorded on the point, not raised.
+    Each solve starts from the controls of the last point that did not
+    fail, zero-padded (warm start), the first from the problem's own guess.
+    Per-point solver failures are recorded on the point, not raised.
     """
     grid = list(problem.grid)
     if not (grid and all(b > a for a, b in zip(grid, grid[1:]))):
@@ -283,7 +282,7 @@ def _walk(problem: TwoPhaseProblem) -> Iterator[SweepPoint]:
     for T in grid:
         point = _evaluate_point(problem, T, previous)
         yield point
-        if problem.warm_start and not point.failed:
+        if not point.failed:
             previous = point.report.trajectory.controls
 
 
@@ -394,10 +393,11 @@ def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> 
     converges or the cap runs out, is the selected point's membership
     rollout (the same law from the same switch state) resumed where it
     stopped by one `dynamics.simulate` loop. `cost.priced` prices the
-    rollout and the resumed loop as one, on top of the phase-1 cost (rows
-    price alike in any batch, so the rollout's rows keep the bits the solve
-    stored), and cuts them where a test after each applied step would have,
-    so the run is what simulating both phases step by step gives. `solution`
+    rollout and the resumed loop as one (rows price alike in any batch, so
+    the rollout's rows keep the bits the solve stored), and cuts them where
+    a test after each applied step would have. The cap bounds the regulation
+    cost alone, as in the membership rollout, so the reused prefix never
+    trips a cap that admitted it. `solution`
     must come from `solve_two_phase` on `problem`. An overflowing state
     ends the run as diverged, without numpy warnings.
     """
@@ -408,7 +408,7 @@ def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> 
     law = regulation_law(solution.design, stop.state_tol)
     X2, U2, message = simulate(problem.model, prefix.states[-1], law, budget)
     regulation = (np.concatenate((prefix.states, X2[1:])), np.concatenate((prefix.controls, U2)), message)
-    X2, U2, costs2, _, message = priced(regulation, problem.cost, stop.cost_cap, nominal.phase_cost)
+    X2, U2, costs2, _, message = priced(regulation, problem.cost, stop.cost_cap)
     X = np.concatenate((nominal.states, X2[1:]))
     U = np.concatenate((nominal.controls, U2))
     costs = np.concatenate((nominal.stage_costs, costs2))

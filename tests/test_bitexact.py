@@ -56,7 +56,6 @@ from spacetraj.errors import (
 )
 from spacetraj.ilqr import (
     GainSchedule,
-    SolverSettings,
     Trajectory,
     backward_pass,
     forward_pass,
@@ -404,7 +403,7 @@ def ref_two_phase_simulate(problem, solution):
         phases.append(1)
         x = model.step(x, u)
         states.append(x)
-    running = float(np.sum(costs))
+    running = 0.0  # the cap bounds the regulation cost alone
     converged = diverged = False
     message = ""
     for _ in range(stop.regulation_cap):
@@ -630,25 +629,29 @@ def test_resumed_closed_loop_is_bit_exact_on_the_default_problem(scenario):
     assert np.array_equal(closed.controls[regulated][: prefix.steps], prefix.controls)
 
 
-def test_cost_cap_trips_on_the_reused_prefix():
+def test_cost_cap_admitting_the_prefix_never_trips_on_it():
+    """The closed loop's cap bounds the regulation cost alone, as the
+    membership rollout's does: a cap that admits the rollout never trips on
+    the prefix the closed loop reuses, whatever phase 1 cost."""
     base = attitude_problem()
     solution = solve_two_phase(dataclasses.replace(base, grid=(22.0,)))
     phase1 = solution.report.trajectory.phase_cost
     prefix = solution.membership.rollout
-    # the cap admits the membership rollout (regulation cost alone) but not
-    # phase 1 plus the first half of it
-    cap = phase1 + 0.5 * prefix.cost
-    p = dataclasses.replace(
-        base, terminal_set=dataclasses.replace(base.terminal_set, cost_cap=cap)
-    )
-    solution = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
-    assert solution.membership.rollout.steps == prefix.steps
-    closed = two_phase_simulate(p, solution)
-    assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
-    assert closed.diverged and not closed.converged
-    tripped = int(np.sum(closed.phases == 2))
-    assert 0 < tripped < prefix.steps
-    assert closed.message.startswith("regulation cost exceeded cap (")
+    resumed = two_phase_simulate(base, solution).stage_costs[solution.report.trajectory.horizon + prefix.steps]
+    # phase 1 plus the regulation cost passes the first cap, the regulation
+    # cost alone does not; the second lies half a step past the rollout
+    for cap, tripped in ((phase1 + 0.5 * prefix.cost, None), (prefix.cost + 0.5 * resumed, prefix.steps + 1)):
+        p = dataclasses.replace(base, terminal_set=dataclasses.replace(base.terminal_set, cost_cap=cap))
+        solution = solve_two_phase(dataclasses.replace(p, grid=(22.0,)))
+        assert solution.membership.member and solution.membership.rollout.steps == prefix.steps
+        closed = two_phase_simulate(p, solution)
+        assert_same_closed_loop(closed, ref_two_phase_simulate(p, solution), p.cost)
+        if tripped is None:
+            assert closed.converged and not closed.diverged
+        else:
+            assert closed.diverged and not closed.converged
+            assert int(np.sum(closed.phases == 2)) == tripped
+            assert closed.message.startswith("regulation cost exceeded cap (")
 
 
 def test_divergent_rollout_matches_reference():
@@ -843,14 +846,14 @@ def test_nan_expansion_is_rejected_at_its_step(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(RegularizationError, match="at step 9 with damping"):
             backward_pass(traj, model, spec, terminal, 0.0)
-        # no damping makes it finite: the solve escalates lambda to reg_max
+        # no damping makes it finite: the solve escalates lambda to REG_MAX
         with pytest.raises(RegularizationError, match="step 9 with damping 1.000e\\+08"):
-            solve_fhocp(model, spec, terminal, x0, 20, SolverSettings(reg_max=1e8))
+            solve_fhocp(model, spec, terminal, x0, 20)
 
 
 def test_solve_escalates_damping_until_the_step_is_fixed(monkeypatch):
     # Q_uu = -5 + B'V_xx B + lambda at step 7 (B'V_xx B < 1): indefinite
-    # until lambda reaches 10 (reg_init 1e-6, growth 10)
+    # until lambda reaches 10 (REG_INIT 1e-6, REG_GROWTH 10)
     _indefinite_at(monkeypatch, [(7, -5.0)])
     model, spec, terminal, x0, _ = _linear_problem()
     calls = []
@@ -870,4 +873,8 @@ def test_solve_raises_at_reg_max_when_damping_cannot_fix_it(monkeypatch):
     _indefinite_at(monkeypatch, [(7, -1e9)])
     model, spec, terminal, x0, _ = _linear_problem()
     with pytest.raises(RegularizationError, match="step 7 with damping 1.000e\\+08"):
-        solve_fhocp(model, spec, terminal, x0, 20, SolverSettings(reg_max=1e8))
+        solve_fhocp(model, spec, terminal, x0, 20)
+    # a lower ceiling stops the escalation there
+    monkeypatch.setattr(ilqr, "REG_MAX", 1e2)
+    with pytest.raises(RegularizationError, match="step 7 with damping 1.000e\\+02"):
+        solve_fhocp(model, spec, terminal, x0, 20)

@@ -461,6 +461,21 @@ def test_verify_bellman_fails_when_its_re_solves_fail(tmp_path, capsys):
     assert bellman["detail"] == "re-solve failed: DivergenceError: initial control sequence produces a divergent rollout"
 
 
+def test_cost_cap_admitting_the_membership_rollout_admits_the_closed_loop(tmp_path, capsys):
+    """At a 1e3 cap the regulation of the first member (T* = 41.3 s) costs
+    about 831; the closed loop tests the cap on that cost alone, as the
+    membership rollout did, not on the phase-1 cost of about 1.06e6."""
+    code, _ = run_cli(
+        capsys, "simulate", "--set", "scenario=attitude", "--set", "terminal_set.cost_cap=1e3",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["transfer_time"] == pytest.approx(41.3)
+    assert summary["diverged"] is False and summary["regulation_converged"] is True
+    assert summary["phase2_cost"] == pytest.approx(830.56, abs=0.01)
+
+
 def test_config_error_is_machine_readable(tmp_path, capsys):
     code, out = run_cli(
         capsys, "solve", "--set", "scenario=attitude", "--set", "dt=-1", "--out", str(tmp_path / "o")
@@ -527,8 +542,8 @@ def test_bad_inertia_is_a_config_error(tmp_path, capsys, field, value):
         ("solver.tolerance", "NaN"),
         ("terminal_set.level", "NaN"),
         ("solver.max_iterations", "2.5"),
-        ("solver.reg_growth", "0.5"),
-        ("solver.alpha_count", "0"),
+        ("solver.reg_growth", "0.5"),  # not a setting: an unknown key
+        ("solver.alpha_count", "0"),  # not a setting: an unknown key
         ("r", "[5e-324,1,1]"),  # R / 2 underflows to a singular matrix
         # the per-degree conversion multiplies Q by about 3,283 and overflows
         ("q", "[1e305,1e305,1e305,1e305,1e305,1e305]"),
@@ -621,12 +636,31 @@ def assert_config_error(tmp_path, capsys, scenario, field, value):
         ("rendezvous", "horizon", "3"),
         ("attitude", "seed", "-1"),
         ("attitude", "seed", "0.5"),
-        ("attitude", "sweep.warm_start", '"yes"'),
+        ("attitude", "sweep.warm_start", '"yes"'),  # not a setting: an unknown key
         ("attitude", "output_dir", "5"),
     ],
 )
 def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, value):
     assert_config_error(tmp_path, capsys, scenario, field, value)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("solver.alpha_factor", "0.7"),
+        ("solver.alpha_count", "16"),
+        ("solver.reg_init", "1e-6"),
+        ("solver.reg_growth", "10"),
+        ("solver.reg_shrink", "0.1"),
+        ("solver.reg_min", "1e-8"),
+        ("solver.reg_max", "1e8"),
+        ("sweep.warm_start", "true"),
+    ],
+)
+def test_a_removed_setting_is_a_config_error(tmp_path, capsys, field, value):
+    """The line search, the damping schedule and the sweep's warm start are
+    fixed: setting one, even to the value it has, exits 2 naming it."""
+    assert_config_error(tmp_path, capsys, "attitude", field, value)
 
 
 @pytest.mark.parametrize(
@@ -636,7 +670,7 @@ def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, field, v
         ("solve", ["scenario=attitude", "horizon=3", "solver.cost_cap=7"], "DivergenceError"),
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.isp_s=0.5"], "DivergenceError"),
         # a negative penalty weight rewards descending: the control Hessian
-        # stays indefinite up to reg_max
+        # stays indefinite up to the damping ceiling
         ("simulate", ["scenario=soft-landing", "horizon=3", "lander.penalty_weight=-1e12"], "RegularizationError"),
         # the target orbit dips below the 1000 km guard near step 2,800, so
         # the design at the horizon (6000 s) has no goal state
@@ -817,10 +851,9 @@ FUZZ_BASE = {
 }
 FUZZ_KEYS = [
     "initial_state", "goal_state", "q", "r", "seed", "convergence_levels", "output_dir",
-    "solver", "solver.max_iterations", "solver.tolerance", "solver.alpha_factor", "solver.alpha_count",
-    "solver.reg_init", "solver.reg_growth", "solver.reg_shrink", "solver.reg_min", "solver.reg_max",
-    "solver.cost_cap", "terminal_set.level", "terminal_set.tolerance", "terminal_set.regulation_cap",
-    "terminal_set.state_tol", "terminal_set.cost_cap", "sweep.grid", "sweep.warm_start",
+    "solver", "solver.max_iterations", "solver.tolerance", "solver.cost_cap",
+    "terminal_set.level", "terminal_set.tolerance", "terminal_set.regulation_cap",
+    "terminal_set.state_tol", "terminal_set.cost_cap", "sweep.grid",
     "attitude.inertia_diag", "rendezvous.mu", "rendezvous.alpha", "rendezvous.mass_kg", "rendezvous.chaser",
     *[f"rendezvous.{o}.{f}" for o in ("chaser", "target") for f in ("a_km", "e", "i_deg", "raan_deg", "argp_deg", "nu_deg")],
     "lander", "lander.isp_s", "lander.g_ref", "lander.initial_mass_kg", "lander.inertia_diag",
@@ -869,7 +902,7 @@ UNREAD_SECTIONS = {
     "custom-linear": ["attitude", "rendezvous", "lander"],
 }
 # Settable values of the echoed default config (a list counts as one).
-ECHOED_VALUES = {"attitude": 27, "rendezvous": 41, "soft-landing": 31, "custom-linear": 26}
+ECHOED_VALUES = {"attitude": 19, "rendezvous": 33, "soft-landing": 24, "custom-linear": 18}
 
 
 @pytest.mark.parametrize(

@@ -115,13 +115,11 @@ def config_leaves(data, prefix=""):
 
 def variants(path, value, data):
     """Other values of one leaf: a number halved and doubled, a count one
-    less and one more, the other boolean, a value for an unset field."""
+    less and one more, a value for an unset field."""
     if path == "sweep.grid":
         return [[data["horizon"]]]
     if path in UNSET:
         return [UNSET[path]]
-    if isinstance(value, bool):
-        return [not value]
     if isinstance(value, int):
         return [value - 1, value + 1]
     if isinstance(value, float):
@@ -294,9 +292,9 @@ def test_round_trip_with_overrides(tmp_path):
 
 
 def test_apply_overrides_json_values():
-    data = apply_overrides({}, ["scenario=attitude", "sweep.grid=[10, 80]", "sweep.warm_start=false"])
+    data = apply_overrides({}, ["scenario=attitude", "sweep.grid=[10, 80]", "terminal_set.level=null"])
     assert data["sweep"]["grid"] == [10, 80]
-    assert data["sweep"]["warm_start"] is False
+    assert data["terminal_set"]["level"] is None
 
 
 def test_default_sweep_grid_is_ascending_multiple_of_dt():
@@ -329,6 +327,7 @@ def test_invalid_json_reports_path(tmp_path):
         ("dt", "fast"),
         ("horizon", 1e300),
         ("solver.cost_cap", float("inf")),
+        # not settings: unknown keys
         ("solver.reg_shrink", 1.0),
         ("solver.alpha_factor", float("nan")),
         ("solver.alpha_count", 101),
@@ -352,7 +351,7 @@ def test_bad_numeric_field_names_its_path(key, value):
 
 @pytest.mark.parametrize(
     "cls,field",
-    [(SolverSettings, "max_iterations"), (SolverSettings, "alpha_count"), (TerminalSetSpec, "regulation_cap")],
+    [(SolverSettings, "max_iterations"), (TerminalSetSpec, "regulation_cap")],
     ids=lambda x: getattr(x, "__name__", x),
 )
 def test_parameter_objects_check_their_counts(cls, field):
@@ -369,8 +368,7 @@ def test_parameter_objects_check_their_counts(cls, field):
 
 def test_integral_float_counts_are_accepted():
     cfg = parse_config_dict(
-        {"scenario": "attitude", "solver": {"max_iterations": 3.0, "alpha_count": 4.0}}
+        {"scenario": "attitude", "solver": {"max_iterations": 3.0}, "terminal_set": {"regulation_cap": 4.0}}
     )
-    settings = cfg.solver
-    assert settings.max_iterations == 3 and isinstance(settings.max_iterations, int)
-    assert len(settings.alphas) == 4
+    assert cfg.solver.max_iterations == 3 and isinstance(cfg.solver.max_iterations, int)
+    assert cfg.terminal_set.regulation_cap == 4 and isinstance(cfg.terminal_set.regulation_cap, int)

@@ -7,7 +7,7 @@ from spacetraj.cost import QuadraticCostSpec, TerminalValue
 from spacetraj.dynamics import double_integrator, lti_model
 from spacetraj.errors import RegularizationError
 from spacetraj.ilqr import (
-    SolverSettings,
+    REG_MIN,
     backward_pass,
     forward_pass,
     rollout,
@@ -171,7 +171,7 @@ def test_monotone_descent_and_feasibility_on_attitude():
     assert worst == 0.0
     # stationarity at convergence, scaled by cost magnitude
     assert report.converged
-    final_gains = backward_pass(traj, p.model, p.cost, terminal, p.settings.reg_min)
+    final_gains = backward_pass(traj, p.model, p.cost, terminal, REG_MIN)
     assert final_gains.gradient_norm < 1e-3 * max(1.0, abs(report.cost))
 
 
@@ -203,14 +203,9 @@ def test_divergent_initial_guess_raises():
         solve_fhocp(p.model, p.cost, terminal, p.x0, steps, p.settings, crazy)
 
 
-def test_alpha_schedule_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(alpha_factor=1.5)  # steps must start at 1 and decrease
-
-
 def test_consecutive_line_search_failures_escalate_damping_geometrically(monkeypatch):
     """The k-th rejected line search in a row multiplies lambda by
-    reg_growth**k; an accepted step shrinks it and restarts the count."""
+    REG_GROWTH**k; an accepted step shrinks it and restarts the count."""
     import spacetraj.ilqr as ilqr
 
     model, _, _, _, _, spec, terminal = di_problem()
@@ -231,8 +226,8 @@ def test_consecutive_line_search_failures_escalate_damping_geometrically(monkeyp
     monkeypatch.setattr(ilqr, "backward_pass", recording)
     monkeypatch.setattr(ilqr, "forward_pass", rejecting)
     # one trial per line search, so trial i is the line search of iteration i
-    settings = SolverSettings(alpha_count=1, reg_init=1e-6, reg_growth=10.0, reg_shrink=0.1)
-    report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50, settings)
+    monkeypatch.setattr(ilqr, "ALPHAS", (1.0,))
+    report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50)
     # rejected x3 (x10, x100, x1000), accepted (x0.1), rejected x2 (x10, x100), accepted
     assert dampings[:8] == pytest.approx([1e-6, 1e-5, 1e-3, 1.0, 0.1, 1.0, 100.0, 10.0])
     assert [rec.accepted for rec in report.iterations[:7]] == [
@@ -246,8 +241,9 @@ def test_escalation_stops_at_reg_max(monkeypatch):
 
     model, _, _, _, _, spec, terminal = di_problem()
     monkeypatch.setattr(ilqr, "forward_pass", lambda *args, **kwargs: None)
-    settings = SolverSettings(alpha_count=1, reg_init=1e-6, reg_max=1e2)
-    report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50, settings)
+    monkeypatch.setattr(ilqr, "ALPHAS", (1.0,))
+    monkeypatch.setattr(ilqr, "REG_MAX", 1e2)
+    report = solve_fhocp(model, spec, terminal, np.array([1.0, -0.5]), 50)
     # 1e-6 -> 1e-5 -> 1e-3 -> 1 -> capped at 1e2, where the next failure stops
     assert [rec.regularization for rec in report.iterations] == pytest.approx(
         [1e-6, 1e-5, 1e-3, 1.0, 1e2]

@@ -38,10 +38,10 @@ from spacetraj.two_phase import (
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
-def query(problem, grid, level=None, warm_start=True):
-    """`problem` asked on `grid`, at `level`, with or without warm starts."""
+def query(problem, grid, level=None):
+    """`problem` asked on `grid`, at `level`."""
     stop = dataclasses.replace(problem.terminal_set, level=level)
-    return dataclasses.replace(problem, grid=tuple(grid), terminal_set=stop, warm_start=warm_start)
+    return dataclasses.replace(problem, grid=tuple(grid), terminal_set=stop)
 
 
 def steps(n):
@@ -288,16 +288,19 @@ def test_hitting_time_not_found_carries_sweep():
     assert len(exc.value.sweep) == 2
 
 
-def test_cold_sweep_is_deterministic():
+def test_warm_sweep_is_deterministic():
+    """Each point's solve starts from the previous point's controls; two
+    walks of the grid give the same points, iteration logs included."""
     bp = linear_benchmark()
     grid = [1.0, 2.0, 4.0, 8.0]
-    first = query(bp, grid, warm_start=False).sweep()
-    again = query(bp, grid, warm_start=False).sweep()
+    first = query(bp, grid).sweep()
+    again = query(bp, grid).sweep()
     assert [pt.transfer_time for pt in first] == grid
     for a, b in zip(first, again):
         assert a.transfer_time == b.transfer_time
         assert a.total_cost == b.total_cost
         assert a.in_set == b.in_set
+        assert a.report.iterations == b.report.iterations
 
 
 def test_sweep_records_solver_failures_without_raising():
