@@ -74,7 +74,6 @@ LANDER_TERMINAL_WEIGHT = 1.0e5
 LANDER_SINK_RATE = 0.8  # m/s
 LANDER_PENALTY_WEIGHT = 100.0
 LANDER_PENALTY_RATE = 1.0
-LANDER_PENALTY_COORD_SCALE = 1.0
 TOUCHDOWN_SPEED_LIMIT = 2.0  # m/s
 
 # The rendezvous design freezes the moving target at the switch epoch, which
@@ -145,7 +144,6 @@ class LanderConfig:
     inertia_diag: List[float] = field(default_factory=lambda: list(DEFAULT_INERTIA_DIAG))
     penalty_weight: float = LANDER_PENALTY_WEIGHT
     penalty_rate: float = LANDER_PENALTY_RATE
-    penalty_coord_scale: float = LANDER_PENALTY_COORD_SCALE
     terminal_weight: float = LANDER_TERMINAL_WEIGHT
     terminal_sink_rate_mps: float = LANDER_SINK_RATE
     touchdown_speed_limit_mps: float = TOUCHDOWN_SPEED_LIMIT
@@ -391,7 +389,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     float_array(cfg.lander.initial_velocity_mps, "lander.initial_velocity_mps", (3,))
     for name in ("isp_s", "g_ref", "initial_mass_kg"):
         positive(getattr(cfg.lander, name), f"lander.{name}")
-    for name in ("penalty_weight", "penalty_rate", "penalty_coord_scale", "terminal_sink_rate_mps", "touchdown_speed_limit_mps"):
+    for name in ("penalty_weight", "penalty_rate", "terminal_sink_rate_mps", "touchdown_speed_limit_mps"):
         real(getattr(cfg.lander, name), f"lander.{name}")
     if real(cfg.lander.terminal_weight, "lander.terminal_weight") < 0.0:
         raise ConfigError("lander.terminal_weight", f"must not be negative, got {cfg.lander.terminal_weight!r}")
@@ -408,11 +406,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 def default_sweep_grid(cfg: ScenarioConfig) -> List[float]:
     """20 log-spaced transfer times between 5% and 100% of the horizon,
-    snapped to dt multiples and deduplicated."""
+    snapped to dt multiples and deduplicated (ConfigError if 5% is 0)."""
     if cfg.sweep.grid is not None:
         return list(cfg.sweep.grid)
     if cfg.scenario == "custom-linear":
         return [float(k) for k in range(1, int(cfg.horizon / cfg.dt) + 1)]
-    raw = np.geomspace(0.05 * cfg.horizon, cfg.horizon, 20)
+    shortest = 0.05 * cfg.horizon
+    if shortest == 0.0:
+        raise ConfigError("horizon", f"5% of {cfg.horizon!r} underflows to 0: no default grid spans it")
+    raw = np.geomspace(shortest, cfg.horizon, 20)
     snapped = sorted({max(1, round(T / cfg.dt)) * cfg.dt for T in raw})
     return [float(T) for T in snapped]

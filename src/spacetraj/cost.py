@@ -2,10 +2,10 @@
 
 Stage cost: c(x, u) = 0.5 * (x' Q x + u' R u) + penalty, with Q PSD and R PD,
 zero at the origin and positive elsewhere when Q is PD and no penalty is
-configured. The optional penalty is weight * exp(-rate * altitude) - weight on
-a designated state coordinate: strictly decreasing in altitude, bounded below
-by -weight, zero at zero altitude, growing exponentially below ground. With a
-penalty configured the total cost can be negative.
+configured. The optional penalty is weight * exp(-rate * altitude) - weight,
+the altitude being one state coordinate in its own units: strictly decreasing
+in altitude, bounded below by -weight, zero at zero altitude, growing
+exponentially below ground. With a penalty the total cost can be negative.
 
 All derivatives consumed by the solver backward pass are exact.
 `cost_derivatives` takes an optional leading trajectory axis, so the backward
@@ -44,44 +44,38 @@ def altitude_penalty(altitude: float, weight: float, rate: float) -> float:
 
 @dataclass(frozen=True)
 class AltitudePenaltySpec:
-    """Penalty attached to one state coordinate.
-
-    `coord_scale` converts the state coordinate into the altitude units the
-    (weight, rate) pair is expressed in; the chain rule applies it to the
-    penalty derivatives.
-    """
+    """Penalty attached to one state coordinate, taken as the altitude."""
 
     weight: float
     rate: float
     index: int
-    coord_scale: float = 1.0
 
     def value(self, x: np.ndarray):
         """Penalty at x (n,) or along x (T, n)."""
-        return altitude_penalty(self.coord_scale * x[..., self.index], self.weight, self.rate)
+        return altitude_penalty(x[..., self.index], self.weight, self.rate)
 
     def gradient_at(self, x: np.ndarray):
         """d penalty / d x[index] at x (n,) or along x (T, n)."""
-        return self._times_exp(-self.weight * (self.rate * self.coord_scale), 1, x)
+        return self._times_exp(-self.weight * self.rate, 1, x)
 
     def hessian_at(self, x: np.ndarray):
         """d^2 penalty / d x[index]^2 at x (n,) or along x (T, n)."""
-        k = self.rate * self.coord_scale  # k * k overflows to inf where k ** 2 raises
-        return self._times_exp(self.weight * (k * k), 2, x)
+        # rate * rate overflows to inf where rate ** 2 raises
+        return self._times_exp(self.weight * (self.rate * self.rate), 2, x)
 
     def _times_exp(self, coef: float, power: int, x: np.ndarray):
-        """coef * exp(-rate * altitude), where coef = weight * (-k)**power
-        and k = rate * coord_scale. A coefficient that overflowed is taken
-        in log space, sign * exp(log|weight| + power log|k| - rate * altitude),
-        so the term is finite wherever it is representable, not inf * 0 =
-        NaN where the exponential underflows; an overflowing term is inf
-        without a warning."""
+        """coef * exp(-rate * altitude), where coef = weight * (-rate)**power.
+        A coefficient that overflowed is taken in log space, sign *
+        exp(log|weight| + power log|rate| - rate * altitude), so the term is
+        finite wherever it is representable, not inf * 0 = NaN where the
+        exponential underflows; an overflowing term is inf without a
+        warning."""
         with np.errstate(over="ignore"):
-            exponent = -self.rate * (self.coord_scale * x[..., self.index])
+            exponent = -self.rate * x[..., self.index]
             if not math.isinf(coef):
                 return coef * np.exp(exponent)
-            log_k = math.log(abs(self.rate)) + math.log(abs(self.coord_scale))
-            return math.copysign(1.0, coef) * np.exp(math.log(abs(self.weight)) + power * log_k + exponent)
+            log_coef = math.log(abs(self.weight)) + power * math.log(abs(self.rate))
+            return math.copysign(1.0, coef) * np.exp(log_coef + exponent)
 
 
 @dataclass(frozen=True)

@@ -251,9 +251,6 @@ class RegulationDesign:
     def regulated(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[self.take]
 
-    def feedback(self, x: np.ndarray) -> np.ndarray:
-        return -self.solution.K @ self.regulated(x)
-
     @cached_property
     def p_min_eigenvalue(self) -> float:
         """Smallest eigenvalue of P, computed once per design."""
@@ -337,7 +334,7 @@ class RegulationRollout:
 def regulation_law(design: RegulationDesign, state_tol: float, tail_bound: float = 0.0) -> ControlLaw:
     """u = -K z, stopping once ||z|| < `state_tol` or, when `tail_bound` is
     positive, once the tail z'Pz is at most `tail_bound`."""
-    take, gain = design.take, -design.solution.K  # u = (-K) z, as `feedback`
+    take, gain = design.take, -design.solution.K  # u = (-K) z
     P = design.solution.P
     # z'Pz >= lambda_min(P) |z|^2, so z'Pz can reach the bound only once
     # |z|^2 <= bound / lambda_min(P); the quadratic form waits until then

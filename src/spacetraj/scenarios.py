@@ -262,10 +262,11 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
     """Descent-to-origin problem in normalized variables.
 
     The exponential altitude penalty (weight, rate) acts on the normalized
-    altitude coordinate scaled by `penalty_coord_scale`. The terminal cost is
-    `terminal_weight` times the stage state weight, referenced one step below
-    the surface at `terminal_sink_rate_mps`, which times the touchdown to the
-    end of the horizon with a controlled descent rate.
+    altitude coordinate, so `penalty_rate` is per normalized unit
+    (`LANDER_R_SCALE` m). The terminal cost is `terminal_weight` times the
+    stage state weight, referenced one step below the surface at
+    `terminal_sink_rate_mps`, which times the touchdown to the end of the
+    horizon with a controlled descent rate.
     """
     cfg = _config(cfg, "soft-landing")
     L, dt = cfg.lander, cfg.dt
@@ -274,22 +275,21 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
     )
     Q = np.zeros((13, 13))
     Q[:12, :12] = weight_matrix(cfg.q, 12, "q")  # mass unweighted
-    penalty = AltitudePenaltySpec(
-        weight=L.penalty_weight,
-        rate=L.penalty_rate,
-        index=LANDER_ALTITUDE_INDEX,
-        coord_scale=L.penalty_coord_scale,
-    )
+    penalty = AltitudePenaltySpec(weight=L.penalty_weight, rate=L.penalty_rate, index=LANDER_ALTITUDE_INDEX)
     cost = QuadraticCostSpec(Q=Q, R=weight_matrix(cfg.r, 6, "r"), penalty=penalty)
     reference = np.zeros(13)
     reference[LANDER_ALTITUDE_INDEX] = -L.terminal_sink_rate_mps * dt / LANDER_R_SCALE
     reference[11] = -L.terminal_sink_rate_mps / LANDER_V_SCALE
     angles = np.asarray(cfg.initial_state, dtype=float) * DEG
     x0_si = np.concatenate([angles, L.initial_position_m, L.initial_velocity_mps, [params.initial_mass]])
+    with np.errstate(over="ignore"):
+        P = (L.terminal_weight / 2.0) * Q
+    if not np.isfinite(P).all():
+        raise ConfigError("lander.terminal_weight", "the terminal weight times q overflows")
     return LandingProblem(
         model=lander_model(params, dt),
         cost=cost,
-        terminal=TerminalValue(P=(L.terminal_weight / 2.0) * Q, reference=reference),
+        terminal=TerminalValue(P=P, reference=reference),
         x0=x0_si / LANDER_STATE_SCALE,
         steps=int(round(cfg.horizon / dt)),
         settings=cfg.solver,

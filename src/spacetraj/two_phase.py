@@ -20,7 +20,8 @@ A query is stated once, on the problem: its `grid` and `terminal_set`
 (with the level). One walk of the grid serves the sweep, and
 one function, `_first_hits`, holds the hitting rule and the objective:
 `solve_two_phase(problem)` asks it for the problem's own level,
-`convergence_study(problem, levels)` for many levels in one level-free walk.
+`convergence_study(problem, levels)` for many levels in one level-free walk;
+`first_hit_bracketed` is the bracket rule both summaries report.
 
 A problem object is what every CLI command runs: `TwoPhaseProblem` here and
 `scenarios.LandingProblem` answer `solve()` and `simulate()` with one
@@ -157,8 +158,7 @@ class TwoPhaseProblem:
             "regulation_converged": closed.converged,
             "diverged": closed.diverged,
             "membership_switches": membership_switches(solution.sweep),
-            # every walked point before T* missed the hit
-            "first_hit_bracketed": any(not pt.failed for pt in solution.sweep[:-1]),
+            "first_hit_bracketed": first_hit_bracketed(solution.sweep),
             "final_state_error": [float(v) for v in solution.design.regulated(closed.states[-1])],
             "lyapunov_decrease_ratio": lyapunov_decrease_ratio(closed, solution.design),
         }
@@ -298,6 +298,14 @@ def membership_switches(points: Sequence[SweepPoint]) -> List[float]:
         for i in range(first + 1, len(points))
         if flags[i] != flags[i - 1]
     ]
+
+
+def first_hit_bracketed(points: Sequence[SweepPoint]) -> Optional[bool]:
+    """Whether a point that did not fail precedes the first member, so the
+    hit is bracketed by a miss; None when no point is a member. A member is
+    within the level too, when the terminal set has one."""
+    hit = next((i for i, pt in enumerate(points) if pt.in_set), None)
+    return None if hit is None else any(not pt.failed for pt in points[:hit])
 
 
 @dataclass(frozen=True)

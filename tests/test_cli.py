@@ -626,6 +626,9 @@ def assert_config_error(tmp_path, capsys, scenario, field, value):
         ("soft-landing", "lander.penalty_rate", "NaN"),
         ("soft-landing", "lander.terminal_weight", '"x"'),
         ("soft-landing", "lander.terminal_weight", "-1"),
+        ("soft-landing", "lander.terminal_weight", "1e305"),  # times q overflows
+        ("soft-landing", "lander.terminal_weight", "1e308"),
+        ("soft-landing", "lander.penalty_coord_scale", "1"),  # not a setting: penalty_rate is the one knob
         ("soft-landing", "lander.touchdown_speed_limit_mps", "null"),
         ("rendezvous", "rendezvous.mu", '"x"'),
         ("rendezvous", "rendezvous.alpha", "-1"),
@@ -661,6 +664,18 @@ def test_a_removed_setting_is_a_config_error(tmp_path, capsys, field, value):
     """The line search, the damping schedule and the sweep's warm start are
     fixed: setting one, even to the value it has, exits 2 naming it."""
     assert_config_error(tmp_path, capsys, "attitude", field, value)
+
+
+def test_a_horizon_whose_shortest_grid_time_underflows_is_a_config_error(tmp_path, capsys):
+    """5% of a subnormal horizon is 0, so the default grid has no first
+    point: the run exits 2 naming `horizon`, with one JSON line."""
+    argv = ["simulate", "--set", "scenario=rendezvous", "--set", "dt=5e-324", "--set", "horizon=5e-324"]
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["field"] == "horizon"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -707,12 +722,13 @@ def test_overflowing_penalty_rate_lands_like_a_large_one(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_vanishing_penalty_with_overflowing_weights_lands_like_no_penalty(tmp_path, capsys):
-    """With coord_scale 0 the penalty is identically 0, whatever weight *
-    rate gives: its gradient is -weight * (rate * coord_scale) = -0, not
-    inf * 0 = NaN, so the descent is the unpenalized one byte for byte."""
+    """With rate 0 the penalty is identically 0, whatever the weight: its
+    gradient is -weight * rate = -0 and its Hessian weight * (rate * rate)
+    = 0, not inf * 0 = NaN, so the descent is the unpenalized one byte for
+    byte."""
     files = []
     for overrides in (
-        ["lander.penalty_weight=1e300", "lander.penalty_rate=1e300", "lander.penalty_coord_scale=0"],
+        ["lander.penalty_weight=1e300", "lander.penalty_rate=0"],
         ["lander.penalty_weight=0"],
     ):
         out = tmp_path / str(len(files))
@@ -857,7 +873,7 @@ FUZZ_KEYS = [
     "attitude.inertia_diag", "rendezvous.mu", "rendezvous.alpha", "rendezvous.mass_kg", "rendezvous.chaser",
     *[f"rendezvous.{o}.{f}" for o in ("chaser", "target") for f in ("a_km", "e", "i_deg", "raan_deg", "argp_deg", "nu_deg")],
     "lander", "lander.isp_s", "lander.g_ref", "lander.initial_mass_kg", "lander.inertia_diag",
-    "lander.penalty_weight", "lander.penalty_rate", "lander.penalty_coord_scale", "lander.terminal_weight",
+    "lander.penalty_weight", "lander.penalty_rate", "lander.terminal_weight",
     "lander.terminal_sink_rate_mps", "lander.touchdown_speed_limit_mps", "lander.initial_position_m",
     "lander.initial_velocity_mps", "warp_drive", "solver.warp_drive",
 ]
@@ -902,7 +918,7 @@ UNREAD_SECTIONS = {
     "custom-linear": ["attitude", "rendezvous", "lander"],
 }
 # Settable values of the echoed default config (a list counts as one).
-ECHOED_VALUES = {"attitude": 19, "rendezvous": 33, "soft-landing": 24, "custom-linear": 18}
+ECHOED_VALUES = {"attitude": 19, "rendezvous": 33, "soft-landing": 23, "custom-linear": 18}
 
 
 @pytest.mark.parametrize(

@@ -120,7 +120,7 @@ def test_overflowing_penalty_coefficients_keep_the_finite_terms():
     # weight * k^2 = -1e400 and weight * k = 1e400 overflow, while the
     # terms at these altitudes are about 5e-35: w * k^2 * exp(-k * a)
     # evaluated in an order that stays in range
-    hess = AltitudePenaltySpec(weight=-1e200, rate=1e50, index=0, coord_scale=1e50)
+    hess = AltitudePenaltySpec(weight=-1e200, rate=1e100, index=0)
     want = -(1e200 * np.exp(-1e3)) * 1e200
     assert hess.hessian_at(np.array([1e-97])) == pytest.approx(want, rel=1e-12)
     grad = AltitudePenaltySpec(weight=-1e200, rate=1e200, index=0)
@@ -150,7 +150,7 @@ def test_derivatives_match_finite_differences():
     spec = QuadraticCostSpec(
         Q=M @ M.T,
         R=np.diag(rng.uniform(0.5, 2.0, 3)),
-        penalty=AltitudePenaltySpec(weight=100.0, rate=1.0, index=1, coord_scale=2.0),
+        penalty=AltitudePenaltySpec(weight=100.0, rate=2.0, index=1),
     )
     for _ in range(100):
         x = rng.normal(0, 1.0, 4)

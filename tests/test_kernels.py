@@ -341,7 +341,7 @@ def test_constant_partials_are_broadcast_over_a_trajectory():
 @given(traj=trajectories(vec(4, -3.0, 3.0), vec(2, -3.0, 3.0)), penalized=st.booleans())
 def test_batched_cost_derivatives_equal_per_point(traj, penalized):
     X, U = traj
-    penalty = AltitudePenaltySpec(weight=100.0, rate=1.0, index=2, coord_scale=2.0) if penalized else None
+    penalty = AltitudePenaltySpec(weight=100.0, rate=2.0, index=2) if penalized else None
     Q = np.array([[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.1, 0.0, 0.0, 1.5]])
     spec = QuadraticCostSpec(Q=Q, R=np.array([[1.0, 0.2], [0.2, 2.0]]), penalty=penalty)
     batch = cost_derivatives(X, U, spec)

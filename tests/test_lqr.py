@@ -223,12 +223,13 @@ def test_membership_monotone_under_regulation_linear():
 
     stop = dataclasses.replace(bp.terminal_set, level=0.5)
     design = bp.design_for(1.0)
+    K = design.solution.K
     x = np.array([0.5])
     for _ in range(10):
+        x_next = bp.model.step(x, -K @ x)
         if in_terminal_set(bp.model, x, design, bp.cost, stop).member:
-            x_next = bp.model.step(x, design.feedback(x))
             assert in_terminal_set(bp.model, x_next, design, bp.cost, stop).member
-        x = bp.model.step(x, design.feedback(x))
+        x = x_next
 
 
 def test_membership_false_for_far_attitude_state():
