@@ -51,7 +51,7 @@ from .config import ScenarioConfig, emit_config, parse_config, scenario_defaults
 from .dynamics import finite_diff_jacobians, jacobians
 from .errors import ConfigError, SpacetrajError
 from .scenarios import build_problem, linear_benchmark
-from .two_phase import RunResult, convergence_study, first_hit_bracketed, membership_switches
+from .two_phase import RunResult, convergence_study, first_hit, first_hit_bracketed, membership_switches
 
 log = logging.getLogger("spacetraj")
 
@@ -118,10 +118,10 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path) -> Outcome:
             [pt.transfer_time, pt.ilqr_cost, pt.regulation_cost, pt.terminal_value, pt.total_cost, pt.in_set, pt.error_norm]
         )
     sweep_csv = write_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
-    hit = next((pt.transfer_time for pt in points if pt.in_set), None)
+    hit = first_hit(points)
     fields = {
         "grid": [pt.transfer_time for pt in points],
-        "first_hitting_time": hit,
+        "first_hitting_time": None if hit is None else points[hit].transfer_time,
         "first_hit_bracketed": first_hit_bracketed(points),
         "membership_switches": membership_switches(points),
         "failures": failures,

@@ -60,14 +60,14 @@ On that bracket, |reported - full roll| <= z_k'Pz_k at the stop. Members
 and undecided points roll exactly as without the test.
 
 The rollout is `dynamics.simulate` under `regulation_law` (see its hot-loop
-contract), run in chunks of CHUNK_STEPS steps; z is a view when the
-regulated block is contiguous. `cost.priced` prices and cuts each chunk,
-with the running sum carried over in step order (rows price alike in any
-batch), so the rollout keeps what one loop priced once keeps: a control that
-tripped the cost cap stays with its cost and the state it led to, one that
-left the dynamics domain with its cost and no successor state, and `cost`
-is always the last running sum. The bracket is then tested over the cut
-chunk's states at once, except the state after a trip.
+contract), one call, or with a band chunks of CHUNK_STEPS steps; z is a
+view when the regulated block is contiguous. `cost.priced` prices and cuts
+each call, with the running sum carried over in step order (rows price
+alike in any batch), so the rollout keeps what one loop priced once keeps:
+a control that tripped the cost cap stays with its cost and the state it
+led to, one that left the dynamics domain with its cost and no successor
+state, and `cost` is always the last running sum. The bracket is then
+tested over the cut chunk's states at once, except the state after a trip.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ PREDICTION_FLOOR = 1e-9
 # the tolerance band.
 TAIL_FRACTION = 1e-4
 
-# Steps per `simulate` call of a regulation rollout; each chunk is priced by
-# one `cost.priced` call before the verdict is tested on its states. Longer
-# chunks price less often, shorter ones overshoot a decided stop by less.
+# Steps per `simulate` call of a regulation rollout with a band; each chunk is
+# priced by one `cost.priced` call before the verdict is tested on its states.
+# Longer chunks price less often, shorter ones overshoot a decided stop by less.
 CHUNK_STEPS = 64
 
 
@@ -362,6 +362,7 @@ def regulation_rollout(
     stop: TerminalSetSpec,
     tail_bound: float = 0.0,
     band: Optional[Tuple[float, float]] = None,
+    start: Tuple[float, int] = (0.0, 0),
 ) -> RegulationRollout:
     """Simulate the nonlinear model under u = -K z until the regulated state
     norm drops below `state_tol`, or, when `tail_bound` is positive, the
@@ -370,14 +371,17 @@ def regulation_rollout(
     first state whose bracket [rolled, rolled + 2 z'Pz] lies wholly outside
     it (see the module docstring). Divergence (cost cap, non-finite state,
     singular kinematics) is reported in the result, not raised, and without
-    numpy warnings."""
+    numpy warnings. `start` = (cost, steps) resumes a rollout stopped at
+    `x0`: both caps, `cost` and `converged` count from it, in step order, and
+    the result holds the resumed steps only (none once `steps` is the cap)."""
     law = regulation_law(design, stop.state_tol, tail_bound)
     take, P = design.take, design.solution.P
+    (rolled, applied), decided = start, False
+    chunk = CHUNK_STEPS if band is not None else stop.regulation_cap - applied
     x = np.array(x0, dtype=float)
     X, U, costs = [x[None]], [], []
-    rolled, applied, decided, message = 0.0, 0, False, ""
-    while applied < stop.regulation_cap:
-        steps = min(CHUNK_STEPS, stop.regulation_cap - applied)
+    while True:
+        steps = min(chunk, stop.regulation_cap - applied)
         Xc, Uc, costs_c, running, message = priced(simulate(model, x, law, steps), spec, stop.cost_cap, rolled)
         if band is not None:
             # state j of the chunk has rolled running[j - 1]; a diverged
@@ -394,7 +398,7 @@ def regulation_rollout(
         applied += len(Uc)
         if len(Uc):
             rolled = float(running[-1])
-        if decided or message or len(Uc) < steps:
+        if decided or message or len(Uc) < steps or applied >= stop.regulation_cap:
             break
         x = Xc[-1]
     X, U, costs = np.concatenate(X), np.concatenate(U), np.concatenate(costs)
@@ -405,7 +409,7 @@ def regulation_rollout(
         stage_costs=costs,
         cost=rolled,
         tail=0.0 if message else float(z.dot(P).dot(z)),
-        converged=not (message or decided) and len(U) < stop.regulation_cap,
+        converged=not (message or decided) and applied < stop.regulation_cap,
         diverged=bool(message),
         message=message and f"regulation rollout {message}",
         decided=decided,

@@ -283,9 +283,10 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
     angles = np.asarray(cfg.initial_state, dtype=float) * DEG
     x0_si = np.concatenate([angles, L.initial_position_m, L.initial_velocity_mps, [params.initial_mass]])
     with np.errstate(over="ignore"):
-        P = (L.terminal_weight / 2.0) * Q
-    if not np.isfinite(P).all():
+        hessian = L.terminal_weight * Q  # the terminal Hessian 2P
+    if not np.isfinite(hessian).all():
         raise ConfigError("lander.terminal_weight", "the terminal weight times q overflows")
+    P = (L.terminal_weight / 2.0) * Q
     return LandingProblem(
         model=lander_model(params, dt),
         cost=cost,

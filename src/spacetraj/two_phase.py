@@ -17,11 +17,12 @@ V(x_t) - V(x_{t+1}) >= c(x_t, u_t) of V = z'Pz along the regulation phase
 of a closed loop (a ratio of 1 on linear dynamics).
 
 A query is stated once, on the problem: its `grid` and `terminal_set`
-(with the level). One walk of the grid serves the sweep, and
-one function, `_first_hits`, holds the hitting rule and the objective:
+(with the level). One walk of the grid serves the sweep, one function,
+`first_hit`, holds the hitting rule, and `_first_hits` the objective:
 `solve_two_phase(problem)` asks it for the problem's own level,
 `convergence_study(problem, levels)` for many levels in one level-free walk;
-`first_hit_bracketed` is the bracket rule both summaries report.
+`first_hit_bracketed` is the bracket rule both summaries report. The closed
+loop resumes the member's rollout through `lqr.regulation_rollout`.
 
 A problem object is what every CLI command runs: `TwoPhaseProblem` here and
 `scenarios.LandingProblem` answer `solve()` and `simulate()` with one
@@ -38,8 +39,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .cost import QuadraticCostSpec, TerminalValue, priced
-from .dynamics import DiscreteModel, simulate
+from .cost import QuadraticCostSpec, TerminalValue
+from .dynamics import DiscreteModel
 from .errors import HittingTimeNotFoundError, RegularizationError, StabilizabilityError
 from .ilqr import SolveReport, SolverSettings, solve_fhocp
 from .lqr import (
@@ -47,7 +48,7 @@ from .lqr import (
     RegulationDesign,
     TerminalSetSpec,
     in_terminal_set,
-    regulation_law,
+    regulation_rollout,
 )
 
 
@@ -157,7 +158,6 @@ class TwoPhaseProblem:
             "switch_time_s": closed.switch_time,
             "regulation_converged": closed.converged,
             "diverged": closed.diverged,
-            "membership_switches": membership_switches(solution.sweep),
             "first_hit_bracketed": first_hit_bracketed(solution.sweep),
             "final_state_error": [float(v) for v in solution.design.regulated(closed.states[-1])],
             "lyapunov_decrease_ratio": lyapunov_decrease_ratio(closed, solution.design),
@@ -232,10 +232,8 @@ def _evaluate_point(
 ) -> SweepPoint:
     try:
         steps = problem.steps_for(transfer_time)
-        if previous_controls is None:
-            initial_controls = problem.guess_for(steps)
-        else:  # warm start: the previous controls, zero-padded
-            initial_controls = np.zeros((steps, problem.model.control_dim))
+        initial_controls = problem.guess_for(steps)
+        if previous_controls is not None:  # warm start: the previous controls over the guess's head
             initial_controls[: len(previous_controls)] = previous_controls[:steps]
         design = problem.design_for(transfer_time)
         report = problem.leg(design, problem.x0, initial_controls)
@@ -286,25 +284,29 @@ def _walk(problem: TwoPhaseProblem) -> Iterator[SweepPoint]:
             previous = point.report.trajectory.controls
 
 
+def first_hit(points: Sequence[SweepPoint], level: Optional[float] = None) -> Optional[int]:
+    """Index of the first member of `points` (within the terminal set's own
+    level, when it has one), or, with a level, of the first member whose
+    terminal value is at most it; None when there is none."""
+    return next(
+        (i for i, pt in enumerate(points) if pt.in_set and (level is None or pt.terminal_value <= level)),
+        None,
+    )
+
+
 def membership_switches(points: Sequence[SweepPoint]) -> List[float]:
     """Grid times after the first member at which membership differs from
     the point before; empty when membership along the grid is monotone."""
-    flags = [pt.in_set for pt in points]
-    if True not in flags:
+    first = first_hit(points)
+    if first is None:
         return []
-    first = flags.index(True)
-    return [
-        points[i].transfer_time
-        for i in range(first + 1, len(points))
-        if flags[i] != flags[i - 1]
-    ]
+    return [points[i].transfer_time for i in range(first + 1, len(points)) if points[i].in_set != points[i - 1].in_set]
 
 
 def first_hit_bracketed(points: Sequence[SweepPoint]) -> Optional[bool]:
     """Whether a point that did not fail precedes the first member, so the
-    hit is bracketed by a miss; None when no point is a member. A member is
-    within the level too, when the terminal set has one."""
-    hit = next((i for i, pt in enumerate(points) if pt.in_set), None)
+    hit is bracketed by a miss; None when no point is a member."""
+    hit = first_hit(points)
     return None if hit is None else any(not pt.failed for pt in points[:hit])
 
 
@@ -324,24 +326,21 @@ class TwoPhaseSolution:
 def _first_hits(problem: TwoPhaseProblem, levels: Sequence[Optional[float]]) -> List[TwoPhaseSolution]:
     """The first hitting time of each level, from one walk of the grid.
 
-    A level is hit at the first member of the problem's terminal set whose
-    terminal value is at most the level; a None level at the first member,
-    and its reported level becomes the terminal value observed there. The
-    walk stops once every level is hit, and raises HittingTimeNotFoundError
+    A level is hit at `first_hit` of the points walked; a None level's
+    reported level becomes the terminal value observed there. The walk
+    stops once every level is hit, and raises HittingTimeNotFoundError
     with the points walked when one never is.
     """
     hits: List[Optional[int]] = [None] * len(levels)
     walked: List[SweepPoint] = []
     for point in _walk(problem):
         walked.append(point)
-        for i, level in enumerate(levels):
-            if hits[i] is None and point.in_set and (level is None or point.terminal_value <= level):
-                hits[i] = len(walked)
+        hits = [first_hit(walked, level) for level in levels]  # a grid is tens of points
         if None in hits:
             continue
         solutions = []
         for n, level in zip(hits, levels):
-            point = walked[n - 1]
+            point = walked[n]
             level = point.terminal_value if level is None else level
             solutions.append(
                 TwoPhaseSolution(
@@ -351,7 +350,7 @@ def _first_hits(problem: TwoPhaseProblem, levels: Sequence[Optional[float]]) -> 
                     report=point.report,
                     design=problem.design_for(point.transfer_time),
                     membership=point.membership,
-                    sweep=tuple(walked[:n]),
+                    sweep=tuple(walked[: n + 1]),
                 )
             )
         return solutions
@@ -392,7 +391,6 @@ class ClosedLoopTrajectory:
         return float(np.sum(self.stage_costs))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> ClosedLoopTrajectory:
     """The two-phase run from the problem's initial state, read from the solve.
 
@@ -400,40 +398,33 @@ def two_phase_simulate(problem: TwoPhaseProblem, solution: TwoPhaseSolution) -> 
     the feedback term zero). Phase 2, u = -K z until the regulated state
     converges or the cap runs out, is the selected point's membership
     rollout (the same law from the same switch state) resumed where it
-    stopped by one `dynamics.simulate` loop. `cost.priced` prices the
-    rollout and the resumed loop as one (rows price alike in any batch, so
-    the rollout's rows keep the bits the solve stored), and cuts them where
-    a test after each applied step would have. The cap bounds the regulation
-    cost alone, as in the membership rollout, so the reused prefix never
-    trips a cap that admitted it. `solution`
-    must come from `solve_two_phase` on `problem`. An overflowing state
-    ends the run as diverged, without numpy warnings.
+    stopped through `regulation_rollout`, from the rollout's running cost
+    and step count. The caps bound the regulation phase alone, as in the
+    membership rollout, so the reused prefix never trips a cap that
+    admitted it, and the resumed steps keep the bits of one rollout from
+    the switch state. `solution` must come from `solve_two_phase` on
+    `problem`. An overflowing state ends the run as diverged, without numpy
+    warnings.
     """
     nominal, prefix = solution.report.trajectory, solution.membership.rollout
-    stop = problem.terminal_set
+    rest = regulation_rollout(
+        problem.model, prefix.states[-1], solution.design, problem.cost, problem.terminal_set,
+        start=(prefix.cost, prefix.steps),
+    )
+    costs = np.concatenate((nominal.stage_costs, prefix.stage_costs, rest.stage_costs))
     switch_index = nominal.horizon
-    budget = stop.regulation_cap - prefix.steps
-    law = regulation_law(solution.design, stop.state_tol)
-    X2, U2, message = simulate(problem.model, prefix.states[-1], law, budget)
-    regulation = (np.concatenate((prefix.states, X2[1:])), np.concatenate((prefix.controls, U2)), message)
-    X2, U2, costs2, _, message = priced(regulation, problem.cost, stop.cost_cap)
-    X = np.concatenate((nominal.states, X2[1:]))
-    U = np.concatenate((nominal.controls, U2))
-    costs = np.concatenate((nominal.stage_costs, costs2))
-    converged = not message and len(U2) < stop.regulation_cap
-    message = message and f"regulation {message}"
     phases = np.full(len(costs), 2)
     phases[:switch_index] = 1
     return ClosedLoopTrajectory(
-        states=X,
-        controls=U,
+        states=np.concatenate((nominal.states, prefix.states[1:], rest.states[1:])),
+        controls=np.concatenate((nominal.controls, prefix.controls, rest.controls)),
         stage_costs=costs,
         phases=phases,
         switch_index=switch_index,
         switch_time=switch_index * problem.model.dt,
-        converged=converged,
-        diverged=bool(message),
-        message=message,
+        converged=rest.converged,
+        diverged=rest.diverged,
+        message=rest.message,
     )
 
 

@@ -420,7 +420,7 @@ def ref_two_phase_simulate(problem, solution):
         states.append(x)
         if not np.isfinite(running) or running > stop.cost_cap:
             diverged = True
-            message = f"regulation cost exceeded cap ({running:.3e})"
+            message = f"regulation rollout cost exceeded cap ({running:.3e})"
             break
     return ClosedLoopTrajectory(
         states=np.array(states),
@@ -651,7 +651,7 @@ def test_cost_cap_admitting_the_prefix_never_trips_on_it():
         else:
             assert closed.diverged and not closed.converged
             assert int(np.sum(closed.phases == 2)) == tripped
-            assert closed.message.startswith("regulation cost exceeded cap (")
+            assert closed.message.startswith("regulation rollout cost exceeded cap (")
 
 
 def test_divergent_rollout_matches_reference():

@@ -166,9 +166,9 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     loop or per chunk of a regulation rollout (there is no one-row cost to
     call per step). The budget holds the steps outside the design; the
     rendezvous design propagates its goal orbit to T* = 300 s, exactly 150
-    steps of dt = 2 s. The closed loop prices the membership rollout it
-    resumes and the resumed steps; the nominal's rows keep their stored
-    costs."""
+    steps of dt = 2 s. The closed loop prices only the steps it resumes
+    after the membership rollout, in one regulation rollout; the nominal's
+    and the membership rollout's rows keep their stored costs."""
     import spacetraj.cost as cost
     import spacetraj.dynamics as dynamics
     import spacetraj.ilqr as ilqr
@@ -207,27 +207,39 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
         monkeypatch.setattr(module, name, counting)
 
     count(cost, "stage_costs", "stage_costs")
-    for module in (ilqr, lqr, two_phase):
+    for module in (ilqr, lqr):
         count(module, "priced", "priced")
     for module, loop in (
         (ilqr, "rollout"),
         (ilqr, "forward_pass"),
-        (lqr, "simulate"),  # one call per chunk of a regulation rollout
-        (two_phase, "two_phase_simulate"),
+        (lqr, "simulate"),  # one call per chunk of a regulation rollout, one for the closed loop's
     ):
         count(module, loop, "loops")
-    price = two_phase.priced
+    assert not hasattr(two_phase, "priced") and not hasattr(two_phase, "simulate")
+    closing = False
+    close, price = two_phase.two_phase_simulate, lqr.priced
+
+    def closed_loop(*args):
+        nonlocal closing
+        closing = True
+        try:
+            return close(*args)
+        finally:
+            closing = False
 
     def pricing(simulation, *args):
-        calls["closed_loop_rows"] += len(simulation[1])
+        if closing:
+            calls["closed_loop_priced"] += 1
+            calls["closed_loop_rows"] += len(simulation[1])
         return price(simulation, *args)
 
-    monkeypatch.setattr(two_phase, "priced", pricing)
+    monkeypatch.setattr(two_phase, "two_phase_simulate", closed_loop)
+    monkeypatch.setattr(lqr, "priced", pricing)
     code, _ = run_cli(capsys, "simulate", "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["regulation_converged"] and not summary["diverged"]
-    assert summary["membership_switches"] == []
+    assert "membership_switches" not in summary  # the sweep reports them
     # attitude's 18.8 s precedes T* = 22 s; rendezvous hits at its first point
     assert summary["first_hit_bracketed"] is (scenario == "attitude")
     low, high = summary["lyapunov_decrease_ratio"]
@@ -236,8 +248,33 @@ def test_simulate_euler_step_budget(tmp_path, capsys, monkeypatch, scenario, bud
     assert calls["goal_orbit"] == (150 if scenario == "rendezvous" else 0)
     assert not hasattr(cost, "stage_cost")
     assert 0 < calls["stage_costs"] == calls["priced"] <= calls["loops"] < 100
-    # the membership rollout's 1,066 / 642 rows and the 754 / 1,405 resumed
-    assert calls["closed_loop_rows"] == {"attitude": 1820, "rendezvous": 2047}[scenario]
+    # the 754 / 1,405 resumed rows, not the membership rollout's 1,066 / 642
+    assert calls["closed_loop_priced"] == 1
+    assert calls["closed_loop_rows"] == {"attitude": 754, "rendezvous": 1405}[scenario]
+
+
+def test_a_member_that_used_the_whole_regulation_cap_ends_unconverged(tmp_path, capsys):
+    """custom-linear's member at T* = 1 s spends the one-step cap in its
+    membership rollout, so the closed loop has no step left to resume: the
+    run reports the cap run out, neither a divergence nor a config error."""
+    code, _ = run_cli(
+        capsys,
+        "simulate",
+        "--set", "scenario=custom-linear",
+        "--set", "terminal_set.regulation_cap=1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["regulation_converged"] is False and summary["diverged"] is False
+    assert summary["total_cost"] == 1.5835921137150628
+    assert (tmp_path / "o" / "trajectory.csv").read_text() == (
+        "# schema: trajectory-v1\n"
+        "t_seconds,x1,u1,stage_cost,phase\n"
+        "0.0,1.0,-0.6180338707159286,1.3819658653521132,1\n"
+        "1.0,0.38196612928407137,-0.23606805044879267,0.20162624836294962,2\n"
+        "2.0,0.1458980788352787,0.0,0.0,2\n"
+    )
 
 
 def _peak_allocation(call):
@@ -626,7 +663,8 @@ def assert_config_error(tmp_path, capsys, scenario, field, value):
         ("soft-landing", "lander.penalty_rate", "NaN"),
         ("soft-landing", "lander.terminal_weight", '"x"'),
         ("soft-landing", "lander.terminal_weight", "-1"),
-        ("soft-landing", "lander.terminal_weight", "1e305"),  # times q overflows
+        ("soft-landing", "lander.terminal_weight", "3e304"),  # the Hessian 2P = weight times q overflows
+        ("soft-landing", "lander.terminal_weight", "1e305"),  # P = weight/2 times q overflows too
         ("soft-landing", "lander.terminal_weight", "1e308"),
         ("soft-landing", "lander.penalty_coord_scale", "1"),  # not a setting: penalty_rate is the one knob
         ("soft-landing", "lander.touchdown_speed_limit_mps", "null"),

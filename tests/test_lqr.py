@@ -371,6 +371,67 @@ def test_every_stop_reports_the_running_sum_of_its_rows(stop_at, n, m, seed):
         assert out.cost > stop.cost_cap >= out.cost - out.stage_costs[-1]
 
 
+def _check_resume(model, x0, design, spec):
+    """Roll from `x0` to a tail stop, then resume from its state with its
+    running cost and step count: under each stop (the defaults, a cost cap
+    between the tail stop's cost and the full roll's, a step cap the first
+    roll used up) the two pieces are one band-less rollout from `x0`, bit
+    for bit. Returns the first roll and the one rollout of each stop."""
+    tail_bound = 1e-3 * design.predicted_cost(x0)
+    first = regulation_rollout(model, x0, design, spec, TerminalSetSpec(), tail_bound)
+    assert first.converged and first.steps > 0 and first.tail <= tail_bound
+    whole = regulation_rollout(model, x0, design, spec, TerminalSetSpec())
+    wants = []
+    for stop in (
+        TerminalSetSpec(),
+        TerminalSetSpec(cost_cap=0.5 * (first.cost + whole.cost)),
+        TerminalSetSpec(regulation_cap=first.steps),
+    ):
+        want = regulation_rollout(model, x0, design, spec, stop)
+        rest = regulation_rollout(model, first.states[-1], design, spec, stop, start=(first.cost, first.steps))
+        assert np.array_equal(np.concatenate((first.states, rest.states[1:])), want.states)
+        assert np.array_equal(np.concatenate((first.controls, rest.controls)), want.controls)
+        assert np.array_equal(np.concatenate((first.stage_costs, rest.stage_costs)), want.stage_costs)
+        assert (rest.cost, rest.tail, rest.converged, rest.diverged, rest.message) == (
+            want.cost,
+            want.tail,
+            want.converged,
+            want.diverged,
+            want.message,
+        )
+        wants.append(want)
+    # the step cap: nothing was left to resume, and the cap has run out
+    assert rest.steps == 0 and rest.controls.shape == (0, model.control_dim) and not rest.converged
+    return first, wants
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_a_resumed_rollout_is_one_rollout(n, m, seed):
+    """`start` = (cost, steps) continues a stopped rollout: on a generated
+    linear draw under its own design, a tail stop resumed to the end gives
+    one band-less rollout's states, controls, stage costs, cost and cap
+    trip."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(0.0, 0.6, (n, n)), rng.normal(0.0, 1.0, (n, m))
+    Lq, Lr = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+    spec = QuadraticCostSpec(Q=Lq @ Lq.T + 0.1 * np.eye(n), R=Lr @ Lr.T + 0.1 * np.eye(m))
+    try:
+        sol = solve_dare(A, B, spec.Q / 2.0, spec.R / 2.0)
+    except StabilizabilityError:
+        return
+    _check_resume(lti_model(A, B), rng.normal(0.0, 2.0, n), RegulationDesign(sol, np.arange(n), n), spec)
+
+
+def test_a_resumed_attitude_rollout_is_one_rollout():
+    p = attitude_problem()
+    first, (whole, capped, _) = _check_resume(p.model, 0.05 * p.x0, p.design_for(22.0), p.cost)
+    assert whole.converged and whole.steps > first.steps > 0
+    # the cost cap trips after the resume, on the resumed steps
+    assert capped.diverged and whole.steps > capped.steps > first.steps
+    assert capped.message.startswith("regulation rollout cost exceeded cap (")
+
+
 def test_linearize_at_goal_attitude():
     p = attitude_problem()
     lin = linearize_at_goal(p.model, np.zeros(6), np.zeros(3))

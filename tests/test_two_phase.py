@@ -480,6 +480,6 @@ def test_every_cost_cap_trips_at_the_same_step(caller, cap):
             membership = in_terminal_set(model, nominal.states[-1], design, spec, stop)
         solution = TwoPhaseSolution(1.0, 1.0, 0.0, report, design, membership, ())
         closed = two_phase_simulate(problem, solution)
-        assert closed.diverged and closed.message.startswith("regulation cost exceeded cap (")
+        assert closed.diverged and closed.message.startswith("regulation rollout cost exceeded cap (")
         assert len(closed.controls) == trip + 1
         assert np.array_equal(closed.controls, U[: trip + 1])
