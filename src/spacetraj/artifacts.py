@@ -1,11 +1,13 @@
 """Atomic CSV/JSON artifact writers with embedded schema tags.
 
+The writers know no scenario: a caller passes the header and rows of a CSV.
 Files are written to a temporary sibling and renamed into place; a write
 that fails part-way removes the sibling and leaves any earlier file at the
-target as it was. Floats are rendered with repr (shortest round-trip), so
-identical runs produce byte-identical CSV bodies; CSVs use '.' decimals,
-'\n' newlines, UTF-8, and no locale-dependent formatting. The first line of
-every CSV is a `# schema: <name>` comment.
+target as it was. Every cell is a Python float or int and is rendered with
+`repr` (shortest round-trip for floats), so identical runs produce
+byte-identical CSV bodies; CSVs use '.' decimals, '\n' newlines, UTF-8, and
+no locale-dependent formatting. The first line of every CSV is a
+`# schema: <name>` comment.
 
 Rows are streamed: `trajectory_rows` converts its arrays and `write_csv`
 formats and writes the rows `BLOCK_ROWS` at a time through one open file,
@@ -31,32 +33,6 @@ SUMMARY_SCHEMA = "summary-v1"
 # Rows converted, formatted and written at a time.
 BLOCK_ROWS = 256
 
-STATE_COLUMNS = {
-    "attitude": ["psi_rad", "theta_rad", "phi_rad", "w1_radps", "w2_radps", "w3_radps"],
-    "rendezvous": [
-        "er1_km", "er2_km", "er3_km",
-        "ev1_kmps", "ev2_kmps", "ev3_kmps",
-        "m_kg",
-        "rt1_km", "rt2_km", "rt3_km",
-        "vt1_kmps", "vt2_kmps", "vt3_kmps",
-    ],
-    "soft-landing": [
-        "psi_rad", "theta_rad", "phi_rad",
-        "w1_radps", "w2_radps", "w3_radps",
-        "r1_m", "r2_m", "r3_m",
-        "v1_mps", "v2_mps", "v3_mps",
-        "m_kg",
-    ],
-    "custom-linear": ["x1"],
-}
-
-CONTROL_COLUMNS = {
-    "attitude": ["M1_Nm", "M2_Nm", "M3_Nm"],
-    "rendezvous": ["u1_kN", "u2_kN", "u3_kN"],
-    "soft-landing": ["M1_Nm", "M2_Nm", "M3_Nm", "u1_N", "u2_N", "u3_N"],
-    "custom-linear": ["u1"],
-}
-
 SWEEP_COLUMNS = [
     "T", "ilqr_cost", "regulation_cost", "terminal_value", "total_cost", "in_omega", "error_norm",
 ]
@@ -64,19 +40,6 @@ SWEEP_COLUMNS = [
 ITERATION_COLUMNS = ["iteration", "cost", "alpha", "lambda", "gradient_norm", "accepted"]
 
 CONVERGENCE_COLUMNS = ["level", "objective", "ideal", "gap"]
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))  # numpy 2 reprs np.float64 as "np.float64(...)"
-    try:
-        return repr(float(value))  # numpy scalars
-    except (TypeError, ValueError):
-        return str(value)
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -94,22 +57,11 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-# `repr` formats these types (not bool) exactly as `_fmt` does
-_REPR_TYPES = frozenset((float, int))
-
-
 def _csv_blocks(schema: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
     yield f"# schema: {schema}\n" + ",".join(header) + "\n"
     rows = iter(rows)
     while block := list(islice(rows, BLOCK_ROWS)):
-        lines = []
-        for row in block:
-            if _REPR_TYPES.issuperset(map(type, row)):
-                lines.append(",".join(map(repr, row)))
-            else:
-                lines.append(",".join(_fmt(v) for v in row))
-        lines.append("")
-        yield "\n".join(lines)
+        yield "\n".join([",".join(map(repr, row)) for row in block]) + "\n"
 
 
 def write_csv(path: Path, schema: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
@@ -134,8 +86,7 @@ def trajectory_rows(
     """Rows for the trajectory CSV: one per state sample; the final row
     (no control applied) carries zero control/stage-cost entries and the
     last phase label so every cell stays finite. The arrays are converted
-    `BLOCK_ROWS` rows at a time; cells are Python floats and ints, which
-    `write_csv` formats with `repr` directly."""
+    `BLOCK_ROWS` rows at a time into Python floats and ints."""
     dt = float(dt)
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)

@@ -6,8 +6,8 @@
 Commands:
     solve        optimize the nonlinear leg at the configured horizon
     sweep        evaluate the transfer-time grid and write the sweep table
-    simulate     closed-loop run: optimized leg + regulation (or descent to
-                 touchdown for the soft-landing scenario)
+    simulate     closed-loop run: optimized leg + regulation (or, for the
+                 single-phase lander, descent to touchdown)
     verify       Jacobian agreement, Riccati residual, Bellman residuals
                  on the configured problem
     convergence  objective-vs-level study on the built-in linear benchmark
@@ -34,12 +34,10 @@ import numpy as np
 
 from . import __version__
 from .artifacts import (
-    CONTROL_COLUMNS,
     CONVERGENCE_COLUMNS,
     CONVERGENCE_SCHEMA,
     ITERATION_COLUMNS,
     ITERATIONS_SCHEMA,
-    STATE_COLUMNS,
     SWEEP_COLUMNS,
     SWEEP_SCHEMA,
     TRAJECTORY_SCHEMA,
@@ -47,7 +45,7 @@ from .artifacts import (
     write_csv,
     write_json,
 )
-from .config import ScenarioConfig, emit_config, parse_config, scenario_defaults
+from .config import ScenarioConfig, emit_config, parse_config, scenario_record
 from .dynamics import finite_diff_jacobians, jacobians
 from .errors import ConfigError, SpacetrajError
 from .scenarios import build_problem, linear_benchmark
@@ -79,7 +77,8 @@ def _write_run(cfg: ScenarioConfig, out: Path, result: RunResult) -> Outcome:
     """trajectory.csv and iterations.csv of a solve or simulate."""
     iterations = len(result.report.iterations)
     log.info("run finished: cost=%g iterations=%d", result.summary["total_cost"], iterations)
-    header = ["t_seconds", *STATE_COLUMNS[cfg.scenario], *CONTROL_COLUMNS[cfg.scenario], "stage_cost", "phase"]
+    record = scenario_record(cfg.scenario)
+    header = ["t_seconds", *record.state_columns, *record.control_columns, "stage_cost", "phase"]
     traj_csv = write_csv(
         out / "trajectory.csv",
         TRAJECTORY_SCHEMA,
@@ -114,9 +113,8 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path) -> Outcome:
         if pt.failed:
             failures.append({"T": pt.transfer_time, "error": pt.error})
             continue
-        rows.append(
-            [pt.transfer_time, pt.ilqr_cost, pt.regulation_cost, pt.terminal_value, pt.total_cost, pt.in_set, pt.error_norm]
-        )
+        costs = [pt.ilqr_cost, pt.regulation_cost, pt.terminal_value, pt.total_cost]
+        rows.append([pt.transfer_time, *costs, int(pt.in_set), pt.error_norm])
     sweep_csv = write_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
     hit = first_hit(points)
     fields = {
@@ -153,7 +151,7 @@ def cmd_verify(cfg: ScenarioConfig, out: Path) -> Outcome:
 
 
 def cmd_convergence(cfg: ScenarioConfig, out: Path) -> Outcome:
-    bench = linear_benchmark(replace(scenario_defaults("custom-linear"), solver=cfg.solver))
+    bench = replace(linear_benchmark(), settings=cfg.solver)
     ideal = bench.design_for(1.0).predicted_cost(bench.x0)
     levels = cfg.convergence_levels or [ideal * f for f in DEFAULT_LEVEL_FRACTIONS]
     rows = convergence_study(bench, levels)

@@ -1,21 +1,26 @@
 """Scenario configuration: the one description of each scenario.
 
 `ScenarioConfig` holds every parameter of a scenario, and this module owns
-their defaults and the scenario constants: `scenario_defaults(s)` is the
-tabulated case of scenario `s`. The builders in `scenarios` read a config
-directly (`scenarios.build_problem(cfg)`); this module knows no problem
-object and imports neither `scenarios` nor `two_phase`, which import it.
+their defaults and the scenario constants. Each scenario has one `Scenario`
+record in `SCENARIO_RECORDS` (looked up by `scenario_record`): its tabulated
+defaults (`scenario_defaults(s)` is the tabulated case of scenario `s`), the
+sections its problem does not read, the lengths of `q` and `initial_state`,
+and the state and control columns of its trajectory. The builders in
+`scenarios` read a config directly (`scenarios.build_problem(cfg)`); this
+module knows no problem object and imports neither `scenarios` nor
+`two_phase`, which import it.
 
 Configs are JSON (UTF-8, nesting allowed). Angles cross this boundary in
 degrees and are converted where the problem objects are built; weight
 matrices may be given as a diagonal (list of length n) or a full matrix
 (n x n nested lists). Unknown keys anywhere are rejected with the offending
 dotted path, and so is a section the scenario's problem does not read
-(`UNREAD`). The `solver` and `terminal_set` sections are `ilqr.SolverSettings`
-and `lqr.TerminalSetSpec`; each checks its fields, naming the section (`solver.tolerance`).
-`validate_config` checks every other field, and `float_array` and
-`weight_matrix` are the checked conversions of the array-valued ones; each
-raises ConfigError naming the field.
+(`Scenario.unread`). The `solver` and `terminal_set` sections are
+`ilqr.SolverSettings` and `lqr.TerminalSetSpec`; each checks its fields,
+naming the section (`solver.tolerance`). `validate_config` checks every
+other field, and `float_array` and `weight_matrix` are the checked
+conversions of the array-valued ones; each raises ConfigError naming the
+field.
 """
 
 from __future__ import annotations
@@ -37,9 +42,7 @@ from .models import COS_THETA_MIN, DEFAULT_INERTIA_DIAG, EARTH_MU, LanderParams,
 
 DEG = math.pi / 180.0
 
-# Tabulated initial conditions (degrees / deg/s; meters / m/s for the lander).
-ATTITUDE_INITIAL_DEG = (85.94, -68.75, -120.32, 5.72, -5.72, 2.86)
-LANDER_INITIAL_ATTITUDE_DEG = (22.91, 17.18, 11.45, 5.72, 11.45, -11.45)
+# Tabulated initial conditions of the lander section (meters / m/s).
 LANDER_INITIAL_POSITION_M = (300.0, -200.0, 1000.0)
 LANDER_INITIAL_VELOCITY_MPS = (100.0, 120.0, 0.0)
 
@@ -48,23 +51,6 @@ CHASER_ORBIT = (7200.0, 0.22, 64.0, 66.0, 28.0, 81.0)
 TARGET_ORBIT = (7000.0, 0.1, 40.0, 35.0, 10.0, 120.0)
 RENDEZVOUS_MASS_KG = 1000.0
 
-ATTITUDE_DT = 0.1
-ATTITUDE_HORIZON = 200.0
-RENDEZVOUS_DT = 2.0
-RENDEZVOUS_HORIZON = 6000.0
-LANDER_DT = 0.2
-LANDER_HORIZON = 30.0
-LINEAR_HORIZON = 40.0  # steps of 1 s
-
-# Default weights. Attitude weights are per-degree (identity in the tabulated
-# working units); rendezvous weights per km / (km/s) on the error states with
-# thrust weighted per kN; lander weights act on the normalized variables.
-ATTITUDE_Q_DIAG = (1.0,) * 6
-ATTITUDE_R_DIAG = (1.0,) * 3
-RENDEZVOUS_Q_DIAG = (1.0,) * 6
-RENDEZVOUS_R_DIAG = (500.0,) * 3
-LANDER_Q_DIAG = (1.0,) * 6 + (10000.0,) * 3 + (1000.0,) * 3
-LANDER_R_DIAG = (1.0,) * 6
 LANDER_TERMINAL_WEIGHT = 1.0e5
 # Commanded descent rate at the planning horizon's end. The terminal
 # reference sits one step below the surface at this rate, so the planned
@@ -81,20 +67,6 @@ TOUCHDOWN_SPEED_LIMIT = 2.0  # m/s
 # leg; its membership tolerance allows for it. The other scenarios use the
 # `TerminalSetSpec` default.
 RENDEZVOUS_MEMBERSHIP_TOLERANCE = 5e-2
-
-SCENARIOS = ("attitude", "rendezvous", "soft-landing", "custom-linear")
-
-# The sections each scenario's problem does not read (the single-phase
-# lander has no terminal set and no sweep): setting one is a config error.
-UNREAD = {
-    "attitude": ("rendezvous", "lander"),
-    "rendezvous": ("attitude", "lander"),
-    "soft-landing": ("attitude", "rendezvous", "terminal_set", "sweep"),
-    "custom-linear": ("attitude", "rendezvous", "lander"),
-}
-
-STATE_DIMS = {"attitude": 6, "rendezvous": 6, "soft-landing": 12, "custom-linear": 1}
-CONTROL_DIMS = {"attitude": 3, "rendezvous": 3, "soft-landing": 6, "custom-linear": 1}
 
 # Largest horizon / dt and grid time / dt accepted (each step is stored).
 MAX_STEPS = 10**6
@@ -170,37 +142,80 @@ class ScenarioConfig:
     seed: int = 0
 
 
-_SCENARIO_BASE = {
-    "attitude": dict(
-        dt=ATTITUDE_DT,
-        horizon=ATTITUDE_HORIZON,
-        initial_state=list(ATTITUDE_INITIAL_DEG),
-        q=list(ATTITUDE_Q_DIAG),
-        r=list(ATTITUDE_R_DIAG),
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario as the config states it: the tabulated values of the
+    top-level fields, the sections its problem does not read (setting one
+    is a config error), and the state and control columns of its
+    trajectory.csv. A config's `q` (as a diagonal) and `initial_state` have
+    the lengths of the tabulated ones, and `r` has one weight per control
+    column."""
+
+    dt: float
+    horizon: float
+    initial_state: Tuple[float, ...]
+    q: Tuple[float, ...]
+    r: Tuple[float, ...]
+    unread: Tuple[str, ...]
+    state_columns: Tuple[str, ...]
+    control_columns: Tuple[str, ...]
+    terminal_set: TerminalSetSpec = TerminalSetSpec()
+
+
+_EULER_COLUMNS = ("psi_rad", "theta_rad", "phi_rad", "w1_radps", "w2_radps", "w3_radps")
+_TORQUE_COLUMNS = ("M1_Nm", "M2_Nm", "M3_Nm")
+
+# Initial states are in degrees and deg/s. Attitude weights are per degree
+# (identity in the tabulated working units); rendezvous weights per km /
+# (km/s) on the error states with thrust weighted per kN; lander weights act
+# on the normalized variables.
+SCENARIO_RECORDS = {
+    "attitude": Scenario(
+        dt=0.1,
+        horizon=200.0,
+        initial_state=(85.94, -68.75, -120.32, 5.72, -5.72, 2.86),
+        q=(1.0,) * 6,
+        r=(1.0,) * 3,
+        unread=("rendezvous", "lander"),
+        state_columns=_EULER_COLUMNS,
+        control_columns=_TORQUE_COLUMNS,
     ),
-    "rendezvous": dict(
-        dt=RENDEZVOUS_DT,
-        horizon=RENDEZVOUS_HORIZON,
-        initial_state=[],  # derived from the orbital elements
-        q=list(RENDEZVOUS_Q_DIAG),
-        r=list(RENDEZVOUS_R_DIAG),
+    "rendezvous": Scenario(
+        dt=2.0,
+        horizon=6000.0,
+        initial_state=(),  # derived from the orbital elements
+        q=(1.0,) * 6,  # the relative-error states
+        r=(500.0,) * 3,
+        unread=("attitude", "lander"),
+        state_columns=(
+            "er1_km", "er2_km", "er3_km", "ev1_kmps", "ev2_kmps", "ev3_kmps", "m_kg",
+            "rt1_km", "rt2_km", "rt3_km", "vt1_kmps", "vt2_kmps", "vt3_kmps",
+        ),
+        control_columns=("u1_kN", "u2_kN", "u3_kN"),
         terminal_set=TerminalSetSpec(tolerance=RENDEZVOUS_MEMBERSHIP_TOLERANCE),
     ),
-    "soft-landing": dict(
-        dt=LANDER_DT,
-        horizon=LANDER_HORIZON,
-        initial_state=list(LANDER_INITIAL_ATTITUDE_DEG),
-        q=list(LANDER_Q_DIAG),
-        r=list(LANDER_R_DIAG),
+    # single-phase: no terminal set and no sweep
+    "soft-landing": Scenario(
+        dt=0.2,
+        horizon=30.0,
+        initial_state=(22.91, 17.18, 11.45, 5.72, 11.45, -11.45),  # the attitude; the lander section gives the rest
+        q=(1.0,) * 6 + (10000.0,) * 3 + (1000.0,) * 3,  # the mass is unweighted
+        r=(1.0,) * 6,
+        unread=("attitude", "rendezvous", "terminal_set", "sweep"),
+        state_columns=(*_EULER_COLUMNS, "r1_m", "r2_m", "r3_m", "v1_mps", "v2_mps", "v3_mps", "m_kg"),
+        control_columns=(*_TORQUE_COLUMNS, "u1_N", "u2_N", "u3_N"),
     ),
     # x+ = x + u with stage cost (q x^2 + r u^2) / 2 = x^2 + u^2, whose
     # stationary value matrix is the golden ratio
-    "custom-linear": dict(
+    "custom-linear": Scenario(
         dt=1.0,
-        horizon=LINEAR_HORIZON,
-        initial_state=[1.0],
-        q=[2.0],
-        r=[2.0],
+        horizon=40.0,  # steps of 1 s
+        initial_state=(1.0,),
+        q=(2.0,),
+        r=(2.0,),
+        unread=("attitude", "rendezvous", "lander"),
+        state_columns=("x1",),
+        control_columns=("u1",),
     ),
 }
 
@@ -229,10 +244,17 @@ def _coerce(value: Any, template: Any, path: str) -> Any:
     return value
 
 
+def scenario_record(scenario: str) -> Scenario:
+    if scenario not in SCENARIO_RECORDS:
+        raise ConfigError("scenario", f"must be one of {tuple(SCENARIO_RECORDS)}, got {scenario!r}")
+    return SCENARIO_RECORDS[scenario]
+
+
 def scenario_defaults(scenario: str) -> ScenarioConfig:
-    if scenario not in SCENARIOS:
-        raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
-    return ScenarioConfig(scenario=scenario, **copy.deepcopy(_SCENARIO_BASE[scenario]))
+    rec = scenario_record(scenario)
+    return ScenarioConfig(
+        scenario, rec.dt, rec.horizon, list(rec.initial_state), list(rec.q), list(rec.r), terminal_set=rec.terminal_set
+    )
 
 
 def apply_overrides(data: Dict[str, Any], overrides: Sequence[str]) -> Dict[str, Any]:
@@ -264,7 +286,7 @@ def parse_config_dict(data: Dict[str, Any]) -> ScenarioConfig:
     if scenario is None:
         raise ConfigError("scenario", "missing (set it in the file or via --set scenario=...)")
     base = scenario_defaults(scenario)
-    for section in UNREAD[scenario]:
+    for section in scenario_record(scenario).unread:
         if section in data:
             raise ConfigError(section, f"the {scenario} problem does not read this section")
     rest = {k: v for k, v in data.items() if k != "scenario"}
@@ -293,17 +315,22 @@ def parse_config(
 
 
 def emit_config(cfg: ScenarioConfig) -> Dict[str, Any]:
-    """Inverse of parse_config_dict, parse(emit(cfg)) == cfg; UNREAD sections are left out."""
-    return {k: v for k, v in asdict(cfg).items() if k not in UNREAD[cfg.scenario]}
+    """Inverse of parse_config_dict, parse(emit(cfg)) == cfg; unread sections are left out."""
+    unread = scenario_record(cfg.scenario).unread
+    return {k: v for k, v in asdict(cfg).items() if k not in unread}
+
+
+def _has_bool(value: Any) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
 
 
 def float_array(value, field: str, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
     """`value` as an array of finite floats, of `shape` when given; otherwise
-    ConfigError naming `field`. Strings, all-boolean arrays and ragged
-    nesting are rejected."""
+    ConfigError naming `field`. Strings, booleans and ragged nesting are
+    rejected."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind not in "iuf":
+        if arr.dtype.kind not in "iuf" or _has_bool(value):
             raise ValueError
     except ValueError:  # also raised for ragged nesting
         raise ConfigError(field, f"expected numbers, got {value!r}") from None
@@ -324,8 +351,7 @@ def weight_matrix(value, dim: int, field: str) -> np.ndarray:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError("scenario", f"must be one of {SCENARIOS}")
+    record = scenario_record(cfg.scenario)
     positive(cfg.dt, "dt")
     positive(cfg.horizon, "horizon")
     if cfg.horizon < cfg.dt:
@@ -340,24 +366,21 @@ def validate_config(cfg: ScenarioConfig) -> None:
     integer(cfg.seed, "seed", 0)
     if not isinstance(cfg.output_dir, str):
         raise ConfigError("output_dir", f"expected a path, got {cfg.output_dir!r}")
-    n = STATE_DIMS[cfg.scenario]
-    m = CONTROL_DIMS[cfg.scenario]
-
-    if cfg.scenario == "rendezvous":
+    if not record.initial_state:
         if cfg.initial_state != []:
             raise ConfigError(
                 "initial_state", "must be empty: rendezvous.chaser and rendezvous.target give the initial state"
             )
     else:
-        dim = 6 if cfg.scenario in ("attitude", "soft-landing") else n
-        init = float_array(cfg.initial_state, "initial_state", (dim,))
-        if dim == 6 and abs(math.cos(init[1] * DEG)) < COS_THETA_MIN:  # the model's pitch rule
+        init = float_array(cfg.initial_state, "initial_state", (len(record.initial_state),))
+        # six entries are Euler angles and rates: the model's pitch rule
+        if len(init) == 6 and abs(math.cos(init[1] * DEG)) < COS_THETA_MIN:
             raise ConfigError("initial_state", "pitch angle sits on the kinematic singularity, cos(pitch) = 0")
 
-    Q = weight_matrix(cfg.q, n, "q")
+    Q = weight_matrix(cfg.q, len(record.q), "q")
     if not np.allclose(Q, Q.T) or not is_psd(Q):
         raise ConfigError("q", "must be symmetric positive semidefinite")
-    R = weight_matrix(cfg.r, m, "r")
+    R = weight_matrix(cfg.r, len(record.control_columns), "r")
     # the stationary design solves against R / 2, which must stay definite
     if not np.allclose(R, R.T) or np.any(np.linalg.eigvalsh(R / 2.0) <= 0.0):
         raise ConfigError("r", "must be symmetric positive definite")

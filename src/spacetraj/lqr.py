@@ -425,9 +425,6 @@ class MembershipResult:
     within_level: bool
     rollout: RegulationRollout
 
-    def __bool__(self) -> bool:
-        return self.member
-
 
 def in_terminal_set(
     model: DiscreteModel,

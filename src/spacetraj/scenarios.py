@@ -41,6 +41,7 @@ from .config import (
     default_sweep_grid,
     float_array,
     scenario_defaults,
+    scenario_record,
     weight_matrix,
 )
 from .cost import AltitudePenaltySpec, QuadraticCostSpec, TerminalValue
@@ -79,6 +80,12 @@ def _config(cfg: Optional[ScenarioConfig], scenario: str) -> ScenarioConfig:
     if cfg.scenario != scenario:
         raise ConfigError("scenario", f"the {scenario} problem requires scenario={scenario}, got {cfg.scenario!r}")
     return cfg
+
+
+def _weights(cfg: ScenarioConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The `q` and `r` matrices, of the lengths the scenario's record gives."""
+    record = scenario_record(cfg.scenario)
+    return weight_matrix(cfg.q, len(record.q), "q"), weight_matrix(cfg.r, len(record.control_columns), "r")
 
 
 def _two_phase(
@@ -120,11 +127,12 @@ def attitude_problem(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     cfg = _config(cfg, "attitude")
     model = attitude_model(AttitudeParams(inertia=_diag(cfg.attitude.inertia_diag)), cfg.dt)
     S = np.diag(np.full(6, 1.0 / DEG))  # rad -> deg per coordinate
+    q, R = _weights(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = S @ weight_matrix(cfg.q, 6, "q") @ S
+        Q = S @ q @ S
     if not np.isfinite(Q).all():
         raise ConfigError("q", "the per-degree weights overflow when converted to radians")
-    cost = QuadraticCostSpec(Q=Q, R=weight_matrix(cfg.r, 3, "r"))
+    cost = QuadraticCostSpec(Q=Q, R=R)
     design = stationary_design(model, cost, np.zeros(6), np.zeros(3), np.arange(6))
     x0 = np.asarray(cfg.initial_state, dtype=float) * DEG
     return _two_phase(cfg, model, cost, x0, lambda T: design, _attitude_sample)
@@ -159,9 +167,10 @@ def rendezvous_problem(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     rc = cfg.rendezvous
     dt = cfg.dt
     model = rendezvous_model(RendezvousParams(mu=rc.mu, alpha=rc.alpha), dt)
+    q, R = _weights(cfg)
     Q_full = np.zeros((13, 13))
-    Q_full[:6, :6] = weight_matrix(cfg.q, 6, "q")
-    cost = QuadraticCostSpec(Q=Q_full, R=weight_matrix(cfg.r, 3, "r"))
+    Q_full[:6, :6] = q
+    cost = QuadraticCostSpec(Q=Q_full, R=R)
     r_c, v_c = kepler_to_cartesian(rc.chaser.to_elements(), rc.mu)
     r_t, v_t = kepler_to_cartesian(rc.target.to_elements(), rc.mu)
     x0 = np.concatenate([r_t - r_c, v_t - v_c, [rc.mass_kg], r_t, v_t])
@@ -273,10 +282,11 @@ def soft_landing_problem(cfg: Optional[ScenarioConfig] = None) -> LandingProblem
     params = LanderParams(
         inertia=_diag(L.inertia_diag), isp=L.isp_s, g_ref=L.g_ref, initial_mass=L.initial_mass_kg
     )
+    q, R = _weights(cfg)
     Q = np.zeros((13, 13))
-    Q[:12, :12] = weight_matrix(cfg.q, 12, "q")  # mass unweighted
+    Q[:12, :12] = q  # mass unweighted
     penalty = AltitudePenaltySpec(weight=L.penalty_weight, rate=L.penalty_rate, index=LANDER_ALTITUDE_INDEX)
-    cost = QuadraticCostSpec(Q=Q, R=weight_matrix(cfg.r, 6, "r"), penalty=penalty)
+    cost = QuadraticCostSpec(Q=Q, R=R, penalty=penalty)
     reference = np.zeros(13)
     reference[LANDER_ALTITUDE_INDEX] = -L.terminal_sink_rate_mps * dt / LANDER_R_SCALE
     reference[11] = -L.terminal_sink_rate_mps / LANDER_V_SCALE
@@ -366,9 +376,10 @@ def linear_benchmark(cfg: Optional[ScenarioConfig] = None) -> TwoPhaseProblem:
     """
     cfg = _config(cfg, "custom-linear")
     model = lti_model([[1.0]], [[1.0]], dt=cfg.dt)
-    cost = QuadraticCostSpec(Q=weight_matrix(cfg.q, 1, "q"), R=weight_matrix(cfg.r, 1, "r"))
+    Q, R = _weights(cfg)
+    cost = QuadraticCostSpec(Q=Q, R=R)
     design = stationary_design(model, cost, np.zeros(1), np.zeros(1), np.arange(1))
-    x0 = float_array(cfg.initial_state, "initial_state", (1,))
+    x0 = float_array(cfg.initial_state, "initial_state", (model.state_dim,))
     return _two_phase(cfg, model, cost, x0, lambda T: design)
 
 

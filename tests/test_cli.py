@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacetraj
-from spacetraj.artifacts import BLOCK_ROWS, _fmt, trajectory_rows, write_csv
+from spacetraj.artifacts import BLOCK_ROWS, trajectory_rows, write_csv
 from spacetraj.cli import main
+from spacetraj.config import SCENARIO_RECORDS, scenario_defaults
+from spacetraj.scenarios import build_problem
 
 
 def run_cli(capsys, *argv):
@@ -613,6 +615,10 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, field, value):
         ("convergence_levels", "5"),
         ("lander.initial_position_m", '"x"'),
         ("lander.initial_velocity_mps", "[1,2]"),
+        # a boolean entry among numbers is no number either
+        ("q", "[true,1,1,1,1,1]"),
+        ("sweep.grid", "[true,2]"),
+        ("convergence_levels", "[true,0.5]"),
     ],
 )
 def test_malformed_array_is_a_config_error(tmp_path, capsys, field, value):
@@ -821,6 +827,38 @@ def test_rendezvous_initial_state_is_a_config_error(tmp_path, capsys, value):
     assert_config_error(tmp_path, capsys, "rendezvous", "initial_state", value)
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_RECORDS))
+def test_the_scenario_records_agree_with_the_problems(tmp_path, capsys, scenario):
+    """A record's columns are its problem's states and controls, the default
+    config has the record's q and initial_state and one r weight per control
+    column, and a q or an initial_state one entry too long is rejected by
+    name."""
+    record, cfg = SCENARIO_RECORDS[scenario], scenario_defaults(scenario)
+    model = build_problem(cfg).model
+    assert (len(record.state_columns), len(record.control_columns)) == (model.state_dim, model.control_dim)
+    assert (cfg.q, cfg.initial_state) == (list(record.q), list(record.initial_state))
+    assert len(cfg.r) == len(record.control_columns)
+    assert_config_error(tmp_path, capsys, scenario, "q", json.dumps(cfg.q + [1.0]))
+    assert_config_error(tmp_path, capsys, scenario, "initial_state", json.dumps(cfg.initial_state + [1.0]))
+
+
+@pytest.mark.parametrize(
+    "command,scenario", [("simulate", s) for s in sorted(SCENARIO_RECORDS)] + [("sweep", "attitude")]
+)
+def test_every_csv_row_is_as_wide_as_its_header_and_numeric(tmp_path, capsys, command, scenario):
+    """The default runs' CSVs: every row has a cell per column, every cell
+    reads as a float, and `in_omega` holds only 0 and 1."""
+    code, out = run_cli(capsys, command, "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
+    assert code == 0
+    for path in map(Path, out["artifacts"][1:]):
+        _, header, rows = read_csv(path)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        for row in rows:
+            [float(cell) for cell in row]
+        if path.name == "sweep.csv":
+            assert {row[header.index("in_omega")] for row in rows} <= {"0", "1"}
+
+
 def test_sweep_records_a_goal_orbit_that_leaves_the_domain(tmp_path, capsys):
     """The grid point whose goal orbit crosses the radius guard fails on its
     own; the rest of the sweep runs."""
@@ -996,9 +1034,15 @@ def test_summary_echoes_config(tmp_path, capsys):
     assert summary["wall_clock_s"] > 0.0
 
 
+def ref_cell(value):
+    """The per-cell format: an int in decimal, a float (a numpy one too) as
+    the shortest string that reads back as it."""
+    return str(value) if isinstance(value, int) else repr(float(value))
+
+
 def ref_trajectory_lines(dt, states, controls, stage_costs, phases=None):
     """The per-cell writer: rows built one numpy scalar at a time, every
-    cell formatted by `_fmt`."""
+    cell formatted by `ref_cell`."""
     n_controls = len(controls)
     lines = []
     for t, x in enumerate(states):
@@ -1009,7 +1053,7 @@ def ref_trajectory_lines(dt, states, controls, stage_costs, phases=None):
         else:
             row += [0.0] * (len(controls[0]) if n_controls else 0)
             row += [0.0, int(phases[-1]) if phases is not None and len(phases) else 1]
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(ref_cell, row)))
     return lines
 
 
@@ -1044,18 +1088,6 @@ def test_trajectory_writer_matches_the_per_cell_writer(tmp_path, seed, with_phas
             line + "\n" for line in ref_trajectory_lines(dt, states, controls, costs, phases)
         )
         assert path.read_bytes() == want.encode("utf-8"), T
-
-
-def test_write_csv_keeps_formatting_mixed_rows(tmp_path):
-    path = write_csv(
-        tmp_path / "s.csv", "sweep-v1", ["a", "b", "c", "d", "e"],
-        [
-            [1.0, True, np.float64(2.5), 3, "x"],
-            [0.5, False, 7, np.int64(4), -0.0],
-            [1.5, True, 2],  # a bool among plain floats and ints
-        ],
-    )
-    assert path.read_text().splitlines()[2:] == ["1.0,1,2.5,3,x", "0.5,0,7,4.0,-0.0", "1.5,1,2"]
 
 
 def _block_rows(count):

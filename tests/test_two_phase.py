@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spacetraj.config import RENDEZVOUS_DT, default_sweep_grid, parse_config_dict, scenario_defaults
+from spacetraj.config import default_sweep_grid, parse_config_dict, scenario_defaults
 from spacetraj.cost import QuadraticCostSpec, TerminalValue, stage_costs
 from spacetraj.dynamics import lti_model, simulate
 from spacetraj.errors import HittingTimeNotFoundError, NotAFixedPointError
@@ -148,7 +148,7 @@ def test_rendezvous_designs_continue_the_target_orbit(monkeypatch):
     for T in shuffled:
         got, want = problem.design_for(T).solution, fresh[T].solution
         assert np.array_equal(got.P, want.P) and np.array_equal(got.K, want.K)
-    assert propagated == round(max(grid) / RENDEZVOUS_DT)
+    assert propagated == round(max(grid) / scenario_defaults("rendezvous").dt)
 
 
 def test_rendezvous_goal_orbit_is_the_trajectory_target(monkeypatch):
