@@ -8,8 +8,9 @@ Commands:
     sweep        evaluate the transfer-time grid and write the sweep table
     simulate     closed-loop run: optimized leg + regulation (or, for the
                  single-phase lander, descent to touchdown)
-    verify       Jacobian agreement, Riccati residual, Bellman residuals
-                 on the configured problem
+    verify       Jacobian (and, where a model states them, second-partial)
+                 agreement, Riccati residual, Bellman residuals on the
+                 configured problem
     convergence  objective-vs-level study on the built-in linear benchmark
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/solver error,
@@ -46,7 +47,7 @@ from .artifacts import (
     write_json,
 )
 from .config import ScenarioConfig, emit_config, parse_config, scenario_record
-from .dynamics import finite_diff_jacobians, jacobians
+from .dynamics import finite_diff_hessians, finite_diff_jacobians, jacobians
 from .errors import ConfigError, SpacetrajError
 from .scenarios import build_problem, linear_benchmark
 from .two_phase import RunResult, convergence_study, first_hit, first_hit_bracketed, membership_switches
@@ -130,22 +131,31 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path) -> Outcome:
 def cmd_verify(cfg: ScenarioConfig, out: Path) -> Outcome:
     problem = build_problem(cfg)
 
-    # analytic vs central-difference Jacobians at random interior points
+    # analytic vs central-difference Jacobians at random interior points, and
+    # second partials, where the model states them, vs central differences
+    # of its analytic Jacobians at the same points
+    model = problem.model
     rng = np.random.default_rng(int(cfg.seed))  # an integral float passes validation
     points = [problem.sample(rng) for _ in range(100)]
-    ja = jacobians(problem.model, np.array([x for x, _ in points]), np.array([u for _, u in points]))
+    X, U = np.array([x for x, _ in points]), np.array([u for _, u in points])
+    ja = jacobians(model, X, U)
     worst = 0.0
     for t, (x, u) in enumerate(points):
-        jf = finite_diff_jacobians(problem.model, x, u)
+        jf = finite_diff_jacobians(model, x, u)
         worst = max(
             worst,
             float(np.linalg.norm(ja.A[t] - jf.A) / max(1.0, np.linalg.norm(jf.A))),
             float(np.linalg.norm(ja.B[t] - jf.B) / max(1.0, np.linalg.norm(jf.B))),
         )
-    checks = [
-        {"check": "jacobians", "passed": worst < 1e-5, "max_relative_error": worst, "points": 100},
-        *problem.checks(),  # riccati and bellman, each passed, failed or not applicable (None)
-    ]
+    checks = [{"check": "jacobians", "passed": worst < 1e-5, "max_relative_error": worst, "points": 100}]
+    if model.deriv_hessians is not None:
+        C = model.deriv_hessians(X, U)
+        worst = 0.0
+        for t, (x, u) in enumerate(points):
+            fd = finite_diff_hessians(model, x, u)
+            worst = max(worst, float(np.linalg.norm(C[t] - fd) / max(1.0, np.linalg.norm(fd))))
+        checks.append({"check": "hessians", "passed": worst < 1e-5, "max_relative_error": worst, "points": 100})
+    checks += problem.checks()  # riccati and bellman, each passed, failed or not applicable (None)
     passed = all(c["passed"] for c in checks if c["passed"] is not None)
     return {"checks": checks, "passed": passed}, [], 0 if passed else 1
 

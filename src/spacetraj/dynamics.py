@@ -19,6 +19,15 @@ Kernel contract:
   never writes to it. A batched partial must be a fresh array: `jacobians`
   scales it by ``dt`` in place (the same bits, one (T, n, n) stack less).
   `finite_diff_jacobians` is only the oracle they are checked against.
+- ``deriv_hessians(x, u)``, optional (None by default), is for models whose
+  rates are affine in the control with a constant coefficient: it returns
+  the continuous second partials of the rates in the state,
+  ``d^2 f_i / dx_j dx_k``, of shape (n, n, n) or, along a trajectory,
+  (T, n, n, n), as a fresh array. The control blocks of such a model are
+  zero, so these are all its second partials; the iLQR sweep adds them to
+  its state Hessian (a Newton step) where a model states them.
+  `finite_diff_hessians`, central differences of ``deriv_jacobians``, is
+  the oracle they are checked against. Only the attitude model has them.
 - `simulate` is the one closed loop: every simulated step of the program
   (rollouts, line-search candidates, regulation, the rendezvous goal
   orbit) is taken there.
@@ -46,6 +55,7 @@ FD_STEP = 1e-6
 
 RatesFn = Callable[[list, list], Sequence[float]]
 DerivJacFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+DerivHessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # control(t, x_t) -> u_t, or None to stop before stepping
 ControlLaw = Callable[[int, np.ndarray], Optional[np.ndarray]]
 
@@ -54,8 +64,9 @@ ControlLaw = Callable[[int, np.ndarray], Optional[np.ndarray]]
 class DiscreteModel:
     """Explicit-Euler dynamics ``x+ = x + dt * rates(x, u)`` with step `dt` (s).
 
-    `rates` is the point kernel and `deriv_jacobians` its continuous
-    partials (see the module docstring).
+    `rates` is the point kernel, `deriv_jacobians` its continuous
+    partials and `deriv_hessians`, when stated, its second partials in the
+    state (see the module docstring).
     """
 
     state_dim: int
@@ -63,6 +74,7 @@ class DiscreteModel:
     rates: RatesFn
     dt: float
     deriv_jacobians: DerivJacFn
+    deriv_hessians: Optional[DerivHessFn] = None
 
     def __post_init__(self):
         if not (self.state_dim > 0 and self.control_dim > 0):
@@ -71,6 +83,8 @@ class DiscreteModel:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not callable(self.deriv_jacobians):
             raise ValueError(f"deriv_jacobians must be callable, got {self.deriv_jacobians!r}")
+        if not (self.deriv_hessians is None or callable(self.deriv_hessians)):
+            raise ValueError(f"deriv_hessians must be callable or None, got {self.deriv_hessians!r}")
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return euler_step(self, x, u)
@@ -172,6 +186,26 @@ def finite_diff_jacobians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) ->
     return Linearization(A=A, B=B)
 
 
+def finite_diff_hessians(model: DiscreteModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Central differences of the analytic continuous state partials,
+    ``C[i, j, k] = d(dfdx[i, j]) / dx_k``, shape (n, n, n).
+
+    Oracle for ``deriv_hessians``, with the per-coordinate step of
+    `finite_diff_jacobians`; exact for rates quadratic in the state up to
+    roundoff.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = model.state_dim
+    C = np.empty((n, n, n))
+    h = np.maximum(FD_STEP, FD_STEP * np.abs(x))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h[k]
+        C[:, :, k] = (model.deriv_jacobians(x + e, u)[0] - model.deriv_jacobians(x - e, u)[0]) / (2.0 * h[k])
+    return C
+
+
 def _times_dt(partial: np.ndarray, dt: float, lead: tuple) -> np.ndarray:
     """dt * partial: in place on a batched (fresh) partial, never on a shared one."""
     if lead and partial.shape[:-2] == lead:
@@ -215,8 +249,3 @@ def lti_model(A: np.ndarray, B: np.ndarray, dt: float = 1.0) -> DiscreteModel:
     return DiscreteModel(
         n, m, lambda x, u: (Ac.dot(x) + Bc.dot(u)).tolist(), dt, lambda x, u: (Ac, Bc)
     )
-
-
-def double_integrator(dt: float = 0.1) -> DiscreteModel:
-    """Euler-discretized double integrator: position/velocity state, force control."""
-    return lti_model([[1.0, dt], [0.0, 1.0]], [[0.0], [dt]], dt)

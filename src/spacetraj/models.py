@@ -13,9 +13,14 @@ stated in `dynamics`:
   one vectorized evaluation; partials that are constant come back unbatched.
   Every model has them (`DiscreteModel` requires them), and each batched
   partial is a fresh array, which `dynamics.jacobians` scales in place.
+- ``attitude_deriv_hessians(x, p)`` is the attitude model's optional
+  `deriv_hessians` (second partials in the state, batched the same way);
+  the other models state none.
 - The inverse inertia is computed once, from the validated matrix, when
-  `AttitudeParams` or `LanderParams` is constructed. Attitude and lander share
-  the rigid-body helpers (`_rigid_body_rates`, `_rigid_body_partials`).
+  `AttitudeParams` or `LanderParams` is constructed, and the constant wdot
+  block of the second partials when `AttitudeParams` is. Attitude and
+  lander share the rigid-body helpers (`_rigid_body_rates`,
+  `_rigid_body_partials`).
 
 Unit conventions:
 
@@ -230,15 +235,25 @@ def _norm_grad(u: np.ndarray) -> np.ndarray:
 class AttitudeParams:
     """Rigid-body inertia; must be symmetric positive definite (kg*m^2).
 
-    Its inverse is computed once here, from the checked matrix.
+    Its inverse, and the constant second partials of wdot in w, are
+    computed once here, from the checked matrix.
     """
 
     inertia: np.ndarray = field(default_factory=lambda: np.diag(DEFAULT_INERTIA_DIAG))
     inertia_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _inertia_lists: tuple = field(init=False, repr=False, compare=False)
+    _gyroscopic_hessian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _init_inertia(self)
+        # (w x Jw)_a = e_abc w_b (Jw)_c is bilinear in w, so its second
+        # partials e_ajc J_ck + e_akc J_cj do not depend on the point
+        eps = np.zeros((3, 3, 3))
+        eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+        eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+        D = np.einsum("ajc,ck->ajk", eps, self.inertia)
+        W = -np.einsum("ia,ajk->ijk", self.inertia_inv, D + D.transpose(0, 2, 1))
+        object.__setattr__(self, "_gyroscopic_hessian", W)
 
 
 def attitude_rates(x: list, torque: list, p: AttitudeParams) -> Tuple[float, ...]:
@@ -260,6 +275,49 @@ def attitude_deriv_jacobians(
     return dfdx, dfdu
 
 
+def attitude_deriv_hessians(x: np.ndarray, p: AttitudeParams) -> np.ndarray:
+    """Second partials d^2 f_i / dx_j dx_k of the rates at x (6,) or along a
+    trajectory x (T, 6), of shape (..., 6, 6, 6) and symmetric in (j, k).
+    The rates are affine in the torque with a constant coefficient, so
+    every second partial involving it is zero. The kinematic rows depend on
+    sin/cos of theta and phi; the wdot block is the constant of
+    `AttitudeParams`."""
+    theta, phi = x[..., 1], x[..., 2]
+    _check_theta(theta, x)
+    w2, w3 = x[..., 4], x[..., 5]
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    g = sp * w2 + cp * w3  # d g / d phi = h
+    h = cp * w2 - sp * w3  # d h / d phi = -g
+    c2, tt = ct * ct, st / ct
+    C = np.zeros(x.shape[:-1] + (6, 6, 6))
+    for i, j, k, value in (
+        # psi rate g / cos(theta)
+        (0, 1, 1, g * (1.0 + st * st) / (c2 * ct)),
+        (0, 1, 2, h * st / c2),
+        (0, 1, 4, sp * st / c2),
+        (0, 1, 5, cp * st / c2),
+        (0, 2, 2, -g / ct),
+        (0, 2, 4, cp / ct),
+        (0, 2, 5, -sp / ct),
+        # theta rate h
+        (1, 2, 2, -h),
+        (1, 2, 4, -sp),
+        (1, 2, 5, -cp),
+        # phi rate w1 + tan(theta) g
+        (2, 1, 1, 2.0 * g * st / (c2 * ct)),
+        (2, 1, 2, h / c2),
+        (2, 1, 4, sp / c2),
+        (2, 1, 5, cp / c2),
+        (2, 2, 2, -tt * g),
+        (2, 2, 4, tt * cp),
+        (2, 2, 5, -tt * sp),
+    ):
+        C[..., i, j, k] = C[..., i, k, j] = value
+    C[..., 3:6, 3:6, 3:6] = p._gyroscopic_hessian
+    return C
+
+
 def attitude_model(p: AttitudeParams | None = None, dt: float = 0.1) -> DiscreteModel:
     p = p or AttitudeParams()
     return DiscreteModel(
@@ -268,6 +326,7 @@ def attitude_model(p: AttitudeParams | None = None, dt: float = 0.1) -> Discrete
         rates=lambda x, u: attitude_rates(x, u, p),
         dt=dt,
         deriv_jacobians=lambda x, u: attitude_deriv_jacobians(x, u, p),
+        deriv_hessians=lambda x, u: attitude_deriv_hessians(x, p),
     )
 
 

@@ -79,6 +79,7 @@ class RunResult:
             "terminal_cost": traj.terminal_cost,
             "converged": report.converged,
             "status": report.status,
+            **report.curvature_summary(),
             "final_state_error": [float(v) for v in final_state_error],
         }
         return cls(report, dt, states, controls, traj.stage_costs, summary)
@@ -159,6 +160,7 @@ class TwoPhaseProblem:
             "regulation_converged": closed.converged,
             "diverged": closed.diverged,
             "first_hit_bracketed": first_hit_bracketed(solution.sweep),
+            **solution.report.curvature_summary(),
             "final_state_error": [float(v) for v in solution.design.regulated(closed.states[-1])],
             "lyapunov_decrease_ratio": lyapunov_decrease_ratio(closed, solution.design),
         }

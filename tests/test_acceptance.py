@@ -20,7 +20,7 @@ from spacetraj.cost import (
     cost_derivatives,
     stage_costs,
 )
-from spacetraj.dynamics import double_integrator, finite_diff_jacobians, jacobians
+from spacetraj.dynamics import finite_diff_jacobians, jacobians
 from spacetraj.ilqr import solve_fhocp
 from spacetraj.lqr import regulation_rollout, solve_dare
 from spacetraj.models import (
@@ -46,6 +46,7 @@ from spacetraj.two_phase import (
     solve_two_phase,
     two_phase_simulate,
 )
+from support import double_integrator
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

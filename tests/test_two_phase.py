@@ -483,3 +483,18 @@ def test_every_cost_cap_trips_at_the_same_step(caller, cap):
         assert closed.diverged and closed.message.startswith("regulation rollout cost exceeded cap (")
         assert len(closed.controls) == trip + 1
         assert np.array_equal(closed.controls, U[: trip + 1])
+
+
+def test_warm_walk_points_end_at_a_small_gradient():
+    """Newton passes on the attitude leg: every warm-started walk point up
+    to T* keeps its curvature and stops with max ||Q_u|| at most 1e-4
+    (Gauss-Newton passes alone stopped at 5e-3 to 1e-2). The cold first
+    point's first curvature pass fails, so that solve runs Gauss-Newton."""
+    solution = solve_two_phase(attitude_problem())
+    first, *warm = solution.sweep
+    assert solution.transfer_time == 22.0 and len(warm) == 5
+    assert (first.report.curvature_used, first.report.curvature_dropped_at) == (False, 1)
+    for point in warm:
+        report = point.report
+        assert (report.curvature_used, report.curvature_dropped_at) == (True, None)
+        assert report.iterations[-1].gradient_norm <= 1e-4, point.transfer_time
